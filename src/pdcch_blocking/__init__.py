@@ -8,11 +8,10 @@ from .scenario_io import (ResultRecord, Scenario, ScenarioParseError,
                           bundled_scenario_names, bundled_scenario_path,
                           emit_results, load_results, parse_plan_request,
                           parse_scenario, scenario_from_dict, scenario_to_dict)
-from .scheduler import (CANDIDATE_CHOICES, CHOICE_LEFTMOST_CCE,
-                        CHOICE_LOWEST_INDEX, STRATEGIES, STRATEGY_HIGH_TO_LOW,
-                        STRATEGY_LOW_TO_HIGH, STRATEGY_UNORDERED,
-                        AllocationOutcome, LimitsReport, MonitoringLimits,
-                        UeContext, allocate, blocking_ratio, validate_limits)
+from .scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW, STRATEGY_LOW_TO_HIGH,
+                        STRATEGY_UNORDERED, AllocationOutcome, LimitsReport,
+                        MonitoringLimits, UeContext, allocate, blocking_ratio,
+                        validate_limits)
 from .search_space import (ALLOWED_CANDIDATE_COUNTS, RNTI_MAX,
                            SPACE_TYPE_COMMON, SPACE_TYPE_UE_SPECIFIC,
                            Candidate, NoCandidateFitsError, SearchSpaceConfig,
@@ -25,8 +24,7 @@ from .simulation import (SWEEP_AXES, AlDistribution, ScenarioConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AGGREGATION_LEVELS", "ALLOWED_CANDIDATE_COUNTS", "CANDIDATE_CHOICES",
-    "CHOICE_LEFTMOST_CCE", "CHOICE_LOWEST_INDEX", "RNTI_MAX",
+    "AGGREGATION_LEVELS", "ALLOWED_CANDIDATE_COUNTS", "RNTI_MAX",
     "SPACE_TYPE_COMMON", "SPACE_TYPE_UE_SPECIFIC", "STRATEGIES",
     "STRATEGY_HIGH_TO_LOW", "STRATEGY_LOW_TO_HIGH", "STRATEGY_UNORDERED",
     "SWEEP_AXES",

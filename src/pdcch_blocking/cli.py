@@ -13,10 +13,9 @@ from .planner import plan_min_coreset
 from .scenario_io import (FORMAT_CSV, FORMATS, ResultRecord, Scenario,
                           ScenarioParseError, bundled_scenario_names,
                           bundled_scenario_path, emit_results, parse_plan_request,
-                          parse_scenario, record_for_run, records_for_sweep,
-                          resolve_output_path)
+                          parse_scenario, records_for_sweep, resolve_output_path)
 from .scheduler import MonitoringLimits, validate_limits
-from .simulation import run_scenario, run_sweep
+from .simulation import ScenarioConfig, SweepPoint, run_scenario, run_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,14 +78,16 @@ def _resolve_file(name: str) -> Path:
     return bundled_scenario_path(name)
 
 
+def _with_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
+    """``config`` with the --seed and --iterations flags applied."""
+    flags = {"master_seed": args.seed, "iterations": args.iterations}
+    return dataclasses.replace(
+        config, **{field: value for field, value in flags.items() if value is not None})
+
+
 def _load_scenario(args) -> Scenario:
     scenario = parse_scenario(_resolve_file(args.scenario))
-    config = scenario.config
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
-    if args.iterations is not None:
-        config = dataclasses.replace(config, iterations=args.iterations)
-    return dataclasses.replace(scenario, config=config)
+    return dataclasses.replace(scenario, config=_with_overrides(scenario.config, args))
 
 
 def _emit(records, args):
@@ -103,7 +104,8 @@ def _cmd_simulate(args) -> int:
           f"scheduled={result.scheduled_total} "
           f"(U={scenario.config.ue_count}, C={scenario.config.coreset.cce_count}, "
           f"iterations={scenario.config.iterations}, seed={scenario.config.master_seed})")
-    _emit([record_for_run(scenario.name, scenario.config, result)], args)
+    _emit(records_for_sweep(scenario.name, scenario.config,
+                            [SweepPoint(point=None, label="", result=result)]), args)
     return 0
 
 
@@ -132,10 +134,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_plan(args) -> int:
     name, request = parse_plan_request(_resolve_file(args.request))
-    if args.seed is not None:
-        request = dataclasses.replace(request, master_seed=args.seed)
-    if args.iterations is not None:
-        request = dataclasses.replace(request, iterations=args.iterations)
+    request = dataclasses.replace(request, base=_with_overrides(request.base, args))
+    base = request.base
     result = plan_min_coreset(request, workers=args.workers)
     if result.min_cces is None:
         print(f"{name}: no CORESET size in [{request.cce_min}, {request.cce_max}] "
@@ -143,18 +143,17 @@ def _cmd_plan(args) -> int:
     else:
         print(f"{name}: min CORESET size = {result.min_cces} CCEs "
               f"(B={result.achieved_blocking:.6g}, target {request.target_blocking}, "
-              f"U={request.ue_count}, {len(result.evaluations)} evaluations)")
+              f"U={base.ue_count}, {len(result.evaluations)} evaluations)")
     if args.out:
         path = resolve_output_path(args.out)
         if args.format == FORMAT_CSV:
+            trials = base.ue_count * base.iterations
             records = [ResultRecord(scenario=name, point=str(cces),
                                     blocking_probability=blocking, stderr=stderr,
-                                    blocked_total=round(blocking * request.ue_count
-                                                        * request.iterations),
-                                    scheduled_total=round((1 - blocking) * request.ue_count
-                                                          * request.iterations),
-                                    seed=request.master_seed,
-                                    iterations=request.iterations)
+                                    blocked_total=round(blocking * trials),
+                                    scheduled_total=round((1 - blocking) * trials),
+                                    seed=base.master_seed,
+                                    iterations=base.iterations)
                        for cces, blocking, stderr in result.evaluations]
             emit_results(records, FORMAT_CSV, args.out)
         else:

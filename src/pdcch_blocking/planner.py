@@ -8,33 +8,25 @@ per-size estimates are directly comparable.
 
 from dataclasses import dataclass
 
-from .coreset import CoresetConfig
-from .scheduler import (CANDIDATE_CHOICES, CHOICE_LEFTMOST_CCE, STRATEGIES,
-                        STRATEGY_LOW_TO_HIGH)
-from .search_space import SearchSpaceConfig
-from .simulation import AlDistribution, ScenarioConfig, run_scenario
+from .simulation import AXIS_CORESET_SIZE, ScenarioConfig, apply_axis, run_scenario
 
 CONFIRMATION_SCAN = 4  # CCE sizes re-checked below the bisection answer
 
 
 @dataclass(frozen=True)
 class PlanningRequest:
-    ue_count: int
+    """A scenario and the blocking target its CORESET size must meet.
+
+    Each evaluation replaces ``base.coreset`` with a one-symbol CORESET of
+    the size under test, as a ``coreset_size`` sweep does.
+    """
+
+    base: ScenarioConfig
     target_blocking: float
-    al_distribution: AlDistribution
-    search_space: SearchSpaceConfig
     cce_min: int
     cce_max: int
-    strategy: str = STRATEGY_LOW_TO_HIGH
-    iterations: int = 10000
-    master_seed: int = 0
-    coreset_index: int = 0
-    candidate_choice: str = CHOICE_LEFTMOST_CCE
-    require_margin: bool = False  # compare B + 2*stderr instead of B
 
     def __post_init__(self):
-        if self.ue_count < 1:
-            raise ValueError(f"ue_count must be >= 1, got {self.ue_count}")
         if not 0.0 < self.target_blocking < 1.0:
             raise ValueError(
                 f"target_blocking must be in (0, 1), got {self.target_blocking}")
@@ -43,14 +35,6 @@ class PlanningRequest:
         if self.cce_max < self.cce_min:
             raise ValueError(
                 f"cce_max {self.cce_max} smaller than cce_min {self.cce_min}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.candidate_choice not in CANDIDATE_CHOICES:
-            raise ValueError(
-                f"candidate_choice must be one of {CANDIDATE_CHOICES}, "
-                f"got {self.candidate_choice!r}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
 
 @dataclass(frozen=True)
@@ -78,27 +62,12 @@ def plan_min_coreset(req: PlanningRequest, workers: int = None) -> PlanningResul
     cache = {}
     evaluated = []
 
-    def estimate(cces: int):
+    def meets(cces: int) -> bool:
         if cces not in cache:
-            cfg = ScenarioConfig(
-                ue_count=req.ue_count,
-                coreset=CoresetConfig.from_cce_count(cces, req.coreset_index),
-                search_space=req.search_space,
-                al_distribution=req.al_distribution,
-                strategy=req.strategy,
-                iterations=req.iterations,
-                master_seed=req.master_seed,
-                candidate_choice=req.candidate_choice)
+            cfg = apply_axis(req.base, AXIS_CORESET_SIZE, cces)
             cache[cces] = run_scenario(cfg, workers=workers)
             evaluated.append(cces)
-        return cache[cces]
-
-    def meets(cces: int) -> bool:
-        result = estimate(cces)
-        bound = result.blocking_probability
-        if req.require_margin:
-            bound += 2.0 * result.stderr
-        return bound <= req.target_blocking
+        return cache[cces].blocking_probability <= req.target_blocking
 
     def evaluations():
         return tuple((c, cache[c].blocking_probability, cache[c].stderr)

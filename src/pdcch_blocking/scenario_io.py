@@ -1,8 +1,11 @@
 """Scenario files, bundled studies, and result serialization.
 
-Scenario files are JSON with strict key checking: an unknown key is a parse
-error, so typos cannot silently fall back to defaults. Results go out as CSV
-(one header row, fixed column order) or JSON, and round-trip losslessly.
+Scenario files are JSON with strict key and type checking: an unknown key or
+a value of the wrong JSON type is a parse error, so typos cannot silently
+fall back to defaults or be coerced. A plan file is a scenario file with
+``target_blocking`` and ``cce_range`` in place of ``coreset``. Results go out
+as CSV (one header row, fixed column order) or JSON, and round-trip
+losslessly.
 """
 
 import csv
@@ -14,10 +17,8 @@ from pathlib import Path
 
 from .coreset import CoresetConfig
 from .planner import PlanningRequest
-from .scheduler import CHOICE_LEFTMOST_CCE, STRATEGY_LOW_TO_HIGH
-from .search_space import SPACE_TYPE_UE_SPECIFIC, SearchSpaceConfig
-from .simulation import (SWEEP_AXES, AlDistribution, ScenarioConfig,
-                         SimulationResult, SweepPoint)
+from .search_space import SearchSpaceConfig
+from .simulation import SWEEP_AXES, AlDistribution, ScenarioConfig
 
 OUTPUT_DIR_ENV = "PDCCH_SIM_OUTDIR"
 
@@ -30,14 +31,19 @@ FORMATS = (FORMAT_CSV, FORMAT_JSON)
 
 _SCENARIO_KEYS = {"name", "description", "figure", "ue_count", "coreset",
                   "search_space", "al_distribution", "strategy", "iterations",
-                  "master_seed", "unique_rntis", "candidate_choice", "sweep"}
+                  "master_seed", "sweep"}
+_SCENARIO_REQUIRED = {"name", "ue_count", "coreset", "search_space",
+                      "al_distribution"}
+_PLAN_ONLY_KEYS = {"target_blocking", "cce_range"}
 _CORESET_KEYS = {"rb_count", "symbol_duration", "cce_count", "coreset_index"}
 _SEARCH_SPACE_KEYS = {"candidates_per_al", "space_type", "slot_index"}
 _SWEEP_KEYS = {"axis", "points", "al"}
-_PLAN_KEYS = {"name", "description", "ue_count", "target_blocking",
-              "al_distribution", "search_space", "cce_range", "strategy",
-              "iterations", "master_seed", "coreset_index", "candidate_choice",
-              "require_margin"}
+
+# JSON types of typed values: int is a JSON integer (never a boolean), float
+# any JSON number.
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+_OPTIONAL_SCENARIO = {"strategy": str, "iterations": int, "master_seed": int}
+_OPTIONAL_SEARCH_SPACE = {"space_type": str, "slot_index": int}
 
 
 class ScenarioParseError(ValueError):
@@ -91,46 +97,64 @@ def _require_keys(mapping, allowed, required, context):
         raise ScenarioParseError(f"missing key(s) in {context}: {sorted(missing)}")
 
 
+def _typed(value, kind, where):
+    """``value`` when it has the JSON type ``kind``, else a parse error."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ScenarioParseError(
+            f"{where} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+    return value
+
+
+def _typed_list(value, kind, where) -> tuple:
+    if not isinstance(value, list):
+        raise ScenarioParseError(f"{where} must be a list, got {json.dumps(value)}")
+    return tuple(_typed(v, kind, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+def _typed_keys(data, kinds, context) -> dict:
+    """The keys of ``kinds`` present in ``data``, type-checked; absent keys
+    keep the config's defaults."""
+    return {key: _typed(data[key], kind, f"{context}{key}")
+            for key, kind in kinds.items() if key in data}
+
+
 def _coreset_from_dict(data) -> CoresetConfig:
     _require_keys(data, _CORESET_KEYS, set(), "coreset")
-    index = int(data.get("coreset_index", 0))
+    index = _typed_keys(data, {"coreset_index": int}, "coreset.")
     if "cce_count" in data:
         if "rb_count" in data or "symbol_duration" in data:
             raise ScenarioParseError(
                 "coreset takes either cce_count or rb_count/symbol_duration, not both")
-        return CoresetConfig.from_cce_count(int(data["cce_count"]), index)
+        return CoresetConfig.from_cce_count(
+            _typed(data["cce_count"], int, "coreset.cce_count"), **index)
     if "rb_count" not in data or "symbol_duration" not in data:
         raise ScenarioParseError(
             "coreset needs cce_count, or rb_count and symbol_duration")
-    return CoresetConfig(rb_count=int(data["rb_count"]),
-                         symbol_duration=int(data["symbol_duration"]),
-                         coreset_index=index)
+    return CoresetConfig(**_typed_keys(data, {"rb_count": int, "symbol_duration": int},
+                                       "coreset."), **index)
 
 
 def _search_space_from_dict(data) -> SearchSpaceConfig:
     _require_keys(data, _SEARCH_SPACE_KEYS, {"candidates_per_al"}, "search_space")
     return SearchSpaceConfig(
-        candidates_per_al=tuple(data["candidates_per_al"]),
-        space_type=data.get("space_type", SPACE_TYPE_UE_SPECIFIC),
-        slot_index=int(data.get("slot_index", 0)))
+        candidates_per_al=_typed_list(data["candidates_per_al"], int,
+                                      "search_space.candidates_per_al"),
+        **_typed_keys(data, _OPTIONAL_SEARCH_SPACE, "search_space."))
 
 
 def scenario_from_dict(data) -> Scenario:
     """Build a validated Scenario from a parsed mapping, applying defaults."""
-    _require_keys(data, _SCENARIO_KEYS,
-                  {"name", "ue_count", "coreset", "search_space", "al_distribution"},
-                  "scenario")
+    _require_keys(data, _SCENARIO_KEYS, _SCENARIO_REQUIRED, "scenario")
+    labels = _typed_keys(data, {"name": str, "figure": str, "description": str}, "")
     try:
         config = ScenarioConfig(
-            ue_count=int(data["ue_count"]),
+            ue_count=_typed(data["ue_count"], int, "ue_count"),
             coreset=_coreset_from_dict(data["coreset"]),
             search_space=_search_space_from_dict(data["search_space"]),
-            al_distribution=AlDistribution(tuple(data["al_distribution"])),
-            strategy=data.get("strategy", STRATEGY_LOW_TO_HIGH),
-            iterations=int(data.get("iterations", 10000)),
-            master_seed=int(data.get("master_seed", 0)),
-            unique_rntis=bool(data.get("unique_rntis", False)),
-            candidate_choice=data.get("candidate_choice", CHOICE_LEFTMOST_CCE))
+            al_distribution=AlDistribution(
+                _typed_list(data["al_distribution"], float, "al_distribution")),
+            **_typed_keys(data, _OPTIONAL_SCENARIO, ""))
     except ScenarioParseError:
         raise
     except (TypeError, ValueError) as exc:
@@ -138,20 +162,18 @@ def scenario_from_dict(data) -> Scenario:
     sweep = None
     if "sweep" in data:
         _require_keys(data["sweep"], _SWEEP_KEYS, {"axis", "points"}, "sweep")
-        axis = data["sweep"]["axis"]
+        axis = _typed(data["sweep"]["axis"], str, "sweep.axis")
         if axis not in SWEEP_AXES:
             raise ScenarioValidationError(
                 f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
         points = data["sweep"]["points"]
         if not isinstance(points, list) or not points:
             raise ScenarioValidationError("sweep points must be a non-empty list")
-        al = data["sweep"].get("al")
         sweep = SweepSpec(axis=axis,
                           points=tuple(tuple(p) if isinstance(p, list) else p
                                        for p in points),
-                          al=None if al is None else int(al))
-    return Scenario(name=str(data["name"]), config=config, sweep=sweep,
-                    figure=data.get("figure"), description=data.get("description"))
+                          **_typed_keys(data["sweep"], {"al": int}, "sweep."))
+    return Scenario(config=config, sweep=sweep, **labels)
 
 
 def _load_json(path):
@@ -191,8 +213,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "strategy": cfg.strategy,
         "iterations": cfg.iterations,
         "master_seed": cfg.master_seed,
-        "unique_rntis": cfg.unique_rntis,
-        "candidate_choice": cfg.candidate_choice,
     })
     if scenario.sweep is not None:
         sweep = {"axis": scenario.sweep.axis,
@@ -205,32 +225,25 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def parse_plan_request(path):
-    """Parse a planning request file; returns (name, PlanningRequest)."""
+    """Parse a plan file: a scenario file, without a sweep, that has
+    ``target_blocking`` and ``cce_range: [min, max]`` in place of
+    ``coreset``. Returns (name, PlanningRequest)."""
     data = _load_json(path)
-    _require_keys(data, _PLAN_KEYS,
-                  {"name", "ue_count", "target_blocking", "al_distribution",
-                   "search_space", "cce_range"},
-                  "plan request")
-    cce_range = data["cce_range"]
-    if not isinstance(cce_range, list) or len(cce_range) != 2:
+    _require_keys(data, (_SCENARIO_KEYS - {"coreset", "sweep"}) | _PLAN_ONLY_KEYS,
+                  (_SCENARIO_REQUIRED - {"coreset"}) | _PLAN_ONLY_KEYS, "plan request")
+    target = _typed(data["target_blocking"], float, "target_blocking")
+    cce_range = _typed_list(data["cce_range"], int, "cce_range")
+    if len(cce_range) != 2:
         raise ScenarioParseError("cce_range must be [min, max]")
+    scenario = scenario_from_dict(
+        {key: value for key, value in data.items() if key not in _PLAN_ONLY_KEYS}
+        | {"coreset": {"cce_count": cce_range[1]}})
     try:
-        request = PlanningRequest(
-            ue_count=int(data["ue_count"]),
-            target_blocking=float(data["target_blocking"]),
-            al_distribution=AlDistribution(tuple(data["al_distribution"])),
-            search_space=_search_space_from_dict(data["search_space"]),
-            cce_min=int(cce_range[0]),
-            cce_max=int(cce_range[1]),
-            strategy=data.get("strategy", STRATEGY_LOW_TO_HIGH),
-            iterations=int(data.get("iterations", 10000)),
-            master_seed=int(data.get("master_seed", 0)),
-            coreset_index=int(data.get("coreset_index", 0)),
-            candidate_choice=data.get("candidate_choice", CHOICE_LEFTMOST_CCE),
-            require_margin=bool(data.get("require_margin", False)))
-    except (TypeError, ValueError) as exc:
+        request = PlanningRequest(base=scenario.config, target_blocking=target,
+                                  cce_min=cce_range[0], cce_max=cce_range[1])
+    except ValueError as exc:
         raise ScenarioValidationError(str(exc)) from exc
-    return str(data["name"]), request
+    return scenario.name, request
 
 
 def bundled_scenario_names() -> list:
@@ -249,19 +262,9 @@ def bundled_scenario_path(name: str) -> Path:
     return Path(str(path))
 
 
-def record_for_run(scenario_name: str, config: ScenarioConfig,
-                   result: SimulationResult, point: str = "") -> ResultRecord:
-    return ResultRecord(scenario=scenario_name, point=point,
-                        blocking_probability=result.blocking_probability,
-                        stderr=result.stderr,
-                        blocked_total=result.blocked_total,
-                        scheduled_total=result.scheduled_total,
-                        seed=config.master_seed,
-                        iterations=config.iterations)
-
-
 def records_for_sweep(scenario_name: str, base: ScenarioConfig, points) -> list:
-    """ResultRecords for the successful points of a sweep, in sweep order."""
+    """ResultRecords for the successful points of a sweep, in sweep order; a
+    single run is a one-point sweep."""
     records = []
     for sp in points:
         if sp.result is None:

@@ -7,10 +7,8 @@ processes UEs in that random permutation alone. Each UE gets one free
 candidate or is marked blocked; a blocked UE consumes no CCEs.
 
 The candidate picked for a UE is its free candidate with the lowest first
-CCE ("leftmost_cce", the default). Packing toward low CCE indices keeps
-aligned blocks intact for the high aggregation levels, which dominate
-blocking at light load; "lowest_index" (first free candidate in hash order)
-is available for comparison.
+CCE. Packing toward low CCE indices keeps aligned blocks intact for the high
+aggregation levels, which dominate blocking at light load.
 """
 
 from dataclasses import dataclass
@@ -22,10 +20,6 @@ STRATEGY_LOW_TO_HIGH = "low_to_high"
 STRATEGY_HIGH_TO_LOW = "high_to_low"
 STRATEGY_UNORDERED = "unordered"
 STRATEGIES = (STRATEGY_LOW_TO_HIGH, STRATEGY_HIGH_TO_LOW, STRATEGY_UNORDERED)
-
-CHOICE_LEFTMOST_CCE = "leftmost_cce"
-CHOICE_LOWEST_INDEX = "lowest_index"
-CANDIDATE_CHOICES = (CHOICE_LEFTMOST_CCE, CHOICE_LOWEST_INDEX)
 
 # Per-slot monitoring limits by subcarrier spacing, TS 38.213 (no carrier
 # aggregation): max blind decodes and max non-overlapping CCEs.
@@ -151,19 +145,8 @@ def _mask_from_cces(cces) -> int:
     return mask
 
 
-def _candidate_scan_order(candidates, candidate_choice):
-    """Positions of a UE's candidates in the order the scheduler tries them."""
-    if candidate_choice == CHOICE_LEFTMOST_CCE:
-        return sorted(range(len(candidates)),
-                      key=lambda pos: (candidates[pos].first_cce, pos))
-    if candidate_choice == CHOICE_LOWEST_INDEX:
-        return list(range(len(candidates)))
-    raise ValueError(
-        f"candidate_choice must be one of {CANDIDATE_CHOICES}, got {candidate_choice!r}")
-
-
 def allocate(ues, coreset: CoresetConfig, strategy: str = STRATEGY_LOW_TO_HIGH,
-             rng=None, candidate_choice: str = CHOICE_LEFTMOST_CCE) -> AllocationOutcome:
+             rng=None) -> AllocationOutcome:
     """Allocate non-overlapping candidates to ``ues`` in one CORESET.
 
     Pass the iteration's numpy Generator as ``rng`` to get the randomized
@@ -180,7 +163,9 @@ def allocate(ues, coreset: CoresetConfig, strategy: str = STRATEGY_LOW_TO_HIGH,
     masks = []
     scans = []
     for ue in ues:
-        scan = _candidate_scan_order(ue.candidates, candidate_choice)
+        # leftmost free candidate first: try candidates in first-CCE order
+        scan = sorted(range(len(ue.candidates)),
+                      key=lambda pos: (ue.candidates[pos].first_cce, pos))
         scans.append(scan)
         masks.append([_mask_from_cces(ue.candidates[pos].cces) for pos in scan])
     chosen, blocked, used = _greedy_assign(order, masks)

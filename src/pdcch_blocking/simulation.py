@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coreset import AGGREGATION_LEVELS, CoresetConfig
-from .scheduler import (CANDIDATE_CHOICES, CHOICE_LEFTMOST_CCE, STRATEGIES,
-                        STRATEGY_LOW_TO_HIGH, _allocation_order, _greedy_assign)
+from .scheduler import (STRATEGIES, STRATEGY_LOW_TO_HIGH, _allocation_order,
+                        _greedy_assign)
 from .search_space import RNTI_MAX, SearchSpaceConfig, candidate_starts, y_value
 
 AXIS_UE_COUNT = "ue_count"
@@ -81,8 +81,6 @@ class ScenarioConfig:
     strategy: str = STRATEGY_LOW_TO_HIGH
     iterations: int = 10000
     master_seed: int = 0
-    unique_rntis: bool = False
-    candidate_choice: str = CHOICE_LEFTMOST_CCE
 
     def __post_init__(self):
         if self.ue_count < 1:
@@ -91,15 +89,8 @@ class ScenarioConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.candidate_choice not in CANDIDATE_CHOICES:
-            raise ValueError(
-                f"candidate_choice must be one of {CANDIDATE_CHOICES}, "
-                f"got {self.candidate_choice!r}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.unique_rntis and self.ue_count > RNTI_MAX:
-            raise ValueError(
-                f"cannot draw {self.ue_count} distinct C-RNTIs from [1, {RNTI_MAX}]")
 
 
 @dataclass(frozen=True)
@@ -139,16 +130,12 @@ def _simulate_iteration(cfg: ScenarioConfig, cumulative, iteration: int) -> int:
     """Run one scheduling opportunity; returns the number of blocked UEs."""
     rng = iteration_rng(cfg.master_seed, iteration)
     u = cfg.ue_count
-    if cfg.unique_rntis:
-        rntis = rng.choice(RNTI_MAX, size=u, replace=False) + 1
-    else:
-        rntis = rng.integers(1, RNTI_MAX + 1, size=u)
+    rntis = rng.integers(1, RNTI_MAX + 1, size=u)
     al_idx = np.searchsorted(cumulative, rng.random(u), side="right")
     al_idx = np.minimum(al_idx, len(AGGREGATION_LEVELS) - 1)
 
     cce_count = cfg.coreset.cce_count
     counts = cfg.search_space.candidates_per_al
-    leftmost = cfg.candidate_choice == CHOICE_LEFTMOST_CCE
     als = []
     masks = []
     for i in range(u):
@@ -163,8 +150,7 @@ def _simulate_iteration(cfg: ScenarioConfig, cumulative, iteration: int) -> int:
         full = (1 << level) - 1
         ue_masks = [full << start for start in
                     candidate_starts(level, cce_count, m, y)]
-        if leftmost:
-            ue_masks.sort()  # same-AL masks order by start CCE
+        ue_masks.sort()  # same-AL masks order by start CCE: leftmost free first
         masks.append(tuple(ue_masks))
 
     order = _allocation_order(als, cfg.strategy, rng)
@@ -194,8 +180,10 @@ def run_scenario(cfg: ScenarioConfig, workers: int = None,
 
     ``workers`` > 1 spreads iterations over processes; because every
     iteration seeds its own stream from (master_seed, iteration), the result
-    is bit-identical to a serial run.
+    is bit-identical to a serial run. None or 1 runs serially.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if workers is not None and workers > 1:
         bounds = np.linspace(0, cfg.iterations, workers + 1, dtype=int)
         tasks = [(cfg, int(lo), int(hi), keep_per_iteration)
@@ -285,8 +273,9 @@ def run_sweep(base: ScenarioConfig, axis: str, points, al: int = None,
         label = _point_label(point)
         try:
             cfg = apply_axis(base, axis, point, al=al)
-            result = run_scenario(cfg, workers=workers)
-            out.append(SweepPoint(point=point, label=label, result=result))
         except ValueError as exc:
             out.append(SweepPoint(point=point, label=label, error=str(exc)))
+            continue
+        out.append(SweepPoint(point=point, label=label,
+                              result=run_scenario(cfg, workers=workers)))
     return out

@@ -2,24 +2,25 @@ import dataclasses
 
 import pytest
 
-from pdcch_blocking import (AlDistribution, PlanningRequest, SearchSpaceConfig,
-                            plan_min_coreset)
+from pdcch_blocking import (AlDistribution, CoresetConfig, PlanningRequest,
+                            ScenarioConfig, SearchSpaceConfig,
+                            bundled_scenario_path, parse_plan_request,
+                            plan_min_coreset, run_sweep)
 
 MEDIUM = (0.05, 0.2, 0.5, 0.2, 0.05)
 
 
-def request(**overrides):
+def request(target_blocking=0.2, cce_min=6, cce_max=96, **overrides):
     base = dict(ue_count=6,
-                target_blocking=0.2,
+                coreset=CoresetConfig.from_cce_count(cce_max),
                 al_distribution=AlDistribution(MEDIUM),
                 search_space=SearchSpaceConfig((6, 6, 4, 2, 1)),
-                cce_min=6,
-                cce_max=96,
                 strategy="unordered",
                 iterations=1500,
                 master_seed=7)
     base.update(overrides)
-    return PlanningRequest(**base)
+    return PlanningRequest(base=ScenarioConfig(**base), target_blocking=target_blocking,
+                           cce_min=cce_min, cce_max=cce_max)
 
 
 def test_request_validation():
@@ -89,10 +90,15 @@ def test_min_cces_nondecreasing_in_ue_count():
     assert sizes[-1] > sizes[0]
 
 
-def test_margin_flag_is_more_conservative():
-    plain = plan_min_coreset(request())
-    guarded = plan_min_coreset(request(require_margin=True))
-    assert guarded.min_cces >= plain.min_cces
+def test_evaluations_match_coreset_size_sweep():
+    # the planner evaluates each size exactly as a coreset_size sweep point
+    _, req = parse_plan_request(bundled_scenario_path("plan_fig11_u5_target20"))
+    req = dataclasses.replace(req, base=dataclasses.replace(req.base, iterations=200))
+    result = plan_min_coreset(req)
+    sizes = [c for c, _, _ in result.evaluations]
+    points = run_sweep(req.base, "coreset_size", sizes)
+    assert [(c, b) for c, b, _ in result.evaluations] == \
+        [(int(sp.label), sp.result.blocking_probability) for sp in points]
 
 
 def test_planning_result_lookup():

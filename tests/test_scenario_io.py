@@ -16,6 +16,15 @@ MINIMAL = {
     "al_distribution": [0.4, 0.3, 0.2, 0.05, 0.05],
 }
 
+PLAN = {
+    "name": "plan",
+    "ue_count": 5,
+    "target_blocking": 0.2,
+    "al_distribution": [0.05, 0.2, 0.5, 0.2, 0.05],
+    "search_space": {"candidates_per_al": [6, 6, 4, 2, 1]},
+    "cce_range": [6, 96],
+}
+
 
 def write(tmp_path, data, name="scn.json"):
     path = tmp_path / name
@@ -70,6 +79,31 @@ def test_missing_file_is_parse_error(tmp_path):
         parse_scenario(tmp_path / "nope.json")
 
 
+# each case: (changes to a scenario file, changes to a plan file)
+WRONG_JSON_TYPES = {
+    "ue_count_float": ({"ue_count": 2.7}, {"ue_count": 2.7}),
+    "iterations_bool": ({"iterations": True}, {"iterations": True}),
+    "master_seed_float": ({"master_seed": 1.9}, {"master_seed": 1.9}),
+    "name_int": ({"name": 5}, {"name": 5}),
+    "unique_rntis_string": ({"unique_rntis": "false"}, {"unique_rntis": "false"}),
+    "cce_count_string": ({"coreset": {"cce_count": "54"}}, {"cce_range": [6, "54"]}),
+    "cce_count_float": ({"coreset": {"cce_count": 54.9}}, {"cce_range": [6, 54.9]}),
+    "cce_count_bool": ({"coreset": {"cce_count": True}}, {"cce_range": [True, 54]}),
+    "candidates_mixed": (
+        {"search_space": {"candidates_per_al": [6.0, 6, 4, 2, "1"]}},
+        {"search_space": {"candidates_per_al": [6.0, 6, 4, 2, "1"]}}),
+}
+
+
+@pytest.mark.parametrize("scenario_changes,plan_changes",
+                         list(WRONG_JSON_TYPES.values()), ids=list(WRONG_JSON_TYPES))
+def test_wrong_json_types_are_rejected(tmp_path, scenario_changes, plan_changes):
+    with pytest.raises(ScenarioParseError):
+        parse_scenario(write(tmp_path, dict(MINIMAL, **scenario_changes)))
+    with pytest.raises(ScenarioParseError):
+        parse_plan_request(write(tmp_path, dict(PLAN, **plan_changes), "plan.json"))
+
+
 def test_coreset_forms_are_exclusive(tmp_path):
     bad = dict(MINIMAL, coreset={"cce_count": 12, "rb_count": 72})
     with pytest.raises(ScenarioParseError, match="either"):
@@ -102,7 +136,7 @@ def test_bundled_scenarios_all_load():
         if name.startswith("plan_"):
             plan_name, req = parse_plan_request(bundled_scenario_path(name))
             assert plan_name == name
-            assert req.iterations == 10000
+            assert req.base.iterations == 10000
         else:
             scn = parse_scenario(bundled_scenario_path(name))
             assert scn.name == name
@@ -135,17 +169,31 @@ def test_unknown_bundled_name():
 # --- plan request files --------------------------------------------------------
 
 def test_plan_request_parses(tmp_path):
-    data = {"name": "plan", "ue_count": 5, "target_blocking": 0.2,
-            "al_distribution": [0.05, 0.2, 0.5, 0.2, 0.05],
-            "search_space": {"candidates_per_al": [6, 6, 4, 2, 1]},
-            "cce_range": [6, 96]}
-    name, req = parse_plan_request(write(tmp_path, data))
+    name, req = parse_plan_request(write(tmp_path, PLAN))
     assert name == "plan"
     assert (req.cce_min, req.cce_max) == (6, 96)
-    assert req.iterations == 10000
-    data["cce_range"] = [6]
+    assert req.base.iterations == 10000
+    assert req.base == scenario_from_dict(
+        {k: v for k, v in PLAN.items() if k not in ("target_blocking", "cce_range")}
+        | {"coreset": {"cce_count": 96}}).config
+    bad = dict(PLAN, cce_range=[6])
     with pytest.raises(ScenarioParseError, match="cce_range"):
-        parse_plan_request(write(tmp_path, data, "p2.json"))
+        parse_plan_request(write(tmp_path, bad, "p2.json"))
+
+
+@pytest.mark.parametrize("key,value", [("coreset", {"cce_count": 54}),
+                                       ("sweep", {"axis": "ue_count", "points": [5]}),
+                                       ("coreset_index", 1)])
+def test_plan_request_rejects_scenario_only_keys(tmp_path, key, value):
+    with pytest.raises(ScenarioParseError, match=key):
+        parse_plan_request(write(tmp_path, dict(PLAN, **{key: value})))
+
+
+def test_plan_request_validates_planning_values(tmp_path):
+    with pytest.raises(ScenarioValidationError, match="target_blocking"):
+        parse_plan_request(write(tmp_path, dict(PLAN, target_blocking=1.5)))
+    with pytest.raises(ScenarioValidationError, match="cce_max"):
+        parse_plan_request(write(tmp_path, dict(PLAN, cce_range=[50, 40])))
 
 
 # --- result records -------------------------------------------------------------

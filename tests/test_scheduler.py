@@ -4,8 +4,7 @@ import pytest
 from pdcch_blocking import (Candidate, CoresetConfig, MonitoringLimits,
                             SearchSpaceConfig, UeContext, allocate,
                             blocking_ratio, ue_candidate_set, validate_limits)
-from pdcch_blocking.scheduler import (CHOICE_LEFTMOST_CCE, CHOICE_LOWEST_INDEX,
-                                      STRATEGY_HIGH_TO_LOW, STRATEGY_LOW_TO_HIGH,
+from pdcch_blocking.scheduler import (STRATEGY_HIGH_TO_LOW, STRATEGY_LOW_TO_HIGH,
                                       STRATEGY_UNORDERED)
 
 
@@ -17,16 +16,14 @@ def ue(rnti, level, starts):
     return UeContext(rnti, level, tuple(cand(level, k, s) for k, s in enumerate(starts)))
 
 
-def reference_greedy(ues, order, choice=CHOICE_LEFTMOST_CCE):
+def reference_greedy(ues, order):
     """Independent step-by-step simulation of the allocation rule, written
     against plain CCE sets instead of bitmasks."""
     taken = set()
     assigned = {}
     blocked = []
     for i in order:
-        options = list(ues[i].candidates)
-        if choice == CHOICE_LEFTMOST_CCE:
-            options.sort(key=lambda c: (c.cces[0], c.candidate_index))
+        options = sorted(ues[i].candidates, key=lambda c: (c.cces[0], c.candidate_index))
         for c in options:
             if not taken.intersection(c.cces):
                 assigned[i] = c
@@ -164,22 +161,18 @@ def test_matches_reference_simulation_small_cases():
             n_starts = int(rng.integers(1, 4))
             positions = [int(p) * level for p in rng.integers(0, 8 // level, size=n_starts)]
             ues.append(ue(int(rng.integers(1, 65536)), level, positions))
-        for choice in (CHOICE_LEFTMOST_CCE, CHOICE_LOWEST_INDEX):
-            outcome = allocate(ues, coreset, candidate_choice=choice)
-            order = sorted(range(len(ues)), key=lambda i: ues[i].aggregation_level)
-            ref_assigned, ref_blocked = reference_greedy(ues, order, choice)
-            assert list(outcome.blocked_ues) == ref_blocked
-            assert outcome.assignments == ref_assigned
+        outcome = allocate(ues, coreset)
+        order = sorted(range(len(ues)), key=lambda i: ues[i].aggregation_level)
+        ref_assigned, ref_blocked = reference_greedy(ues, order)
+        assert list(outcome.blocked_ues) == ref_blocked
+        assert outcome.assignments == ref_assigned
 
 
 def test_leftmost_choice_picks_lowest_start():
     coreset = CoresetConfig.from_cce_count(12)
     # hash order lists start 8 first; leftmost choice must take start 0
-    the_ue = ue(1, 4, [8, 0])
-    leftmost = allocate([the_ue], coreset)
+    leftmost = allocate([ue(1, 4, [8, 0])], coreset)
     assert leftmost.assignments[0].first_cce == 0
-    lowest_k = allocate([the_ue], coreset, candidate_choice=CHOICE_LOWEST_INDEX)
-    assert lowest_k.assignments[0].first_cce == 8
 
 
 def test_tie_break_uses_supplied_rng():

@@ -53,8 +53,6 @@ def test_scenario_config_validation():
     with pytest.raises(ValueError):
         scenario(strategy="fastest_first")
     with pytest.raises(ValueError):
-        scenario(candidate_choice="random")
-    with pytest.raises(ValueError):
         scenario(master_seed=-1)
 
 
@@ -141,13 +139,12 @@ def test_zero_candidate_al_counts_as_blocked():
     assert result.blocking_probability == 1.0
 
 
-def test_unique_rntis_flag():
-    cfg = scenario(unique_rntis=True, iterations=200)
-    result = run_scenario(cfg)
-    again = run_scenario(cfg)
-    assert result.blocked_total == again.blocked_total
-    with pytest.raises(ValueError):
-        scenario(ue_count=70000, unique_rntis=True)
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(ValueError, match="workers"):
+        run_scenario(scenario(iterations=10), workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        run_sweep(scenario(iterations=10), "ue_count", [2, 3], workers=workers)
 
 
 # --- sweeps ------------------------------------------------------------------
