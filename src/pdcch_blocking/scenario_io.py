@@ -18,7 +18,10 @@ from pathlib import Path
 from .coreset import CoresetConfig
 from .planner import PlanningRequest
 from .search_space import SearchSpaceConfig
-from .simulation import SWEEP_AXES, AlDistribution, ScenarioConfig
+from .simulation import (AXIS_AL_DISTRIBUTION, AXIS_AL_FIXED,
+                         AXIS_CANDIDATE_COUNT, AXIS_CANDIDATE_COUNTS,
+                         AXIS_CORESET_SIZE, AXIS_STRATEGY, AXIS_UE_COUNT,
+                         SWEEP_AXES, AlDistribution, ScenarioConfig)
 
 OUTPUT_DIR_ENV = "PDCCH_SIM_OUTDIR"
 
@@ -44,6 +47,12 @@ _SWEEP_KEYS = {"axis", "points", "al"}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 _OPTIONAL_SCENARIO = {"strategy": str, "iterations": int, "master_seed": int}
 _OPTIONAL_SEARCH_SPACE = {"space_type": str, "slot_index": int}
+# Sweep points: a scalar of one JSON type, or for list-valued axes a list
+# (key, element type) that may come as {"name": ..., key: [...]}.
+_SCALAR_POINTS = {AXIS_UE_COUNT: int, AXIS_CORESET_SIZE: int,
+                  AXIS_CANDIDATE_COUNT: int, AXIS_AL_FIXED: int, AXIS_STRATEGY: str}
+_LIST_POINTS = {AXIS_CANDIDATE_COUNTS: ("counts", int),
+                AXIS_AL_DISTRIBUTION: ("probabilities", float)}
 
 
 class ScenarioParseError(ValueError):
@@ -119,6 +128,19 @@ def _typed_keys(data, kinds, context) -> dict:
             for key, kind in kinds.items() if key in data}
 
 
+def _sweep_point(axis, point, where):
+    """``point`` type-checked for ``axis``; a list comes back as a tuple."""
+    if axis in _SCALAR_POINTS:
+        return _typed(point, _SCALAR_POINTS[axis], where)
+    key, kind = _LIST_POINTS[axis]
+    if isinstance(point, dict):
+        _require_keys(point, {"name", key}, {key}, where)
+        _typed_keys(point, {"name": str}, f"{where}.")
+        _typed_list(point[key], kind, f"{where}.{key}")
+        return point
+    return _typed_list(point, kind, where)
+
+
 def _coreset_from_dict(data) -> CoresetConfig:
     _require_keys(data, _CORESET_KEYS, set(), "coreset")
     index = _typed_keys(data, {"coreset_index": int}, "coreset.")
@@ -170,8 +192,8 @@ def scenario_from_dict(data) -> Scenario:
         if not isinstance(points, list) or not points:
             raise ScenarioValidationError("sweep points must be a non-empty list")
         sweep = SweepSpec(axis=axis,
-                          points=tuple(tuple(p) if isinstance(p, list) else p
-                                       for p in points),
+                          points=tuple(_sweep_point(axis, p, f"sweep.points[{i}]")
+                                       for i, p in enumerate(points)),
                           **_typed_keys(data["sweep"], {"al": int}, "sweep."))
     return Scenario(config=config, sweep=sweep, **labels)
 

@@ -114,7 +114,7 @@ def _allocation_order(aggregation_levels, strategy, rng):
     if rng is None:
         order = list(range(len(aggregation_levels)))
     else:
-        order = [int(i) for i in rng.permutation(len(aggregation_levels))]
+        order = rng.permutation(len(aggregation_levels)).tolist()
     if strategy != STRATEGY_UNORDERED:
         order.sort(key=lambda i: aggregation_levels[i],
                    reverse=strategy == STRATEGY_HIGH_TO_LOW)  # stable: keeps the shuffle

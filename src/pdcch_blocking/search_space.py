@@ -1,6 +1,7 @@
 """PDCCH search-space candidate mapping (TS 38.213 section 10.1 hash function)."""
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from .coreset import AGGREGATION_LEVELS, CoresetConfig
 
@@ -36,13 +37,16 @@ class SearchSpaceConfig:
             unknown = set(counts) - set(AGGREGATION_LEVELS)
             if unknown:
                 raise ValueError(f"unknown aggregation levels: {sorted(unknown)}")
-            counts = tuple(int(counts.get(al, 0)) for al in AGGREGATION_LEVELS)
+            counts = tuple(counts.get(al, 0) for al in AGGREGATION_LEVELS)
         else:
-            counts = tuple(int(m) for m in counts)
+            counts = tuple(counts)
             if len(counts) != len(AGGREGATION_LEVELS):
                 raise ValueError(
                     f"candidates_per_al needs {len(AGGREGATION_LEVELS)} entries "
                     f"(ALs {AGGREGATION_LEVELS}), got {len(counts)}")
+        if any(isinstance(m, bool) or not isinstance(m, Integral) for m in counts):
+            raise ValueError(f"candidate counts must be integers, got {counts}")
+        counts = tuple(int(m) for m in counts)
         object.__setattr__(self, "candidates_per_al", counts)
         for al, m in zip(AGGREGATION_LEVELS, counts):
             if m not in ALLOWED_CANDIDATE_COUNTS:

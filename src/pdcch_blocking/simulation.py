@@ -4,18 +4,34 @@ Every iteration draws its own RNG stream from (master_seed, iteration index),
 so results are bit-identical no matter how iterations are ordered or spread
 over workers. Within an iteration the stream is consumed in a fixed order:
 C-RNTIs, then aggregation levels, then the scheduler's tie-break permutation.
+
+The TS 38.213 hash is not evaluated per UE. Two identities let each run
+build small tables once and turn every UE's candidate set into one lookup:
+
+- Y has a closed form. ``y_value`` applies Y <- A*Y mod 65537 slot_index + 1
+  times, so Y = rnti * K mod 65537 with K = A**(slot_index + 1) mod 65537,
+  and K = 0 for a CSS. The product stays below 2**32, so an iteration's Ys
+  are one int64 array expression.
+- A candidate start depends on Y only through r = Y mod P, P = floor(C/L):
+  start_k = L * ((r + floor(k*C / (L*M))) mod P). The starts at residue r
+  are those at residue 0 moved r aligned blocks on, wrapping at P, so each
+  AL's table of sorted candidate masks over all P residues comes from one
+  ``candidate_starts`` call.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
 from .coreset import AGGREGATION_LEVELS, CoresetConfig
 from .scheduler import (STRATEGIES, STRATEGY_LOW_TO_HIGH, _allocation_order,
                         _greedy_assign)
-from .search_space import RNTI_MAX, SearchSpaceConfig, candidate_starts, y_value
+from .search_space import (A_MULTIPLIERS, RNTI_MAX, SPACE_TYPE_COMMON,
+                           Y_MODULUS, SearchSpaceConfig, candidate_starts)
+from .search_space import y_value  # noqa: F401  wrapped by perfbench/spans.py
 
 AXIS_UE_COUNT = "ue_count"
 AXIS_CORESET_SIZE = "coreset_size"
@@ -43,13 +59,16 @@ class AlDistribution:
             unknown = set(probs) - set(AGGREGATION_LEVELS)
             if unknown:
                 raise ValueError(f"unknown aggregation levels: {sorted(unknown)}")
-            probs = tuple(float(probs.get(al, 0.0)) for al in AGGREGATION_LEVELS)
+            probs = tuple(probs.get(al, 0.0) for al in AGGREGATION_LEVELS)
         else:
-            probs = tuple(float(p) for p in probs)
+            probs = tuple(probs)
             if len(probs) != len(AGGREGATION_LEVELS):
                 raise ValueError(
                     f"distribution needs {len(AGGREGATION_LEVELS)} probabilities "
                     f"(ALs {AGGREGATION_LEVELS}), got {len(probs)}")
+        if any(isinstance(p, bool) or not isinstance(p, Real) for p in probs):
+            raise ValueError(f"probabilities must be numbers, got {probs}")
+        probs = tuple(float(p) for p in probs)
         object.__setattr__(self, "probabilities", probs)
         if any(p < 0 for p in probs):
             raise ValueError(f"probabilities must be >= 0, got {probs}")
@@ -126,44 +145,60 @@ def iteration_rng(master_seed: int, iteration: int):
     return np.random.default_rng([master_seed, iteration])
 
 
-def _simulate_iteration(cfg: ScenarioConfig, cumulative, iteration: int) -> int:
+def _kernel(cfg: ScenarioConfig) -> tuple:
+    """Per-run tables for ``_simulate_iteration``: the cumulative AL
+    distribution, the Y multiplier K, P = floor(C/L) per AL, and per AL the
+    sorted candidate masks of every residue Y mod P. An AL with no
+    candidates, or larger than the CORESET, gets P = 1 and the single empty
+    mask set, so its UEs are always blocked."""
+    space = cfg.search_space
+    cce_count = cfg.coreset.cce_count
+    if space.space_type == SPACE_TYPE_COMMON:
+        k = 0
+    else:
+        a = A_MULTIPLIERS[cfg.coreset.coreset_index % 3]
+        k = pow(a, space.slot_index + 1, Y_MODULUS)
+    positions = []
+    tables = []
+    for level, m in zip(AGGREGATION_LEVELS, space.candidates_per_al):
+        p = cce_count // level
+        if m == 0 or p == 0:
+            positions.append(1)
+            tables.append(((),))
+            continue
+        full = (1 << level) - 1
+        masks = [full << start for start in range(0, level * p, level)]
+        blocks = [start // level for start in candidate_starts(level, cce_count, m, 0)]
+        # sorted by start CCE: the greedy tries the leftmost free one first
+        tables.append([tuple(sorted([masks[(b + r) % p] for b in blocks]))
+                       for r in range(p)])
+        positions.append(p)
+    cumulative = np.cumsum(cfg.al_distribution.probabilities)
+    return cumulative, k, np.array(positions, dtype=np.int64), tables
+
+
+def _simulate_iteration(cfg: ScenarioConfig, kernel, iteration: int) -> int:
     """Run one scheduling opportunity; returns the number of blocked UEs."""
+    cumulative, k, positions, tables = kernel
     rng = iteration_rng(cfg.master_seed, iteration)
     u = cfg.ue_count
     rntis = rng.integers(1, RNTI_MAX + 1, size=u)
     al_idx = np.searchsorted(cumulative, rng.random(u), side="right")
     al_idx = np.minimum(al_idx, len(AGGREGATION_LEVELS) - 1)
-
-    cce_count = cfg.coreset.cce_count
-    counts = cfg.search_space.candidates_per_al
-    als = []
-    masks = []
-    for i in range(u):
-        level = AGGREGATION_LEVELS[al_idx[i]]
-        als.append(level)
-        m = counts[al_idx[i]]
-        if m == 0 or cce_count < level:
-            masks.append(())  # nothing schedulable: this UE is always blocked
-            continue
-        y = y_value(int(rntis[i]), cfg.coreset.coreset_index,
-                    cfg.search_space.slot_index, cfg.search_space.space_type)
-        full = (1 << level) - 1
-        ue_masks = [full << start for start in
-                    candidate_starts(level, cce_count, m, y)]
-        ue_masks.sort()  # same-AL masks order by start CCE: leftmost free first
-        masks.append(tuple(ue_masks))
-
+    residues = (rntis * k % Y_MODULUS % positions[al_idx]).tolist()
+    als = al_idx.tolist()  # AL indices sort exactly as the ALs they index
+    masks = [tables[a][r] for a, r in zip(als, residues)]
     order = _allocation_order(als, cfg.strategy, rng)
     _, blocked, _ = _greedy_assign(order, masks)
     return len(blocked)
 
 
 def _run_range(cfg: ScenarioConfig, start: int, stop: int, keep: bool):
-    cumulative = np.cumsum(cfg.al_distribution.probabilities)
+    kernel = _kernel(cfg)
     per_iter = [] if keep else None
     blocked_total = 0
     for iteration in range(start, stop):
-        blocked = _simulate_iteration(cfg, cumulative, iteration)
+        blocked = _simulate_iteration(cfg, kernel, iteration)
         blocked_total += blocked
         if keep:
             per_iter.append(blocked)
@@ -231,18 +266,25 @@ def _point_label(point) -> str:
     return str(point)
 
 
+def _integer_point(point, axis: str) -> int:
+    if isinstance(point, bool) or not isinstance(point, Integral):
+        raise ValueError(f"{axis} points must be integers, got {point!r}")
+    return int(point)
+
+
 def apply_axis(base: ScenarioConfig, axis: str, point, al: int = None) -> ScenarioConfig:
     """Return ``base`` with one parameter replaced according to the sweep axis."""
     if axis == AXIS_UE_COUNT:
-        return replace(base, ue_count=int(point))
+        return replace(base, ue_count=_integer_point(point, axis))
     if axis == AXIS_CORESET_SIZE:
-        coreset = CoresetConfig.from_cce_count(int(point), base.coreset.coreset_index)
+        coreset = CoresetConfig.from_cce_count(_integer_point(point, axis),
+                                               base.coreset.coreset_index)
         return replace(base, coreset=coreset)
     if axis == AXIS_CANDIDATE_COUNT:
         if al not in AGGREGATION_LEVELS:
             raise ValueError(f"candidate_count sweeps need al in {AGGREGATION_LEVELS}, got {al}")
         counts = list(base.search_space.candidates_per_al)
-        counts[AGGREGATION_LEVELS.index(al)] = int(point)
+        counts[AGGREGATION_LEVELS.index(al)] = _integer_point(point, axis)
         space = replace(base.search_space, candidates_per_al=tuple(counts))
         return replace(base, search_space=space)
     if axis == AXIS_CANDIDATE_COUNTS:
@@ -250,12 +292,12 @@ def apply_axis(base: ScenarioConfig, axis: str, point, al: int = None) -> Scenar
         space = replace(base.search_space, candidates_per_al=tuple(counts))
         return replace(base, search_space=space)
     if axis == AXIS_AL_FIXED:
-        return replace(base, al_distribution=AlDistribution.fixed(int(point)))
+        return replace(base, al_distribution=AlDistribution.fixed(_integer_point(point, axis)))
     if axis == AXIS_AL_DISTRIBUTION:
         _, probs = _named_point(point, "probabilities")
         return replace(base, al_distribution=AlDistribution(tuple(probs)))
     if axis == AXIS_STRATEGY:
-        return replace(base, strategy=str(point))
+        return replace(base, strategy=point)
     raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
 
 

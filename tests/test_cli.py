@@ -83,6 +83,15 @@ def test_invalid_scenario_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("point", [2.7, True, "3"])
+def test_mistyped_sweep_point_exits_one(tmp_path, point, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(SCENARIO, sweep={"axis": "ue_count",
+                                                     "points": [2, point]})))
+    assert main(["sweep", str(path)]) == 1
+    assert "sweep.points[1] must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_workers_below_one_exits_one(scenario_file, command, capsys):
     assert main([command, str(scenario_file), "--workers", "-3"]) == 1

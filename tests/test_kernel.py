@@ -1,0 +1,128 @@
+"""The table-driven iteration kernel against the per-UE hash it replaces,
+and the blocked counts of every bundled study pinned bit for bit."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pdcch_blocking import (ALLOWED_CANDIDATE_COUNTS, AGGREGATION_LEVELS,
+                            STRATEGIES, AlDistribution, CoresetConfig,
+                            ScenarioConfig, SearchSpaceConfig,
+                            bundled_scenario_names, bundled_scenario_path,
+                            candidate_starts, iteration_rng, parse_plan_request,
+                            parse_scenario, run_scenario, run_sweep, y_value)
+from pdcch_blocking.scheduler import _allocation_order, _greedy_assign
+from pdcch_blocking.search_space import RNTI_MAX
+
+
+def reference_blocked(cfg: ScenarioConfig, iteration: int) -> int:
+    """One iteration hashed UE by UE: Y by iteration, the starts of every
+    candidate, then the masks sorted by start."""
+    rng = iteration_rng(cfg.master_seed, iteration)
+    u = cfg.ue_count
+    rntis = rng.integers(1, RNTI_MAX + 1, size=u)
+    cumulative = np.cumsum(cfg.al_distribution.probabilities)
+    al_idx = np.searchsorted(cumulative, rng.random(u), side="right")
+    al_idx = np.minimum(al_idx, len(AGGREGATION_LEVELS) - 1)
+    cce_count = cfg.coreset.cce_count
+    als, masks = [], []
+    for i in range(u):
+        level = AGGREGATION_LEVELS[al_idx[i]]
+        m = cfg.search_space.candidates_per_al[al_idx[i]]
+        als.append(level)
+        if m == 0 or cce_count < level:
+            masks.append(())
+            continue
+        y = y_value(int(rntis[i]), cfg.coreset.coreset_index,
+                    cfg.search_space.slot_index, cfg.search_space.space_type)
+        full = (1 << level) - 1
+        masks.append(tuple(sorted(full << s for s in
+                                  candidate_starts(level, cce_count, m, y))))
+    order = _allocation_order(als, cfg.strategy, rng)
+    _, blocked, _ = _greedy_assign(order, masks)
+    return len(blocked)
+
+
+counts_per_al = st.tuples(*[st.sampled_from(ALLOWED_CANDIDATE_COUNTS)] * 5).filter(any)
+weights = st.tuples(*[st.integers(0, 4)] * 5).filter(any)
+
+
+@st.composite
+def scenarios(draw):
+    w = draw(weights)
+    return ScenarioConfig(
+        ue_count=draw(st.integers(1, 60)),
+        coreset=CoresetConfig.from_cce_count(draw(st.integers(1, 200)),
+                                             draw(st.integers(0, 5))),
+        search_space=SearchSpaceConfig(draw(counts_per_al),
+                                       space_type=draw(st.sampled_from(("css", "uss"))),
+                                       slot_index=draw(st.integers(0, 20))),
+        al_distribution=AlDistribution(tuple(x / sum(w) for x in w)),
+        strategy=draw(st.sampled_from(STRATEGIES)),
+        iterations=3,
+        master_seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenarios())
+def test_kernel_matches_per_ue_hash(cfg):
+    result = run_scenario(cfg, keep_per_iteration=True)
+    assert list(result.per_iteration_blocked) == [
+        reference_blocked(cfg, it) for it in range(cfg.iterations)]
+
+
+@pytest.mark.parametrize("space_type,slot,index", [
+    ("uss", 0, 0), ("uss", 7, 1), ("uss", 20, 5), ("css", 3, 2)])
+def test_kernel_matches_per_ue_hash_at_heavy_load(space_type, slot, index):
+    # enough UEs and iterations that every AL and most residues occur
+    cfg = ScenarioConfig(
+        ue_count=60, coreset=CoresetConfig.from_cce_count(97, index),
+        search_space=SearchSpaceConfig((8, 6, 5, 3, 2), space_type=space_type,
+                                       slot_index=slot),
+        al_distribution=AlDistribution((0.2,) * 5), iterations=40, master_seed=11)
+    result = run_scenario(cfg, keep_per_iteration=True)
+    assert list(result.per_iteration_blocked) == [
+        reference_blocked(cfg, it) for it in range(cfg.iterations)]
+
+
+# blocked_total of every point of every bundled file at its own seed and 200
+# iterations, recorded with the per-UE hash; a plan file runs at its largest
+# CORESET
+BUNDLED_BLOCKED_TOTALS = {
+    "fig10_strategy_u10": [39, 8],
+    "fig10_strategy_u40": [1665, 3590],
+    "fig4_ue_sweep": [16, 77, 280, 626, 1090, 1666, 2401, 3168, 4067, 4836],
+    "fig5_coreset_sweep": [1814, 1338, 1162, 865, 749, 592, 478, 393, 316, 278, 247],
+    "fig6_candidates_al1": [1626, 1349, 1248, 1211, 1180, 1180, 1137],
+    "fig6_candidates_al2": [1583, 1400, 1325, 1292, 1255, 1238, 1225],
+    "fig6_candidates_al4": [1570, 1477, 1439, 1417, 1386, 1381, 1335],
+    "fig7_al16_ue_sweep": [0, 66, 178, 319, 478, 651, 1017],
+    "fig7_al2_ue_sweep": [0, 0, 8, 88, 369, 671, 931, 1242, 1397, 1549, 1897, 2655, 3611],
+    "fig7_al4_ue_sweep": [0, 0, 0, 14, 68, 213, 437, 561, 735, 896, 1070, 1439, 2207],
+    "fig7_al8_ue_sweep": [0, 0, 28, 85, 154, 253, 395, 549, 882, 1237],
+    "fig8_coverage": [163, 1552, 2956],
+    "fig9_bd_reduction": [580, 894, 1601],
+    "plan_fig11_u15_target5": [87],
+    "plan_fig11_u5_target20": [10],
+}
+
+
+def test_every_bundled_file_is_pinned():
+    assert sorted(BUNDLED_BLOCKED_TOTALS) == bundled_scenario_names()
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_BLOCKED_TOTALS))
+def test_bundled_blocked_totals_are_unchanged(name):
+    path = bundled_scenario_path(name)
+    if name.startswith("plan_"):
+        cfg = replace(parse_plan_request(path)[1].base, iterations=200)
+        got = [run_scenario(cfg).blocked_total]
+    else:
+        scn = parse_scenario(path)
+        cfg = replace(scn.config, iterations=200)
+        got = [sp.result.blocked_total for sp in
+               run_sweep(cfg, scn.sweep.axis, scn.sweep.points, al=scn.sweep.al)]
+    assert got == BUNDLED_BLOCKED_TOTALS[name]

@@ -120,6 +120,46 @@ def test_sweep_section_parses(tmp_path):
         parse_scenario(write(tmp_path, bad))
 
 
+WRONG_SWEEP_POINTS = {
+    "ue_count_float": ("ue_count", 2.7),
+    "ue_count_bool": ("ue_count", True),
+    "ue_count_string": ("ue_count", "3"),
+    "coreset_size_float": ("coreset_size", 54.0),
+    "al_fixed_bool": ("al_fixed", True),
+    "strategy_int": ("strategy", 1),
+    "candidate_counts_string_entry": ("candidate_counts", [6, 6, 4, 2, "1"]),
+    "candidate_counts_float_entry": ("candidate_counts",
+                                     {"name": "r", "counts": [6.5, 6, 4, 2, 1]}),
+    "candidate_counts_scalar": ("candidate_counts", 6),
+    "al_distribution_bool_entry": ("al_distribution", [True, 0, 0, 0, 0]),
+    "al_distribution_name_int": ("al_distribution",
+                                 {"name": 5, "probabilities": [1, 0, 0, 0, 0]}),
+    "al_distribution_extra_key": ("al_distribution",
+                                  {"probabilities": [1, 0, 0, 0, 0], "weight": 1}),
+}
+
+
+@pytest.mark.parametrize("axis,point", list(WRONG_SWEEP_POINTS.values()),
+                         ids=list(WRONG_SWEEP_POINTS))
+def test_sweep_points_are_type_checked(tmp_path, axis, point):
+    sweep = {"axis": axis, "points": [point]}
+    if axis == "candidate_count":
+        sweep["al"] = 2
+    with pytest.raises(ScenarioParseError, match=r"sweep\.points\[0\]"):
+        parse_scenario(write(tmp_path, dict(MINIMAL, sweep=sweep)))
+
+
+def test_typed_sweep_points_parse(tmp_path):
+    counts = {"name": "reduced", "counts": [1, 1, 1, 1, 1]}
+    data = dict(MINIMAL, sweep={"axis": "candidate_counts",
+                                "points": [[6, 6, 4, 2, 1], counts]})
+    assert parse_scenario(write(tmp_path, data)).sweep.points == ((6, 6, 4, 2, 1), counts)
+    data = dict(MINIMAL, sweep={"axis": "al_distribution",
+                                "points": [[1, 0, 0, 0, 0], [0.5, 0.5, 0, 0, 0]]})
+    assert parse_scenario(write(tmp_path, data)).sweep.points == (
+        (1, 0, 0, 0, 0), (0.5, 0.5, 0, 0, 0))
+
+
 def test_roundtrip_normalization_is_stable(tmp_path):
     scn = parse_scenario(write(tmp_path, MINIMAL))
     normalized = scenario_to_dict(scn)

@@ -164,6 +164,20 @@ def test_search_space_rejects_unknown_al_key():
         SearchSpaceConfig({3: 2})
 
 
+@pytest.mark.parametrize("counts", [(6.7, 6, 4, 2, 1), (6.0, 6, 4, 2, 1),
+                                    (True, 6, 4, 2, 1), ("6", 6, 4, 2, 1),
+                                    {1: 6, 16: 1.0}])
+def test_search_space_rejects_non_integer_counts(counts):
+    with pytest.raises(ValueError, match="integers"):
+        SearchSpaceConfig(counts)
+
+
+def test_search_space_accepts_numpy_integers():
+    space = SearchSpaceConfig(tuple(np.array([6, 6, 4, 2, 1])))
+    assert space.candidates_per_al == (6, 6, 4, 2, 1)
+    assert all(type(m) is int for m in space.candidates_per_al)
+
+
 def test_search_space_accepts_mapping_form():
     space = SearchSpaceConfig({1: 6, 2: 6, 4: 4, 8: 2, 16: 1})
     assert space.candidates_per_al == (6, 6, 4, 2, 1)

@@ -40,6 +40,19 @@ def test_distribution_fixed_point_mass():
         AlDistribution.fixed(3)
 
 
+@pytest.mark.parametrize("probs", [(True, 0, 0, 0, 0), ("1", 0, 0, 0, 0),
+                                   (None, 1, 0, 0, 0), {1: 0.5, 2: "0.5"}])
+def test_distribution_rejects_non_numbers(probs):
+    with pytest.raises(ValueError, match="numbers"):
+        AlDistribution(probs)
+
+
+def test_distribution_accepts_integer_entries():
+    dist = AlDistribution((0, 0, 1, 0, 0))
+    assert dist.probabilities == (0.0, 0.0, 1.0, 0.0, 0.0)
+    assert all(type(p) is float for p in dist.probabilities)
+
+
 def test_distribution_mapping_form():
     dist = AlDistribution({1: 0.5, 2: 0.5})
     assert dist.probabilities == (0.5, 0.5, 0.0, 0.0, 0.0)
@@ -188,6 +201,14 @@ def test_sweep_al_distribution_axis():
 def test_sweep_strategy_axis():
     cfg = apply_axis(scenario(), "strategy", STRATEGY_HIGH_TO_LOW)
     assert cfg.strategy == STRATEGY_HIGH_TO_LOW
+
+
+@pytest.mark.parametrize("axis,point", [("ue_count", 2.7), ("ue_count", True),
+                                        ("ue_count", "3"), ("coreset_size", 54.0),
+                                        ("al_fixed", True), ("strategy", 1)])
+def test_apply_axis_rejects_mistyped_points(axis, point):
+    with pytest.raises(ValueError):
+        apply_axis(scenario(), axis, point)
 
 
 def test_sweep_continues_past_invalid_point():
