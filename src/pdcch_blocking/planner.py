@@ -8,7 +8,8 @@ per-size estimates are directly comparable.
 
 from dataclasses import dataclass
 
-from .simulation import AXIS_CORESET_SIZE, ScenarioConfig, apply_axis, run_scenario
+from .simulation import (AXIS_CORESET_SIZE, ScenarioConfig, apply_axis, run_scenario,
+                         worker_pool)
 
 CONFIRMATION_SCAN = 4  # CCE sizes re-checked below the bisection answer
 
@@ -58,14 +59,22 @@ class PlanningResult:
 
 def plan_min_coreset(req: PlanningRequest, workers: int = None) -> PlanningResult:
     """Find the smallest CORESET (in CCEs) with estimated blocking at or
-    below the target, searching [cce_min, cce_max]."""
+    below the target, searching [cce_min, cce_max]. With ``workers`` > 1
+    one process pool serves every evaluation."""
+    with worker_pool(workers) as pool:
+        return _search(req, lambda cfg: run_scenario(cfg, workers=workers, pool=pool))
+
+
+def _search(req: PlanningRequest, run) -> PlanningResult:
+    """Bisect, scan and descend over CCE counts, simulating each size once
+    with ``run(cfg)``."""
     cache = {}
     evaluated = []
 
     def meets(cces: int) -> bool:
         if cces not in cache:
             cfg = apply_axis(req.base, AXIS_CORESET_SIZE, cces)
-            cache[cces] = run_scenario(cfg, workers=workers)
+            cache[cces] = run(cfg)
             evaluated.append(cces)
         return cache[cces].blocking_probability <= req.target_blocking
 

@@ -21,6 +21,7 @@ build small tables once and turn every UE's candidate set into one lookup:
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 
@@ -102,6 +103,11 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("ue_count", "iterations", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.ue_count < 1:
             raise ValueError(f"ue_count must be >= 1, got {self.ue_count}")
         if self.iterations < 1:
@@ -205,32 +211,60 @@ def _run_range(cfg: ScenarioConfig, start: int, stop: int, keep: bool):
     return blocked_total, per_iter
 
 
-def _run_range_args(args):
-    return _run_range(*args)
+def _worker_count(workers):
+    """``workers`` as an int > 1, or None for a serial run (None or 1)."""
+    if workers is None:
+        return None
+    if isinstance(workers, bool) or not isinstance(workers, Integral):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return int(workers) if workers > 1 else None
+
+
+@contextmanager
+def worker_pool(workers: int = None):
+    """Yield a process pool of ``workers`` processes, or None when serial.
+
+    Holding one pool across many ``run_scenario`` calls (pass it as
+    ``pool=``) saves starting and stopping processes per call. The pool is
+    shut down, and its workers waited for, when the block exits, also by an
+    exception.
+    """
+    workers = _worker_count(workers)
+    if workers is None:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = None,
-                 keep_per_iteration: bool = False) -> SimulationResult:
+                 keep_per_iteration: bool = False, *, pool=None) -> SimulationResult:
     """Estimate the blocking probability for one scenario.
 
-    ``workers`` > 1 spreads iterations over processes; because every
-    iteration seeds its own stream from (master_seed, iteration), the result
-    is bit-identical to a serial run. None or 1 runs serially.
+    ``workers`` > 1 splits the iterations into that many contiguous ranges
+    and runs them in ``pool``, an open pool from ``worker_pool``, or else in
+    a pool opened and closed for this call. ``run_sweep`` and
+    ``plan_min_coreset`` hold one pool for all their runs, so one pool
+    serves a whole command. Because every iteration seeds its own stream
+    from (master_seed, iteration), the result is bit-identical to a serial
+    run. None or 1 runs serially.
     """
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers is not None and workers > 1:
-        bounds = np.linspace(0, cfg.iterations, workers + 1, dtype=int)
-        tasks = [(cfg, int(lo), int(hi), keep_per_iteration)
-                 for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            parts = list(pool.map(_run_range_args, tasks))
-        blocked_total = sum(p[0] for p in parts)
+    workers = _worker_count(workers)
+    if workers is None:
+        blocked_total, per_iter = _run_range(cfg, 0, cfg.iterations, keep_per_iteration)
+    else:
+        bounds = np.linspace(0, cfg.iterations, workers + 1, dtype=int).tolist()
+        starts, stops = zip(*[(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi])
+        n = len(starts)
+        with worker_pool(workers) if pool is None else nullcontext(pool) as pool:
+            parts = list(pool.map(_run_range, [cfg] * n, starts, stops,
+                                  [keep_per_iteration] * n))
+        blocked_total = sum(total for total, _ in parts)
         per_iter = None
         if keep_per_iteration:
-            per_iter = [b for p in parts for b in p[1]]
-    else:
-        blocked_total, per_iter = _run_range(cfg, 0, cfg.iterations, keep_per_iteration)
+            per_iter = [b for _, part in parts for b in part]
     return SimulationResult.from_counts(blocked_total, cfg.ue_count, cfg.iterations,
                                         per_iteration_blocked=per_iter)
 
@@ -305,19 +339,21 @@ def run_sweep(base: ScenarioConfig, axis: str, points, al: int = None,
               workers: int = None) -> list:
     """Run one scenario per point, in input order, all from the same master
     seed (common random numbers across points). A point that fails validation
-    is reported in its SweepPoint; the sweep continues."""
+    is reported in its SweepPoint; the sweep continues. With ``workers`` > 1
+    one process pool serves every point."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     if not points:
         raise ValueError("sweep needs at least one point")
     out = []
-    for point in points:
-        label = _point_label(point)
-        try:
-            cfg = apply_axis(base, axis, point, al=al)
-        except ValueError as exc:
-            out.append(SweepPoint(point=point, label=label, error=str(exc)))
-            continue
-        out.append(SweepPoint(point=point, label=label,
-                              result=run_scenario(cfg, workers=workers)))
+    with worker_pool(workers) as pool:
+        for point in points:
+            label = _point_label(point)
+            try:
+                cfg = apply_axis(base, axis, point, al=al)
+            except ValueError as exc:
+                out.append(SweepPoint(point=point, label=label, error=str(exc)))
+                continue
+            out.append(SweepPoint(point=point, label=label,
+                                  result=run_scenario(cfg, workers=workers, pool=pool)))
     return out

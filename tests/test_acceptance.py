@@ -27,7 +27,7 @@ def _line(tag, ok, detail):
 def _sweep(name):
     scenario = parse_scenario(bundled_scenario_path(name))
     points = run_sweep(scenario.config, scenario.sweep.axis,
-                       scenario.sweep.points, al=scenario.sweep.al)
+                       scenario.sweep.points, al=scenario.sweep.al, workers=2)
     assert all(sp.result is not None for sp in points), \
         f"sweep {name} had failing points"
     return scenario, {sp.label: sp.result for sp in points}
@@ -140,7 +140,7 @@ def test_criterion_6_strategy_comparison():
 
 def test_criterion_7_planner_small_endpoint():
     _, request = parse_plan_request(bundled_scenario_path("plan_fig11_u5_target20"))
-    result = plan_min_coreset(request)
+    result = plan_min_coreset(request, workers=2)
     ok = result.min_cces is not None and 16 <= result.min_cces <= 24
     _line("C7a", ok,
           f"fig11 min CORESET (U=5, target 20%) = {result.min_cces} CCEs "
@@ -150,7 +150,7 @@ def test_criterion_7_planner_small_endpoint():
 
 def test_criterion_7_planner_large_endpoint():
     _, request = parse_plan_request(bundled_scenario_path("plan_fig11_u15_target5"))
-    result = plan_min_coreset(request)
+    result = plan_min_coreset(request, workers=2)
     ok = result.min_cces is not None and 80 <= result.min_cces <= 120
     _line("C7b", ok,
           f"fig11 min CORESET (U=15, target 5%) = {result.min_cces} CCEs "

@@ -1,11 +1,12 @@
 import dataclasses
+import multiprocessing
 
 import pytest
 
 from pdcch_blocking import (AlDistribution, CoresetConfig, PlanningRequest,
                             ScenarioConfig, SearchSpaceConfig,
                             bundled_scenario_path, parse_plan_request,
-                            plan_min_coreset, run_sweep)
+                            plan_min_coreset, planner, run_sweep)
 
 MEDIUM = (0.05, 0.2, 0.5, 0.2, 0.05)
 
@@ -90,10 +91,14 @@ def test_min_cces_nondecreasing_in_ue_count():
     assert sizes[-1] > sizes[0]
 
 
+def small_fig11_plan():
+    _, req = parse_plan_request(bundled_scenario_path("plan_fig11_u5_target20"))
+    return dataclasses.replace(req, base=dataclasses.replace(req.base, iterations=200))
+
+
 def test_evaluations_match_coreset_size_sweep():
     # the planner evaluates each size exactly as a coreset_size sweep point
-    _, req = parse_plan_request(bundled_scenario_path("plan_fig11_u5_target20"))
-    req = dataclasses.replace(req, base=dataclasses.replace(req.base, iterations=200))
+    req = small_fig11_plan()
     result = plan_min_coreset(req)
     sizes = [c for c, _, _ in result.evaluations]
     points = run_sweep(req.base, "coreset_size", sizes)
@@ -106,3 +111,23 @@ def test_planning_result_lookup():
     assert result.evaluated_blocking(result.min_cces) == result.achieved_blocking
     with pytest.raises(KeyError):
         result.evaluated_blocking(9999)
+
+
+def test_plan_shares_one_pool_and_matches_serial(pools):
+    req = small_fig11_plan()
+    serial = plan_min_coreset(req)
+    assert pools == []
+    pooled = plan_min_coreset(req, workers=2)
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+    assert len(pooled.evaluations) > 1
+    assert pooled.min_cces == serial.min_cces
+    assert pooled.evaluations == serial.evaluations  # order, blocking and stderr
+
+
+def test_plan_that_raises_still_closes_its_pool(pools, fail_second_run):
+    runs = fail_second_run(planner)
+    with pytest.raises(RuntimeError, match="stop"):
+        plan_min_coreset(small_fig11_plan(), workers=2)
+    assert len(runs) == 2 and len(pools) == 1
+    assert multiprocessing.active_children() == []

@@ -1,11 +1,14 @@
 import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from pdcch_blocking import (AlDistribution, CoresetConfig, ScenarioConfig,
-                            SearchSpaceConfig, SimulationResult, apply_axis,
-                            iteration_rng, run_scenario, run_sweep)
+from pdcch_blocking import (AlDistribution, CoresetConfig, PlanningRequest,
+                            ScenarioConfig, SearchSpaceConfig, SimulationResult,
+                            apply_axis, bundled_scenario_path, iteration_rng,
+                            parse_scenario, plan_min_coreset, run_scenario,
+                            run_sweep, simulation)
 from pdcch_blocking.scheduler import STRATEGY_HIGH_TO_LOW, STRATEGY_UNORDERED
 
 MIXED = (0.4, 0.3, 0.2, 0.05, 0.05)
@@ -67,6 +70,24 @@ def test_scenario_config_validation():
         scenario(strategy="fastest_first")
     with pytest.raises(ValueError):
         scenario(master_seed=-1)
+
+
+@pytest.mark.parametrize("field,value", [("ue_count", 2.7), ("ue_count", True),
+                                         ("ue_count", "3"), ("iterations", 3.0),
+                                         ("iterations", True), ("master_seed", 1.9),
+                                         ("master_seed", False), ("master_seed", None)])
+def test_scenario_config_rejects_non_integers(field, value):
+    with pytest.raises(ValueError, match=field):
+        scenario(**{field: value})
+
+
+def test_scenario_config_accepts_numpy_integers():
+    cfg = scenario(ue_count=np.int64(7), iterations=np.int32(50),
+                   master_seed=np.uint16(9))
+    assert (cfg.ue_count, cfg.iterations, cfg.master_seed) == (7, 50, 9)
+    assert all(type(v) is int for v in (cfg.ue_count, cfg.iterations, cfg.master_seed))
+    assert run_scenario(cfg) == run_scenario(scenario(ue_count=7, iterations=50,
+                                                      master_seed=9))
 
 
 def test_result_counts_and_stderr():
@@ -160,6 +181,52 @@ def test_workers_below_one_rejected(workers):
         run_sweep(scenario(iterations=10), "ue_count", [2, 3], workers=workers)
 
 
+@pytest.mark.parametrize("workers", [2.5, 2.0, True, "2"])
+def test_non_integer_workers_rejected_before_any_pool(workers, pools):
+    cfg = scenario(iterations=10)
+    with pytest.raises(ValueError, match="workers"):
+        run_scenario(cfg, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        run_sweep(cfg, "ue_count", [2, 3], workers=workers)
+    req = PlanningRequest(base=cfg, target_blocking=0.2, cce_min=6, cce_max=54)
+    with pytest.raises(ValueError, match="workers"):
+        plan_min_coreset(req, workers=workers)
+    assert pools == []
+
+
+def test_direct_run_opens_and_closes_its_own_pool(pools):
+    cfg = scenario(iterations=40)
+    serial = run_scenario(cfg)
+    assert run_scenario(cfg, workers=2) == serial
+    assert run_scenario(cfg, workers=np.int64(2)) == serial  # numpy integers accepted
+    assert run_scenario(cfg, workers=1) == serial
+    assert len(pools) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_fewer_iterations_than_workers_in_shared_pool(pools):
+    cfg = scenario(iterations=3)
+    serial = run_scenario(cfg, keep_per_iteration=True)
+    with simulation.worker_pool(5) as pool:
+        shared = run_scenario(cfg, workers=5, keep_per_iteration=True, pool=pool)
+        again = run_scenario(cfg, workers=5, keep_per_iteration=True, pool=pool)
+    own = run_scenario(cfg, workers=5, keep_per_iteration=True)
+    assert len(serial.per_iteration_blocked) == 3
+    assert shared == again == own == serial
+    assert len(pools) == 2
+
+
+def test_worker_failure_still_closes_the_pool(pools, monkeypatch):
+    def broken_kernel(cfg):
+        raise RuntimeError("kernel failed")
+    # the workers are forked after this patch, so they run it too
+    monkeypatch.setattr(simulation, "_kernel", broken_kernel)
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        run_scenario(scenario(iterations=20), workers=2)
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+
+
 # --- sweeps ------------------------------------------------------------------
 
 def test_sweep_ue_count_axis():
@@ -235,3 +302,25 @@ def test_sweep_points_share_master_seed():
 def test_unordered_strategy_runs():
     result = run_scenario(scenario(strategy=STRATEGY_UNORDERED, iterations=300))
     assert 0.0 <= result.blocking_probability <= 1.0
+
+
+def test_sweep_shares_one_pool_and_matches_serial(pools):
+    sweep = parse_scenario(bundled_scenario_path("fig5_coreset_sweep"))
+    base = dataclasses.replace(sweep.config, iterations=200)
+    points = list(sweep.sweep.points)
+    points.insert(2, 0)  # an invalid CORESET size comes back as an error entry
+    serial = run_sweep(base, "coreset_size", points)
+    assert pools == []
+    pooled = run_sweep(base, "coreset_size", points, workers=2)
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+    assert pooled[2].error is not None and pooled[2].result is None
+    assert pooled == serial
+
+
+def test_sweep_that_raises_still_closes_its_pool(pools, fail_second_run):
+    runs = fail_second_run(simulation)
+    with pytest.raises(RuntimeError, match="stop"):
+        run_sweep(scenario(iterations=40), "ue_count", [2, 4, 6], workers=2)
+    assert len(runs) == 2 and len(pools) == 1
+    assert multiprocessing.active_children() == []
