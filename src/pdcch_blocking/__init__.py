@@ -9,14 +9,12 @@ from .scenario_io import (ResultRecord, Scenario, ScenarioParseError,
                           emit_results, load_results, parse_plan_request,
                           parse_scenario, scenario_from_dict, scenario_to_dict)
 from .scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW, STRATEGY_LOW_TO_HIGH,
-                        STRATEGY_UNORDERED, AllocationOutcome, LimitsReport,
-                        MonitoringLimits, UeContext, allocate, blocking_ratio,
+                        STRATEGY_UNORDERED, LimitsReport, MonitoringLimits,
                         validate_limits)
 from .search_space import (ALLOWED_CANDIDATE_COUNTS, RNTI_MAX,
                            SPACE_TYPE_COMMON, SPACE_TYPE_UE_SPECIFIC,
-                           Candidate, NoCandidateFitsError, SearchSpaceConfig,
-                           candidate_cces, candidate_starts, ue_candidate_set,
-                           y_value)
+                           NoCandidateFitsError, SearchSpaceConfig,
+                           candidate_cces, candidate_starts, y_value)
 from .simulation import (SWEEP_AXES, AlDistribution, ScenarioConfig,
                          SimulationResult, SweepPoint, apply_axis,
                          iteration_rng, run_scenario, run_sweep)
@@ -28,15 +26,14 @@ __all__ = [
     "SPACE_TYPE_COMMON", "SPACE_TYPE_UE_SPECIFIC", "STRATEGIES",
     "STRATEGY_HIGH_TO_LOW", "STRATEGY_LOW_TO_HIGH", "STRATEGY_UNORDERED",
     "SWEEP_AXES",
-    "AlDistribution", "AllocationOutcome", "Candidate", "CoresetConfig",
-    "InvalidGeometryError", "LimitsReport", "MonitoringLimits",
-    "NoCandidateFitsError", "PlanningRequest", "PlanningResult",
-    "ResultRecord", "Scenario", "ScenarioConfig", "ScenarioParseError",
-    "ScenarioValidationError", "SearchSpaceConfig", "SimulationResult",
-    "SweepPoint", "SweepSpec", "UeContext", "allocate", "apply_axis",
-    "blocking_ratio", "bundled_scenario_names", "bundled_scenario_path",
+    "AlDistribution", "CoresetConfig", "InvalidGeometryError",
+    "LimitsReport", "MonitoringLimits", "NoCandidateFitsError",
+    "PlanningRequest", "PlanningResult", "ResultRecord", "Scenario",
+    "ScenarioConfig", "ScenarioParseError", "ScenarioValidationError",
+    "SearchSpaceConfig", "SimulationResult", "SweepPoint", "SweepSpec",
+    "apply_axis", "bundled_scenario_names", "bundled_scenario_path",
     "candidate_cces", "candidate_starts", "emit_results", "iteration_rng",
     "load_results", "parse_plan_request", "parse_scenario",
     "plan_min_coreset", "run_scenario", "run_sweep", "scenario_from_dict",
-    "scenario_to_dict", "ue_candidate_set", "validate_limits", "y_value",
+    "scenario_to_dict", "validate_limits", "y_value",
 ]

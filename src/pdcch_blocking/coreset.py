@@ -1,6 +1,7 @@
 """CORESET geometry and the CCE index space."""
 
 from dataclasses import dataclass
+from numbers import Integral
 
 AGGREGATION_LEVELS = (1, 2, 4, 8, 16)
 
@@ -9,6 +10,14 @@ RBS_PER_CCE = 6  # one CCE = 6 REGs, one REG = one RB in one OFDM symbol
 
 class InvalidGeometryError(ValueError):
     """CORESET dimensions violate the NR constraints."""
+
+
+def as_integer(name: str, value) -> int:
+    """``value`` as an int. A bool or a non-integral number raises
+    ValueError; numpy integers are accepted."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -25,6 +34,8 @@ class CoresetConfig:
     coreset_index: int = 0
 
     def __post_init__(self):
+        for name in ("rb_count", "symbol_duration", "coreset_index"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.rb_count <= 0 or self.rb_count % RBS_PER_CCE != 0:
             raise InvalidGeometryError(
                 f"rb_count must be a positive multiple of {RBS_PER_CCE}, got {self.rb_count}")
@@ -42,6 +53,7 @@ class CoresetConfig:
     @classmethod
     def from_cce_count(cls, cce_count: int, coreset_index: int = 0) -> "CoresetConfig":
         """Synthesize a one-symbol CORESET with exactly ``cce_count`` CCEs."""
+        cce_count = as_integer("cce_count", cce_count)
         if cce_count < 1:
             raise InvalidGeometryError(f"cce_count must be >= 1, got {cce_count}")
         return cls(rb_count=RBS_PER_CCE * cce_count, symbol_duration=1,

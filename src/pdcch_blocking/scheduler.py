@@ -6,14 +6,16 @@ by a random permutation drawn from the caller's RNG stream); "unordered"
 processes UEs in that random permutation alone. Each UE gets one free
 candidate or is marked blocked; a blocked UE consumes no CCEs.
 
-The candidate picked for a UE is its free candidate with the lowest first
-CCE. Packing toward low CCE indices keeps aligned blocks intact for the high
-aggregation levels, which dominate blocking at light load.
+Candidates are CCE bitmasks, and each UE gets its first free candidate in
+the order listed. The simulator lists them by first CCE, so the pick is the
+free candidate with the lowest first CCE. Packing toward low CCE indices
+keeps aligned blocks intact for the high aggregation levels, which dominate
+blocking at light load.
 """
 
 from dataclasses import dataclass
 
-from .coreset import AGGREGATION_LEVELS, CoresetConfig
+from .coreset import AGGREGATION_LEVELS, CoresetConfig, as_integer
 from .search_space import SearchSpaceConfig, candidate_cces, y_value
 
 STRATEGY_LOW_TO_HIGH = "low_to_high"
@@ -28,31 +30,6 @@ CCE_LIMITS = {15: 56, 30: 56, 60: 48, 120: 32}
 
 
 @dataclass(frozen=True)
-class UeContext:
-    """One UE to schedule: its C-RNTI, adopted AL, and monitored candidates.
-
-    ``candidates`` may be empty, meaning the UE has nothing schedulable in
-    this CORESET (AL larger than the CORESET, or zero configured candidates);
-    such a UE is always blocked.
-    """
-
-    c_rnti: int
-    aggregation_level: int
-    candidates: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        for cand in self.candidates:
-            if cand.aggregation_level != self.aggregation_level:
-                raise ValueError(
-                    f"candidate AL {cand.aggregation_level} differs from "
-                    f"UE AL {self.aggregation_level}")
-        indices = [c.candidate_index for c in self.candidates]
-        if indices != sorted(indices):
-            raise ValueError("candidates must be listed in increasing candidate_index")
-
-
-@dataclass(frozen=True)
 class MonitoringLimits:
     """UE capability: blind-decode and non-overlapping-CCE limits per slot."""
 
@@ -60,28 +37,18 @@ class MonitoringLimits:
     max_nonoverlap_cces: int
     scs_khz: int = 15
 
+    def __post_init__(self):
+        for name in ("max_blind_decodes", "max_nonoverlap_cces"):
+            value = as_integer(name, getattr(self, name))
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
+
     @classmethod
     def for_scs(cls, scs_khz: int) -> "MonitoringLimits":
         if scs_khz not in BD_LIMITS:
             raise ValueError(f"scs_khz must be one of {sorted(BD_LIMITS)}, got {scs_khz}")
         return cls(BD_LIMITS[scs_khz], CCE_LIMITS[scs_khz], scs_khz)
-
-
-@dataclass
-class AllocationOutcome:
-    """Result of one scheduling opportunity.
-
-    ``assignments`` maps the UE's position in the input list to its assigned
-    candidate; blocked UEs appear in ``blocked_ues`` instead, never in both.
-    """
-
-    assignments: dict
-    blocked_ues: tuple
-    used_cces: frozenset
-
-    @property
-    def blocked_count(self) -> int:
-        return len(self.blocked_ues)
 
 
 @dataclass(frozen=True)
@@ -111,10 +78,7 @@ def _allocation_order(aggregation_levels, strategy, rng):
     "unordered" keeps the shuffle as-is."""
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if rng is None:
-        order = list(range(len(aggregation_levels)))
-    else:
-        order = rng.permutation(len(aggregation_levels)).tolist()
+    order = rng.permutation(len(aggregation_levels)).tolist()
     if strategy != STRATEGY_UNORDERED:
         order.sort(key=lambda i: aggregation_levels[i],
                    reverse=strategy == STRATEGY_HIGH_TO_LOW)  # stable: keeps the shuffle
@@ -122,8 +86,9 @@ def _allocation_order(aggregation_levels, strategy, rng):
 
 
 def _greedy_assign(order, candidate_masks):
-    """Assign each UE (in ``order``) its first candidate disjoint from all
-    CCEs claimed so far. Returns ({ue_index: candidate_position}, [blocked])."""
+    """Assign each UE (in ``order``) its first candidate mask disjoint from
+    all CCEs claimed so far. Returns ({ue_index: candidate_position},
+    [blocked UEs in order], mask of every CCE used)."""
     used = 0
     chosen = {}
     blocked = []
@@ -136,54 +101,6 @@ def _greedy_assign(order, candidate_masks):
         else:
             blocked.append(i)
     return chosen, blocked, used
-
-
-def _mask_from_cces(cces) -> int:
-    mask = 0
-    for c in cces:
-        mask |= 1 << c
-    return mask
-
-
-def allocate(ues, coreset: CoresetConfig, strategy: str = STRATEGY_LOW_TO_HIGH,
-             rng=None) -> AllocationOutcome:
-    """Allocate non-overlapping candidates to ``ues`` in one CORESET.
-
-    Pass the iteration's numpy Generator as ``rng`` to get the randomized
-    equal-AL tie-break (and the "unordered" processing order); with rng=None
-    ties keep input order, which is deterministic and useful in tests.
-    """
-    cce_count = coreset.cce_count
-    for ue in ues:
-        for cand in ue.candidates:
-            if cand.cces[-1] >= cce_count:
-                raise ValueError(
-                    f"candidate CCEs {cand.cces} exceed CORESET size {cce_count}")
-    order = _allocation_order([ue.aggregation_level for ue in ues], strategy, rng)
-    masks = []
-    scans = []
-    for ue in ues:
-        # leftmost free candidate first: try candidates in first-CCE order
-        scan = sorted(range(len(ue.candidates)),
-                      key=lambda pos: (ue.candidates[pos].first_cce, pos))
-        scans.append(scan)
-        masks.append([_mask_from_cces(ue.candidates[pos].cces) for pos in scan])
-    chosen, blocked, used = _greedy_assign(order, masks)
-    assignments = {i: ues[i].candidates[scans[i][pos]] for i, pos in chosen.items()}
-    used_cces = frozenset(c for i in assignments for c in assignments[i].cces)
-    return AllocationOutcome(assignments=assignments,
-                             blocked_ues=tuple(sorted(blocked)),
-                             used_cces=used_cces)
-
-
-def blocking_ratio(outcome: AllocationOutcome, total_ues: int) -> float:
-    """Blocked UEs over all UEs that needed scheduling, in [0, 1]."""
-    if total_ues < 1:
-        raise ValueError(f"total_ues must be >= 1, got {total_ues}")
-    if outcome.blocked_count > total_ues:
-        raise ValueError(
-            f"{outcome.blocked_count} blocked UEs exceed total_ues={total_ues}")
-    return outcome.blocked_count / total_ues
 
 
 def validate_limits(search_space: SearchSpaceConfig, coreset: CoresetConfig,

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 from numbers import Integral
 
-from .coreset import AGGREGATION_LEVELS, CoresetConfig
+from .coreset import AGGREGATION_LEVELS, as_integer
 
 Y_MODULUS = 65537
 A_MULTIPLIERS = (39827, 39829, 39839)  # selected by coreset_index mod 3
@@ -56,40 +56,13 @@ class SearchSpaceConfig:
             raise ValueError("at least one aggregation level needs a nonzero candidate count")
         if self.space_type not in SPACE_TYPES:
             raise ValueError(f"space_type must be one of {SPACE_TYPES}, got {self.space_type!r}")
+        object.__setattr__(self, "slot_index", as_integer("slot_index", self.slot_index))
         if self.slot_index < 0:
             raise ValueError(f"slot_index must be >= 0, got {self.slot_index}")
-
-    def count_for(self, aggregation_level: int) -> int:
-        return self.candidates_per_al[AGGREGATION_LEVELS.index(aggregation_level)]
 
     @property
     def total_blind_decodes(self) -> int:
         return sum(self.candidates_per_al)
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One PDCCH candidate: ``aggregation_level`` contiguous CCEs starting at
-    a multiple of the aggregation level."""
-
-    aggregation_level: int
-    candidate_index: int
-    cces: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "cces", tuple(self.cces))
-        if len(self.cces) != self.aggregation_level:
-            raise ValueError(
-                f"candidate needs {self.aggregation_level} CCEs, got {len(self.cces)}")
-        start = self.cces[0]
-        if start % self.aggregation_level != 0:
-            raise ValueError(f"first CCE {start} not aligned to AL {self.aggregation_level}")
-        if self.cces != tuple(range(start, start + self.aggregation_level)):
-            raise ValueError("candidate CCEs must be contiguous")
-
-    @property
-    def first_cce(self) -> int:
-        return self.cces[0]
 
 
 def _check_rnti(c_rnti: int):
@@ -105,11 +78,11 @@ def y_value(c_rnti: int, coreset_index: int = 0, slot_index: int = 0,
     iterating Y <- (A * Y) mod 65537 for slot_index + 1 steps starting from
     the UE's C-RNTI, with the multiplier A picked by coreset_index mod 3.
     """
+    _check_rnti(c_rnti)
     if space_type == SPACE_TYPE_COMMON:
         return 0
     if space_type != SPACE_TYPE_UE_SPECIFIC:
         raise ValueError(f"space_type must be one of {SPACE_TYPES}, got {space_type!r}")
-    _check_rnti(c_rnti)
     if coreset_index < 0:
         raise ValueError(f"coreset_index must be >= 0, got {coreset_index}")
     if slot_index < 0:
@@ -154,18 +127,3 @@ def candidate_starts(aggregation_level: int, cce_count: int, candidate_count: in
     """Start CCEs of all ``candidate_count`` candidates, in candidate order."""
     return [candidate_start(aggregation_level, k, cce_count, candidate_count, y)
             for k in range(candidate_count)]
-
-
-def ue_candidate_set(c_rnti: int, search_space: SearchSpaceConfig,
-                     coreset: CoresetConfig, aggregation_level: int) -> list:
-    """All candidates a UE monitors at one aggregation level, in increasing
-    candidate order. Candidates of one UE may overlap each other; that is a
-    property of the hash, not an error."""
-    m = search_space.count_for(aggregation_level)
-    if m < 1:
-        raise ValueError(f"no candidates configured for AL {aggregation_level}")
-    y = y_value(c_rnti, coreset.coreset_index, search_space.slot_index,
-                search_space.space_type)
-    return [Candidate(aggregation_level, k,
-                      candidate_cces(aggregation_level, k, coreset.cce_count, m, y))
-            for k in range(m)]

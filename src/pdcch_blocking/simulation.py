@@ -23,11 +23,11 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .coreset import AGGREGATION_LEVELS, CoresetConfig
+from .coreset import AGGREGATION_LEVELS, CoresetConfig, as_integer
 from .scheduler import (STRATEGIES, STRATEGY_LOW_TO_HIGH, _allocation_order,
                         _greedy_assign)
 from .search_space import (A_MULTIPLIERS, RNTI_MAX, SPACE_TYPE_COMMON,
@@ -104,10 +104,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name in ("ue_count", "iterations", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.ue_count < 1:
             raise ValueError(f"ue_count must be >= 1, got {self.ue_count}")
         if self.iterations < 1:
@@ -215,11 +212,10 @@ def _worker_count(workers):
     """``workers`` as an int > 1, or None for a serial run (None or 1)."""
     if workers is None:
         return None
-    if isinstance(workers, bool) or not isinstance(workers, Integral):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
+    workers = as_integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return int(workers) if workers > 1 else None
+    return workers if workers > 1 else None
 
 
 @contextmanager
@@ -300,25 +296,19 @@ def _point_label(point) -> str:
     return str(point)
 
 
-def _integer_point(point, axis: str) -> int:
-    if isinstance(point, bool) or not isinstance(point, Integral):
-        raise ValueError(f"{axis} points must be integers, got {point!r}")
-    return int(point)
-
-
 def apply_axis(base: ScenarioConfig, axis: str, point, al: int = None) -> ScenarioConfig:
     """Return ``base`` with one parameter replaced according to the sweep axis."""
     if axis == AXIS_UE_COUNT:
-        return replace(base, ue_count=_integer_point(point, axis))
+        return replace(base, ue_count=as_integer(f"{axis} point", point))
     if axis == AXIS_CORESET_SIZE:
-        coreset = CoresetConfig.from_cce_count(_integer_point(point, axis),
+        coreset = CoresetConfig.from_cce_count(as_integer(f"{axis} point", point),
                                                base.coreset.coreset_index)
         return replace(base, coreset=coreset)
     if axis == AXIS_CANDIDATE_COUNT:
         if al not in AGGREGATION_LEVELS:
             raise ValueError(f"candidate_count sweeps need al in {AGGREGATION_LEVELS}, got {al}")
         counts = list(base.search_space.candidates_per_al)
-        counts[AGGREGATION_LEVELS.index(al)] = _integer_point(point, axis)
+        counts[AGGREGATION_LEVELS.index(al)] = as_integer(f"{axis} point", point)
         space = replace(base.search_space, candidates_per_al=tuple(counts))
         return replace(base, search_space=space)
     if axis == AXIS_CANDIDATE_COUNTS:
@@ -326,7 +316,8 @@ def apply_axis(base: ScenarioConfig, axis: str, point, al: int = None) -> Scenar
         space = replace(base.search_space, candidates_per_al=tuple(counts))
         return replace(base, search_space=space)
     if axis == AXIS_AL_FIXED:
-        return replace(base, al_distribution=AlDistribution.fixed(_integer_point(point, axis)))
+        level = as_integer(f"{axis} point", point)
+        return replace(base, al_distribution=AlDistribution.fixed(level))
     if axis == AXIS_AL_DISTRIBUTION:
         _, probs = _named_point(point, "probabilities")
         return replace(base, al_distribution=AlDistribution(tuple(probs)))

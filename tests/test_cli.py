@@ -116,6 +116,13 @@ def test_validate_limits_flags_excess(scenario_file, capsys):
     assert "EXCEEDED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [["--max-bd", "-5", "--max-cce", "-1"],
+                                   ["--max-bd", "0"], ["--max-cce", "-1"]])
+def test_validate_limits_rejects_non_positive_limits(flags, capsys):
+    assert main(["validate-limits", "fig4_ue_sweep", *flags]) == 1
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_plan_command(tmp_path, capsys):
     request = {"name": "tiny_plan", "ue_count": 2, "target_blocking": 0.3,
                "al_distribution": [1.0, 0, 0, 0, 0],

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pdcch_blocking import CoresetConfig, InvalidGeometryError
@@ -23,6 +24,32 @@ def test_cce_count(rb_count, symbols, expected):
 def test_invalid_geometry_rejected(rb_count, symbols):
     with pytest.raises(InvalidGeometryError):
         CoresetConfig(rb_count, symbols)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(rb_count=54.0, symbol_duration=1),
+    dict(rb_count="36", symbol_duration=1),
+    dict(rb_count=36, symbol_duration=True),
+    dict(rb_count=36, symbol_duration=2.0),
+    dict(rb_count=36, symbol_duration=1, coreset_index=1.5),
+    dict(rb_count=36, symbol_duration=1, coreset_index=False),
+])
+def test_non_integer_geometry_rejected(kwargs):
+    with pytest.raises(ValueError, match="integer"):
+        CoresetConfig(**kwargs)
+
+
+@pytest.mark.parametrize("cce_count", [9.0, 9.5, True])
+def test_from_cce_count_rejects_non_integers(cce_count):
+    with pytest.raises(ValueError, match="integer"):
+        CoresetConfig.from_cce_count(cce_count)
+
+
+def test_numpy_integer_geometry_stored_as_int():
+    cfg = CoresetConfig(np.int64(108), np.int32(3), coreset_index=np.int64(1))
+    assert cfg == CoresetConfig(108, 3, coreset_index=1)
+    assert all(type(v) is int for v in (cfg.rb_count, cfg.symbol_duration,
+                                        cfg.coreset_index, cfg.cce_count))
 
 
 def test_negative_coreset_index_rejected():

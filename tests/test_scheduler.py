@@ -1,33 +1,49 @@
 import numpy as np
 import pytest
 
-from pdcch_blocking import (Candidate, CoresetConfig, MonitoringLimits,
-                            SearchSpaceConfig, UeContext, allocate,
-                            blocking_ratio, ue_candidate_set, validate_limits)
-from pdcch_blocking.scheduler import (STRATEGY_HIGH_TO_LOW, STRATEGY_LOW_TO_HIGH,
-                                      STRATEGY_UNORDERED)
+from pdcch_blocking import (AGGREGATION_LEVELS, AlDistribution, CoresetConfig,
+                            MonitoringLimits, ScenarioConfig, SearchSpaceConfig,
+                            candidate_starts, validate_limits, y_value)
+from pdcch_blocking.scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW,
+                                      STRATEGY_LOW_TO_HIGH, _allocation_order,
+                                      _greedy_assign)
+from pdcch_blocking.search_space import Y_MODULUS
+from pdcch_blocking.simulation import _kernel
 
 
-def cand(level, k, start):
-    return Candidate(level, k, tuple(range(start, start + level)))
+def masks(level, starts):
+    """A UE's candidate masks, listed by first CCE as the simulator lists them."""
+    return tuple(sorted(((1 << level) - 1) << s for s in starts))
 
 
-def ue(rnti, level, starts):
-    return UeContext(rnti, level, tuple(cand(level, k, s) for k, s in enumerate(starts)))
+def schedule(ues, strategy=STRATEGY_LOW_TO_HIGH, rng=None):
+    """Order and greedy-assign UEs given as (AL, candidate starts)."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    order = _allocation_order([level for level, _ in ues], strategy, rng)
+    chosen, blocked, used = _greedy_assign(order, [masks(*u) for u in ues])
+    return chosen, sorted(blocked), used
+
+
+def kernel_tables(space, cce_count):
+    """The per-run tables of ``_kernel``: (K, P per AL, masks per AL and residue)."""
+    cfg = ScenarioConfig(1, CoresetConfig.from_cce_count(cce_count), space,
+                         AlDistribution.fixed(1))
+    return _kernel(cfg)[1:]
 
 
 def reference_greedy(ues, order):
     """Independent step-by-step simulation of the allocation rule, written
-    against plain CCE sets instead of bitmasks."""
+    against plain CCE sets instead of bitmasks. Returns ({UE: start}, blocked)."""
     taken = set()
     assigned = {}
     blocked = []
     for i in order:
-        options = sorted(ues[i].candidates, key=lambda c: (c.cces[0], c.candidate_index))
-        for c in options:
-            if not taken.intersection(c.cces):
-                assigned[i] = c
-                taken.update(c.cces)
+        level, starts = ues[i]
+        for start in sorted(starts):
+            cces = set(range(start, start + level))
+            if not taken & cces:
+                assigned[i] = start
+                taken |= cces
                 break
         else:
             blocked.append(i)
@@ -35,167 +51,165 @@ def reference_greedy(ues, order):
 
 
 def test_single_ue_never_blocked():
-    coreset = CoresetConfig.from_cce_count(54)
-    outcome = allocate([ue(1, 8, [0, 24])], coreset)
-    assert outcome.blocked_ues == ()
-    assert outcome.used_cces == frozenset(range(8))
+    for strategy in STRATEGIES:
+        chosen, blocked, used = schedule([(8, [0, 24])], strategy)
+        assert blocked == []
+        assert chosen == {0: 0}
+        assert used == (1 << 8) - 1
 
 
 def test_three_ue_blocking_example():
     # two AL-4 UEs sharing one candidate block, one AL-2 UE overlapping it:
     # whichever order runs, exactly one UE ends up blocked
-    coreset = CoresetConfig.from_cce_count(8)
-    ues = [ue(1, 4, [4]), ue(2, 4, [0]), ue(3, 2, [4])]
+    ues = [(4, [4]), (4, [0]), (2, [4])]
     for strategy in (STRATEGY_LOW_TO_HIGH, STRATEGY_HIGH_TO_LOW):
-        outcome = allocate(ues, coreset, strategy=strategy)
-        assert outcome.blocked_count == 1
-        assert set(outcome.blocked_ues) <= {0, 2}
-        assert blocking_ratio(outcome, 3) == pytest.approx(1 / 3)
+        for seed in range(10):
+            _, blocked, _ = schedule(ues, strategy, np.random.default_rng(seed))
+            assert len(blocked) == 1
+            assert set(blocked) <= {0, 2}
 
 
 def test_identical_candidates_block_all_but_one():
-    space = SearchSpaceConfig({16: 1})
-    coreset = CoresetConfig.from_cce_count(16)
+    # one AL-16 candidate in a 16-CCE CORESET: a single residue, a single mask
+    _, positions, tables = kernel_tables(SearchSpaceConfig({16: 1}), 16)
+    assert positions[4] == 1 and tables[4] == [((1 << 16) - 1,)]
     for total in (2, 5, 9):
-        ues = [UeContext(r, 16, tuple(ue_candidate_set(r, space, coreset, 16)))
-               for r in range(1, total + 1)]
-        outcome = allocate(ues, coreset, rng=np.random.default_rng(3))
-        assert outcome.blocked_count == total - 1
+        order = _allocation_order([4] * total, STRATEGY_LOW_TO_HIGH,
+                                  np.random.default_rng(3))
+        _, blocked, _ = _greedy_assign(order, [tables[4][0]] * total)
+        assert len(blocked) == total - 1
 
 
 def test_empty_input_yields_empty_outcome():
-    outcome = allocate([], CoresetConfig.from_cce_count(6))
-    assert outcome.assignments == {}
-    assert outcome.blocked_ues == ()
-    assert outcome.used_cces == frozenset()
+    for strategy in STRATEGIES:
+        order = _allocation_order([], strategy, np.random.default_rng(0))
+        assert order == []
+        assert _greedy_assign(order, []) == ({}, [], 0)
 
 
 def test_ue_without_candidates_is_blocked():
-    coreset = CoresetConfig.from_cce_count(8)
-    outcome = allocate([UeContext(1, 16, ()), ue(2, 2, [0])], coreset)
-    assert outcome.blocked_ues == (0,)
-    assert 1 in outcome.assignments
-
-
-def test_candidates_outside_coreset_rejected():
-    with pytest.raises(ValueError):
-        allocate([ue(1, 4, [8])], CoresetConfig.from_cce_count(6))
+    chosen, blocked, _ = schedule([(16, []), (2, [0])])
+    assert blocked == [0]
+    assert 1 in chosen
+    # the kernel gives an AL larger than the CORESET the single empty mask set
+    _, positions, tables = kernel_tables(SearchSpaceConfig((6, 6, 4, 2, 1)), 8)
+    assert positions[4] == 1 and tables[4] == ((),)
 
 
 def test_strategy_orders_differ_in_who_wins():
     # AL-1 UE and AL-4 UE compete for CCE 0; low-to-high serves the AL-1 UE
-    coreset = CoresetConfig.from_cce_count(4)
-    ues = [ue(1, 4, [0]), ue(2, 1, [0])]
-    low = allocate(ues, coreset, strategy=STRATEGY_LOW_TO_HIGH)
-    high = allocate(ues, coreset, strategy=STRATEGY_HIGH_TO_LOW)
-    assert low.blocked_ues == (0,)
-    assert high.blocked_ues == (1,)
+    ues = [(4, [0]), (1, [0])]
+    assert schedule(ues, STRATEGY_LOW_TO_HIGH)[1] == [0]
+    assert schedule(ues, STRATEGY_HIGH_TO_LOW)[1] == [1]
+
+
+SPACE = SearchSpaceConfig((6, 6, 4, 2, 1))
 
 
 def _random_ues(rng, cce_count, max_ues=10):
-    space = SearchSpaceConfig((6, 6, 4, 2, 1))
-    coreset = CoresetConfig.from_cce_count(cce_count)
+    """UEs as (AL, candidate starts) from the TS 38.213 hash of a random RNTI."""
     ues = []
     for _ in range(int(rng.integers(1, max_ues + 1))):
-        level = int(rng.choice([1, 2, 4, 8, 16]))
+        level = int(rng.choice(AGGREGATION_LEVELS))
         rnti = int(rng.integers(1, 65536))
         if cce_count < level:
-            ues.append(UeContext(rnti, level, ()))
+            ues.append((level, []))
         else:
-            ues.append(UeContext(rnti, level,
-                                 tuple(ue_candidate_set(rnti, space, coreset, level))))
-    return ues, coreset
+            m = SPACE.candidates_per_al[AGGREGATION_LEVELS.index(level)]
+            ues.append((level, candidate_starts(level, cce_count, m, y_value(rnti))))
+    return ues
 
 
 def test_outcome_invariants_on_random_inputs():
     rng = np.random.default_rng(17)
     for _ in range(200):
-        ues, coreset = _random_ues(rng, int(rng.integers(3, 12)) * 6)
-        outcome = allocate(ues, coreset, rng=rng)
+        ues = _random_ues(rng, int(rng.integers(3, 12)) * 6)
+        chosen, blocked, used = schedule(ues, str(rng.choice(STRATEGIES)), rng)
         # every UE assigned or blocked, never both
-        assert set(outcome.assignments) | set(outcome.blocked_ues) == set(range(len(ues)))
-        assert not set(outcome.assignments) & set(outcome.blocked_ues)
+        assert set(chosen) | set(blocked) == set(range(len(ues)))
+        assert not set(chosen) & set(blocked)
         # assigned candidates pairwise disjoint; atomicity of used CCEs
-        all_cces = [c for cand_ in outcome.assignments.values() for c in cand_.cces]
-        assert len(all_cces) == len(set(all_cces))
-        assert outcome.used_cces == frozenset(all_cces)
-        assert sum(ues[i].aggregation_level for i in outcome.assignments) == \
-            len(outcome.used_cces)
+        picked = [masks(*ues[i])[pos] for i, pos in chosen.items()]
+        union = 0
+        for mask in picked:
+            assert union & mask == 0
+            union |= mask
+        assert used == union
+        assert sum(ues[i][0] for i in chosen) == bin(used).count("1")
 
 
 def test_greedy_prefix_property():
+    # rerunning only the UEs that were served, in the same order, serves
+    # each of them with the same candidate
     rng = np.random.default_rng(23)
     for _ in range(50):
-        ues, coreset = _random_ues(rng, 24)
-        first = allocate(ues, coreset)  # rng=None: deterministic order
-        survivors = sorted(first.assignments, key=lambda i: (ues[i].aggregation_level, i))
-        rerun = allocate([ues[i] for i in survivors], coreset)
-        assert rerun.blocked_ues == ()
-        for new_idx, old_idx in enumerate(survivors):
-            assert rerun.assignments[new_idx] == first.assignments[old_idx]
+        ues = _random_ues(rng, 24)
+        candidate_masks = [masks(*u) for u in ues]
+        order = _allocation_order([level for level, _ in ues],
+                                  STRATEGY_LOW_TO_HIGH, rng)
+        first, _, _ = _greedy_assign(order, candidate_masks)
+        survivors = [i for i in order if i in first]
+        rerun, blocked, _ = _greedy_assign(survivors, candidate_masks)
+        assert blocked == []
+        assert rerun == first
 
 
 def test_strategies_equivalent_under_uniform_al():
     space = SearchSpaceConfig((0, 6, 0, 0, 0))
-    coreset = CoresetConfig.from_cce_count(24)
+    k, positions, tables = kernel_tables(space, 24)
     rng = np.random.default_rng(29)
     for _ in range(50):
-        ues = [UeContext(r, 2, tuple(ue_candidate_set(r, space, coreset, 2)))
-               for r in rng.integers(1, 65536, size=8)]
-        outcomes = [allocate(ues, coreset, strategy=s, rng=np.random.default_rng(5))
-                    for s in (STRATEGY_LOW_TO_HIGH, STRATEGY_HIGH_TO_LOW,
-                              STRATEGY_UNORDERED)]
-        assert outcomes[0].blocked_count == outcomes[1].blocked_count \
-            == outcomes[2].blocked_count
+        rntis = rng.integers(1, 65536, size=8)
+        residues = (rntis * k % Y_MODULUS % positions[1]).tolist()
+        candidate_masks = [tables[1][r] for r in residues]
+        blocked_counts = set()
+        for strategy in STRATEGIES:
+            order = _allocation_order([1] * 8, strategy, np.random.default_rng(5))
+            blocked_counts.add(len(_greedy_assign(order, candidate_masks)[1]))
+        assert len(blocked_counts) == 1
 
 
 def test_matches_reference_simulation_small_cases():
     # oracle equivalence: up to 4 UEs in a small CORESET against an
     # independently written set-based walk of the same rule
     rng = np.random.default_rng(31)
-    coreset = CoresetConfig.from_cce_count(8)
     for _ in range(300):
         ues = []
         for _ in range(int(rng.integers(1, 5))):
             level = int(rng.choice([1, 2, 4, 8]))
             n_starts = int(rng.integers(1, 4))
-            positions = [int(p) * level for p in rng.integers(0, 8 // level, size=n_starts)]
-            ues.append(ue(int(rng.integers(1, 65536)), level, positions))
-        outcome = allocate(ues, coreset)
-        order = sorted(range(len(ues)), key=lambda i: ues[i].aggregation_level)
+            ues.append((level, [int(p) * level for p in
+                                rng.integers(0, 8 // level, size=n_starts)]))
+        order = _allocation_order([level for level, _ in ues],
+                                  str(rng.choice(STRATEGIES)), rng)
+        chosen, blocked, _ = _greedy_assign(order, [masks(*u) for u in ues])
         ref_assigned, ref_blocked = reference_greedy(ues, order)
-        assert list(outcome.blocked_ues) == ref_blocked
-        assert outcome.assignments == ref_assigned
+        assert sorted(blocked) == ref_blocked
+        assert {i: sorted(ues[i][1])[pos] for i, pos in chosen.items()} == ref_assigned
 
 
 def test_leftmost_choice_picks_lowest_start():
-    coreset = CoresetConfig.from_cce_count(12)
-    # hash order lists start 8 first; leftmost choice must take start 0
-    leftmost = allocate([ue(1, 4, [8, 0])], coreset)
-    assert leftmost.assignments[0].first_cce == 0
+    # C=12, AL 4, M=2: at residue 2 the hash lists start 8 before start 0
+    space = SearchSpaceConfig({4: 2})
+    assert candidate_starts(4, 12, 2, 2) == [8, 0]
+    _, _, tables = kernel_tables(space, 12)
+    chosen, _, used = _greedy_assign([0], [tables[2][2]])
+    assert chosen == {0: 0} and used == 0b1111
+    # every table row lists its masks by first CCE
+    for cce_count in (1, 8, 12, 54, 97, 200):
+        for space_type in ("css", "uss"):
+            _, _, tables = kernel_tables(SearchSpaceConfig(
+                (6, 6, 4, 2, 1), space_type=space_type, slot_index=3), cce_count)
+            for rows in tables:
+                for row in rows:
+                    assert list(row) == sorted(row)
 
 
 def test_tie_break_uses_supplied_rng():
-    coreset = CoresetConfig.from_cce_count(2)
-    ues = [ue(1, 2, [0]), ue(2, 2, [0])]
-    winners = {allocate(ues, coreset, rng=np.random.default_rng(seed)).blocked_ues
+    ues = [(2, [0]), (2, [0])]
+    winners = {tuple(schedule(ues, STRATEGY_LOW_TO_HIGH, np.random.default_rng(seed))[1])
                for seed in range(20)}
     assert winners == {(0,), (1,)}  # both orders occur across seeds
-
-
-def test_blocking_ratio_bounds():
-    coreset = CoresetConfig.from_cce_count(6)
-    outcome = allocate([ue(1, 2, [0]), ue(2, 2, [0])], coreset)
-    assert blocking_ratio(outcome, 2) == 0.5
-    with pytest.raises(ValueError):
-        blocking_ratio(outcome, 0)
-
-
-def test_ue_context_validation():
-    with pytest.raises(ValueError):
-        UeContext(1, 4, (cand(2, 0, 0),))              # AL mismatch
-    with pytest.raises(ValueError):
-        UeContext(1, 2, (cand(2, 1, 0), cand(2, 0, 2)))  # out of index order
 
 
 # --- monitoring limits -------------------------------------------------------
@@ -209,6 +223,19 @@ def test_limits_defaults_follow_scs_table():
         MonitoringLimits.for_scs(240)
 
 
+@pytest.mark.parametrize("max_bd,max_cce", [
+    (-5, 56), (44, -1), (0, 56), (44, 0), (44.0, 56), (True, 56), (44, "56")])
+def test_limits_reject_non_positive_or_non_integer(max_bd, max_cce):
+    with pytest.raises(ValueError):
+        MonitoringLimits(max_bd, max_cce)
+
+
+def test_limits_store_numpy_integers_as_int():
+    limits = MonitoringLimits(np.int64(44), np.int32(56))
+    assert limits == MonitoringLimits(44, 56)
+    assert type(limits.max_blind_decodes) is int
+
+
 def test_validate_limits_reference_candidate_set():
     space = SearchSpaceConfig((6, 6, 4, 2, 1))
     coreset = CoresetConfig.from_cce_count(54)
@@ -217,6 +244,14 @@ def test_validate_limits_reference_candidate_set():
     assert not report.blind_decodes_exceeded
     assert 0 < report.distinct_cces <= 54
     assert report.within_limits
+
+
+def test_validate_limits_checks_rnti_for_css_and_uss():
+    coreset = CoresetConfig.from_cce_count(54)
+    for space_type in ("css", "uss"):
+        space = SearchSpaceConfig((6, 6, 4, 2, 1), space_type=space_type)
+        with pytest.raises(ValueError):
+            validate_limits(space, coreset, 0, MonitoringLimits.for_scs(15))
 
 
 def test_validate_limits_single_candidate_everywhere():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from pdcch_blocking import (AGGREGATION_LEVELS, Candidate, CoresetConfig,
-                            NoCandidateFitsError, SearchSpaceConfig,
-                            candidate_cces, candidate_starts, ue_candidate_set,
+from pdcch_blocking import (AGGREGATION_LEVELS, AlDistribution, CoresetConfig,
+                            NoCandidateFitsError, ScenarioConfig,
+                            SearchSpaceConfig, candidate_cces, candidate_starts,
                             y_value)
+from pdcch_blocking.simulation import _kernel
 
 
 # --- Y recursion -----------------------------------------------------------
@@ -28,8 +29,9 @@ def test_y_css_is_zero_for_everyone():
 
 @pytest.mark.parametrize("rnti", [0, -1, 65536])
 def test_y_rejects_bad_rnti(rnti):
-    with pytest.raises(ValueError):
-        y_value(rnti)
+    for space_type in ("uss", "css"):
+        with pytest.raises(ValueError):
+            y_value(rnti, space_type=space_type)
 
 
 def test_y_rejects_negative_slot():
@@ -104,50 +106,63 @@ def test_candidate_starts_matches_per_candidate_calls():
     assert starts == [candidate_cces(2, k, 54, 6, 39827)[0] for k in range(6)]
 
 
-# --- per-UE candidate sets -------------------------------------------------
+# --- per-UE candidate sets ------------------------------------------------
+# A UE's candidates at one AL are the ``candidate_starts`` of its Y; the
+# simulator reads them from ``_kernel``'s per-residue tables.
+
+def kernel_tables(space, coreset):
+    """The per-run tables of ``_kernel``: (K, P per AL, masks per AL and residue)."""
+    return _kernel(ScenarioConfig(1, coreset, space, AlDistribution.fixed(1)))[1:]
+
 
 def test_ue_candidate_set_counts_and_order():
     space = SearchSpaceConfig((6, 6, 4, 2, 1))
-    coreset = CoresetConfig.from_cce_count(54)
-    one = ue_candidate_set(4242, space, coreset, 16)
-    assert len(one) == 1 and len(one[0].cces) == 16
-    six = ue_candidate_set(4242, space, coreset, 1)
-    assert [c.candidate_index for c in six] == list(range(6))
-    assert all(len(c.cces) == 1 for c in six)
+    y = y_value(4242)
+    one = candidate_starts(16, 54, space.candidates_per_al[4], y)
+    assert len(one) == 1 and len(candidate_cces(16, 0, 54, 1, y)) == 16
+    six = candidate_starts(1, 54, space.candidates_per_al[0], y)
+    assert six == [candidate_cces(1, k, 54, 6, y)[0] for k in range(6)]
+    assert all(len(candidate_cces(1, k, 54, 6, y)) == 1 for k in range(6))
 
 
 def test_ue_candidate_set_hash_collapse():
     # floor(C/L) = 1 collapses every candidate index to the same block
-    space = SearchSpaceConfig({8: 2})
-    coreset = CoresetConfig.from_cce_count(8)
-    cands = ue_candidate_set(12345, space, coreset, 8)
-    assert [c.cces for c in cands] == [tuple(range(8)), tuple(range(8))]
+    assert candidate_starts(8, 8, 2, y_value(12345)) == [0, 0]
+    _, positions, tables = kernel_tables(SearchSpaceConfig({8: 2}),
+                                         CoresetConfig.from_cce_count(8))
+    assert positions[3] == 1 and tables[3] == [(0xFF, 0xFF)]
 
 
 def test_ue_candidate_set_css_is_ue_independent():
     space = SearchSpaceConfig((6, 6, 4, 2, 1), space_type="css")
-    coreset = CoresetConfig.from_cce_count(54)
-    sets = [tuple(c.cces for c in ue_candidate_set(rnti, space, coreset, 2))
+    sets = [candidate_starts(2, 54, 6, y_value(rnti, space_type="css"))
             for rnti in (1, 999, 65535)]
     assert sets[0] == sets[1] == sets[2]
+    # K = 0 sends every C-RNTI to residue 0
+    k, _, _ = kernel_tables(space, CoresetConfig.from_cce_count(54))
+    assert k == 0
 
 
 def test_ue_candidate_set_rejects_zero_count():
-    space = SearchSpaceConfig({1: 6})
-    coreset = CoresetConfig.from_cce_count(54)
     with pytest.raises(ValueError):
-        ue_candidate_set(1, space, coreset, 2)
+        candidate_cces(2, 0, 54, 0, 0)
+    # an AL with no configured candidates gets the single empty mask set
+    _, positions, tables = kernel_tables(SearchSpaceConfig({1: 6}),
+                                         CoresetConfig.from_cce_count(54))
+    assert positions[1] == 1 and tables[1] == ((),)
 
 
 def test_uss_determinism_across_calls():
     space = SearchSpaceConfig((6, 6, 4, 2, 1), slot_index=3)
     coreset = CoresetConfig(108, 3, coreset_index=1)
-    a = ue_candidate_set(31337, space, coreset, 4)
-    b = ue_candidate_set(31337, space, coreset, 4)
-    assert a == b
+    y = y_value(31337, coreset.coreset_index, space.slot_index)
+    assert candidate_starts(4, 54, 4, y) == candidate_starts(4, 54, 4, y)
+    first, again = kernel_tables(space, coreset), kernel_tables(space, coreset)
+    assert first[0] == again[0] and first[2] == again[2]
+    assert first[1].tolist() == again[1].tolist()
 
 
-# --- config and candidate validation ---------------------------------------
+# --- config validation -----------------------------------------------------
 
 def test_search_space_rejects_disallowed_count():
     with pytest.raises(ValueError):
@@ -172,6 +187,12 @@ def test_search_space_rejects_non_integer_counts(counts):
         SearchSpaceConfig(counts)
 
 
+@pytest.mark.parametrize("slot_index", [1.5, 1.0, True, "1"])
+def test_search_space_rejects_non_integer_slot(slot_index):
+    with pytest.raises(ValueError):
+        SearchSpaceConfig((6, 6, 4, 2, 1), slot_index=slot_index)
+
+
 def test_search_space_accepts_numpy_integers():
     space = SearchSpaceConfig(tuple(np.array([6, 6, 4, 2, 1])))
     assert space.candidates_per_al == (6, 6, 4, 2, 1)
@@ -181,14 +202,4 @@ def test_search_space_accepts_numpy_integers():
 def test_search_space_accepts_mapping_form():
     space = SearchSpaceConfig({1: 6, 2: 6, 4: 4, 8: 2, 16: 1})
     assert space.candidates_per_al == (6, 6, 4, 2, 1)
-    assert space.count_for(8) == 2
     assert space.total_blind_decodes == 19
-
-
-def test_candidate_validates_shape():
-    with pytest.raises(ValueError):
-        Candidate(4, 0, (1, 2, 3, 4))       # misaligned start
-    with pytest.raises(ValueError):
-        Candidate(4, 0, (0, 1, 2))          # wrong size
-    with pytest.raises(ValueError):
-        Candidate(4, 0, (0, 1, 2, 4))       # not contiguous
