@@ -29,6 +29,13 @@ BD_LIMITS = {15: 44, 30: 36, 60: 22, 120: 20}
 CCE_LIMITS = {15: 56, 30: 56, 60: 48, 120: 32}
 
 
+def _check_scs(scs_khz) -> int:
+    scs_khz = as_integer("scs_khz", scs_khz)
+    if scs_khz not in BD_LIMITS:
+        raise ValueError(f"scs_khz must be one of {sorted(BD_LIMITS)}, got {scs_khz}")
+    return scs_khz
+
+
 @dataclass(frozen=True)
 class MonitoringLimits:
     """UE capability: blind-decode and non-overlapping-CCE limits per slot."""
@@ -43,11 +50,11 @@ class MonitoringLimits:
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "scs_khz", _check_scs(self.scs_khz))
 
     @classmethod
     def for_scs(cls, scs_khz: int) -> "MonitoringLimits":
-        if scs_khz not in BD_LIMITS:
-            raise ValueError(f"scs_khz must be one of {sorted(BD_LIMITS)}, got {scs_khz}")
+        scs_khz = _check_scs(scs_khz)
         return cls(BD_LIMITS[scs_khz], CCE_LIMITS[scs_khz], scs_khz)
 
 
@@ -80,7 +87,7 @@ def _allocation_order(aggregation_levels, strategy, rng):
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     order = rng.permutation(len(aggregation_levels)).tolist()
     if strategy != STRATEGY_UNORDERED:
-        order.sort(key=lambda i: aggregation_levels[i],
+        order.sort(key=aggregation_levels.__getitem__,
                    reverse=strategy == STRATEGY_HIGH_TO_LOW)  # stable: keeps the shuffle
     return order
 

@@ -65,9 +65,11 @@ class SearchSpaceConfig:
         return sum(self.candidates_per_al)
 
 
-def _check_rnti(c_rnti: int):
+def _check_rnti(c_rnti: int) -> int:
+    c_rnti = as_integer("c_rnti", c_rnti)
     if not 1 <= c_rnti <= RNTI_MAX:
         raise ValueError(f"c_rnti must be in [1, {RNTI_MAX}], got {c_rnti}")
+    return c_rnti
 
 
 def y_value(c_rnti: int, coreset_index: int = 0, slot_index: int = 0,
@@ -78,7 +80,7 @@ def y_value(c_rnti: int, coreset_index: int = 0, slot_index: int = 0,
     iterating Y <- (A * Y) mod 65537 for slot_index + 1 steps starting from
     the UE's C-RNTI, with the multiplier A picked by coreset_index mod 3.
     """
-    _check_rnti(c_rnti)
+    c_rnti = _check_rnti(c_rnti)
     if space_type == SPACE_TYPE_COMMON:
         return 0
     if space_type != SPACE_TYPE_UE_SPECIFIC:
@@ -88,7 +90,7 @@ def y_value(c_rnti: int, coreset_index: int = 0, slot_index: int = 0,
     if slot_index < 0:
         raise ValueError(f"slot_index must be >= 0, got {slot_index}")
     a = A_MULTIPLIERS[coreset_index % 3]
-    y = int(c_rnti)
+    y = c_rnti
     for _ in range(slot_index + 1):
         y = (a * y) % Y_MODULUS
     return y

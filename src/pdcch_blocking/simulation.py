@@ -5,6 +5,14 @@ so results are bit-identical no matter how iterations are ordered or spread
 over workers. Within an iteration the stream is consumed in a fixed order:
 C-RNTIs, then aggregation levels, then the scheduler's tie-break permutation.
 
+The stream of iteration ``it`` is ``iteration_rng(master_seed, it)``, that is
+``default_rng([master_seed, it])``, but a worker range does not build one
+generator per iteration. ``_iteration_states`` runs NumPy's SeedSequence
+algorithm on uint32 arrays for a block of iterations at once and seeds PCG64
+from it as NumPy does; each iteration then sets its state on one Generator
+reused for the whole range. The draws are bit-identical to
+``iteration_rng``'s.
+
 The TS 38.213 hash is not evaluated per UE. Two identities let each run
 build small tables once and turn every UE's candidate set into one lookup:
 
@@ -46,6 +54,10 @@ SWEEP_AXES = (AXIS_UE_COUNT, AXIS_CORESET_SIZE, AXIS_CANDIDATE_COUNT,
               AXIS_STRATEGY)
 
 PROBABILITY_TOLERANCE = 1e-9
+
+# Iteration indices stay below 2**32, so each is one uint32 SeedSequence
+# entropy word and a block's entropy is one array shape.
+MAX_ITERATIONS = 2**32
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,10 @@ class ScenarioConfig:
             raise ValueError(f"ue_count must be >= 1, got {self.ue_count}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if self.iterations > MAX_ITERATIONS:
+            raise ValueError(
+                f"iterations must be <= 2**32, so that every iteration index is "
+                f"one 32-bit RNG seed word, got {self.iterations}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.master_seed < 0:
@@ -148,6 +164,73 @@ def iteration_rng(master_seed: int, iteration: int):
     return np.random.default_rng([master_seed, iteration])
 
 
+# NumPy's SeedSequence (a pool of four uint32 words) and PCG64 seeding
+# constants; numpy/random/bit_generator.pyx and pcg64.h.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+# generate_state hashes pool word i % 4 into output word i: XOR with
+# INIT_B * MULT_B**i, multiply by INIT_B * MULT_B**(i + 1), all mod 2**32
+_GENERATE_CONSTS = np.array([_INIT_B * pow(_MULT_B, i, 2**32) & _MASK32
+                             for i in range(2 * _POOL_SIZE + 1)], dtype=np.uint32)[:, None]
+STATE_BLOCK = 1024  # iterations per array pass: memory stays flat and small
+
+
+def _mix(x, y):
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> 16)
+
+
+def _generate_state(seed_words, start: int, stop: int) -> list:
+    """``SeedSequence([seed, it]).generate_state(4, np.uint64)`` for every it
+    in [start, stop), as four lists of words (seed_hi, seed_lo, inc_hi,
+    inc_lo); ``seed_words`` are the seed's uint32 words, low first."""
+    n = stop - start
+    entropy = [np.full(n, w, dtype=np.uint32) for w in seed_words]
+    entropy.append(np.arange(start, stop, dtype=np.uint32))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    out = (np.vstack(pool + pool) ^ _GENERATE_CONSTS[:-1]) * _GENERATE_CONSTS[1:]
+    out ^= out >> 16
+    # uint32 pairs, little-endian, as uint64 words
+    return (out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << 32).tolist()
+
+
+def _iteration_states(master_seed: int, start: int, stop: int):
+    """Yield the PCG64 (state, inc) of ``iteration_rng(master_seed, it)`` for
+    each it in [start, stop), derived STATE_BLOCK iterations at a time."""
+    # the seed's uint32 entropy words, low first, as SeedSequence coerces it
+    seed_words = [master_seed >> shift & _MASK32
+                  for shift in range(0, max(master_seed.bit_length(), 1), 32)]
+    for lo in range(start, stop, STATE_BLOCK):
+        words = _generate_state(seed_words, lo, min(lo + STATE_BLOCK, stop))
+        # pcg_setseq_128_srandom_r: inc = 2*initseq + 1, then two LCG steps
+        # with initstate added to the state between them
+        for s_hi, s_lo, i_hi, i_lo in zip(*words):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            yield ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
 def _kernel(cfg: ScenarioConfig) -> tuple:
     """Per-run tables for ``_simulate_iteration``: the cumulative AL
     distribution, the Y multiplier K, P = floor(C/L) per AL, and per AL the
@@ -177,17 +260,17 @@ def _kernel(cfg: ScenarioConfig) -> tuple:
                        for r in range(p)])
         positions.append(p)
     cumulative = np.cumsum(cfg.al_distribution.probabilities)
+    cumulative[-1] = np.inf  # a draw above a rounded-down total is the last AL
     return cumulative, k, np.array(positions, dtype=np.int64), tables
 
 
-def _simulate_iteration(cfg: ScenarioConfig, kernel, iteration: int) -> int:
-    """Run one scheduling opportunity; returns the number of blocked UEs."""
+def _simulate_iteration(cfg: ScenarioConfig, kernel, rng) -> int:
+    """Run one scheduling opportunity on the iteration's Generator ``rng``;
+    returns the number of blocked UEs."""
     cumulative, k, positions, tables = kernel
-    rng = iteration_rng(cfg.master_seed, iteration)
     u = cfg.ue_count
     rntis = rng.integers(1, RNTI_MAX + 1, size=u)
     al_idx = np.searchsorted(cumulative, rng.random(u), side="right")
-    al_idx = np.minimum(al_idx, len(AGGREGATION_LEVELS) - 1)
     residues = (rntis * k % Y_MODULUS % positions[al_idx]).tolist()
     als = al_idx.tolist()  # AL indices sort exactly as the ALs they index
     masks = [tables[a][r] for a, r in zip(als, residues)]
@@ -198,10 +281,16 @@ def _simulate_iteration(cfg: ScenarioConfig, kernel, iteration: int) -> int:
 
 def _run_range(cfg: ScenarioConfig, start: int, stop: int, keep: bool):
     kernel = _kernel(cfg)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     per_iter = [] if keep else None
     blocked_total = 0
-    for iteration in range(start, stop):
-        blocked = _simulate_iteration(cfg, kernel, iteration)
+    for pcg_state, inc in _iteration_states(cfg.master_seed, start, stop):
+        pcg["state"], pcg["inc"] = pcg_state, inc
+        bit_generator.state = state  # also clears the buffered 32-bit draw
+        blocked = _simulate_iteration(cfg, kernel, rng)
         blocked_total += blocked
         if keep:
             per_iter.append(blocked)

@@ -98,6 +98,12 @@ def test_workers_below_one_exits_one(scenario_file, command, capsys):
     assert "workers must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_too_many_iterations_exits_one(scenario_file, command, capsys):
+    assert main([command, str(scenario_file), "--iterations", str(2**32 + 1)]) == 1
+    assert "iterations must be <= 2**32" in capsys.readouterr().err
+
+
 def test_write_failure_exits_two(scenario_file, tmp_path):
     missing = tmp_path / "no" / "dir" / "out.csv"
     assert main(["simulate", str(scenario_file), "--out", str(missing)]) == 2

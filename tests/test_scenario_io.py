@@ -67,6 +67,13 @@ def test_invalid_distribution_is_validation_error(tmp_path):
         parse_scenario(write(tmp_path, bad))
 
 
+def test_too_many_iterations_is_validation_error(tmp_path):
+    with pytest.raises(ScenarioValidationError, match="iterations must be <= 2\\*\\*32"):
+        parse_scenario(write(tmp_path, dict(MINIMAL, iterations=2**32 + 1)))
+    with pytest.raises(ScenarioValidationError, match="iterations must be <= 2\\*\\*32"):
+        parse_plan_request(write(tmp_path, dict(PLAN, iterations=2**32 + 1), "plan.json"))
+
+
 def test_bad_json_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x",\n "ue_count": }')

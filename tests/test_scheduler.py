@@ -231,9 +231,19 @@ def test_limits_reject_non_positive_or_non_integer(max_bd, max_cce):
 
 
 def test_limits_store_numpy_integers_as_int():
-    limits = MonitoringLimits(np.int64(44), np.int32(56))
-    assert limits == MonitoringLimits(44, 56)
+    limits = MonitoringLimits(np.int64(44), np.int32(56), np.int16(30))
+    assert limits == MonitoringLimits(44, 56, 30)
     assert type(limits.max_blind_decodes) is int
+    assert type(limits.scs_khz) is int
+    assert MonitoringLimits.for_scs(np.int64(60)) == MonitoringLimits.for_scs(60)
+
+
+@pytest.mark.parametrize("scs", [7, 240, True, 15.0, "15", None])
+def test_limits_reject_spacing_outside_the_table(scs):
+    with pytest.raises(ValueError, match="scs_khz"):
+        MonitoringLimits(44, 56, scs_khz=scs)
+    with pytest.raises(ValueError, match="scs_khz"):
+        MonitoringLimits.for_scs(scs)
 
 
 def test_validate_limits_reference_candidate_set():
@@ -252,6 +262,15 @@ def test_validate_limits_checks_rnti_for_css_and_uss():
         space = SearchSpaceConfig((6, 6, 4, 2, 1), space_type=space_type)
         with pytest.raises(ValueError):
             validate_limits(space, coreset, 0, MonitoringLimits.for_scs(15))
+
+
+@pytest.mark.parametrize("rnti", [1.5, True])
+def test_validate_limits_rejects_non_integer_rnti(rnti):
+    coreset = CoresetConfig.from_cce_count(54)
+    for space_type in ("css", "uss"):
+        space = SearchSpaceConfig((6, 6, 4, 2, 1), space_type=space_type)
+        with pytest.raises(ValueError, match="c_rnti"):
+            validate_limits(space, coreset, rnti, MonitoringLimits.for_scs(15))
 
 
 def test_validate_limits_single_candidate_everywhere():

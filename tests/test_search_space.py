@@ -34,6 +34,18 @@ def test_y_rejects_bad_rnti(rnti):
             y_value(rnti, space_type=space_type)
 
 
+@pytest.mark.parametrize("rnti", [1.5, 1.0, True, "1"])
+def test_y_rejects_non_integer_rnti(rnti):
+    for space_type in ("uss", "css"):
+        with pytest.raises(ValueError, match="c_rnti"):
+            y_value(rnti, space_type=space_type)
+
+
+def test_y_accepts_numpy_integer_rnti():
+    assert y_value(np.int64(1)) == y_value(1) == 39827
+    assert type(y_value(np.uint16(12345), 1, 2)) is int
+
+
 def test_y_rejects_negative_slot():
     with pytest.raises(ValueError):
         y_value(1, slot_index=-1)

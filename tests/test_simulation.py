@@ -72,6 +72,12 @@ def test_scenario_config_validation():
         scenario(master_seed=-1)
 
 
+def test_iterations_limited_to_one_seed_word():
+    assert scenario(iterations=2**32).iterations == 2**32
+    with pytest.raises(ValueError, match="32-bit"):
+        scenario(iterations=2**32 + 1)
+
+
 @pytest.mark.parametrize("field,value", [("ue_count", 2.7), ("ue_count", True),
                                          ("ue_count", "3"), ("iterations", 3.0),
                                          ("iterations", True), ("master_seed", 1.9),
