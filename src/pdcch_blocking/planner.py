@@ -7,7 +7,9 @@ per-size estimates are directly comparable.
 """
 
 from dataclasses import dataclass
+from numbers import Real
 
+from .coreset import as_integer
 from .simulation import (AXIS_CORESET_SIZE, ScenarioConfig, apply_axis, run_scenario,
                          worker_pool)
 
@@ -28,6 +30,11 @@ class PlanningRequest:
     cce_max: int
 
     def __post_init__(self):
+        target = self.target_blocking
+        if isinstance(target, bool) or not isinstance(target, Real):
+            raise ValueError(f"target_blocking must be a number, got {target!r}")
+        for name in ("cce_min", "cce_max"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if not 0.0 < self.target_blocking < 1.0:
             raise ValueError(
                 f"target_blocking must be in (0, 1), got {self.target_blocking}")

@@ -2,9 +2,9 @@
 
 The processing order is the scheduling strategy: "low_to_high" and
 "high_to_low" sort UEs by aggregation level (ties between equal-AL UEs broken
-by a random permutation drawn from the caller's RNG stream); "unordered"
-processes UEs in that random permutation alone. Each UE gets one free
-candidate or is marked blocked; a blocked UE consumes no CCEs.
+by a random permutation the caller draws from the iteration's RNG stream);
+"unordered" processes UEs in that random permutation alone. Each UE gets one
+free candidate or is marked blocked; a blocked UE consumes no CCEs.
 
 Candidates are CCE bitmasks, and each UE gets its first free candidate in
 the order listed. The simulator lists them by first CCE, so the pick is the
@@ -14,6 +14,8 @@ blocking at light load.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .coreset import AGGREGATION_LEVELS, CoresetConfig, as_integer
 from .search_space import SearchSpaceConfig, candidate_cces, y_value
@@ -80,16 +82,20 @@ class LimitsReport:
         return not (self.blind_decodes_exceeded or self.cces_exceeded)
 
 
-def _allocation_order(aggregation_levels, strategy, rng):
-    """Processing order: sorted by AL per strategy, equal-AL ties shuffled;
-    "unordered" keeps the shuffle as-is."""
+def _allocation_order(al_keys, perm, strategy):
+    """Processing orders of a block of iterations, one row each: row b of
+    ``perm`` is iteration b's random permutation of its UEs and row b of
+    ``al_keys`` their ALs (or anything that sorts as the ALs). "unordered"
+    keeps the permutation; the other strategies sort it stably by AL, so
+    equal-AL UEs stay in permutation order."""
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    order = rng.permutation(len(aggregation_levels)).tolist()
-    if strategy != STRATEGY_UNORDERED:
-        order.sort(key=aggregation_levels.__getitem__,
-                   reverse=strategy == STRATEGY_HIGH_TO_LOW)  # stable: keeps the shuffle
-    return order
+    if strategy == STRATEGY_UNORDERED:
+        return perm
+    keys = np.take_along_axis(al_keys, perm, axis=1)
+    if strategy == STRATEGY_HIGH_TO_LOW:
+        keys = -keys
+    return np.take_along_axis(perm, np.argsort(keys, axis=1, kind="stable"), axis=1)
 
 
 def _greedy_assign(order, candidate_masks):

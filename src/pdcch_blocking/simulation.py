@@ -6,11 +6,14 @@ over workers. Within an iteration the stream is consumed in a fixed order:
 C-RNTIs, then aggregation levels, then the scheduler's tie-break permutation.
 
 The stream of iteration ``it`` is ``iteration_rng(master_seed, it)``, that is
-``default_rng([master_seed, it])``, but a worker range does not build one
-generator per iteration. ``_iteration_states`` runs NumPy's SeedSequence
-algorithm on uint32 arrays for a block of iterations at once and seeds PCG64
-from it as NumPy does; each iteration then sets its state on one Generator
-reused for the whole range. The draws are bit-identical to
+``default_rng([master_seed, it])``, but a worker range neither builds a
+generator per iteration nor calls one three times. It works a block of
+iterations at a time: ``_state_blocks`` derives their PCG64 states with
+NumPy's SeedSequence algorithm on uint32 arrays, ``_block_draws`` decodes
+their C-RNTIs, uniforms and permutations from raw PCG64 words by NumPy's own
+rules, and the AL indices, table residues and processing orders are array
+passes over the block. Each iteration keeps only its mask lookups and the
+greedy, in ``_simulate_iteration``. The draws are bit-identical to
 ``iteration_rng``'s.
 
 The TS 38.213 hash is not evaluated per UE. Two identities let each run
@@ -177,6 +180,7 @@ _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 _GENERATE_CONSTS = np.array([_INIT_B * pow(_MULT_B, i, 2**32) & _MASK32
                              for i in range(2 * _POOL_SIZE + 1)], dtype=np.uint32)[:, None]
 STATE_BLOCK = 1024  # iterations per array pass: memory stays flat and small
+BLOCK_UES = 2**16  # and UEs per block, so that a large U gets shorter blocks
 
 
 def _mix(x, y):
@@ -216,23 +220,75 @@ def _generate_state(seed_words, start: int, stop: int) -> list:
     return (out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << 32).tolist()
 
 
-def _iteration_states(master_seed: int, start: int, stop: int):
+def _state_blocks(master_seed: int, start: int, stop: int, block: int = STATE_BLOCK):
     """Yield the PCG64 (state, inc) of ``iteration_rng(master_seed, it)`` for
-    each it in [start, stop), derived STATE_BLOCK iterations at a time."""
+    each it in [start, stop), as one list per ``block`` iterations."""
     # the seed's uint32 entropy words, low first, as SeedSequence coerces it
     seed_words = [master_seed >> shift & _MASK32
                   for shift in range(0, max(master_seed.bit_length(), 1), 32)]
-    for lo in range(start, stop, STATE_BLOCK):
-        words = _generate_state(seed_words, lo, min(lo + STATE_BLOCK, stop))
+    for lo in range(start, stop, block):
+        words = _generate_state(seed_words, lo, min(lo + block, stop))
         # pcg_setseq_128_srandom_r: inc = 2*initseq + 1, then two LCG steps
         # with initstate added to the state between them
+        states = []
         for s_hi, s_lo, i_hi, i_lo in zip(*words):
             inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            yield ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+            states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+        yield states
+
+
+def _block_draws(rng, states, u: int):
+    """The v1 draws of a block of iterations, as (len(states), u) arrays:
+    for each (state, inc) in ``states``, what ``integers(1, RNTI_MAX + 1,
+    size=u)``, ``random(u)`` and ``permutation(u)`` of a Generator at that
+    state return, in that order.
+
+    Each iteration sets its state on ``rng`` and takes ceil(u/2) + u raw
+    PCG64 words; numpy's rules decode them for the whole block. A C-RNTI is
+    Lemire's bounded draw of one 32-bit half, low half first: x * 65535 >> 32,
+    rejecting only x == 0 (redrawn here with the Generator calls). A uniform
+    is word >> 11 scaled by 2**-53. The permutation shuffles arange(u) on
+    ``rng`` itself; for odd u its first draw is the high half left over from
+    the last C-RNTI word, masked and rejected as numpy's random_interval
+    does, and the shuffle of the remaining u - 1 places follows.
+    """
+    bit_generator = rng.bit_generator
+    pcg = {"state": 0, "inc": 0}
+    full_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    n, half, last = len(states), (u + 1) // 2, u - 1
+    raw = np.empty((n, half + u), dtype=np.uint64)
+    perm = np.empty((n, u), dtype=np.int64)
+    perm[:] = np.arange(u)
+    odd = u % 2 == 1
+    mask = (1 << last.bit_length()) - 1  # smallest 2**k - 1 >= u - 1
+    for row, (pcg["state"], pcg["inc"]) in enumerate(states):
+        bit_generator.state = full_state  # also clears the buffered 32-bit draw
+        words = raw[row] = bit_generator.random_raw(half + u)
+        if odd:
+            j = int(words[half - 1]) >> 32 & mask
+            while j > last:
+                j = int(rng.integers(0, 2**32, dtype=np.uint32)) & mask
+            perm[row, last], perm[row, j] = j, last  # the shuffle's first step
+            rng.shuffle(perm[row, :last])
+        else:
+            rng.shuffle(perm[row])
+    halves = np.empty((n, 2 * half), dtype=np.uint64)
+    halves[:, 0::2] = raw[:, :half] & _MASK32
+    halves[:, 1::2] = raw[:, :half] >> 32
+    x = halves[:, :u]
+    rntis = (x * RNTI_MAX >> 32).astype(np.int64) + 1
+    uniforms = (raw[:, half:] >> 11) * 2.0**-53
+    for row in np.flatnonzero((x == 0).any(axis=1)).tolist():
+        pcg["state"], pcg["inc"] = states[row]
+        bit_generator.state = full_state
+        rntis[row] = rng.integers(1, RNTI_MAX + 1, size=u)
+        uniforms[row] = rng.random(u)
+        perm[row] = rng.permutation(u)
+    return rntis, uniforms, perm
 
 
 def _kernel(cfg: ScenarioConfig) -> tuple:
-    """Per-run tables for ``_simulate_iteration``: the cumulative AL
+    """Per-run tables for ``_run_range``: the cumulative AL
     distribution, the Y multiplier K, P = floor(C/L) per AL, and per AL the
     sorted candidate masks of every residue Y mod P. An AL with no
     candidates, or larger than the CORESET, gets P = 1 and the single empty
@@ -264,36 +320,33 @@ def _kernel(cfg: ScenarioConfig) -> tuple:
     return cumulative, k, np.array(positions, dtype=np.int64), tables
 
 
-def _simulate_iteration(cfg: ScenarioConfig, kernel, rng) -> int:
-    """Run one scheduling opportunity on the iteration's Generator ``rng``;
-    returns the number of blocked UEs."""
-    cumulative, k, positions, tables = kernel
-    u = cfg.ue_count
-    rntis = rng.integers(1, RNTI_MAX + 1, size=u)
-    al_idx = np.searchsorted(cumulative, rng.random(u), side="right")
-    residues = (rntis * k % Y_MODULUS % positions[al_idx]).tolist()
-    als = al_idx.tolist()  # AL indices sort exactly as the ALs they index
-    masks = [tables[a][r] for a, r in zip(als, residues)]
-    order = _allocation_order(als, cfg.strategy, rng)
-    _, blocked, _ = _greedy_assign(order, masks)
+def _simulate_iteration(mask_sets, index, order) -> int:
+    """Run one scheduling opportunity: UE i's candidate masks are
+    ``mask_sets[index[i]]``, and the UEs are served in ``order``. Returns
+    the number of blocked UEs."""
+    _, blocked, _ = _greedy_assign(order, [mask_sets[i] for i in index])
     return len(blocked)
 
 
 def _run_range(cfg: ScenarioConfig, start: int, stop: int, keep: bool):
-    kernel = _kernel(cfg)
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    cumulative, k, positions, tables = _kernel(cfg)
+    # every AL's table in one list: (AL index a, residue r) is at offsets[a] + r
+    mask_sets = [masks for table in tables for masks in table]
+    offsets = np.cumsum(positions) - positions
+    rng = np.random.Generator(np.random.PCG64(0))
     per_iter = [] if keep else None
     blocked_total = 0
-    for pcg_state, inc in _iteration_states(cfg.master_seed, start, stop):
-        pcg["state"], pcg["inc"] = pcg_state, inc
-        bit_generator.state = state  # also clears the buffered 32-bit draw
-        blocked = _simulate_iteration(cfg, kernel, rng)
-        blocked_total += blocked
-        if keep:
-            per_iter.append(blocked)
+    block = max(1, min(STATE_BLOCK, BLOCK_UES // cfg.ue_count))
+    for states in _state_blocks(cfg.master_seed, start, stop, block):
+        rntis, uniforms, perm = _block_draws(rng, states, cfg.ue_count)
+        al_idx = np.searchsorted(cumulative, uniforms, side="right")
+        index = offsets[al_idx] + rntis * k % Y_MODULUS % positions[al_idx]
+        orders = _allocation_order(al_idx, perm, cfg.strategy)  # indices sort as ALs
+        for row, order in zip(index.tolist(), orders.tolist()):
+            blocked = _simulate_iteration(mask_sets, row, order)
+            blocked_total += blocked
+            if keep:
+                per_iter.append(blocked)
     return blocked_total, per_iter
 
 

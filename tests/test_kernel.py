@@ -14,8 +14,18 @@ from pdcch_blocking import (ALLOWED_CANDIDATE_COUNTS, AGGREGATION_LEVELS,
                             bundled_scenario_names, bundled_scenario_path,
                             candidate_starts, iteration_rng, parse_plan_request,
                             parse_scenario, run_scenario, run_sweep, y_value)
-from pdcch_blocking.scheduler import _allocation_order, _greedy_assign
+from pdcch_blocking.scheduler import (STRATEGY_HIGH_TO_LOW, STRATEGY_UNORDERED,
+                                      _greedy_assign)
 from pdcch_blocking.search_space import RNTI_MAX
+
+
+def reference_order(levels, strategy, perm):
+    """One iteration's processing order, sorted in Python: the permutation
+    ``perm``, stably sorted by AL unless "unordered"."""
+    order = list(perm)
+    if strategy != STRATEGY_UNORDERED:
+        order.sort(key=levels.__getitem__, reverse=strategy == STRATEGY_HIGH_TO_LOW)
+    return order
 
 
 def reference_blocked(cfg: ScenarioConfig, iteration: int) -> int:
@@ -41,7 +51,7 @@ def reference_blocked(cfg: ScenarioConfig, iteration: int) -> int:
         full = (1 << level) - 1
         masks.append(tuple(sorted(full << s for s in
                                   candidate_starts(level, cce_count, m, y))))
-    order = _allocation_order(als, cfg.strategy, rng)
+    order = reference_order(als, cfg.strategy, rng.permutation(u).tolist())
     _, blocked, _ = _greedy_assign(order, masks)
     return len(blocked)
 

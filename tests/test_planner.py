@@ -1,6 +1,7 @@
 import dataclasses
 import multiprocessing
 
+import numpy as np
 import pytest
 
 from pdcch_blocking import (AlDistribution, CoresetConfig, PlanningRequest,
@@ -33,6 +34,20 @@ def test_request_validation():
         request(cce_min=0)
     with pytest.raises(ValueError):
         request(cce_min=50, cce_max=40)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("cce_min", 6.5), ("cce_max", 200.0), ("cce_min", True), ("cce_max", "200"),
+    ("target_blocking", "0.2"), ("target_blocking", True)])
+def test_request_rejects_mistyped_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(request(cce_max=200), **{field: value})
+
+
+def test_request_stores_numpy_integer_bounds_as_int():
+    req = request(cce_min=np.int64(6), cce_max=np.int32(96))
+    assert (req.cce_min, req.cce_max) == (6, 96)
+    assert type(req.cce_min) is int and type(req.cce_max) is int
 
 
 def test_single_ue_returns_range_floor():

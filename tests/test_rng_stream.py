@@ -1,5 +1,6 @@
-"""The per-range stream derivation against ``iteration_rng``, the reference
-v1 stream ``default_rng([master_seed, iteration])``."""
+"""The per-range stream derivation and the block decoder of its draws
+against ``iteration_rng``, the reference v1 stream
+``default_rng([master_seed, iteration])``."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from test_kernel import reference_blocked
 from pdcch_blocking import (STRATEGIES, AlDistribution, CoresetConfig,
                             ScenarioConfig, SearchSpaceConfig, iteration_rng)
 from pdcch_blocking import simulation
-from pdcch_blocking.simulation import STATE_BLOCK, _iteration_states, _run_range
+from pdcch_blocking.simulation import (_PCG64_MULT, STATE_BLOCK, _block_draws,
+                                       _run_range, _state_blocks)
 
 LAST_ITERATION = 2**32 - 1
 
@@ -41,22 +43,43 @@ def reference_states(master_seed, start, stop):
 
 def derived_states(master_seed, start, stop):
     return [{"state": s, "inc": inc}
-            for s, inc in _iteration_states(master_seed, start, stop)]
+            for block in _state_blocks(master_seed, start, stop) for s, inc in block]
 
 
-def states_set_by_run_range(cfg, start, stop):
-    """The full bit-generator state each iteration of ``_run_range`` starts
-    from."""
-    seen = []
-    simulate = simulation._simulate_iteration
+def state_of(master_seed, iteration):
+    return next(_state_blocks(master_seed, iteration, iteration + 1))[0]
 
-    def record(cfg, kernel, rng):
-        seen.append(rng.bit_generator.state)
-        return simulate(cfg, kernel, rng)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulation, "_simulate_iteration", record)
-        _run_range(cfg, start, stop, False)
-    return seen
+
+def reference_draws(bit_generator, u):
+    """The v1 calls of one iteration on a Generator over ``bit_generator``."""
+    rng = np.random.Generator(bit_generator)
+    return (rng.integers(1, 65536, size=u).tolist(), rng.random(u).tolist(),
+            rng.permutation(u).tolist())
+
+
+def decoded(states, u):
+    """Each state's (C-RNTIs, uniforms, permutation) from the block decoder."""
+    rntis, uniforms, perm = _block_draws(np.random.Generator(np.random.PCG64(0)),
+                                         states, u)
+    return list(zip(rntis.tolist(), uniforms.tolist(), perm.tolist()))
+
+
+def pcg64(state, inc):
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+    return bit_generator
+
+
+def state_with_output(word, position, inc):
+    """A PCG64 state whose output word number ``position`` (0 = next) is
+    ``word``: after that many + 1 LCG steps the state is (hi 0, lo word),
+    whose XSL-RR output is the word itself; undo the steps from there."""
+    inverse = pow(_PCG64_MULT, -1, 2**128)
+    state = word
+    for _ in range(position + 1):
+        state = (state - inc) * inverse % 2**128
+    return state
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_STATES))
@@ -69,14 +92,50 @@ def test_v1_stream_states_are_pinned(key):
     assert derived_states(seed, it, it + 1) == [PINNED_STATES[key]], message
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(master_seed=st.integers(0, 2**200), start=st.integers(0, LAST_ITERATION),
-       length=st.integers(1, 12))
-def test_run_range_sets_each_iterations_reference_state(master_seed, start, length):
+       u=st.integers(1, 60),
+       length=st.one_of(st.integers(1, 12),
+                        st.sampled_from([STATE_BLOCK - 1, STATE_BLOCK, STATE_BLOCK + 1])))
+def test_block_draws_match_reference_stream(master_seed, start, u, length):
     stop = min(start + length, LAST_ITERATION + 1)
-    got = states_set_by_run_range(scenario(master_seed=master_seed), start, stop)
-    assert got == [iteration_rng(master_seed, it).bit_generator.state
-                   for it in range(start, stop)]
+    got = [draw for states in _state_blocks(master_seed, start, stop)
+           for draw in decoded(states, u)]
+    assert len(got) == stop - start
+    # every iteration of a short range; the ends of a long one, across the edge
+    checked = sorted({*range(min(2, len(got))), *range(max(0, len(got) - 3), len(got))})
+    for i in checked:
+        assert got[i] == reference_draws(iteration_rng(master_seed, start + i).bit_generator, u)
+
+
+@pytest.mark.parametrize("u", [1, 2, 3, 8, 9, 60])
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_zero_rnti_word_is_redrawn(u, position):
+    # numpy's bounded draw rejects a 32-bit half of 0; a zero output word
+    # rejects both of its halves, so every later draw of the iteration moves
+    word = 0 if position == "first" else (u + 1) // 2 - 1  # last C-RNTI word
+    _, inc = state_of(5, 17)
+    state = state_with_output(0, word, inc)
+    assert pcg64(state, inc).random_raw(word + 1)[word] == 0
+    normal = state_of(5, 18)
+    got = decoded([normal, (state, inc), normal], u)
+    assert got[1] == reference_draws(pcg64(state, inc), u)
+    assert got[0] == got[2] == reference_draws(pcg64(*normal), u)
+
+
+@pytest.mark.parametrize("u", [3, 5, 7, 9, 59])
+@pytest.mark.parametrize("high", [0xFFFFFFFF, 1], ids=["rejected", "taken"])
+def test_buffered_half_starts_the_shuffle(u, high):
+    # for odd u the shuffle's first draw is the high half of the last C-RNTI
+    # word, masked to the smallest 2**k - 1 >= u - 1: all ones is then above
+    # u - 1, so numpy rejects it and draws again from the Generator; 1 is taken
+    half = (u + 1) // 2
+    _, inc = state_of(9, 4)
+    state = state_with_output(high << 32 | 0x1234, half - 1, inc)
+    assert pcg64(state, inc).random_raw(half)[-1] >> 32 == high
+    normal = state_of(9, 5)
+    got = decoded([(state, inc), normal], u)
+    assert got == [reference_draws(pcg64(state, inc), u), reference_draws(pcg64(*normal), u)]
 
 
 @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 9])
@@ -104,3 +163,18 @@ def test_range_not_starting_at_zero_matches_reference(strategy):
     cfg = scenario(ue_count=14, strategy=strategy, master_seed=2024)
     _, per_iter = _run_range(cfg, 777, 817, True)
     assert per_iter == [reference_blocked(cfg, it) for it in range(777, 817)]
+
+
+def test_blocks_shrink_to_hold_at_most_block_ues(monkeypatch):
+    sizes = []
+    draws = simulation._block_draws
+
+    def recorded(rng, states, u):
+        sizes.append(len(states))
+        return draws(rng, states, u)
+    monkeypatch.setattr(simulation, "_block_draws", recorded)
+    monkeypatch.setattr(simulation, "BLOCK_UES", 4 * 14 + 3)
+    cfg = scenario(ue_count=14, strategy="high_to_low", master_seed=31)
+    _, per_iter = _run_range(cfg, 5, 19, True)
+    assert sizes == [4, 4, 4, 2]
+    assert per_iter == [reference_blocked(cfg, it) for it in range(5, 19)]

@@ -9,6 +9,7 @@ from pdcch_blocking.scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW,
                                       _greedy_assign)
 from pdcch_blocking.search_space import Y_MODULUS
 from pdcch_blocking.simulation import _kernel
+from test_kernel import reference_order
 
 
 def masks(level, starts):
@@ -16,10 +17,18 @@ def masks(level, starts):
     return tuple(sorted(((1 << level) - 1) << s for s in starts))
 
 
+def order_for(levels, strategy, rng):
+    """One iteration's processing order: ``rng.permutation`` of the UEs
+    through the block form of ``_allocation_order`` as a single row."""
+    perm = rng.permutation(len(levels))
+    return _allocation_order(np.array([levels], dtype=np.int64), perm[None],
+                             strategy)[0].tolist()
+
+
 def schedule(ues, strategy=STRATEGY_LOW_TO_HIGH, rng=None):
     """Order and greedy-assign UEs given as (AL, candidate starts)."""
     rng = np.random.default_rng(0) if rng is None else rng
-    order = _allocation_order([level for level, _ in ues], strategy, rng)
+    order = order_for([level for level, _ in ues], strategy, rng)
     chosen, blocked, used = _greedy_assign(order, [masks(*u) for u in ues])
     return chosen, sorted(blocked), used
 
@@ -74,15 +83,14 @@ def test_identical_candidates_block_all_but_one():
     _, positions, tables = kernel_tables(SearchSpaceConfig({16: 1}), 16)
     assert positions[4] == 1 and tables[4] == [((1 << 16) - 1,)]
     for total in (2, 5, 9):
-        order = _allocation_order([4] * total, STRATEGY_LOW_TO_HIGH,
-                                  np.random.default_rng(3))
+        order = order_for([4] * total, STRATEGY_LOW_TO_HIGH, np.random.default_rng(3))
         _, blocked, _ = _greedy_assign(order, [tables[4][0]] * total)
         assert len(blocked) == total - 1
 
 
 def test_empty_input_yields_empty_outcome():
     for strategy in STRATEGIES:
-        order = _allocation_order([], strategy, np.random.default_rng(0))
+        order = order_for([], strategy, np.random.default_rng(0))
         assert order == []
         assert _greedy_assign(order, []) == ({}, [], 0)
 
@@ -145,8 +153,7 @@ def test_greedy_prefix_property():
     for _ in range(50):
         ues = _random_ues(rng, 24)
         candidate_masks = [masks(*u) for u in ues]
-        order = _allocation_order([level for level, _ in ues],
-                                  STRATEGY_LOW_TO_HIGH, rng)
+        order = order_for([level for level, _ in ues], STRATEGY_LOW_TO_HIGH, rng)
         first, _, _ = _greedy_assign(order, candidate_masks)
         survivors = [i for i in order if i in first]
         rerun, blocked, _ = _greedy_assign(survivors, candidate_masks)
@@ -164,7 +171,7 @@ def test_strategies_equivalent_under_uniform_al():
         candidate_masks = [tables[1][r] for r in residues]
         blocked_counts = set()
         for strategy in STRATEGIES:
-            order = _allocation_order([1] * 8, strategy, np.random.default_rng(5))
+            order = order_for([1] * 8, strategy, np.random.default_rng(5))
             blocked_counts.add(len(_greedy_assign(order, candidate_masks)[1]))
         assert len(blocked_counts) == 1
 
@@ -180,8 +187,8 @@ def test_matches_reference_simulation_small_cases():
             n_starts = int(rng.integers(1, 4))
             ues.append((level, [int(p) * level for p in
                                 rng.integers(0, 8 // level, size=n_starts)]))
-        order = _allocation_order([level for level, _ in ues],
-                                  str(rng.choice(STRATEGIES)), rng)
+        order = order_for([level for level, _ in ues],
+                          str(rng.choice(STRATEGIES)), rng)
         chosen, blocked, _ = _greedy_assign(order, [masks(*u) for u in ues])
         ref_assigned, ref_blocked = reference_greedy(ues, order)
         assert sorted(blocked) == ref_blocked
@@ -203,6 +210,24 @@ def test_leftmost_choice_picks_lowest_start():
             for rows in tables:
                 for row in rows:
                     assert list(row) == sorted(row)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_block_order_matches_python_sort(strategy):
+    # the block form against a stable Python sort, row by row, with many ties
+    rng = np.random.default_rng(41)
+    for u in (1, 2, 7, 30):
+        al_idx = rng.integers(0, 5, size=(64, u))
+        perm = np.array([rng.permutation(u) for _ in range(64)])
+        got = _allocation_order(al_idx, perm, strategy).tolist()
+        assert got == [reference_order(levels, strategy, row)
+                       for levels, row in zip(al_idx.tolist(), perm.tolist())]
+
+
+def test_unknown_strategy_rejected():
+    with pytest.raises(ValueError, match="strategy"):
+        _allocation_order(np.zeros((1, 2), dtype=np.int64),
+                          np.arange(2)[None], "random")
 
 
 def test_tie_break_uses_supplied_rng():

@@ -9,6 +9,7 @@ from pdcch_blocking import (AlDistribution, CoresetConfig, PlanningRequest,
                             apply_axis, bundled_scenario_path, iteration_rng,
                             parse_scenario, plan_min_coreset, run_scenario,
                             run_sweep, simulation)
+from pdcch_blocking import cli, planner
 from pdcch_blocking.scheduler import STRATEGY_HIGH_TO_LOW, STRATEGY_UNORDERED
 
 MIXED = (0.4, 0.3, 0.2, 0.05, 0.05)
@@ -149,6 +150,40 @@ def test_iteration_rng_streams_are_stable():
     c = iteration_rng(99, 6).integers(0, 1 << 30, size=4)
     assert (a == b).all()
     assert (a != c).any()
+
+
+# The attributes perfbench/spans.py replaces by name (``owner.__dict__``) to
+# time each layer; a rename fails only a traced benchmark run.
+SPAN_TARGETS = [
+    (simulation, "iteration_rng"), (simulation, "_simulate_iteration"),
+    (simulation, "run_scenario"), (simulation, "y_value"),
+    (simulation, "candidate_starts"), (simulation, "_allocation_order"),
+    (simulation, "_greedy_assign"), (simulation, "ProcessPoolExecutor"),
+    (planner, "run_scenario"), (planner, "plan_min_coreset"),
+    (cli, "main"), (cli, "parse_scenario"), (cli, "parse_plan_request"),
+    (cli, "records_for_sweep"), (cli, "emit_results"),
+    (CoresetConfig, "from_cce_count"),
+]
+
+
+@pytest.mark.parametrize("owner,attr", SPAN_TARGETS,
+                         ids=[f"{owner.__name__}.{attr}" for owner, attr in SPAN_TARGETS])
+def test_benchmark_span_targets_exist(owner, attr):
+    assert attr in vars(owner)
+
+
+def test_one_simulate_iteration_call_per_iteration(monkeypatch):
+    # the benchmark's simulation.iteration.calls counts these calls
+    calls = []
+    simulate = simulation._simulate_iteration
+
+    def counted(*args):
+        calls.append(1)
+        return simulate(*args)
+    monkeypatch.setattr(simulation, "_simulate_iteration", counted)
+    cfg = scenario(iterations=simulation.STATE_BLOCK + 5)
+    result = run_scenario(cfg, keep_per_iteration=True)
+    assert len(calls) == len(result.per_iteration_blocked) == cfg.iterations
 
 
 def test_blocking_grows_with_ue_count():
