@@ -10,8 +10,7 @@ from dataclasses import dataclass
 from numbers import Real
 
 from .coreset import as_integer
-from .simulation import (AXIS_CORESET_SIZE, ScenarioConfig, apply_axis, run_scenario,
-                         worker_pool)
+from .simulation import ScenarioConfig, apply_axis, run_scenario, worker_pool
 
 CONFIRMATION_SCAN = 4  # CCE sizes re-checked below the bisection answer
 
@@ -66,52 +65,37 @@ class PlanningResult:
 
 def plan_min_coreset(req: PlanningRequest, workers: int = None) -> PlanningResult:
     """Find the smallest CORESET (in CCEs) with estimated blocking at or
-    below the target, searching [cce_min, cce_max]. With ``workers`` > 1
-    one process pool serves every evaluation."""
+    below the target, searching [cce_min, cce_max]: bisect, scan and descend
+    over CCE counts, simulating each size once. With ``workers`` > 1 one
+    process pool serves every evaluation."""
+    results = {}  # CCE count -> SimulationResult, in evaluation order
+    best = None
     with worker_pool(workers) as pool:
-        return _search(req, lambda cfg: run_scenario(cfg, workers=workers, pool=pool))
+        def meets(cces: int) -> bool:
+            if cces not in results:
+                cfg = apply_axis(req.base, "coreset_size", cces)
+                results[cces] = run_scenario(cfg, workers=workers, pool=pool)
+            return results[cces].blocking_probability <= req.target_blocking
 
-
-def _search(req: PlanningRequest, run) -> PlanningResult:
-    """Bisect, scan and descend over CCE counts, simulating each size once
-    with ``run(cfg)``."""
-    cache = {}
-    evaluated = []
-
-    def meets(cces: int) -> bool:
-        if cces not in cache:
-            cfg = apply_axis(req.base, AXIS_CORESET_SIZE, cces)
-            cache[cces] = run(cfg)
-            evaluated.append(cces)
-        return cache[cces].blocking_probability <= req.target_blocking
-
-    def evaluations():
-        return tuple((c, cache[c].blocking_probability, cache[c].stderr)
-                     for c in evaluated)
-
-    if not meets(req.cce_max):
-        return PlanningResult(min_cces=None, achieved_blocking=None,
-                              evaluations=evaluations())
-
-    lo, hi = req.cce_min, req.cce_max
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if meets(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    best = lo
-
-    # Hash-structure steps can make blocking dip below the target before the
-    # bisection answer; re-check the few sizes just underneath.
-    for cces in range(best - 1, max(req.cce_min, best - CONFIRMATION_SCAN) - 1, -1):
-        if meets(cces):
-            best = cces
-    # Keep descending while the size below still meets, so min_cces - 1 is
-    # always a confirmed miss (or the range floor).
-    while best > req.cce_min and meets(best - 1):
-        best -= 1
-
-    return PlanningResult(min_cces=best,
-                          achieved_blocking=cache[best].blocking_probability,
-                          evaluations=evaluations())
+        if meets(req.cce_max):
+            lo, hi = req.cce_min, req.cce_max
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if meets(mid):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            best = lo
+            # Hash-structure steps can make blocking dip below the target
+            # before the bisection answer; re-check the sizes just underneath.
+            for cces in range(best - 1, max(req.cce_min, best - CONFIRMATION_SCAN) - 1, -1):
+                if meets(cces):
+                    best = cces
+            # Keep descending while the size below still meets, so min_cces - 1
+            # is always a confirmed miss (or the range floor).
+            while best > req.cce_min and meets(best - 1):
+                best -= 1
+    return PlanningResult(
+        min_cces=best,
+        achieved_blocking=None if best is None else results[best].blocking_probability,
+        evaluations=tuple((c, r.blocking_probability, r.stderr) for c, r in results.items()))

@@ -11,22 +11,16 @@ losslessly.
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 from .coreset import CoresetConfig
 from .planner import PlanningRequest
 from .search_space import SearchSpaceConfig
-from .simulation import (AXIS_AL_DISTRIBUTION, AXIS_AL_FIXED,
-                         AXIS_CANDIDATE_COUNT, AXIS_CANDIDATE_COUNTS,
-                         AXIS_CORESET_SIZE, AXIS_STRATEGY, AXIS_UE_COUNT,
-                         SWEEP_AXES, AlDistribution, ScenarioConfig)
+from .simulation import SWEEP_AXES, AlDistribution, ScenarioConfig
 
 OUTPUT_DIR_ENV = "PDCCH_SIM_OUTDIR"
-
-CSV_COLUMNS = ("scenario", "point", "blocking_probability", "stderr",
-               "blocked_total", "scheduled_total", "seed", "iterations")
 
 FORMAT_CSV = "csv"
 FORMAT_JSON = "json"
@@ -47,12 +41,6 @@ _SWEEP_KEYS = {"axis", "points", "al"}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 _OPTIONAL_SCENARIO = {"strategy": str, "iterations": int, "master_seed": int}
 _OPTIONAL_SEARCH_SPACE = {"space_type": str, "slot_index": int}
-# Sweep points: a scalar of one JSON type, or for list-valued axes a list
-# (key, element type) that may come as {"name": ..., key: [...]}.
-_SCALAR_POINTS = {AXIS_UE_COUNT: int, AXIS_CORESET_SIZE: int,
-                  AXIS_CANDIDATE_COUNT: int, AXIS_AL_FIXED: int, AXIS_STRATEGY: str}
-_LIST_POINTS = {AXIS_CANDIDATE_COUNTS: ("counts", int),
-                AXIS_AL_DISTRIBUTION: ("probabilities", float)}
 
 
 class ScenarioParseError(ValueError):
@@ -83,7 +71,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One serializable result row."""
+    """One serializable result row; its fields are the CSV columns, in order."""
 
     scenario: str
     point: str
@@ -93,6 +81,9 @@ class ResultRecord:
     scheduled_total: int
     seed: int
     iterations: int
+
+
+CSV_COLUMNS = tuple(field.name for field in fields(ResultRecord))
 
 
 def _require_keys(mapping, allowed, required, context):
@@ -130,9 +121,9 @@ def _typed_keys(data, kinds, context) -> dict:
 
 def _sweep_point(axis, point, where):
     """``point`` type-checked for ``axis``; a list comes back as a tuple."""
-    if axis in _SCALAR_POINTS:
-        return _typed(point, _SCALAR_POINTS[axis], where)
-    key, kind = _LIST_POINTS[axis]
+    kind, key, _ = SWEEP_AXES[axis]
+    if key is None:
+        return _typed(point, kind, where)
     if isinstance(point, dict):
         _require_keys(point, {"name", key}, {key}, where)
         _typed_keys(point, {"name": str}, f"{where}.")
@@ -187,7 +178,7 @@ def scenario_from_dict(data) -> Scenario:
         axis = _typed(data["sweep"]["axis"], str, "sweep.axis")
         if axis not in SWEEP_AXES:
             raise ScenarioValidationError(
-                f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+                f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
         points = data["sweep"]["points"]
         if not isinstance(points, list) or not points:
             raise ScenarioValidationError("sweep points must be a non-empty list")
@@ -324,10 +315,7 @@ def emit_results(records, fmt: str, path) -> Path:
         with open(path, "w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
             writer.writeheader()
-            for row in rows:
-                row["blocking_probability"] = repr(row["blocking_probability"])
-                row["stderr"] = repr(row["stderr"])
-                writer.writerow(row)
+            writer.writerows(rows)  # str(float) is its shortest round-trip form
     else:
         with open(path, "w") as handle:
             json.dump(rows, handle, indent=2)
@@ -345,11 +333,6 @@ def load_results(path, fmt: str = None) -> list:
     else:
         with open(path, newline="") as handle:
             rows = list(csv.DictReader(handle))
-    return [ResultRecord(scenario=row["scenario"], point=row["point"],
-                         blocking_probability=float(row["blocking_probability"]),
-                         stderr=float(row["stderr"]),
-                         blocked_total=int(row["blocked_total"]),
-                         scheduled_total=int(row["scheduled_total"]),
-                         seed=int(row["seed"]),
-                         iterations=int(row["iterations"]))
+    return [ResultRecord(**{field.name: field.type(row[field.name])
+                            for field in fields(ResultRecord)})
             for row in rows]

@@ -72,28 +72,33 @@ def _check_rnti(c_rnti: int) -> int:
     return c_rnti
 
 
-def y_value(c_rnti: int, coreset_index: int = 0, slot_index: int = 0,
-            space_type: str = SPACE_TYPE_UE_SPECIFIC) -> int:
-    """Per-UE, per-slot hash seed Y.
-
-    A CSS uses Y = 0 for every UE. For a USS the value is obtained by
-    iterating Y <- (A * Y) mod 65537 for slot_index + 1 steps starting from
-    the UE's C-RNTI, with the multiplier A picked by coreset_index mod 3.
-    """
-    c_rnti = _check_rnti(c_rnti)
+def y_multiplier(coreset_index: int, slot_index: int, space_type: str) -> int:
+    """K with Y = c_rnti * K mod 65537 for every UE: A**(slot_index + 1)
+    mod 65537 for a USS, with A picked by coreset_index mod 3, and 0 for a
+    CSS."""
     if space_type == SPACE_TYPE_COMMON:
         return 0
     if space_type != SPACE_TYPE_UE_SPECIFIC:
         raise ValueError(f"space_type must be one of {SPACE_TYPES}, got {space_type!r}")
+    coreset_index = as_integer("coreset_index", coreset_index)
+    slot_index = as_integer("slot_index", slot_index)
     if coreset_index < 0:
         raise ValueError(f"coreset_index must be >= 0, got {coreset_index}")
     if slot_index < 0:
         raise ValueError(f"slot_index must be >= 0, got {slot_index}")
-    a = A_MULTIPLIERS[coreset_index % 3]
-    y = c_rnti
-    for _ in range(slot_index + 1):
-        y = (a * y) % Y_MODULUS
-    return y
+    return pow(A_MULTIPLIERS[coreset_index % 3], slot_index + 1, Y_MODULUS)
+
+
+def y_value(c_rnti: int, coreset_index: int = 0, slot_index: int = 0,
+            space_type: str = SPACE_TYPE_UE_SPECIFIC) -> int:
+    """Per-UE, per-slot hash seed Y.
+
+    A CSS uses Y = 0 for every UE. For a USS, TS 38.213 iterates
+    Y <- (A * Y) mod 65537 for slot_index + 1 steps from the UE's C-RNTI;
+    this is the closed form c_rnti * ``y_multiplier`` mod 65537.
+    """
+    c_rnti = _check_rnti(c_rnti)
+    return c_rnti * y_multiplier(coreset_index, slot_index, space_type) % Y_MODULUS
 
 
 def candidate_start(aggregation_level: int, candidate_index: int, cce_count: int,

@@ -19,10 +19,9 @@ greedy, in ``_simulate_iteration``. The draws are bit-identical to
 The TS 38.213 hash is not evaluated per UE. Two identities let each run
 build small tables once and turn every UE's candidate set into one lookup:
 
-- Y has a closed form. ``y_value`` applies Y <- A*Y mod 65537 slot_index + 1
-  times, so Y = rnti * K mod 65537 with K = A**(slot_index + 1) mod 65537,
-  and K = 0 for a CSS. The product stays below 2**32, so an iteration's Ys
-  are one int64 array expression.
+- Y has a closed form: Y = rnti * K mod 65537, with K from ``y_multiplier``
+  (A**(slot_index + 1) mod 65537, or 0 for a CSS). The product stays below
+  2**32, so an iteration's Ys are one int64 array expression.
 - A candidate start depends on Y only through r = Y mod P, P = floor(C/L):
   start_k = L * ((r + floor(k*C / (L*M))) mod P). The starts at residue r
   are those at residue 0 moved r aligned blocks on, wrapping at P, so each
@@ -41,20 +40,9 @@ import numpy as np
 from .coreset import AGGREGATION_LEVELS, CoresetConfig, as_integer
 from .scheduler import (STRATEGIES, STRATEGY_LOW_TO_HIGH, _allocation_order,
                         _greedy_assign)
-from .search_space import (A_MULTIPLIERS, RNTI_MAX, SPACE_TYPE_COMMON,
-                           Y_MODULUS, SearchSpaceConfig, candidate_starts)
+from .search_space import (RNTI_MAX, Y_MODULUS, SearchSpaceConfig,
+                           candidate_starts, y_multiplier)
 from .search_space import y_value  # noqa: F401  wrapped by perfbench/spans.py
-
-AXIS_UE_COUNT = "ue_count"
-AXIS_CORESET_SIZE = "coreset_size"
-AXIS_CANDIDATE_COUNT = "candidate_count"
-AXIS_CANDIDATE_COUNTS = "candidate_counts"
-AXIS_AL_FIXED = "al_fixed"
-AXIS_AL_DISTRIBUTION = "al_distribution"
-AXIS_STRATEGY = "strategy"
-SWEEP_AXES = (AXIS_UE_COUNT, AXIS_CORESET_SIZE, AXIS_CANDIDATE_COUNT,
-              AXIS_CANDIDATE_COUNTS, AXIS_AL_FIXED, AXIS_AL_DISTRIBUTION,
-              AXIS_STRATEGY)
 
 PROBABILITY_TOLERANCE = 1e-9
 
@@ -86,8 +74,8 @@ class AlDistribution:
             raise ValueError(f"probabilities must be numbers, got {probs}")
         probs = tuple(float(p) for p in probs)
         object.__setattr__(self, "probabilities", probs)
-        if any(p < 0 for p in probs):
-            raise ValueError(f"probabilities must be >= 0, got {probs}")
+        if not all(math.isfinite(p) and p >= 0 for p in probs):
+            raise ValueError(f"probabilities must be finite and >= 0, got {probs}")
         total = sum(probs)
         if abs(total - 1.0) > PROBABILITY_TOLERANCE:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
@@ -295,11 +283,7 @@ def _kernel(cfg: ScenarioConfig) -> tuple:
     mask set, so its UEs are always blocked."""
     space = cfg.search_space
     cce_count = cfg.coreset.cce_count
-    if space.space_type == SPACE_TYPE_COMMON:
-        k = 0
-    else:
-        a = A_MULTIPLIERS[cfg.coreset.coreset_index % 3]
-        k = pow(a, space.slot_index + 1, Y_MODULUS)
+    k = y_multiplier(cfg.coreset.coreset_index, space.slot_index, space.space_type)
     positions = []
     tables = []
     for level, m in zip(AGGREGATION_LEVELS, space.candidates_per_al):
@@ -387,9 +371,11 @@ def run_scenario(cfg: ScenarioConfig, workers: int = None,
     ``plan_min_coreset`` hold one pool for all their runs, so one pool
     serves a whole command. Because every iteration seeds its own stream
     from (master_seed, iteration), the result is bit-identical to a serial
-    run. None or 1 runs serially.
+    run. None or 1 runs serially, and then a ``pool`` is an error.
     """
     workers = _worker_count(workers)
+    if pool is not None and workers is None:
+        raise ValueError("a pool needs workers > 1")
     if workers is None:
         blocked_total, per_iter = _run_range(cfg, 0, cfg.iterations, keep_per_iteration)
     else:
@@ -418,54 +404,66 @@ class SweepPoint:
     error: str = None
 
 
-def _named_point(point, builder):
-    """Points on list-valued axes may be {"name": ..., <key>: [...]}."""
+def _named_point(point, key):
+    """The list of a point on a list axis, which may come named as
+    {"name": ..., key: [...]}."""
     if isinstance(point, dict):
-        extra = set(point) - {"name", builder}
-        if extra or builder not in point:
-            raise ValueError(f"point must have keys ('name', {builder!r}), got {sorted(point)}")
-        return point.get("name"), point[builder]
-    return None, point
+        if set(point) - {"name", key} or key not in point:
+            raise ValueError(f"point must have keys ('name', {key!r}), got {sorted(point)}")
+        point = point[key]
+    if not isinstance(point, (list, tuple)):
+        raise ValueError(f"point must be a list, got {point!r}")
+    return point
 
 
-def _point_label(point) -> str:
+def _with_candidates(base: ScenarioConfig, counts, al=None) -> ScenarioConfig:
+    return replace(base, search_space=replace(base.search_space,
+                                              candidates_per_al=tuple(counts)))
+
+
+def _with_candidate_count(base: ScenarioConfig, count: int, al) -> ScenarioConfig:
+    if al is None or as_integer("al", al) not in AGGREGATION_LEVELS:
+        raise ValueError(f"a candidate count sweep needs al in {AGGREGATION_LEVELS}, got {al}")
+    counts = list(base.search_space.candidates_per_al)
+    counts[AGGREGATION_LEVELS.index(al)] = count
+    return _with_candidates(base, counts)
+
+
+# Each sweep axis as (kind, key, apply). A point is a ``kind``, or when key
+# is set a list of them that may come named as {"name": ..., key: [...]};
+# ``apply(base, value, al)`` returns ``base`` with that value set.
+SWEEP_AXES = {
+    "ue_count": (int, None, lambda base, n, al: replace(base, ue_count=n)),
+    "coreset_size": (int, None, lambda base, n, al: replace(
+        base, coreset=CoresetConfig.from_cce_count(n, base.coreset.coreset_index))),
+    "candidate_count": (int, None, _with_candidate_count),
+    "candidate_counts": (int, "counts", _with_candidates),
+    "al_distribution": (float, "probabilities", lambda base, probs, al: replace(
+        base, al_distribution=AlDistribution(tuple(probs)))),
+    "strategy": (str, None, lambda base, strategy, al: replace(base, strategy=strategy)),
+}
+
+
+def _point_label(axis: str, point) -> str:
     if isinstance(point, dict):
         if point.get("name"):
             return str(point["name"])
-        point = point.get("counts") or point.get("probabilities") or point
+        point = point.get(SWEEP_AXES[axis][1], point)
     if isinstance(point, (list, tuple)):
         return "/".join(f"{v:g}" if isinstance(v, float) else str(v) for v in point)
     return str(point)
 
 
 def apply_axis(base: ScenarioConfig, axis: str, point, al: int = None) -> ScenarioConfig:
-    """Return ``base`` with one parameter replaced according to the sweep axis."""
-    if axis == AXIS_UE_COUNT:
-        return replace(base, ue_count=as_integer(f"{axis} point", point))
-    if axis == AXIS_CORESET_SIZE:
-        coreset = CoresetConfig.from_cce_count(as_integer(f"{axis} point", point),
-                                               base.coreset.coreset_index)
-        return replace(base, coreset=coreset)
-    if axis == AXIS_CANDIDATE_COUNT:
-        if al not in AGGREGATION_LEVELS:
-            raise ValueError(f"candidate_count sweeps need al in {AGGREGATION_LEVELS}, got {al}")
-        counts = list(base.search_space.candidates_per_al)
-        counts[AGGREGATION_LEVELS.index(al)] = as_integer(f"{axis} point", point)
-        space = replace(base.search_space, candidates_per_al=tuple(counts))
-        return replace(base, search_space=space)
-    if axis == AXIS_CANDIDATE_COUNTS:
-        _, counts = _named_point(point, "counts")
-        space = replace(base.search_space, candidates_per_al=tuple(counts))
-        return replace(base, search_space=space)
-    if axis == AXIS_AL_FIXED:
-        level = as_integer(f"{axis} point", point)
-        return replace(base, al_distribution=AlDistribution.fixed(level))
-    if axis == AXIS_AL_DISTRIBUTION:
-        _, probs = _named_point(point, "probabilities")
-        return replace(base, al_distribution=AlDistribution(tuple(probs)))
-    if axis == AXIS_STRATEGY:
-        return replace(base, strategy=point)
-    raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    """Return ``base`` with the parameter of sweep axis ``axis`` set to ``point``."""
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
+    kind, key, apply = SWEEP_AXES[axis]
+    if key is not None:
+        point = _named_point(point, key)
+    elif kind is int:
+        point = as_integer(f"{axis} point", point)
+    return apply(base, point, al)
 
 
 def run_sweep(base: ScenarioConfig, axis: str, points, al: int = None,
@@ -475,13 +473,13 @@ def run_sweep(base: ScenarioConfig, axis: str, points, al: int = None,
     is reported in its SweepPoint; the sweep continues. With ``workers`` > 1
     one process pool serves every point."""
     if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+        raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     if not points:
         raise ValueError("sweep needs at least one point")
     out = []
     with worker_pool(workers) as pool:
         for point in points:
-            label = _point_label(point)
+            label = _point_label(axis, point)
             try:
                 cfg = apply_axis(base, axis, point, al=al)
             except ValueError as exc:

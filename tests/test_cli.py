@@ -83,6 +83,13 @@ def test_invalid_scenario_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_nan_probability_exits_one(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(dict(SCENARIO, al_distribution=[float("nan"), 0.5, 0, 0, 0.5])))
+    assert main(["simulate", str(path)]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("point", [2.7, True, "3"])
 def test_mistyped_sweep_point_exits_one(tmp_path, point, capsys):
     path = tmp_path / "bad.json"

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from pdcch_blocking import (ResultRecord, ScenarioParseError,
-                            ScenarioValidationError, bundled_scenario_names,
-                            bundled_scenario_path, emit_results, load_results,
-                            parse_plan_request, parse_scenario,
-                            scenario_from_dict, scenario_to_dict)
+from pdcch_blocking import (SWEEP_AXES, ResultRecord, ScenarioParseError,
+                            ScenarioValidationError, apply_axis,
+                            bundled_scenario_names, bundled_scenario_path,
+                            emit_results, load_results, parse_plan_request,
+                            parse_scenario, scenario_from_dict,
+                            scenario_to_dict)
 
 MINIMAL = {
     "name": "minimal",
@@ -111,6 +112,13 @@ def test_wrong_json_types_are_rejected(tmp_path, scenario_changes, plan_changes)
         parse_plan_request(write(tmp_path, dict(PLAN, **plan_changes), "plan.json"))
 
 
+def test_nan_probability_is_a_validation_error(tmp_path):
+    # JSON NaN is a number to the parser; the distribution must refuse it
+    bad = dict(MINIMAL, al_distribution=[float("nan"), 0.5, 0, 0, 0.5])
+    with pytest.raises(ScenarioValidationError, match="finite"):
+        parse_scenario(write(tmp_path, bad))
+
+
 def test_coreset_forms_are_exclusive(tmp_path):
     bad = dict(MINIMAL, coreset={"cce_count": 12, "rb_count": 72})
     with pytest.raises(ScenarioParseError, match="either"):
@@ -122,9 +130,27 @@ def test_sweep_section_parses(tmp_path):
     scn = parse_scenario(write(tmp_path, data))
     assert scn.sweep.axis == "ue_count"
     assert scn.sweep.points == (5, 10)
-    bad = dict(MINIMAL, sweep={"axis": "bandwidth", "points": [1]})
-    with pytest.raises(ScenarioValidationError, match="axis"):
-        parse_scenario(write(tmp_path, bad))
+    for axis in ("bandwidth", "al_fixed"):
+        bad = dict(MINIMAL, sweep={"axis": axis, "points": [1]})
+        with pytest.raises(ScenarioValidationError, match="axis"):
+            parse_scenario(write(tmp_path, bad))
+
+
+# One valid point per sweep axis; an axis added to SWEEP_AXES needs one here.
+VALID_SWEEP_POINTS = {
+    "ue_count": 5, "coreset_size": 30, "candidate_count": 3,
+    "candidate_counts": [1, 1, 1, 1, 1],
+    "al_distribution": {"name": "al4", "probabilities": [0, 0, 1, 0, 0]},
+    "strategy": "high_to_low",
+}
+
+
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_valid_sweep_point_parses_and_applies(tmp_path, axis):
+    sweep = {"axis": axis, "points": [VALID_SWEEP_POINTS[axis]], "al": 2}
+    scn = parse_scenario(write(tmp_path, dict(MINIMAL, sweep=sweep)))
+    cfg = apply_axis(scn.config, axis, scn.sweep.points[0], al=scn.sweep.al)
+    assert cfg != scn.config
 
 
 WRONG_SWEEP_POINTS = {
@@ -132,7 +158,6 @@ WRONG_SWEEP_POINTS = {
     "ue_count_bool": ("ue_count", True),
     "ue_count_string": ("ue_count", "3"),
     "coreset_size_float": ("coreset_size", 54.0),
-    "al_fixed_bool": ("al_fixed", True),
     "strategy_int": ("strategy", 1),
     "candidate_counts_string_entry": ("candidate_counts", [6, 6, 4, 2, "1"]),
     "candidate_counts_float_entry": ("candidate_counts",

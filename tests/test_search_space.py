@@ -5,6 +5,7 @@ from pdcch_blocking import (AGGREGATION_LEVELS, AlDistribution, CoresetConfig,
                             NoCandidateFitsError, ScenarioConfig,
                             SearchSpaceConfig, candidate_cces, candidate_starts,
                             y_value)
+from pdcch_blocking.search_space import A_MULTIPLIERS
 from pdcch_blocking.simulation import _kernel
 
 
@@ -51,6 +52,14 @@ def test_y_rejects_negative_slot():
         y_value(1, slot_index=-1)
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, True])
+def test_y_rejects_non_integer_coreset_and_slot_index(bad):
+    with pytest.raises(ValueError, match="coreset_index"):
+        y_value(1, coreset_index=bad)
+    with pytest.raises(ValueError, match="slot_index"):
+        y_value(1, slot_index=bad)
+
+
 def test_y_range_and_determinism():
     rng = np.random.default_rng(7)
     for _ in range(300):
@@ -60,6 +69,17 @@ def test_y_range_and_determinism():
         y = y_value(rnti, p, t)
         assert 0 <= y <= 65536
         assert y == y_value(rnti, p, t)
+    # y_value is a closed form; check it against the recursion step by step
+    for _ in range(100):
+        rnti = int(rng.integers(1, 65536))
+        p = int(rng.integers(0, 12))
+        t = int(rng.integers(0, 201))
+        y = rnti
+        for _ in range(t + 1):
+            y = (A_MULTIPLIERS[p % 3] * y) % 65537
+        assert y_value(rnti, p, t) == y
+    # 65537 is prime, so A**65536 = 1 and Y repeats every 65536 slots
+    assert y_value(12345, 1, 2**40) == y_value(12345, 1, 2**40 % 65536)
 
 
 # --- candidate hash --------------------------------------------------------

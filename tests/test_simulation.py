@@ -36,6 +36,15 @@ def test_distribution_must_sum_to_one():
     AlDistribution((0.2, 0.2, 0.2, 0.2, 0.2 + 1e-12))  # within tolerance
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_distribution_rejects_non_finite(bad):
+    # a NaN passes both "p < 0" and "|sum - 1| > tol" unnoticed
+    with pytest.raises(ValueError, match="finite"):
+        AlDistribution((bad, 0.5, 0, 0, 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        AlDistribution({1: 0.5, 16: bad})
+
+
 def test_distribution_fixed_point_mass():
     dist = AlDistribution.fixed(8)
     assert dist.probabilities == (0.0, 0.0, 0.0, 1.0, 0.0)
@@ -251,6 +260,9 @@ def test_fewer_iterations_than_workers_in_shared_pool(pools):
     with simulation.worker_pool(5) as pool:
         shared = run_scenario(cfg, workers=5, keep_per_iteration=True, pool=pool)
         again = run_scenario(cfg, workers=5, keep_per_iteration=True, pool=pool)
+        for workers in (None, 1):  # a serial run would ignore the pool
+            with pytest.raises(ValueError, match="pool"):
+                run_scenario(cfg, workers=workers, pool=pool)
     own = run_scenario(cfg, workers=5, keep_per_iteration=True)
     assert len(serial.per_iteration_blocked) == 3
     assert shared == again == own == serial
@@ -285,8 +297,9 @@ def test_sweep_coreset_axis_builds_geometry():
 def test_sweep_candidate_count_axis_needs_al():
     cfg = apply_axis(scenario(), "candidate_count", 3, al=2)
     assert cfg.search_space.candidates_per_al == (6, 3, 4, 2, 1)
-    with pytest.raises(ValueError):
-        apply_axis(scenario(), "candidate_count", 3)
+    for al in (None, 3, True, 2.0):  # True == 1 and 2.0 == 2 are no ALs
+        with pytest.raises(ValueError, match="al"):
+            apply_axis(scenario(), "candidate_count", 3, al=al)
 
 
 def test_sweep_candidate_counts_axis_full_list():
@@ -296,8 +309,11 @@ def test_sweep_candidate_counts_axis_full_list():
 
 
 def test_sweep_al_fixed_axis():
-    cfg = apply_axis(scenario(), "al_fixed", 4)
-    assert cfg.al_distribution.probabilities == (0.0, 0.0, 1.0, 0.0, 0.0)
+    # a point-mass al_distribution point fixes the AL; there is no al_fixed axis
+    cfg = apply_axis(scenario(), "al_distribution", [0, 0, 1, 0, 0])
+    assert cfg.al_distribution == AlDistribution.fixed(4)
+    with pytest.raises(ValueError, match="axis"):
+        apply_axis(scenario(), "al_fixed", 4)
 
 
 def test_sweep_al_distribution_axis():
@@ -313,7 +329,7 @@ def test_sweep_strategy_axis():
 
 @pytest.mark.parametrize("axis,point", [("ue_count", 2.7), ("ue_count", True),
                                         ("ue_count", "3"), ("coreset_size", 54.0),
-                                        ("al_fixed", True), ("strategy", 1)])
+                                        ("strategy", 1)])
 def test_apply_axis_rejects_mistyped_points(axis, point):
     with pytest.raises(ValueError):
         apply_axis(scenario(), axis, point)
@@ -324,6 +340,19 @@ def test_sweep_continues_past_invalid_point():
     assert points[0].result is not None
     assert points[1].result is None and "cce_count" in points[1].error
     assert points[2].result is not None
+
+
+@pytest.mark.parametrize("axis,point,label", [
+    ("al_distribution", {"name": "x", "probabilities": [1, 0, 0, 0, 0], "w": 1}, "x"),
+    ("al_distribution", {"probabilities": [1, 0, 0, 0, 0], "w": 1}, "1/0/0/0/0"),
+    ("candidate_counts", {"count": [1, 1, 1, 1, 1]}, "{'count': [1, 1, 1, 1, 1]}"),
+    ("candidate_counts", 6, "6"),
+])
+def test_sweep_reports_malformed_list_point(axis, point, label):
+    # the label is made outside the per-point error handling: it must not raise
+    [sp] = run_sweep(scenario(iterations=10), axis, [point])
+    assert sp.result is None and "point must" in sp.error
+    assert sp.label == label
 
 
 def test_sweep_rejects_unknown_axis_and_empty_points():
