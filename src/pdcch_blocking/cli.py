@@ -15,7 +15,7 @@ from .scenario_io import (FORMAT_CSV, FORMATS, ResultRecord, Scenario,
                           bundled_scenario_path, emit_results, parse_plan_request,
                           parse_scenario, records_for_sweep, resolve_output_path)
 from .scheduler import MonitoringLimits, validate_limits
-from .simulation import ScenarioConfig, SweepPoint, run_scenario, run_sweep
+from .simulation import SweepPoint, run_scenario, run_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,16 +78,16 @@ def _resolve_file(name: str) -> Path:
     return bundled_scenario_path(name)
 
 
-def _with_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
-    """``config`` with the --seed and --iterations flags applied."""
-    flags = {"master_seed": args.seed, "iterations": args.iterations}
+def _with_overrides(config, **flags):
+    """``config`` with each field whose flag was given set to that flag."""
     return dataclasses.replace(
         config, **{field: value for field, value in flags.items() if value is not None})
 
 
 def _load_scenario(args) -> Scenario:
     scenario = parse_scenario(_resolve_file(args.scenario))
-    return dataclasses.replace(scenario, config=_with_overrides(scenario.config, args))
+    return dataclasses.replace(scenario, config=_with_overrides(
+        scenario.config, master_seed=args.seed, iterations=args.iterations))
 
 
 def _emit(records, args):
@@ -134,7 +134,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_plan(args) -> int:
     name, request = parse_plan_request(_resolve_file(args.request))
-    request = dataclasses.replace(request, base=_with_overrides(request.base, args))
+    request = dataclasses.replace(request, base=_with_overrides(
+        request.base, master_seed=args.seed, iterations=args.iterations))
     base = request.base
     result = plan_min_coreset(request, workers=args.workers)
     if result.min_cces is None:
@@ -170,14 +171,8 @@ def _cmd_plan(args) -> int:
 
 def _cmd_validate_limits(args) -> int:
     scenario = parse_scenario(_resolve_file(args.scenario))
-    limits = MonitoringLimits.for_scs(args.scs)
-    if args.max_bd is not None or args.max_cce is not None:
-        limits = MonitoringLimits(
-            max_blind_decodes=args.max_bd if args.max_bd is not None
-            else limits.max_blind_decodes,
-            max_nonoverlap_cces=args.max_cce if args.max_cce is not None
-            else limits.max_nonoverlap_cces,
-            scs_khz=args.scs)
+    limits = _with_overrides(MonitoringLimits.for_scs(args.scs),
+                             max_blind_decodes=args.max_bd, max_nonoverlap_cces=args.max_cce)
     report = validate_limits(scenario.config.search_space, scenario.config.coreset,
                              args.rnti, limits)
     bd_flag = "EXCEEDED" if report.blind_decodes_exceeded else "ok"

@@ -1,7 +1,7 @@
 """CORESET geometry and the CCE index space."""
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 AGGREGATION_LEVELS = (1, 2, 4, 8, 16)
 
@@ -12,12 +12,34 @@ class InvalidGeometryError(ValueError):
     """CORESET dimensions violate the NR constraints."""
 
 
-def as_integer(name: str, value) -> int:
-    """``value`` as an int. A bool or a non-integral number raises
-    ValueError; numpy integers are accepted."""
+def as_integer(name: str, value, minimum: int = None) -> int:
+    """``value`` as an int, at least ``minimum`` when one is given. A bool or
+    a non-integral number raises ValueError; numpy integers are accepted."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def per_al(name: str, values, kind) -> tuple:
+    """One ``kind`` (int or float) per aggregation level, ordered as
+    AGGREGATION_LEVELS, from a sequence of 5 or a mapping {AL: value} in which
+    an absent AL is 0. A bool, or a value that is not an integer (int) or a
+    real number (float), raises ValueError."""
+    if isinstance(values, dict):
+        unknown = set(values) - set(AGGREGATION_LEVELS)
+        if unknown:
+            raise ValueError(f"unknown aggregation levels: {sorted(unknown)}")
+        values = [values.get(al, 0) for al in AGGREGATION_LEVELS]
+    values = tuple(values)
+    if len(values) != len(AGGREGATION_LEVELS):
+        raise ValueError(f"{name} needs {len(AGGREGATION_LEVELS)} entries "
+                         f"(ALs {AGGREGATION_LEVELS}), got {len(values)}")
+    allowed, plural = (Integral, "integers") if kind is int else (Real, "numbers")
+    if any(isinstance(v, bool) or not isinstance(v, allowed) for v in values):
+        raise ValueError(f"{name} must be {plural}, got {values}")
+    return tuple(kind(v) for v in values)
 
 
 @dataclass(frozen=True)

@@ -29,19 +29,15 @@ class PlanningRequest:
     cce_max: int
 
     def __post_init__(self):
+        if not isinstance(self.base, ScenarioConfig):
+            raise ValueError(f"base must be a ScenarioConfig, got {self.base!r}")
         target = self.target_blocking
         if isinstance(target, bool) or not isinstance(target, Real):
             raise ValueError(f"target_blocking must be a number, got {target!r}")
-        for name in ("cce_min", "cce_max"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        if not 0.0 < self.target_blocking < 1.0:
-            raise ValueError(
-                f"target_blocking must be in (0, 1), got {self.target_blocking}")
-        if self.cce_min < 1:
-            raise ValueError(f"cce_min must be >= 1, got {self.cce_min}")
-        if self.cce_max < self.cce_min:
-            raise ValueError(
-                f"cce_max {self.cce_max} smaller than cce_min {self.cce_min}")
+        if not 0.0 < target < 1.0:
+            raise ValueError(f"target_blocking must be in (0, 1), got {target}")
+        object.__setattr__(self, "cce_min", as_integer("cce_min", self.cce_min, 1))
+        object.__setattr__(self, "cce_max", as_integer("cce_max", self.cce_max, self.cce_min))
 
 
 @dataclass(frozen=True)
@@ -55,12 +51,6 @@ class PlanningResult:
     min_cces: int
     achieved_blocking: float
     evaluations: tuple
-
-    def evaluated_blocking(self, cce_count: int) -> float:
-        for cces, blocking, _ in self.evaluations:
-            if cces == cce_count:
-                return blocking
-        raise KeyError(f"CORESET size {cce_count} was not evaluated")
 
 
 def plan_min_coreset(req: PlanningRequest, workers: int = None) -> PlanningResult:

@@ -18,7 +18,7 @@ from pathlib import Path
 from .coreset import CoresetConfig
 from .planner import PlanningRequest
 from .search_space import SearchSpaceConfig
-from .simulation import SWEEP_AXES, AlDistribution, ScenarioConfig
+from .simulation import SWEEP_AXES, AlDistribution, ScenarioConfig, check_axis
 
 OUTPUT_DIR_ENV = "PDCCH_SIM_OUTDIR"
 
@@ -26,21 +26,18 @@ FORMAT_CSV = "csv"
 FORMAT_JSON = "json"
 FORMATS = (FORMAT_CSV, FORMAT_JSON)
 
-_SCENARIO_KEYS = {"name", "description", "figure", "ue_count", "coreset",
-                  "search_space", "al_distribution", "strategy", "iterations",
-                  "master_seed", "sweep"}
-_SCENARIO_REQUIRED = {"name", "ue_count", "coreset", "search_space",
-                      "al_distribution"}
-_PLAN_ONLY_KEYS = {"target_blocking", "cce_range"}
-_CORESET_KEYS = {"rb_count", "symbol_duration", "cce_count", "coreset_index"}
-_SEARCH_SPACE_KEYS = {"candidates_per_al", "space_type", "slot_index"}
-_SWEEP_KEYS = {"axis", "points", "al"}
-
-# JSON types of typed values: int is a JSON integer (never a boolean), float
-# any JSON number.
+# The JSON type of every key of a file section, keyed by the allowed keys:
+# int is a JSON integer (never a boolean), float any JSON number, [kind] a list
+# of kinds, and object any value, which the section's builder checks.
+_SCENARIO = {"name": str, "description": str, "figure": str, "ue_count": int,
+             "coreset": object, "search_space": object, "al_distribution": [float],
+             "strategy": str, "iterations": int, "master_seed": int, "sweep": object}
+_SCENARIO_REQUIRED = {"name", "ue_count", "coreset", "search_space", "al_distribution"}
+_CORESET = {"rb_count": int, "symbol_duration": int, "cce_count": int, "coreset_index": int}
+_SEARCH_SPACE = {"candidates_per_al": [int], "space_type": str, "slot_index": int}
+_SWEEP = {"axis": str, "points": object, "al": int}
+_PLAN_ONLY = {"target_blocking": float, "cce_range": [int]}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
-_OPTIONAL_SCENARIO = {"strategy": str, "iterations": int, "master_seed": int}
-_OPTIONAL_SEARCH_SPACE = {"space_type": str, "slot_index": int}
 
 
 class ScenarioParseError(ValueError):
@@ -86,19 +83,15 @@ class ResultRecord:
 CSV_COLUMNS = tuple(field.name for field in fields(ResultRecord))
 
 
-def _require_keys(mapping, allowed, required, context):
-    if not isinstance(mapping, dict):
-        raise ScenarioParseError(f"{context} must be an object, got {type(mapping).__name__}")
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ScenarioParseError(f"unknown key(s) in {context}: {sorted(unknown)}")
-    missing = required - set(mapping)
-    if missing:
-        raise ScenarioParseError(f"missing key(s) in {context}: {sorted(missing)}")
-
-
 def _typed(value, kind, where):
-    """``value`` when it has the JSON type ``kind``, else a parse error."""
+    """``value`` when it has the JSON type ``kind``, else a parse error; a
+    list comes back as a tuple."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ScenarioParseError(f"{where} must be a list, got {json.dumps(value)}")
+        return tuple(_typed(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value))
+    if kind is object:
+        return value
     allowed = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise ScenarioParseError(
@@ -106,17 +99,22 @@ def _typed(value, kind, where):
     return value
 
 
-def _typed_list(value, kind, where) -> tuple:
-    if not isinstance(value, list):
-        raise ScenarioParseError(f"{where} must be a list, got {json.dumps(value)}")
-    return tuple(_typed(v, kind, f"{where}[{i}]") for i, v in enumerate(value))
-
-
-def _typed_keys(data, kinds, context) -> dict:
-    """The keys of ``kinds`` present in ``data``, type-checked; absent keys
-    keep the config's defaults."""
-    return {key: _typed(data[key], kind, f"{context}{key}")
-            for key, kind in kinds.items() if key in data}
+def _section(data, table, required, context, path=None) -> dict:
+    """The keys of the object ``data``, each type-checked against ``table``,
+    which also lists the allowed keys; an absent key keeps the config's
+    default. A value is reported as ``path.key``, ``path`` defaulting to
+    ``context``; the top level has path ""."""
+    if not isinstance(data, dict):
+        raise ScenarioParseError(f"{context} must be an object, got {type(data).__name__}")
+    unknown = set(data) - set(table)
+    if unknown:
+        raise ScenarioParseError(f"unknown key(s) in {context}: {sorted(unknown)}")
+    missing = required - set(data)
+    if missing:
+        raise ScenarioParseError(f"missing key(s) in {context}: {sorted(missing)}")
+    path = context if path is None else path
+    return {key: _typed(value, table[key], f"{path}.{key}" if path else key)
+            for key, value in data.items()}
 
 
 def _sweep_point(axis, point, where):
@@ -125,68 +123,57 @@ def _sweep_point(axis, point, where):
     if key is None:
         return _typed(point, kind, where)
     if isinstance(point, dict):
-        _require_keys(point, {"name", key}, {key}, where)
-        _typed_keys(point, {"name": str}, f"{where}.")
-        _typed_list(point[key], kind, f"{where}.{key}")
+        _section(point, {"name": str, key: [kind]}, {key}, where)
         return point
-    return _typed_list(point, kind, where)
+    return _typed(point, [kind], where)
 
 
 def _coreset_from_dict(data) -> CoresetConfig:
-    _require_keys(data, _CORESET_KEYS, set(), "coreset")
-    index = _typed_keys(data, {"coreset_index": int}, "coreset.")
-    if "cce_count" in data:
-        if "rb_count" in data or "symbol_duration" in data:
+    values = _section(data, _CORESET, set(), "coreset")
+    if "cce_count" in values:
+        if "rb_count" in values or "symbol_duration" in values:
             raise ScenarioParseError(
                 "coreset takes either cce_count or rb_count/symbol_duration, not both")
-        return CoresetConfig.from_cce_count(
-            _typed(data["cce_count"], int, "coreset.cce_count"), **index)
-    if "rb_count" not in data or "symbol_duration" not in data:
-        raise ScenarioParseError(
-            "coreset needs cce_count, or rb_count and symbol_duration")
-    return CoresetConfig(**_typed_keys(data, {"rb_count": int, "symbol_duration": int},
-                                       "coreset."), **index)
+        return CoresetConfig.from_cce_count(**values)
+    if "rb_count" not in values or "symbol_duration" not in values:
+        raise ScenarioParseError("coreset needs cce_count, or rb_count and symbol_duration")
+    return CoresetConfig(**values)
 
 
-def _search_space_from_dict(data) -> SearchSpaceConfig:
-    _require_keys(data, _SEARCH_SPACE_KEYS, {"candidates_per_al"}, "search_space")
-    return SearchSpaceConfig(
-        candidates_per_al=_typed_list(data["candidates_per_al"], int,
-                                      "search_space.candidates_per_al"),
-        **_typed_keys(data, _OPTIONAL_SEARCH_SPACE, "search_space."))
+def _sweep_from_dict(data) -> SweepSpec:
+    values = _section(data, _SWEEP, {"axis", "points"}, "sweep")
+    try:
+        check_axis(values["axis"], values.get("al"))
+    except ValueError as exc:
+        raise ScenarioValidationError(str(exc)) from exc
+    points = values["points"]
+    if not isinstance(points, list) or not points:
+        raise ScenarioValidationError("sweep points must be a non-empty list")
+    values["points"] = tuple(_sweep_point(values["axis"], p, f"sweep.points[{i}]")
+                             for i, p in enumerate(points))
+    return SweepSpec(**values)
 
 
 def scenario_from_dict(data) -> Scenario:
     """Build a validated Scenario from a parsed mapping, applying defaults."""
-    _require_keys(data, _SCENARIO_KEYS, _SCENARIO_REQUIRED, "scenario")
-    labels = _typed_keys(data, {"name": str, "figure": str, "description": str}, "")
+    values = _section(data, _SCENARIO, _SCENARIO_REQUIRED, "scenario", "")
+    labels = {key: values.pop(key) for key in ("name", "figure", "description")
+              if key in values}
+    sweep = values.pop("sweep", None)
     try:
         config = ScenarioConfig(
-            ue_count=_typed(data["ue_count"], int, "ue_count"),
-            coreset=_coreset_from_dict(data["coreset"]),
-            search_space=_search_space_from_dict(data["search_space"]),
-            al_distribution=AlDistribution(
-                _typed_list(data["al_distribution"], float, "al_distribution")),
-            **_typed_keys(data, _OPTIONAL_SCENARIO, ""))
+            coreset=_coreset_from_dict(values.pop("coreset")),
+            search_space=SearchSpaceConfig(**_section(
+                values.pop("search_space"), _SEARCH_SPACE, {"candidates_per_al"},
+                "search_space")),
+            al_distribution=AlDistribution(values.pop("al_distribution")),
+            **values)
     except ScenarioParseError:
         raise
     except (TypeError, ValueError) as exc:
         raise ScenarioValidationError(str(exc)) from exc
-    sweep = None
-    if "sweep" in data:
-        _require_keys(data["sweep"], _SWEEP_KEYS, {"axis", "points"}, "sweep")
-        axis = _typed(data["sweep"]["axis"], str, "sweep.axis")
-        if axis not in SWEEP_AXES:
-            raise ScenarioValidationError(
-                f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
-        points = data["sweep"]["points"]
-        if not isinstance(points, list) or not points:
-            raise ScenarioValidationError("sweep points must be a non-empty list")
-        sweep = SweepSpec(axis=axis,
-                          points=tuple(_sweep_point(axis, p, f"sweep.points[{i}]")
-                                       for i, p in enumerate(points)),
-                          **_typed_keys(data["sweep"], {"al": int}, "sweep."))
-    return Scenario(config=config, sweep=sweep, **labels)
+    return Scenario(config=config, sweep=None if sweep is None else _sweep_from_dict(sweep),
+                    **labels)
 
 
 def _load_json(path):
@@ -242,14 +229,15 @@ def parse_plan_request(path):
     ``target_blocking`` and ``cce_range: [min, max]`` in place of
     ``coreset``. Returns (name, PlanningRequest)."""
     data = _load_json(path)
-    _require_keys(data, (_SCENARIO_KEYS - {"coreset", "sweep"}) | _PLAN_ONLY_KEYS,
-                  (_SCENARIO_REQUIRED - {"coreset"}) | _PLAN_ONLY_KEYS, "plan request")
-    target = _typed(data["target_blocking"], float, "target_blocking")
-    cce_range = _typed_list(data["cce_range"], int, "cce_range")
+    table = {key: kind for key, kind in _SCENARIO.items()
+             if key not in ("coreset", "sweep")} | _PLAN_ONLY
+    values = _section(data, table, (_SCENARIO_REQUIRED - {"coreset"}) | set(_PLAN_ONLY),
+                      "plan request", "")
+    target, cce_range = values["target_blocking"], values["cce_range"]
     if len(cce_range) != 2:
         raise ScenarioParseError("cce_range must be [min, max]")
     scenario = scenario_from_dict(
-        {key: value for key, value in data.items() if key not in _PLAN_ONLY_KEYS}
+        {key: value for key, value in data.items() if key not in _PLAN_ONLY}
         | {"coreset": {"cce_count": cce_range[1]}})
     try:
         request = PlanningRequest(base=scenario.config, target_blocking=target,

@@ -48,10 +48,7 @@ class MonitoringLimits:
 
     def __post_init__(self):
         for name in ("max_blind_decodes", "max_nonoverlap_cces"):
-            value = as_integer(name, getattr(self, name))
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, as_integer(name, getattr(self, name), 1))
         object.__setattr__(self, "scs_khz", _check_scs(self.scs_khz))
 
     @classmethod
@@ -76,10 +73,6 @@ class LimitsReport:
     @property
     def cces_exceeded(self) -> bool:
         return self.distinct_cces > self.max_nonoverlap_cces
-
-    @property
-    def within_limits(self) -> bool:
-        return not (self.blind_decodes_exceeded or self.cces_exceeded)
 
 
 def _allocation_order(al_keys, perm, strategy):

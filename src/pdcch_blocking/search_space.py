@@ -1,9 +1,8 @@
 """PDCCH search-space candidate mapping (TS 38.213 section 10.1 hash function)."""
 
 from dataclasses import dataclass
-from numbers import Integral
 
-from .coreset import AGGREGATION_LEVELS, as_integer
+from .coreset import AGGREGATION_LEVELS, as_integer, per_al
 
 Y_MODULUS = 65537
 A_MULTIPLIERS = (39827, 39829, 39839)  # selected by coreset_index mod 3
@@ -32,21 +31,7 @@ class SearchSpaceConfig:
     slot_index: int = 0
 
     def __post_init__(self):
-        counts = self.candidates_per_al
-        if isinstance(counts, dict):
-            unknown = set(counts) - set(AGGREGATION_LEVELS)
-            if unknown:
-                raise ValueError(f"unknown aggregation levels: {sorted(unknown)}")
-            counts = tuple(counts.get(al, 0) for al in AGGREGATION_LEVELS)
-        else:
-            counts = tuple(counts)
-            if len(counts) != len(AGGREGATION_LEVELS):
-                raise ValueError(
-                    f"candidates_per_al needs {len(AGGREGATION_LEVELS)} entries "
-                    f"(ALs {AGGREGATION_LEVELS}), got {len(counts)}")
-        if any(isinstance(m, bool) or not isinstance(m, Integral) for m in counts):
-            raise ValueError(f"candidate counts must be integers, got {counts}")
-        counts = tuple(int(m) for m in counts)
+        counts = per_al("candidates_per_al", self.candidates_per_al, int)
         object.__setattr__(self, "candidates_per_al", counts)
         for al, m in zip(AGGREGATION_LEVELS, counts):
             if m not in ALLOWED_CANDIDATE_COUNTS:
@@ -56,9 +41,7 @@ class SearchSpaceConfig:
             raise ValueError("at least one aggregation level needs a nonzero candidate count")
         if self.space_type not in SPACE_TYPES:
             raise ValueError(f"space_type must be one of {SPACE_TYPES}, got {self.space_type!r}")
-        object.__setattr__(self, "slot_index", as_integer("slot_index", self.slot_index))
-        if self.slot_index < 0:
-            raise ValueError(f"slot_index must be >= 0, got {self.slot_index}")
+        object.__setattr__(self, "slot_index", as_integer("slot_index", self.slot_index, 0))
 
     @property
     def total_blind_decodes(self) -> int:
@@ -80,12 +63,8 @@ def y_multiplier(coreset_index: int, slot_index: int, space_type: str) -> int:
         return 0
     if space_type != SPACE_TYPE_UE_SPECIFIC:
         raise ValueError(f"space_type must be one of {SPACE_TYPES}, got {space_type!r}")
-    coreset_index = as_integer("coreset_index", coreset_index)
-    slot_index = as_integer("slot_index", slot_index)
-    if coreset_index < 0:
-        raise ValueError(f"coreset_index must be >= 0, got {coreset_index}")
-    if slot_index < 0:
-        raise ValueError(f"slot_index must be >= 0, got {slot_index}")
+    coreset_index = as_integer("coreset_index", coreset_index, 0)
+    slot_index = as_integer("slot_index", slot_index, 0)
     return pow(A_MULTIPLIERS[coreset_index % 3], slot_index + 1, Y_MODULUS)
 
 

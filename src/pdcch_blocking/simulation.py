@@ -33,11 +33,10 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
-from numbers import Real
 
 import numpy as np
 
-from .coreset import AGGREGATION_LEVELS, CoresetConfig, as_integer
+from .coreset import AGGREGATION_LEVELS, CoresetConfig, as_integer, per_al
 from .scheduler import (STRATEGIES, STRATEGY_LOW_TO_HIGH, _allocation_order,
                         _greedy_assign)
 from .search_space import (RNTI_MAX, Y_MODULUS, SearchSpaceConfig,
@@ -53,44 +52,20 @@ MAX_ITERATIONS = 2**32
 
 @dataclass(frozen=True)
 class AlDistribution:
-    """Probability of each aggregation level, ordered as ALs (1, 2, 4, 8, 16)."""
+    """Probability of each aggregation level, ordered as ALs (1, 2, 4, 8, 16);
+    a mapping {AL: probability} is accepted, so AlDistribution({16: 1.0}) puts
+    every UE on AL 16."""
 
     probabilities: tuple
 
     def __post_init__(self):
-        probs = self.probabilities
-        if isinstance(probs, dict):
-            unknown = set(probs) - set(AGGREGATION_LEVELS)
-            if unknown:
-                raise ValueError(f"unknown aggregation levels: {sorted(unknown)}")
-            probs = tuple(probs.get(al, 0.0) for al in AGGREGATION_LEVELS)
-        else:
-            probs = tuple(probs)
-            if len(probs) != len(AGGREGATION_LEVELS):
-                raise ValueError(
-                    f"distribution needs {len(AGGREGATION_LEVELS)} probabilities "
-                    f"(ALs {AGGREGATION_LEVELS}), got {len(probs)}")
-        if any(isinstance(p, bool) or not isinstance(p, Real) for p in probs):
-            raise ValueError(f"probabilities must be numbers, got {probs}")
-        probs = tuple(float(p) for p in probs)
+        probs = per_al("probabilities", self.probabilities, float)
         object.__setattr__(self, "probabilities", probs)
         if not all(math.isfinite(p) and p >= 0 for p in probs):
             raise ValueError(f"probabilities must be finite and >= 0, got {probs}")
         total = sum(probs)
         if abs(total - 1.0) > PROBABILITY_TOLERANCE:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
-
-    @classmethod
-    def fixed(cls, aggregation_level: int) -> "AlDistribution":
-        """Point mass: every UE uses the one given aggregation level."""
-        if aggregation_level not in AGGREGATION_LEVELS:
-            raise ValueError(
-                f"aggregation level must be one of {AGGREGATION_LEVELS}, got {aggregation_level}")
-        return cls(tuple(1.0 if al == aggregation_level else 0.0
-                         for al in AGGREGATION_LEVELS))
-
-    def probability_of(self, aggregation_level: int) -> float:
-        return self.probabilities[AGGREGATION_LEVELS.index(aggregation_level)]
 
 
 @dataclass(frozen=True)
@@ -106,20 +81,18 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("ue_count", "iterations", "master_seed"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        if self.ue_count < 1:
-            raise ValueError(f"ue_count must be >= 1, got {self.ue_count}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        for name, kind in (("coreset", CoresetConfig), ("search_space", SearchSpaceConfig),
+                           ("al_distribution", AlDistribution)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        for name, minimum in (("ue_count", 1), ("iterations", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name), minimum))
         if self.iterations > MAX_ITERATIONS:
             raise ValueError(
                 f"iterations must be <= 2**32, so that every iteration index is "
                 f"one 32-bit RNG seed word, got {self.iterations}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -336,12 +309,9 @@ def _run_range(cfg: ScenarioConfig, start: int, stop: int, keep: bool):
 
 def _worker_count(workers):
     """``workers`` as an int > 1, or None for a serial run (None or 1)."""
-    if workers is None:
+    if workers is None or as_integer("workers", workers, 1) == 1:
         return None
-    workers = as_integer("workers", workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers if workers > 1 else None
+    return int(workers)
 
 
 @contextmanager
@@ -450,14 +420,22 @@ def _point_label(axis: str, point) -> str:
             return str(point["name"])
         point = point.get(SWEEP_AXES[axis][1], point)
     if isinstance(point, (list, tuple)):
-        return "/".join(f"{v:g}" if isinstance(v, float) else str(v) for v in point)
+        return "/".join(map(str, point))  # str(float) is its shortest round-trip form
     return str(point)
+
+
+def check_axis(axis: str, al: int = None):
+    """Raise ValueError unless ``axis`` is a sweep axis; ``al`` is for the
+    candidate_count axis only."""
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
+    if al is not None and axis != "candidate_count":
+        raise ValueError(f"al applies to the candidate_count axis only, not {axis!r}")
 
 
 def apply_axis(base: ScenarioConfig, axis: str, point, al: int = None) -> ScenarioConfig:
     """Return ``base`` with the parameter of sweep axis ``axis`` set to ``point``."""
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
+    check_axis(axis, al)
     kind, key, apply = SWEEP_AXES[axis]
     if key is not None:
         point = _named_point(point, key)
@@ -472,8 +450,7 @@ def run_sweep(base: ScenarioConfig, axis: str, points, al: int = None,
     seed (common random numbers across points). A point that fails validation
     is reported in its SweepPoint; the sweep continues. With ``workers`` > 1
     one process pool serves every point."""
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
+    check_axis(axis, al)
     if not points:
         raise ValueError("sweep needs at least one point")
     out = []

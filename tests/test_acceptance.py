@@ -202,7 +202,7 @@ def test_criterion_9_analytic_oracle():
         cfg = ScenarioConfig(ue_count=u,
                              coreset=CoresetConfig.from_cce_count(16),
                              search_space=SearchSpaceConfig({16: 1}),
-                             al_distribution=AlDistribution.fixed(16),
+                             al_distribution=AlDistribution({16: 1.0}),
                              iterations=10000,
                              master_seed=1000 + u)
         result = run_scenario(cfg, keep_per_iteration=True)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from pdcch_blocking import CoresetConfig, InvalidGeometryError
+from pdcch_blocking import (AlDistribution, CoresetConfig, InvalidGeometryError,
+                            MonitoringLimits, PlanningRequest, ScenarioConfig,
+                            SearchSpaceConfig, run_scenario)
+from pdcch_blocking.search_space import y_multiplier
 
 
 @pytest.mark.parametrize("rb_count,symbols,expected", [
@@ -83,3 +86,50 @@ def test_configs_are_immutable():
     cfg = CoresetConfig(108, 3)
     with pytest.raises(AttributeError):
         cfg.rb_count = 60
+
+
+def _with_defaults(build, **defaults):
+    return lambda **fields: build(**(defaults | fields))
+
+
+_BASE = dict(ue_count=2, coreset=CoresetConfig.from_cce_count(16),
+             search_space=SearchSpaceConfig({16: 1}),
+             al_distribution=AlDistribution({16: 1.0}), iterations=10)
+
+# Every integer field checked by coreset.as_integer(name, value, minimum), as
+# (constructor with the other arguments filled in, field, minimum).
+INTEGER_MINIMUMS = {
+    "ScenarioConfig.ue_count": (_with_defaults(ScenarioConfig, **_BASE), "ue_count", 1),
+    "ScenarioConfig.iterations": (_with_defaults(ScenarioConfig, **_BASE), "iterations", 1),
+    "ScenarioConfig.master_seed": (_with_defaults(ScenarioConfig, **_BASE), "master_seed", 0),
+    "SearchSpaceConfig.slot_index": (
+        _with_defaults(SearchSpaceConfig, candidates_per_al=(6, 6, 4, 2, 1)), "slot_index", 0),
+    "y_multiplier.coreset_index": (
+        _with_defaults(y_multiplier, coreset_index=0, slot_index=0, space_type="uss"),
+        "coreset_index", 0),
+    "y_multiplier.slot_index": (
+        _with_defaults(y_multiplier, coreset_index=0, slot_index=0, space_type="uss"),
+        "slot_index", 0),
+    "MonitoringLimits.max_blind_decodes": (
+        _with_defaults(MonitoringLimits, max_blind_decodes=44, max_nonoverlap_cces=56),
+        "max_blind_decodes", 1),
+    "MonitoringLimits.max_nonoverlap_cces": (
+        _with_defaults(MonitoringLimits, max_blind_decodes=44, max_nonoverlap_cces=56),
+        "max_nonoverlap_cces", 1),
+    "PlanningRequest.cce_min": (
+        _with_defaults(PlanningRequest, base=ScenarioConfig(**_BASE), target_blocking=0.1,
+                       cce_min=6, cce_max=20), "cce_min", 1),
+    "PlanningRequest.cce_max": (
+        _with_defaults(PlanningRequest, base=ScenarioConfig(**_BASE), target_blocking=0.1,
+                       cce_min=6, cce_max=20), "cce_max", 6),
+    "run_scenario.workers": (
+        _with_defaults(run_scenario, cfg=ScenarioConfig(**_BASE)), "workers", 1),
+}
+
+
+@pytest.mark.parametrize("build,field,minimum", list(INTEGER_MINIMUMS.values()),
+                         ids=list(INTEGER_MINIMUMS))
+def test_integer_fields_enforce_their_minimum(build, field, minimum):
+    build(**{field: minimum})
+    with pytest.raises(ValueError, match=rf"^{field} must be >= {minimum}, got {minimum - 1}$"):
+        build(**{field: minimum - 1})

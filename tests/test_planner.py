@@ -36,6 +36,12 @@ def test_request_validation():
         request(cce_min=50, cce_max=40)
 
 
+@pytest.mark.parametrize("base", ["x", None, {"ue_count": 6}])
+def test_request_rejects_a_base_that_is_no_scenario(base):
+    with pytest.raises(ValueError, match="base must be a ScenarioConfig"):
+        dataclasses.replace(request(), base=base)
+
+
 @pytest.mark.parametrize("field,value", [
     ("cce_min", 6.5), ("cce_max", 200.0), ("cce_min", True), ("cce_max", "200"),
     ("target_blocking", "0.2"), ("target_blocking", True)])
@@ -52,7 +58,7 @@ def test_request_stores_numpy_integer_bounds_as_int():
 
 def test_single_ue_returns_range_floor():
     req = request(ue_count=1, target_blocking=0.5,
-                  al_distribution=AlDistribution.fixed(1), cce_min=2, cce_max=24)
+                  al_distribution=AlDistribution({1: 1.0}), cce_min=2, cce_max=24)
     result = plan_min_coreset(req)
     assert result.min_cces == 2
     assert result.achieved_blocking == 0.0
@@ -60,7 +66,7 @@ def test_single_ue_returns_range_floor():
 
 def test_unreachable_target_returns_none():
     # AL 16 never fits below 16 CCEs, so every UE is always blocked
-    req = request(al_distribution=AlDistribution.fixed(16),
+    req = request(al_distribution=AlDistribution({16: 1.0}),
                   search_space=SearchSpaceConfig({16: 1}),
                   cce_min=1, cce_max=8, iterations=50)
     result = plan_min_coreset(req)
@@ -123,9 +129,9 @@ def test_evaluations_match_coreset_size_sweep():
 
 def test_planning_result_lookup():
     result = plan_min_coreset(request())
-    assert result.evaluated_blocking(result.min_cces) == result.achieved_blocking
-    with pytest.raises(KeyError):
-        result.evaluated_blocking(9999)
+    evaluated = {cces: blocking for cces, blocking, _ in result.evaluations}
+    assert evaluated[result.min_cces] == result.achieved_blocking
+    assert 9999 not in evaluated
 
 
 def test_plan_shares_one_pool_and_matches_serial(pools):

@@ -148,6 +148,10 @@ VALID_SWEEP_POINTS = {
 @pytest.mark.parametrize("axis", SWEEP_AXES)
 def test_valid_sweep_point_parses_and_applies(tmp_path, axis):
     sweep = {"axis": axis, "points": [VALID_SWEEP_POINTS[axis]], "al": 2}
+    if axis != "candidate_count":  # al belongs to the candidate_count axis only
+        with pytest.raises(ScenarioValidationError, match="candidate_count axis only"):
+            parse_scenario(write(tmp_path, dict(MINIMAL, sweep=sweep)))
+        del sweep["al"]
     scn = parse_scenario(write(tmp_path, dict(MINIMAL, sweep=sweep)))
     cfg = apply_axis(scn.config, axis, scn.sweep.points[0], al=scn.sweep.al)
     assert cfg != scn.config

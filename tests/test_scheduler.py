@@ -36,7 +36,7 @@ def schedule(ues, strategy=STRATEGY_LOW_TO_HIGH, rng=None):
 def kernel_tables(space, cce_count):
     """The per-run tables of ``_kernel``: (K, P per AL, masks per AL and residue)."""
     cfg = ScenarioConfig(1, CoresetConfig.from_cce_count(cce_count), space,
-                         AlDistribution.fixed(1))
+                         AlDistribution({1: 1.0}))
     return _kernel(cfg)[1:]
 
 
@@ -278,7 +278,7 @@ def test_validate_limits_reference_candidate_set():
     assert report.blind_decodes == 19
     assert not report.blind_decodes_exceeded
     assert 0 < report.distinct_cces <= 54
-    assert report.within_limits
+    assert not report.cces_exceeded
 
 
 def test_validate_limits_checks_rnti_for_css_and_uss():
@@ -311,4 +311,4 @@ def test_validate_limits_flags_excess_blind_decodes():
     report = validate_limits(space, coreset, 7, MonitoringLimits.for_scs(120))
     assert report.blind_decodes == 40
     assert report.blind_decodes_exceeded
-    assert not report.within_limits
+    assert report.blind_decodes > report.max_blind_decodes

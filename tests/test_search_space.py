@@ -144,7 +144,7 @@ def test_candidate_starts_matches_per_candidate_calls():
 
 def kernel_tables(space, coreset):
     """The per-run tables of ``_kernel``: (K, P per AL, masks per AL and residue)."""
-    return _kernel(ScenarioConfig(1, coreset, space, AlDistribution.fixed(1)))[1:]
+    return _kernel(ScenarioConfig(1, coreset, space, AlDistribution({1: 1.0})))[1:]
 
 
 def test_ue_candidate_set_counts_and_order():

@@ -46,11 +46,10 @@ def test_distribution_rejects_non_finite(bad):
 
 
 def test_distribution_fixed_point_mass():
-    dist = AlDistribution.fixed(8)
+    dist = AlDistribution({8: 1.0})
     assert dist.probabilities == (0.0, 0.0, 0.0, 1.0, 0.0)
-    assert dist.probability_of(8) == 1.0
-    with pytest.raises(ValueError):
-        AlDistribution.fixed(3)
+    with pytest.raises(ValueError, match="unknown aggregation levels"):
+        AlDistribution({3: 1.0})
 
 
 @pytest.mark.parametrize("probs", [(True, 0, 0, 0, 0), ("1", 0, 0, 0, 0),
@@ -80,6 +79,15 @@ def test_scenario_config_validation():
         scenario(strategy="fastest_first")
     with pytest.raises(ValueError):
         scenario(master_seed=-1)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("coreset", 54), ("coreset", None), ("search_space", (6, 6, 4, 2, 1)),
+    ("search_space", CoresetConfig(36, 1)), ("al_distribution", MIXED),
+    ("al_distribution", {1: 1.0})])
+def test_scenario_config_rejects_mistyped_nested_configs(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a "):
+        scenario(**{field: value})
 
 
 def test_iterations_limited_to_one_seed_word():
@@ -129,7 +137,7 @@ def test_analytic_oracle_identical_candidates():
         cfg = scenario(ue_count=u,
                        coreset=CoresetConfig.from_cce_count(16),
                        search_space=SearchSpaceConfig({16: 1}),
-                       al_distribution=AlDistribution.fixed(16),
+                       al_distribution=AlDistribution({16: 1.0}),
                        iterations=400)
         result = run_scenario(cfg, keep_per_iteration=True)
         assert set(result.per_iteration_blocked) == {u - 1}
@@ -207,7 +215,7 @@ def test_unschedulable_al_counts_as_blocked():
     # AL 16 cannot fit into 8 CCEs: those UEs are blocked by definition
     cfg = scenario(ue_count=4,
                    coreset=CoresetConfig.from_cce_count(8),
-                   al_distribution=AlDistribution.fixed(16),
+                   al_distribution=AlDistribution({16: 1.0}),
                    iterations=50)
     result = run_scenario(cfg)
     assert result.blocking_probability == 1.0
@@ -217,7 +225,7 @@ def test_zero_candidate_al_counts_as_blocked():
     # the sampled AL has no configured candidates: nothing to monitor
     cfg = scenario(ue_count=3,
                    search_space=SearchSpaceConfig({1: 6}),
-                   al_distribution=AlDistribution.fixed(2),
+                   al_distribution=AlDistribution({2: 1.0}),
                    iterations=50)
     result = run_scenario(cfg)
     assert result.blocking_probability == 1.0
@@ -302,6 +310,22 @@ def test_sweep_candidate_count_axis_needs_al():
             apply_axis(scenario(), "candidate_count", 3, al=al)
 
 
+@pytest.mark.parametrize("axis,point", [("ue_count", 3), ("coreset_size", 30),
+                                        ("strategy", STRATEGY_HIGH_TO_LOW)])
+def test_al_only_on_the_candidate_count_axis(axis, point):
+    for al in (2, "junk"):
+        with pytest.raises(ValueError, match="candidate_count axis only"):
+            apply_axis(scenario(), axis, point, al=al)
+
+
+def test_sweep_rejects_al_off_its_axis_before_any_point_runs(monkeypatch):
+    runs = []
+    monkeypatch.setattr(simulation, "run_scenario", lambda *a, **k: runs.append(a))
+    with pytest.raises(ValueError, match="candidate_count axis only"):
+        run_sweep(scenario(iterations=10), "ue_count", [2, 4], al=2)
+    assert runs == []
+
+
 def test_sweep_candidate_counts_axis_full_list():
     cfg = apply_axis(scenario(), "candidate_counts",
                      {"name": "reduced", "counts": [1, 1, 1, 1, 1]})
@@ -311,7 +335,7 @@ def test_sweep_candidate_counts_axis_full_list():
 def test_sweep_al_fixed_axis():
     # a point-mass al_distribution point fixes the AL; there is no al_fixed axis
     cfg = apply_axis(scenario(), "al_distribution", [0, 0, 1, 0, 0])
-    assert cfg.al_distribution == AlDistribution.fixed(4)
+    assert cfg.al_distribution == AlDistribution({4: 1.0})
     with pytest.raises(ValueError, match="axis"):
         apply_axis(scenario(), "al_fixed", 4)
 
@@ -353,6 +377,15 @@ def test_sweep_reports_malformed_list_point(axis, point, label):
     [sp] = run_sweep(scenario(iterations=10), axis, [point])
     assert sp.result is None and "point must" in sp.error
     assert sp.label == label
+
+
+def test_distinct_float_points_get_distinct_labels():
+    points = [[0.1234561, 0.8765439, 0, 0, 0], [0.1234562, 0.8765438, 0, 0, 0],
+              [1.0, 0.0, 0, 0, 0]]
+    swept = run_sweep(scenario(iterations=10), "al_distribution", points)
+    assert [sp.label for sp in swept] == [
+        "0.1234561/0.8765439/0/0/0", "0.1234562/0.8765438/0/0/0", "1.0/0.0/0/0/0"]
+    assert all(sp.result is not None for sp in swept)
 
 
 def test_sweep_rejects_unknown_axis_and_empty_points():
