@@ -3,8 +3,9 @@
 The processing order is the scheduling strategy: "low_to_high" and
 "high_to_low" sort UEs by aggregation level (ties between equal-AL UEs broken
 by a random permutation the caller draws from the iteration's RNG stream);
-"unordered" processes UEs in that random permutation alone. Each UE gets one
-free candidate or is marked blocked; a blocked UE consumes no CCEs.
+"unordered" processes UEs in that random permutation alone. Each UE takes
+one free candidate or is blocked and takes no CCEs; the greedy returns only
+the masks taken and their OR.
 
 Candidates are CCE bitmasks, and each UE gets its first free candidate in
 the order listed. The simulator lists them by first CCE, so the pick is the
@@ -92,21 +93,18 @@ def _allocation_order(al_keys, perm, strategy):
 
 
 def _greedy_assign(order, candidate_masks):
-    """Assign each UE (in ``order``) its first candidate mask disjoint from
-    all CCEs claimed so far. Returns ({ue_index: candidate_position},
-    [blocked UEs in order], mask of every CCE used)."""
+    """Give each UE i in ``order`` the first mask of ``candidate_masks[i]``
+    free of the CCEs taken so far. Returns (picks, used): the masks taken,
+    in processing order, and their OR; the other UEs are blocked."""
     used = 0
-    chosen = {}
-    blocked = []
+    picks = []
     for i in order:
-        for pos, mask in enumerate(candidate_masks[i]):
-            if used & mask == 0:
-                chosen[i] = pos
+        for mask in candidate_masks[i]:
+            if not used & mask:
                 used |= mask
+                picks.append(mask)
                 break
-        else:
-            blocked.append(i)
-    return chosen, blocked, used
+    return picks, used
 
 
 def validate_limits(search_space: SearchSpaceConfig, coreset: CoresetConfig,

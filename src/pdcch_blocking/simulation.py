@@ -12,9 +12,9 @@ iterations at a time: ``_state_blocks`` derives their PCG64 states with
 NumPy's SeedSequence algorithm on uint32 arrays, ``_block_draws`` decodes
 their C-RNTIs, uniforms and permutations from raw PCG64 words by NumPy's own
 rules, and the AL indices, table residues and processing orders are array
-passes over the block. Each iteration keeps only its mask lookups and the
-greedy, in ``_simulate_iteration``. The draws are bit-identical to
-``iteration_rng``'s.
+passes over the block, and one ``take_along_axis`` puts each row's table
+indices in processing order. Each iteration keeps only the greedy, in
+``_simulate_iteration``. The draws are bit-identical to ``iteration_rng``'s.
 
 The TS 38.213 hash is not evaluated per UE. Two identities let each run
 build small tables once and turn every UE's candidate set into one lookup:
@@ -277,12 +277,11 @@ def _kernel(cfg: ScenarioConfig) -> tuple:
     return cumulative, k, np.array(positions, dtype=np.int64), tables
 
 
-def _simulate_iteration(mask_sets, index, order) -> int:
-    """Run one scheduling opportunity: UE i's candidate masks are
-    ``mask_sets[index[i]]``, and the UEs are served in ``order``. Returns
-    the number of blocked UEs."""
-    _, blocked, _ = _greedy_assign(order, [mask_sets[i] for i in index])
-    return len(blocked)
+def _simulate_iteration(mask_sets, row) -> int:
+    """Run one scheduling opportunity: ``row`` holds each UE's index into
+    ``mask_sets``, in processing order. Returns the number of blocked UEs."""
+    picks, _ = _greedy_assign(row, mask_sets)
+    return len(row) - len(picks)
 
 
 def _run_range(cfg: ScenarioConfig, start: int, stop: int, keep: bool):
@@ -299,8 +298,8 @@ def _run_range(cfg: ScenarioConfig, start: int, stop: int, keep: bool):
         al_idx = np.searchsorted(cumulative, uniforms, side="right")
         index = offsets[al_idx] + rntis * k % Y_MODULUS % positions[al_idx]
         orders = _allocation_order(al_idx, perm, cfg.strategy)  # indices sort as ALs
-        for row, order in zip(index.tolist(), orders.tolist()):
-            blocked = _simulate_iteration(mask_sets, row, order)
+        for row in np.take_along_axis(index, orders, axis=1).tolist():
+            blocked = _simulate_iteration(mask_sets, row)
             blocked_total += blocked
             if keep:
                 per_iter.append(blocked)
@@ -392,8 +391,6 @@ def _with_candidates(base: ScenarioConfig, counts, al=None) -> ScenarioConfig:
 
 
 def _with_candidate_count(base: ScenarioConfig, count: int, al) -> ScenarioConfig:
-    if al is None or as_integer("al", al) not in AGGREGATION_LEVELS:
-        raise ValueError(f"a candidate count sweep needs al in {AGGREGATION_LEVELS}, got {al}")
     counts = list(base.search_space.candidates_per_al)
     counts[AGGREGATION_LEVELS.index(al)] = count
     return _with_candidates(base, counts)
@@ -425,11 +422,14 @@ def _point_label(axis: str, point) -> str:
 
 
 def check_axis(axis: str, al: int = None):
-    """Raise ValueError unless ``axis`` is a sweep axis; ``al`` is for the
-    candidate_count axis only."""
+    """Raise ValueError unless ``axis`` is a sweep axis and ``al`` is an
+    aggregation level on the candidate_count axis and None on any other."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
-    if al is not None and axis != "candidate_count":
+    if axis == "candidate_count":
+        if al is None or as_integer("al", al) not in AGGREGATION_LEVELS:
+            raise ValueError(f"a candidate count sweep needs al in {AGGREGATION_LEVELS}, got {al}")
+    elif al is not None:
         raise ValueError(f"al applies to the candidate_count axis only, not {axis!r}")
 
 

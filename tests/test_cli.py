@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pdcch_blocking import load_results
+from pdcch_blocking import bundled_scenario_path, load_results, simulation
 from pdcch_blocking.cli import main
 
 SCENARIO = {
@@ -88,6 +88,20 @@ def test_nan_probability_exits_one(tmp_path, capsys):
     path.write_text(json.dumps(dict(SCENARIO, al_distribution=[float("nan"), 0.5, 0, 0, 0.5])))
     assert main(["simulate", str(path)]) == 1
     assert "finite" in capsys.readouterr().err
+
+
+def test_candidate_count_sweep_without_al_exits_one(tmp_path, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(simulation, "run_scenario", lambda *a, **k: runs.append(a))
+    data = json.loads(bundled_scenario_path("fig6_candidates_al1").read_text())
+    del data["sweep"]["al"]
+    path = tmp_path / "no_al.json"
+    path.write_text(json.dumps(data))
+    assert main(["sweep", str(path)]) == 1
+    out, err = capsys.readouterr()
+    # one parse error, not one error per point under a sweep header
+    assert err.count("candidate count sweep needs al") == 1
+    assert out == "" and runs == []
 
 
 @pytest.mark.parametrize("point", [2.7, True, "3"])

@@ -14,8 +14,7 @@ from pdcch_blocking import (ALLOWED_CANDIDATE_COUNTS, AGGREGATION_LEVELS,
                             bundled_scenario_names, bundled_scenario_path,
                             candidate_starts, iteration_rng, parse_plan_request,
                             parse_scenario, run_scenario, run_sweep, y_value)
-from pdcch_blocking.scheduler import (STRATEGY_HIGH_TO_LOW, STRATEGY_UNORDERED,
-                                      _greedy_assign)
+from pdcch_blocking.scheduler import STRATEGY_HIGH_TO_LOW, STRATEGY_UNORDERED
 from pdcch_blocking.search_space import RNTI_MAX
 
 
@@ -28,9 +27,28 @@ def reference_order(levels, strategy, perm):
     return order
 
 
+def reference_greedy(ues, order):
+    """Independent step-by-step simulation of the allocation rule, written
+    against plain CCE sets instead of bitmasks. Returns ({UE: start}, blocked)."""
+    taken = set()
+    assigned = {}
+    blocked = []
+    for i in order:
+        level, starts = ues[i]
+        for start in sorted(starts):
+            cces = set(range(start, start + level))
+            if not taken & cces:
+                assigned[i] = start
+                taken |= cces
+                break
+        else:
+            blocked.append(i)
+    return assigned, sorted(blocked)
+
+
 def reference_blocked(cfg: ScenarioConfig, iteration: int) -> int:
-    """One iteration hashed UE by UE: Y by iteration, the starts of every
-    candidate, then the masks sorted by start."""
+    """One iteration hashed UE by UE: Y by iteration and the starts of every
+    candidate, allocated by ``reference_greedy``."""
     rng = iteration_rng(cfg.master_seed, iteration)
     u = cfg.ue_count
     rntis = rng.integers(1, RNTI_MAX + 1, size=u)
@@ -38,21 +56,19 @@ def reference_blocked(cfg: ScenarioConfig, iteration: int) -> int:
     al_idx = np.searchsorted(cumulative, rng.random(u), side="right")
     al_idx = np.minimum(al_idx, len(AGGREGATION_LEVELS) - 1)
     cce_count = cfg.coreset.cce_count
-    als, masks = [], []
+    ues = []
     for i in range(u):
         level = AGGREGATION_LEVELS[al_idx[i]]
         m = cfg.search_space.candidates_per_al[al_idx[i]]
-        als.append(level)
         if m == 0 or cce_count < level:
-            masks.append(())
+            ues.append((level, []))
             continue
         y = y_value(int(rntis[i]), cfg.coreset.coreset_index,
                     cfg.search_space.slot_index, cfg.search_space.space_type)
-        full = (1 << level) - 1
-        masks.append(tuple(sorted(full << s for s in
-                                  candidate_starts(level, cce_count, m, y))))
-    order = reference_order(als, cfg.strategy, rng.permutation(u).tolist())
-    _, blocked, _ = _greedy_assign(order, masks)
+        ues.append((level, candidate_starts(level, cce_count, m, y)))
+    order = reference_order([level for level, _ in ues], cfg.strategy,
+                            rng.permutation(u).tolist())
+    _, blocked = reference_greedy(ues, order)
     return len(blocked)
 
 

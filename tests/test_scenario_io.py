@@ -157,6 +157,16 @@ def test_valid_sweep_point_parses_and_applies(tmp_path, axis):
     assert cfg != scn.config
 
 
+@pytest.mark.parametrize("al", [None, 3])
+def test_candidate_count_sweep_needs_an_al_at_parse_time(tmp_path, al):
+    data = json.loads(bundled_scenario_path("fig6_candidates_al1").read_text())
+    del data["sweep"]["al"]
+    if al is not None:
+        data["sweep"]["al"] = al
+    with pytest.raises(ScenarioValidationError, match="candidate count sweep needs al"):
+        parse_scenario(write(tmp_path, data))
+
+
 WRONG_SWEEP_POINTS = {
     "ue_count_float": ("ue_count", 2.7),
     "ue_count_bool": ("ue_count", True),

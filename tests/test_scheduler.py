@@ -9,7 +9,7 @@ from pdcch_blocking.scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW,
                                       _greedy_assign)
 from pdcch_blocking.search_space import Y_MODULUS
 from pdcch_blocking.simulation import _kernel
-from test_kernel import reference_order
+from test_kernel import reference_greedy, reference_order
 
 
 def masks(level, starts):
@@ -25,12 +25,30 @@ def order_for(levels, strategy, rng):
                              strategy)[0].tolist()
 
 
+def outcomes(order, candidate_masks, picks):
+    """Each UE's outcome rebuilt from the greedy's ``picks``: ({UE: mask
+    taken}, [blocked UEs in order]). UE order[j] took the next pick exactly
+    when that mask is one of its candidates: a mask that overlapped the CCEs
+    taken at a blocked UE's turn overlaps them at every later turn too."""
+    taken, blocked = {}, []
+    for i in order:
+        if len(taken) < len(picks) and picks[len(taken)] in candidate_masks[i]:
+            taken[i] = picks[len(taken)]
+        else:
+            blocked.append(i)
+    assert len(taken) == len(picks)
+    return taken, blocked
+
+
 def schedule(ues, strategy=STRATEGY_LOW_TO_HIGH, rng=None):
-    """Order and greedy-assign UEs given as (AL, candidate starts)."""
+    """Order and greedy-assign UEs given as (AL, candidate starts). Returns
+    ({UE: mask taken}, sorted blocked UEs, mask of every CCE used)."""
     rng = np.random.default_rng(0) if rng is None else rng
     order = order_for([level for level, _ in ues], strategy, rng)
-    chosen, blocked, used = _greedy_assign(order, [masks(*u) for u in ues])
-    return chosen, sorted(blocked), used
+    candidate_masks = [masks(*u) for u in ues]
+    picks, used = _greedy_assign(order, candidate_masks)
+    taken, blocked = outcomes(order, candidate_masks, picks)
+    return taken, sorted(blocked), used
 
 
 def kernel_tables(space, cce_count):
@@ -40,30 +58,11 @@ def kernel_tables(space, cce_count):
     return _kernel(cfg)[1:]
 
 
-def reference_greedy(ues, order):
-    """Independent step-by-step simulation of the allocation rule, written
-    against plain CCE sets instead of bitmasks. Returns ({UE: start}, blocked)."""
-    taken = set()
-    assigned = {}
-    blocked = []
-    for i in order:
-        level, starts = ues[i]
-        for start in sorted(starts):
-            cces = set(range(start, start + level))
-            if not taken & cces:
-                assigned[i] = start
-                taken |= cces
-                break
-        else:
-            blocked.append(i)
-    return assigned, sorted(blocked)
-
-
 def test_single_ue_never_blocked():
     for strategy in STRATEGIES:
-        chosen, blocked, used = schedule([(8, [0, 24])], strategy)
+        taken, blocked, used = schedule([(8, [0, 24])], strategy)
         assert blocked == []
-        assert chosen == {0: 0}
+        assert taken == {0: (1 << 8) - 1}
         assert used == (1 << 8) - 1
 
 
@@ -84,21 +83,21 @@ def test_identical_candidates_block_all_but_one():
     assert positions[4] == 1 and tables[4] == [((1 << 16) - 1,)]
     for total in (2, 5, 9):
         order = order_for([4] * total, STRATEGY_LOW_TO_HIGH, np.random.default_rng(3))
-        _, blocked, _ = _greedy_assign(order, [tables[4][0]] * total)
-        assert len(blocked) == total - 1
+        picks, _ = _greedy_assign(order, [tables[4][0]] * total)
+        assert len(order) - len(picks) == total - 1
 
 
 def test_empty_input_yields_empty_outcome():
     for strategy in STRATEGIES:
         order = order_for([], strategy, np.random.default_rng(0))
         assert order == []
-        assert _greedy_assign(order, []) == ({}, [], 0)
+        assert _greedy_assign(order, []) == ([], 0)
 
 
 def test_ue_without_candidates_is_blocked():
-    chosen, blocked, _ = schedule([(16, []), (2, [0])])
+    taken, blocked, _ = schedule([(16, []), (2, [0])])
     assert blocked == [0]
-    assert 1 in chosen
+    assert 1 in taken
     # the kernel gives an AL larger than the CORESET the single empty mask set
     _, positions, tables = kernel_tables(SearchSpaceConfig((6, 6, 4, 2, 1)), 8)
     assert positions[4] == 1 and tables[4] == ((),)
@@ -132,18 +131,17 @@ def test_outcome_invariants_on_random_inputs():
     rng = np.random.default_rng(17)
     for _ in range(200):
         ues = _random_ues(rng, int(rng.integers(3, 12)) * 6)
-        chosen, blocked, used = schedule(ues, str(rng.choice(STRATEGIES)), rng)
+        taken, blocked, used = schedule(ues, str(rng.choice(STRATEGIES)), rng)
         # every UE assigned or blocked, never both
-        assert set(chosen) | set(blocked) == set(range(len(ues)))
-        assert not set(chosen) & set(blocked)
+        assert set(taken) | set(blocked) == set(range(len(ues)))
+        assert not set(taken) & set(blocked)
         # assigned candidates pairwise disjoint; atomicity of used CCEs
-        picked = [masks(*ues[i])[pos] for i, pos in chosen.items()]
         union = 0
-        for mask in picked:
+        for mask in taken.values():
             assert union & mask == 0
             union |= mask
         assert used == union
-        assert sum(ues[i][0] for i in chosen) == bin(used).count("1")
+        assert sum(ues[i][0] for i in taken) == bin(used).count("1")
 
 
 def test_greedy_prefix_property():
@@ -154,9 +152,11 @@ def test_greedy_prefix_property():
         ues = _random_ues(rng, 24)
         candidate_masks = [masks(*u) for u in ues]
         order = order_for([level for level, _ in ues], STRATEGY_LOW_TO_HIGH, rng)
-        first, _, _ = _greedy_assign(order, candidate_masks)
+        first, _ = outcomes(order, candidate_masks,
+                            _greedy_assign(order, candidate_masks)[0])
         survivors = [i for i in order if i in first]
-        rerun, blocked, _ = _greedy_assign(survivors, candidate_masks)
+        rerun, blocked = outcomes(survivors, candidate_masks,
+                                  _greedy_assign(survivors, candidate_masks)[0])
         assert blocked == []
         assert rerun == first
 
@@ -172,7 +172,7 @@ def test_strategies_equivalent_under_uniform_al():
         blocked_counts = set()
         for strategy in STRATEGIES:
             order = order_for([1] * 8, strategy, np.random.default_rng(5))
-            blocked_counts.add(len(_greedy_assign(order, candidate_masks)[1]))
+            blocked_counts.add(8 - len(_greedy_assign(order, candidate_masks)[0]))
         assert len(blocked_counts) == 1
 
 
@@ -189,10 +189,13 @@ def test_matches_reference_simulation_small_cases():
                                 rng.integers(0, 8 // level, size=n_starts)]))
         order = order_for([level for level, _ in ues],
                           str(rng.choice(STRATEGIES)), rng)
-        chosen, blocked, _ = _greedy_assign(order, [masks(*u) for u in ues])
+        candidate_masks = [masks(*u) for u in ues]
+        taken, blocked = outcomes(order, candidate_masks,
+                                  _greedy_assign(order, candidate_masks)[0])
         ref_assigned, ref_blocked = reference_greedy(ues, order)
         assert sorted(blocked) == ref_blocked
-        assert {i: sorted(ues[i][1])[pos] for i, pos in chosen.items()} == ref_assigned
+        # a mask's lowest set bit is its start CCE
+        assert {i: (m & -m).bit_length() - 1 for i, m in taken.items()} == ref_assigned
 
 
 def test_leftmost_choice_picks_lowest_start():
@@ -200,8 +203,7 @@ def test_leftmost_choice_picks_lowest_start():
     space = SearchSpaceConfig({4: 2})
     assert candidate_starts(4, 12, 2, 2) == [8, 0]
     _, _, tables = kernel_tables(space, 12)
-    chosen, _, used = _greedy_assign([0], [tables[2][2]])
-    assert chosen == {0: 0} and used == 0b1111
+    assert _greedy_assign([0], [tables[2][2]]) == ([0b1111], 0b1111)
     # every table row lists its masks by first CCE
     for cce_count in (1, 8, 12, 54, 97, 200):
         for space_type in ("css", "uss"):

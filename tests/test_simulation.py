@@ -10,7 +10,8 @@ from pdcch_blocking import (AlDistribution, CoresetConfig, PlanningRequest,
                             parse_scenario, plan_min_coreset, run_scenario,
                             run_sweep, simulation)
 from pdcch_blocking import cli, planner
-from pdcch_blocking.scheduler import STRATEGY_HIGH_TO_LOW, STRATEGY_UNORDERED
+from pdcch_blocking.scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW,
+                                      STRATEGY_UNORDERED)
 
 MIXED = (0.4, 0.3, 0.2, 0.05, 0.05)
 
@@ -203,6 +204,26 @@ def test_one_simulate_iteration_call_per_iteration(monkeypatch):
     assert len(calls) == len(result.per_iteration_blocked) == cfg.iterations
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_greedy_call_shape_counts_offered_and_scheduled_ues(monkeypatch, strategy):
+    # the benchmark's scheduler.greedy.scheduled_ratio reads len(args[0]) as
+    # the UEs offered and len(result[0]) as the UEs scheduled
+    offered, scheduled = [], []
+    greedy = simulation._greedy_assign
+
+    def counted(*args):
+        result = greedy(*args)
+        offered.append(len(args[0]))
+        scheduled.append(len(result[0]))
+        return result
+    monkeypatch.setattr(simulation, "_greedy_assign", counted)
+    cfg = scenario(strategy=strategy, iterations=2 * simulation.STATE_BLOCK + 5)
+    result = run_scenario(cfg)
+    assert sum(offered) == cfg.ue_count * cfg.iterations
+    assert sum(scheduled) == result.scheduled_total
+    assert 0 < result.scheduled_total < sum(offered)
+
+
 def test_blocking_grows_with_ue_count():
     low = run_scenario(scenario(ue_count=5, iterations=3000))
     high = run_scenario(scenario(ue_count=30, iterations=3000))
@@ -323,6 +344,15 @@ def test_sweep_rejects_al_off_its_axis_before_any_point_runs(monkeypatch):
     monkeypatch.setattr(simulation, "run_scenario", lambda *a, **k: runs.append(a))
     with pytest.raises(ValueError, match="candidate_count axis only"):
         run_sweep(scenario(iterations=10), "ue_count", [2, 4], al=2)
+    assert runs == []
+
+
+@pytest.mark.parametrize("al", [None, 3])
+def test_candidate_count_sweep_rejects_missing_al_before_any_point_runs(monkeypatch, al):
+    runs = []
+    monkeypatch.setattr(simulation, "run_scenario", lambda *a, **k: runs.append(a))
+    with pytest.raises(ValueError, match="candidate count sweep needs al"):
+        run_sweep(scenario(iterations=10), "candidate_count", [1, 2], al=al)
     assert runs == []
 
 
