@@ -3,8 +3,7 @@
 
 from .coreset import AGGREGATION_LEVELS, CoresetConfig, InvalidGeometryError
 from .planner import PlanningRequest, PlanningResult, plan_min_coreset
-from .scenario_io import (ResultRecord, Scenario, ScenarioParseError,
-                          ScenarioValidationError, SweepSpec,
+from .scenario_io import (ResultRecord, Scenario, ScenarioParseError, SweepSpec,
                           bundled_scenario_names, bundled_scenario_path,
                           emit_results, load_results, parse_plan_request,
                           parse_scenario, scenario_from_dict, scenario_to_dict)
@@ -29,8 +28,8 @@ __all__ = [
     "AlDistribution", "CoresetConfig", "InvalidGeometryError",
     "LimitsReport", "MonitoringLimits", "NoCandidateFitsError",
     "PlanningRequest", "PlanningResult", "ResultRecord", "Scenario",
-    "ScenarioConfig", "ScenarioParseError", "ScenarioValidationError",
-    "SearchSpaceConfig", "SimulationResult", "SweepPoint", "SweepSpec",
+    "ScenarioConfig", "ScenarioParseError", "SearchSpaceConfig",
+    "SimulationResult", "SweepPoint", "SweepSpec",
     "apply_axis", "bundled_scenario_names", "bundled_scenario_path",
     "candidate_cces", "candidate_starts", "emit_results", "iteration_rng",
     "load_results", "parse_plan_request", "parse_scenario",

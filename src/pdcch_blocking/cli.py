@@ -1,6 +1,6 @@
 """Command-line front end: simulate, sweep, plan, validate-limits.
 
-Exit codes: 0 success, 1 validation or parse error, 2 runtime error.
+Exit codes: 0 success, 1 validation or parse error, 2 runtime or argparse usage error.
 """
 
 import argparse
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lim.add_argument("scenario", help="scenario file path or bundled scenario name")
     p_lim.add_argument("--rnti", type=int, default=1,
                        help="C-RNTI of the UE to report on (default 1)")
-    p_lim.add_argument("--scs", type=int, choices=(15, 30, 60, 120), default=15,
+    p_lim.add_argument("--scs", type=int, default=15,
                        help="subcarrier spacing in kHz (default 15)")
     p_lim.add_argument("--max-bd", type=int, default=None,
                        help="override the blind-decode limit")

@@ -26,7 +26,7 @@ def per_al(name: str, values, kind) -> tuple:
     """One ``kind`` (int or float) per aggregation level, ordered as
     AGGREGATION_LEVELS, from a sequence of 5 or a mapping {AL: value} in which
     an absent AL is 0. A bool, or a value that is not an integer (int) or a
-    real number (float), raises ValueError."""
+    real number (float), or an integer past float range, raises ValueError."""
     if isinstance(values, dict):
         unknown = set(values) - set(AGGREGATION_LEVELS)
         if unknown:
@@ -39,7 +39,10 @@ def per_al(name: str, values, kind) -> tuple:
     allowed, plural = (Integral, "integers") if kind is int else (Real, "numbers")
     if any(isinstance(v, bool) or not isinstance(v, allowed) for v in values):
         raise ValueError(f"{name} must be {plural}, got {values}")
-    return tuple(kind(v) for v in values)
+    try:
+        return tuple(kind(v) for v in values)
+    except OverflowError:
+        raise ValueError(f"{name} has an integer too large for a float") from None
 
 
 @dataclass(frozen=True)

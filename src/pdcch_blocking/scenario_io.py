@@ -1,17 +1,18 @@
 """Scenario files, bundled studies, and result serialization.
 
-Scenario files are JSON with strict key and type checking: an unknown key or
-a value of the wrong JSON type is a parse error, so typos cannot silently
-fall back to defaults or be coerced. A plan file is a scenario file with
-``target_blocking`` and ``cce_range`` in place of ``coreset``. Results go out
-as CSV (one header row, fixed column order) or JSON, and round-trip
+Scenario files are JSON with strict key and type checking: bad JSON, an
+unknown or missing key, a wrong JSON type or a malformed section is a
+ScenarioParseError, so typos cannot fall back to defaults or be coerced; a
+config type's own ValueError passes through. A plan file is a scenario file
+with ``target_blocking`` and ``cce_range`` in place of ``coreset``. Results
+go out as CSV (one header row, fixed column order) or JSON, and round-trip
 losslessly.
 """
 
 import csv
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -41,11 +42,7 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 class ScenarioParseError(ValueError):
-    """The file is not readable as a scenario: bad JSON, keys, or types."""
-
-
-class ScenarioValidationError(ValueError):
-    """The file parsed but violates a configuration invariant."""
+    """The file is not readable as a scenario: bad JSON, keys, types or shape."""
 
 
 @dataclass(frozen=True)
@@ -142,13 +139,10 @@ def _coreset_from_dict(data) -> CoresetConfig:
 
 def _sweep_from_dict(data) -> SweepSpec:
     values = _section(data, _SWEEP, {"axis", "points"}, "sweep")
-    try:
-        check_axis(values["axis"], values.get("al"))
-    except ValueError as exc:
-        raise ScenarioValidationError(str(exc)) from exc
+    check_axis(values["axis"], values.get("al"))
     points = values["points"]
     if not isinstance(points, list) or not points:
-        raise ScenarioValidationError("sweep points must be a non-empty list")
+        raise ScenarioParseError("sweep points must be a non-empty list")
     values["points"] = tuple(_sweep_point(values["axis"], p, f"sweep.points[{i}]")
                              for i, p in enumerate(points))
     return SweepSpec(**values)
@@ -160,18 +154,13 @@ def scenario_from_dict(data) -> Scenario:
     labels = {key: values.pop(key) for key in ("name", "figure", "description")
               if key in values}
     sweep = values.pop("sweep", None)
-    try:
-        config = ScenarioConfig(
-            coreset=_coreset_from_dict(values.pop("coreset")),
-            search_space=SearchSpaceConfig(**_section(
-                values.pop("search_space"), _SEARCH_SPACE, {"candidates_per_al"},
-                "search_space")),
-            al_distribution=AlDistribution(values.pop("al_distribution")),
-            **values)
-    except ScenarioParseError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioValidationError(str(exc)) from exc
+    config = ScenarioConfig(
+        coreset=_coreset_from_dict(values.pop("coreset")),
+        search_space=SearchSpaceConfig(**_section(
+            values.pop("search_space"), _SEARCH_SPACE, {"candidates_per_al"},
+            "search_space")),
+        al_distribution=AlDistribution(values.pop("al_distribution")),
+        **values)
     return Scenario(config=config, sweep=None if sweep is None else _sweep_from_dict(sweep),
                     **labels)
 
@@ -194,34 +183,15 @@ def parse_scenario(path) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Normalized mapping form of a scenario; parse(scenario_to_dict(s)) == s."""
-    cfg = scenario.config
-    data = {"name": scenario.name}
-    if scenario.description is not None:
-        data["description"] = scenario.description
-    if scenario.figure is not None:
-        data["figure"] = scenario.figure
-    data.update({
-        "ue_count": cfg.ue_count,
-        "coreset": {"rb_count": cfg.coreset.rb_count,
-                    "symbol_duration": cfg.coreset.symbol_duration,
-                    "coreset_index": cfg.coreset.coreset_index},
-        "search_space": {"candidates_per_al": list(cfg.search_space.candidates_per_al),
-                         "space_type": cfg.search_space.space_type,
-                         "slot_index": cfg.search_space.slot_index},
-        "al_distribution": list(cfg.al_distribution.probabilities),
-        "strategy": cfg.strategy,
-        "iterations": cfg.iterations,
-        "master_seed": cfg.master_seed,
-    })
-    if scenario.sweep is not None:
-        sweep = {"axis": scenario.sweep.axis,
-                 "points": [list(p) if isinstance(p, tuple) else p
-                            for p in scenario.sweep.points]}
-        if scenario.sweep.al is not None:
-            sweep["al"] = scenario.sweep.al
-        data["sweep"] = sweep
-    return data
+    """Normalized mapping form of a scenario: its fields as JSON values, the
+    config's fields lifted before ``sweep``, ``al_distribution`` as its
+    probabilities and no None-valued key; parse(scenario_to_dict(s)) == s."""
+    data = json.loads(json.dumps(asdict(scenario)))
+    data |= data.pop("config") | {"sweep": data.pop("sweep")}
+    data["al_distribution"] = data["al_distribution"]["probabilities"]
+    if data["sweep"] is not None:
+        data["sweep"] = {k: v for k, v in data["sweep"].items() if v is not None}
+    return {k: v for k, v in data.items() if v is not None}
 
 
 def parse_plan_request(path):
@@ -239,12 +209,8 @@ def parse_plan_request(path):
     scenario = scenario_from_dict(
         {key: value for key, value in data.items() if key not in _PLAN_ONLY}
         | {"coreset": {"cce_count": cce_range[1]}})
-    try:
-        request = PlanningRequest(base=scenario.config, target_blocking=target,
-                                  cce_min=cce_range[0], cce_max=cce_range[1])
-    except ValueError as exc:
-        raise ScenarioValidationError(str(exc)) from exc
-    return scenario.name, request
+    return scenario.name, PlanningRequest(base=scenario.config, target_blocking=target,
+                                          cce_min=cce_range[0], cce_max=cce_range[1])
 
 
 def bundled_scenario_names() -> list:

@@ -90,6 +90,13 @@ def test_nan_probability_exits_one(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_integer_past_float_range_exits_one(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(SCENARIO, al_distribution=[1, 0, 0, 0, 10**400])))
+    assert main(["simulate", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_candidate_count_sweep_without_al_exits_one(tmp_path, monkeypatch, capsys):
     runs = []
     monkeypatch.setattr(simulation, "run_scenario", lambda *a, **k: runs.append(a))
@@ -141,6 +148,13 @@ def test_validate_limits_flags_excess(scenario_file, capsys):
     assert main(["validate-limits", str(scenario_file), "--scs", "120",
                  "--max-bd", "10"]) == 0
     assert "EXCEEDED" in capsys.readouterr().out
+
+
+def test_validate_limits_rejects_unknown_scs(capsys):
+    # MonitoringLimits.for_scs is the one rule for the subcarrier spacing
+    assert main(["validate-limits", "fig4_ue_sweep", "--scs", "45"]) == 1
+    assert ("error: scs_khz must be one of [15, 30, 60, 120], got 45"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("flags", [["--max-bd", "-5", "--max-cce", "-1"],

@@ -16,6 +16,7 @@ from pdcch_blocking import (ALLOWED_CANDIDATE_COUNTS, AGGREGATION_LEVELS,
                             parse_scenario, run_scenario, run_sweep, y_value)
 from pdcch_blocking.scheduler import STRATEGY_HIGH_TO_LOW, STRATEGY_UNORDERED
 from pdcch_blocking.search_space import RNTI_MAX
+from pdcch_blocking.simulation import _kernel
 
 
 def reference_order(levels, strategy, perm):
@@ -44,6 +45,12 @@ def reference_greedy(ues, order):
         else:
             blocked.append(i)
     return assigned, sorted(blocked)
+
+
+def kernel_tables(space, coreset):
+    """The per-run tables of ``_kernel`` for ``space`` on ``coreset``: (K, P per
+    AL, masks per AL and residue)."""
+    return _kernel(ScenarioConfig(1, coreset, space, AlDistribution({1: 1.0})))[1:]
 
 
 def reference_blocked(cfg: ScenarioConfig, iteration: int) -> int:

@@ -2,12 +2,12 @@ import json
 
 import pytest
 
+import pdcch_blocking
 from pdcch_blocking import (SWEEP_AXES, ResultRecord, ScenarioParseError,
-                            ScenarioValidationError, apply_axis,
-                            bundled_scenario_names, bundled_scenario_path,
-                            emit_results, load_results, parse_plan_request,
-                            parse_scenario, scenario_from_dict,
-                            scenario_to_dict)
+                            apply_axis, bundled_scenario_names,
+                            bundled_scenario_path, emit_results, load_results,
+                            parse_plan_request, parse_scenario,
+                            scenario_from_dict, scenario_to_dict)
 
 MINIMAL = {
     "name": "minimal",
@@ -31,6 +31,14 @@ def write(tmp_path, data, name="scn.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
+
+
+# --- package exports ----------------------------------------------------------
+
+def test_every_exported_name_resolves():
+    assert all(hasattr(pdcch_blocking, name) for name in pdcch_blocking.__all__)
+    # config errors surface as the config types' own ValueError
+    assert not hasattr(pdcch_blocking, "ScenarioValidationError")
 
 
 # --- parsing ----------------------------------------------------------------
@@ -64,14 +72,14 @@ def test_missing_key_is_rejected(tmp_path):
 
 def test_invalid_distribution_is_validation_error(tmp_path):
     bad = dict(MINIMAL, al_distribution=[0.4, 0.3, 0.1, 0.05, 0.05])
-    with pytest.raises(ScenarioValidationError, match="sum"):
+    with pytest.raises(ValueError, match="sum"):
         parse_scenario(write(tmp_path, bad))
 
 
 def test_too_many_iterations_is_validation_error(tmp_path):
-    with pytest.raises(ScenarioValidationError, match="iterations must be <= 2\\*\\*32"):
+    with pytest.raises(ValueError, match="iterations must be <= 2\\*\\*32"):
         parse_scenario(write(tmp_path, dict(MINIMAL, iterations=2**32 + 1)))
-    with pytest.raises(ScenarioValidationError, match="iterations must be <= 2\\*\\*32"):
+    with pytest.raises(ValueError, match="iterations must be <= 2\\*\\*32"):
         parse_plan_request(write(tmp_path, dict(PLAN, iterations=2**32 + 1), "plan.json"))
 
 
@@ -115,7 +123,7 @@ def test_wrong_json_types_are_rejected(tmp_path, scenario_changes, plan_changes)
 def test_nan_probability_is_a_validation_error(tmp_path):
     # JSON NaN is a number to the parser; the distribution must refuse it
     bad = dict(MINIMAL, al_distribution=[float("nan"), 0.5, 0, 0, 0.5])
-    with pytest.raises(ScenarioValidationError, match="finite"):
+    with pytest.raises(ValueError, match="finite"):
         parse_scenario(write(tmp_path, bad))
 
 
@@ -132,8 +140,15 @@ def test_sweep_section_parses(tmp_path):
     assert scn.sweep.points == (5, 10)
     for axis in ("bandwidth", "al_fixed"):
         bad = dict(MINIMAL, sweep={"axis": axis, "points": [1]})
-        with pytest.raises(ScenarioValidationError, match="axis"):
+        with pytest.raises(ValueError, match="axis"):
             parse_scenario(write(tmp_path, bad))
+
+
+@pytest.mark.parametrize("points", [[], 5])
+def test_sweep_points_must_be_a_non_empty_list(tmp_path, points):
+    data = dict(MINIMAL, sweep={"axis": "ue_count", "points": points})
+    with pytest.raises(ScenarioParseError, match="non-empty list"):
+        parse_scenario(write(tmp_path, data))
 
 
 # One valid point per sweep axis; an axis added to SWEEP_AXES needs one here.
@@ -149,7 +164,7 @@ VALID_SWEEP_POINTS = {
 def test_valid_sweep_point_parses_and_applies(tmp_path, axis):
     sweep = {"axis": axis, "points": [VALID_SWEEP_POINTS[axis]], "al": 2}
     if axis != "candidate_count":  # al belongs to the candidate_count axis only
-        with pytest.raises(ScenarioValidationError, match="candidate_count axis only"):
+        with pytest.raises(ValueError, match="candidate_count axis only"):
             parse_scenario(write(tmp_path, dict(MINIMAL, sweep=sweep)))
         del sweep["al"]
     scn = parse_scenario(write(tmp_path, dict(MINIMAL, sweep=sweep)))
@@ -163,7 +178,7 @@ def test_candidate_count_sweep_needs_an_al_at_parse_time(tmp_path, al):
     del data["sweep"]["al"]
     if al is not None:
         data["sweep"]["al"] = al
-    with pytest.raises(ScenarioValidationError, match="candidate count sweep needs al"):
+    with pytest.raises(ValueError, match="candidate count sweep needs al"):
         parse_scenario(write(tmp_path, data))
 
 
@@ -211,6 +226,14 @@ def test_roundtrip_normalization_is_stable(tmp_path):
     normalized = scenario_to_dict(scn)
     again = scenario_to_dict(scenario_from_dict(normalized))
     assert normalized == again
+
+
+@pytest.mark.parametrize("name", ["MINIMAL"] + [
+    name for name in bundled_scenario_names() if not name.startswith("plan_")])
+def test_to_dict_parses_back_to_the_same_scenario(name):
+    scn = (scenario_from_dict(MINIMAL) if name == "MINIMAL"
+           else parse_scenario(bundled_scenario_path(name)))
+    assert scenario_from_dict(scenario_to_dict(scn)) == scn
 
 
 # --- bundled scenarios --------------------------------------------------------
@@ -276,9 +299,9 @@ def test_plan_request_rejects_scenario_only_keys(tmp_path, key, value):
 
 
 def test_plan_request_validates_planning_values(tmp_path):
-    with pytest.raises(ScenarioValidationError, match="target_blocking"):
+    with pytest.raises(ValueError, match="target_blocking"):
         parse_plan_request(write(tmp_path, dict(PLAN, target_blocking=1.5)))
-    with pytest.raises(ScenarioValidationError, match="cce_max"):
+    with pytest.raises(ValueError, match="cce_max"):
         parse_plan_request(write(tmp_path, dict(PLAN, cce_range=[50, 40])))
 
 

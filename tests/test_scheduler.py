@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from pdcch_blocking import (AGGREGATION_LEVELS, AlDistribution, CoresetConfig,
-                            MonitoringLimits, ScenarioConfig, SearchSpaceConfig,
-                            candidate_starts, validate_limits, y_value)
+from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig, MonitoringLimits,
+                            SearchSpaceConfig, candidate_starts, validate_limits,
+                            y_value)
 from pdcch_blocking.scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW,
                                       STRATEGY_LOW_TO_HIGH, _allocation_order,
                                       _greedy_assign)
 from pdcch_blocking.search_space import Y_MODULUS
-from pdcch_blocking.simulation import _kernel
-from test_kernel import reference_greedy, reference_order
+from test_kernel import kernel_tables, reference_greedy, reference_order
 
 
 def masks(level, starts):
@@ -51,13 +50,6 @@ def schedule(ues, strategy=STRATEGY_LOW_TO_HIGH, rng=None):
     return taken, sorted(blocked), used
 
 
-def kernel_tables(space, cce_count):
-    """The per-run tables of ``_kernel``: (K, P per AL, masks per AL and residue)."""
-    cfg = ScenarioConfig(1, CoresetConfig.from_cce_count(cce_count), space,
-                         AlDistribution({1: 1.0}))
-    return _kernel(cfg)[1:]
-
-
 def test_single_ue_never_blocked():
     for strategy in STRATEGIES:
         taken, blocked, used = schedule([(8, [0, 24])], strategy)
@@ -79,7 +71,8 @@ def test_three_ue_blocking_example():
 
 def test_identical_candidates_block_all_but_one():
     # one AL-16 candidate in a 16-CCE CORESET: a single residue, a single mask
-    _, positions, tables = kernel_tables(SearchSpaceConfig({16: 1}), 16)
+    _, positions, tables = kernel_tables(SearchSpaceConfig({16: 1}),
+                                         CoresetConfig.from_cce_count(16))
     assert positions[4] == 1 and tables[4] == [((1 << 16) - 1,)]
     for total in (2, 5, 9):
         order = order_for([4] * total, STRATEGY_LOW_TO_HIGH, np.random.default_rng(3))
@@ -99,7 +92,8 @@ def test_ue_without_candidates_is_blocked():
     assert blocked == [0]
     assert 1 in taken
     # the kernel gives an AL larger than the CORESET the single empty mask set
-    _, positions, tables = kernel_tables(SearchSpaceConfig((6, 6, 4, 2, 1)), 8)
+    _, positions, tables = kernel_tables(SearchSpaceConfig((6, 6, 4, 2, 1)),
+                                         CoresetConfig.from_cce_count(8))
     assert positions[4] == 1 and tables[4] == ((),)
 
 
@@ -163,7 +157,7 @@ def test_greedy_prefix_property():
 
 def test_strategies_equivalent_under_uniform_al():
     space = SearchSpaceConfig((0, 6, 0, 0, 0))
-    k, positions, tables = kernel_tables(space, 24)
+    k, positions, tables = kernel_tables(space, CoresetConfig.from_cce_count(24))
     rng = np.random.default_rng(29)
     for _ in range(50):
         rntis = rng.integers(1, 65536, size=8)
@@ -202,13 +196,14 @@ def test_leftmost_choice_picks_lowest_start():
     # C=12, AL 4, M=2: at residue 2 the hash lists start 8 before start 0
     space = SearchSpaceConfig({4: 2})
     assert candidate_starts(4, 12, 2, 2) == [8, 0]
-    _, _, tables = kernel_tables(space, 12)
+    _, _, tables = kernel_tables(space, CoresetConfig.from_cce_count(12))
     assert _greedy_assign([0], [tables[2][2]]) == ([0b1111], 0b1111)
     # every table row lists its masks by first CCE
     for cce_count in (1, 8, 12, 54, 97, 200):
         for space_type in ("css", "uss"):
             _, _, tables = kernel_tables(SearchSpaceConfig(
-                (6, 6, 4, 2, 1), space_type=space_type, slot_index=3), cce_count)
+                (6, 6, 4, 2, 1), space_type=space_type, slot_index=3),
+                CoresetConfig.from_cce_count(cce_count))
             for rows in tables:
                 for row in rows:
                     assert list(row) == sorted(row)

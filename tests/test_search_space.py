@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from pdcch_blocking import (AGGREGATION_LEVELS, AlDistribution, CoresetConfig,
-                            NoCandidateFitsError, ScenarioConfig,
-                            SearchSpaceConfig, candidate_cces, candidate_starts,
-                            y_value)
+from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig,
+                            NoCandidateFitsError, SearchSpaceConfig,
+                            candidate_cces, candidate_starts, y_value)
 from pdcch_blocking.search_space import A_MULTIPLIERS
-from pdcch_blocking.simulation import _kernel
+from test_kernel import kernel_tables
 
 
 # --- Y recursion -----------------------------------------------------------
@@ -141,11 +140,6 @@ def test_candidate_starts_matches_per_candidate_calls():
 # --- per-UE candidate sets ------------------------------------------------
 # A UE's candidates at one AL are the ``candidate_starts`` of its Y; the
 # simulator reads them from ``_kernel``'s per-residue tables.
-
-def kernel_tables(space, coreset):
-    """The per-run tables of ``_kernel``: (K, P per AL, masks per AL and residue)."""
-    return _kernel(ScenarioConfig(1, coreset, space, AlDistribution({1: 1.0})))[1:]
-
 
 def test_ue_candidate_set_counts_and_order():
     space = SearchSpaceConfig((6, 6, 4, 2, 1))

@@ -60,6 +60,11 @@ def test_distribution_rejects_non_numbers(probs):
         AlDistribution(probs)
 
 
+def test_distribution_rejects_integer_past_float_range():
+    with pytest.raises(ValueError, match="too large for a float"):
+        AlDistribution((1, 0, 0, 0, 10**400))
+
+
 def test_distribution_accepts_integer_entries():
     dist = AlDistribution((0, 0, 1, 0, 0))
     assert dist.probabilities == (0.0, 0.0, 1.0, 0.0, 0.0)
@@ -394,6 +399,13 @@ def test_sweep_continues_past_invalid_point():
     assert points[0].result is not None
     assert points[1].result is None and "cce_count" in points[1].error
     assert points[2].result is not None
+
+
+def test_sweep_records_integer_past_float_range_on_its_point():
+    points = run_sweep(scenario(iterations=100), "al_distribution",
+                       [[1, 0, 0, 0, 0], [1, 0, 0, 0, 10**400]])
+    assert points[0].result is not None
+    assert points[1].result is None and "too large for a float" in points[1].error
 
 
 @pytest.mark.parametrize("axis,point,label", [
