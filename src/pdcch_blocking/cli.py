@@ -10,10 +10,10 @@ import sys
 from pathlib import Path
 
 from .planner import plan_min_coreset
-from .scenario_io import (FORMAT_CSV, FORMATS, ResultRecord, Scenario,
-                          ScenarioParseError, bundled_scenario_names,
-                          bundled_scenario_path, emit_results, parse_plan_request,
-                          parse_scenario, records_for_sweep, resolve_output_path)
+from .scenario_io import (FORMAT_CSV, FORMATS, Scenario, ScenarioParseError,
+                          bundled_scenario_names, bundled_scenario_path,
+                          emit_results, parse_plan_request, parse_scenario,
+                          records_for_sweep, resolve_output_path)
 from .scheduler import MonitoringLimits, validate_limits
 from .simulation import SweepPoint, run_scenario, run_sweep
 
@@ -144,27 +144,18 @@ def _cmd_plan(args) -> int:
     else:
         print(f"{name}: min CORESET size = {result.min_cces} CCEs "
               f"(B={result.achieved_blocking:.6g}, target {request.target_blocking}, "
-              f"U={base.ue_count}, {len(result.evaluations)} evaluations)")
-    if args.out:
+              f"U={base.ue_count}, {len(result.points)} evaluations)")
+    if args.format == FORMAT_CSV:
+        _emit(records_for_sweep(name, base, result.points), args)
+    elif args.out:
         path = resolve_output_path(args.out)
-        if args.format == FORMAT_CSV:
-            trials = base.ue_count * base.iterations
-            records = [ResultRecord(scenario=name, point=str(cces),
-                                    blocking_probability=blocking, stderr=stderr,
-                                    blocked_total=round(blocking * trials),
-                                    scheduled_total=round((1 - blocking) * trials),
-                                    seed=base.master_seed,
-                                    iterations=base.iterations)
-                       for cces, blocking, stderr in result.evaluations]
-            emit_results(records, FORMAT_CSV, args.out)
-        else:
-            payload = {"name": name, "min_cces": result.min_cces,
-                       "achieved_blocking": result.achieved_blocking,
-                       "target_blocking": request.target_blocking,
-                       "evaluations": [list(e) for e in result.evaluations]}
-            with open(path, "w") as handle:
-                json.dump(payload, handle, indent=2)
-                handle.write("\n")
+        payload = {"name": name, "min_cces": result.min_cces,
+                   "achieved_blocking": result.achieved_blocking,
+                   "target_blocking": request.target_blocking,
+                   "evaluations": [list(e) for e in result.evaluations]}
+        with open(path, "w") as handle:
+            json.dump(payload, handle, indent=2)
+            handle.write("\n")
         print(f"wrote evaluations to {path}")
     return 0
 

@@ -2,15 +2,17 @@
 
 Bisection over the CCE count (blocking decreases with CORESET size), then a
 short downward scan to guard against local non-monotonicity from hash
-effects and Monte Carlo noise. All evaluations share one master seed, so the
-per-size estimates are directly comparable.
+effects and Monte Carlo noise. Each evaluation is a ``coreset_size`` sweep
+point at one master seed, so the per-size estimates are directly comparable
+and leave the planner as ``SweepPoint``s, the shape ``run_sweep`` returns.
 """
 
 from dataclasses import dataclass
 from numbers import Real
 
 from .coreset import as_integer
-from .simulation import ScenarioConfig, apply_axis, run_scenario, worker_pool
+from .simulation import (ScenarioConfig, SweepPoint, apply_axis, run_scenario,
+                         worker_pool)
 
 CONFIRMATION_SCAN = 4  # CCE sizes re-checked below the bisection answer
 
@@ -44,20 +46,31 @@ class PlanningRequest:
 class PlanningResult:
     """Smallest CCE count meeting the target, or None when the range cannot.
 
-    ``evaluations`` records every (cce_count, blocking, stderr) simulated, in
-    evaluation order.
+    ``points`` holds one SweepPoint per CCE count simulated, in evaluation
+    order: the count as ``point``, its string as ``label`` and the run's
+    SimulationResult, as a ``coreset_size`` sweep at that count gives.
     """
 
     min_cces: int
-    achieved_blocking: float
-    evaluations: tuple
+    points: tuple
+
+    @property
+    def evaluations(self) -> tuple:
+        """(cce_count, blocking, stderr) of every point, in evaluation order."""
+        return tuple((p.point, p.result.blocking_probability, p.result.stderr)
+                     for p in self.points)
+
+    @property
+    def achieved_blocking(self) -> float:
+        """The blocking at ``min_cces``, or None when no size meets the target."""
+        return next((b for cces, b, _ in self.evaluations if cces == self.min_cces), None)
 
 
 def plan_min_coreset(req: PlanningRequest, workers: int = None) -> PlanningResult:
     """Find the smallest CORESET (in CCEs) with estimated blocking at or
     below the target, searching [cce_min, cce_max]: bisect, scan and descend
-    over CCE counts, simulating each size once. With ``workers`` > 1 one
-    process pool serves every evaluation."""
+    over CCE counts, simulating each size once, as a ``coreset_size`` sweep
+    point. With ``workers`` > 1 one process pool serves every evaluation."""
     results = {}  # CCE count -> SimulationResult, in evaluation order
     best = None
     with worker_pool(workers) as pool:
@@ -85,7 +98,6 @@ def plan_min_coreset(req: PlanningRequest, workers: int = None) -> PlanningResul
             # is always a confirmed miss (or the range floor).
             while best > req.cce_min and meets(best - 1):
                 best -= 1
-    return PlanningResult(
-        min_cces=best,
-        achieved_blocking=None if best is None else results[best].blocking_probability,
-        evaluations=tuple((c, r.blocking_probability, r.stderr) for c, r in results.items()))
+    return PlanningResult(min_cces=best, points=tuple(
+        SweepPoint(point=cces, label=str(cces), result=result)
+        for cces, result in results.items()))

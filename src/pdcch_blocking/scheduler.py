@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coreset import AGGREGATION_LEVELS, CoresetConfig, as_integer
-from .search_space import SearchSpaceConfig, candidate_cces, y_value
+from .search_space import SearchSpaceConfig, candidate_starts, y_value
 
 STRATEGY_LOW_TO_HIGH = "low_to_high"
 STRATEGY_HIGH_TO_LOW = "high_to_low"
@@ -32,30 +32,24 @@ BD_LIMITS = {15: 44, 30: 36, 60: 22, 120: 20}
 CCE_LIMITS = {15: 56, 30: 56, 60: 48, 120: 32}
 
 
-def _check_scs(scs_khz) -> int:
-    scs_khz = as_integer("scs_khz", scs_khz)
-    if scs_khz not in BD_LIMITS:
-        raise ValueError(f"scs_khz must be one of {sorted(BD_LIMITS)}, got {scs_khz}")
-    return scs_khz
-
-
 @dataclass(frozen=True)
 class MonitoringLimits:
     """UE capability: blind-decode and non-overlapping-CCE limits per slot."""
 
     max_blind_decodes: int
     max_nonoverlap_cces: int
-    scs_khz: int = 15
 
     def __post_init__(self):
         for name in ("max_blind_decodes", "max_nonoverlap_cces"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name), 1))
-        object.__setattr__(self, "scs_khz", _check_scs(self.scs_khz))
 
     @classmethod
     def for_scs(cls, scs_khz: int) -> "MonitoringLimits":
-        scs_khz = _check_scs(scs_khz)
-        return cls(BD_LIMITS[scs_khz], CCE_LIMITS[scs_khz], scs_khz)
+        """The limits of subcarrier spacing ``scs_khz`` (15, 30, 60 or 120)."""
+        scs_khz = as_integer("scs_khz", scs_khz)
+        if scs_khz not in BD_LIMITS:
+            raise ValueError(f"scs_khz must be one of {sorted(BD_LIMITS)}, got {scs_khz}")
+        return cls(BD_LIMITS[scs_khz], CCE_LIMITS[scs_khz])
 
 
 @dataclass(frozen=True)
@@ -123,8 +117,8 @@ def validate_limits(search_space: SearchSpaceConfig, coreset: CoresetConfig,
     for al, m in zip(AGGREGATION_LEVELS, search_space.candidates_per_al):
         if m == 0 or cce_count < al:
             continue
-        for k in range(m):
-            union.update(candidate_cces(al, k, cce_count, m, y))
+        for start in candidate_starts(al, cce_count, m, y):
+            union.update(range(start, start + al))
     return LimitsReport(blind_decodes=blind_decodes,
                         max_blind_decodes=limits.max_blind_decodes,
                         distinct_cces=len(union),

@@ -80,36 +80,31 @@ def y_value(c_rnti: int, coreset_index: int = 0, slot_index: int = 0,
     return c_rnti * y_multiplier(coreset_index, slot_index, space_type) % Y_MODULUS
 
 
-def candidate_start(aggregation_level: int, candidate_index: int, cce_count: int,
-                    candidate_count: int, y: int) -> int:
-    """First CCE index of candidate ``candidate_index``.
+def candidate_starts(aggregation_level: int, cce_count: int, candidate_count: int,
+                     y: int) -> list:
+    """First CCE index of each of the ``candidate_count`` candidates, in
+    candidate order: L * ((y + floor(k*C / (L*M))) mod floor(C/L)).
 
     Raises NoCandidateFitsError when the aggregation level exceeds the CORESET
     size, i.e. floor(cce_count / aggregation_level) == 0.
     """
-    L, k, C, M = aggregation_level, candidate_index, cce_count, candidate_count
+    L, C, M = aggregation_level, cce_count, candidate_count
     if L not in AGGREGATION_LEVELS:
         raise ValueError(f"aggregation level must be one of {AGGREGATION_LEVELS}, got {L}")
     if C < 1:
         raise ValueError(f"cce_count must be >= 1, got {C}")
-    if M < 1 or not 0 <= k < M:
-        raise ValueError(f"candidate index {k} out of range for {M} candidates")
+    M = as_integer("candidate_count", M, 1)
     positions = C // L
     if positions == 0:
         raise NoCandidateFitsError(f"AL {L} does not fit in a CORESET of {C} CCEs")
-    return L * ((y + (k * C) // (L * M)) % positions)
+    return [L * ((y + (k * C) // (L * M)) % positions) for k in range(M)]
 
 
 def candidate_cces(aggregation_level: int, candidate_index: int, cce_count: int,
                    candidate_count: int, y: int) -> tuple:
     """CCE indices of one candidate: L contiguous CCEs from the hashed start."""
-    start = candidate_start(aggregation_level, candidate_index, cce_count,
-                            candidate_count, y)
+    k, M = candidate_index, candidate_count
+    if not 0 <= k < M:
+        raise ValueError(f"candidate index {k} out of range for {M} candidates")
+    start = candidate_starts(aggregation_level, cce_count, candidate_count, y)[k]
     return tuple(range(start, start + aggregation_level))
-
-
-def candidate_starts(aggregation_level: int, cce_count: int, candidate_count: int,
-                     y: int) -> list:
-    """Start CCEs of all ``candidate_count`` candidates, in candidate order."""
-    return [candidate_start(aggregation_level, k, cce_count, candidate_count, y)
-            for k in range(candidate_count)]

@@ -334,30 +334,28 @@ def run_scenario(cfg: ScenarioConfig, workers: int = None,
                  keep_per_iteration: bool = False, *, pool=None) -> SimulationResult:
     """Estimate the blocking probability for one scenario.
 
-    ``workers`` > 1 splits the iterations into that many contiguous ranges
-    and runs them in ``pool``, an open pool from ``worker_pool``, or else in
-    a pool opened and closed for this call. ``run_sweep`` and
-    ``plan_min_coreset`` hold one pool for all their runs, so one pool
-    serves a whole command. Because every iteration seeds its own stream
-    from (master_seed, iteration), the result is bit-identical to a serial
-    run. None or 1 runs serially, and then a ``pool`` is an error.
+    The iterations are split into contiguous ranges, one per worker, run by
+    ``_run_range`` and summed in range order. None or 1 ``workers`` maps one
+    range in this process, and then a ``pool`` is an error. ``workers`` > 1
+    maps the ranges over ``pool``, an open pool from ``worker_pool``, or else
+    over a pool opened and closed for this call; ``run_sweep`` and
+    ``plan_min_coreset`` hold one pool for all their runs. Because every
+    iteration seeds its own stream from (master_seed, iteration), the result
+    does not depend on the number of ranges.
     """
     workers = _worker_count(workers)
     if pool is not None and workers is None:
         raise ValueError("a pool needs workers > 1")
+    bounds = np.linspace(0, cfg.iterations, (workers or 1) + 1, dtype=int).tolist()
+    starts, stops = zip(*[(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi])
+    ranges = ([cfg] * len(starts), starts, stops, [keep_per_iteration] * len(starts))
     if workers is None:
-        blocked_total, per_iter = _run_range(cfg, 0, cfg.iterations, keep_per_iteration)
+        parts = list(map(_run_range, *ranges))
     else:
-        bounds = np.linspace(0, cfg.iterations, workers + 1, dtype=int).tolist()
-        starts, stops = zip(*[(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi])
-        n = len(starts)
         with worker_pool(workers) if pool is None else nullcontext(pool) as pool:
-            parts = list(pool.map(_run_range, [cfg] * n, starts, stops,
-                                  [keep_per_iteration] * n))
-        blocked_total = sum(total for total, _ in parts)
-        per_iter = None
-        if keep_per_iteration:
-            per_iter = [b for _, part in parts for b in part]
+            parts = list(pool.map(_run_range, *ranges))
+    blocked_total = sum(total for total, _ in parts)
+    per_iter = [b for _, part in parts for b in part] if keep_per_iteration else None
     return SimulationResult.from_counts(blocked_total, cfg.ue_count, cfg.iterations,
                                         per_iteration_blocked=per_iter)
 

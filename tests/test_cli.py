@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from pdcch_blocking import bundled_scenario_path, load_results, simulation
+from pdcch_blocking import (bundled_scenario_path, load_results, parse_plan_request,
+                            plan_min_coreset, run_sweep, simulation)
 from pdcch_blocking.cli import main
+from pdcch_blocking.scenario_io import records_for_sweep
 
 SCENARIO = {
     "name": "tiny",
@@ -15,6 +17,11 @@ SCENARIO = {
     "master_seed": 9,
     "sweep": {"axis": "ue_count", "points": [2, 4]},
 }
+
+PLAN = {"name": "small_plan", "ue_count": 5, "target_blocking": 0.1,
+        "al_distribution": [0.4, 0.3, 0.2, 0.05, 0.05],
+        "search_space": {"candidates_per_al": [6, 6, 4, 2, 1]},
+        "cce_range": [6, 48], "iterations": 200, "master_seed": 3}
 
 
 @pytest.fixture
@@ -178,6 +185,21 @@ def test_plan_command(tmp_path, capsys):
     assert payload["name"] == "tiny_plan"
     assert payload["min_cces"] == 2  # two AL-1 UEs with 6 candidates each
     assert payload["evaluations"]
+
+
+def test_plan_csv_rows_are_coreset_size_sweep_rows(tmp_path, capsys):
+    # the rows carry the simulator's own counts, not counts rebuilt from B
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(PLAN))
+    out_path = tmp_path / "plan_out.csv"
+    assert main(["plan", str(path), "--format", "csv", "--out", str(out_path)]) == 0
+    rows = load_results(out_path)
+    assert len(rows) > 1
+    name, request = parse_plan_request(path)
+    sizes = [int(row.point) for row in rows]
+    assert sizes == [p.point for p in plan_min_coreset(request).points]  # evaluation order
+    assert rows == records_for_sweep(name, request.base,
+                                     run_sweep(request.base, "coreset_size", sizes))
 
 
 def test_list_command(capsys):

@@ -1,6 +1,7 @@
 """The table-driven iteration kernel against the per-UE hash it replaces,
 and the blocked counts of every bundled study pinned bit for bit."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +15,9 @@ from pdcch_blocking import (ALLOWED_CANDIDATE_COUNTS, AGGREGATION_LEVELS,
                             bundled_scenario_names, bundled_scenario_path,
                             candidate_starts, iteration_rng, parse_plan_request,
                             parse_scenario, run_scenario, run_sweep, y_value)
-from pdcch_blocking.scheduler import STRATEGY_HIGH_TO_LOW, STRATEGY_UNORDERED
-from pdcch_blocking.search_space import RNTI_MAX
+from pdcch_blocking.scheduler import (STRATEGY_HIGH_TO_LOW, STRATEGY_UNORDERED,
+                                      _greedy_assign)
+from pdcch_blocking.search_space import RNTI_MAX, Y_MODULUS, y_multiplier
 from pdcch_blocking.simulation import _kernel
 
 
@@ -119,6 +121,55 @@ def test_kernel_matches_per_ue_hash_at_heavy_load(space_type, slot, index):
     result = run_scenario(cfg, keep_per_iteration=True)
     assert list(result.per_iteration_blocked) == [
         reference_blocked(cfg, it) for it in range(cfg.iterations)]
+
+
+def exact_u2_blocking(cfg: ScenarioConfig) -> float:
+    """The exact blocking probability of ``cfg`` at U=2. A UE's state is its
+    AL and its residue Y mod floor(C/L), weighted by the AL's probability
+    times the share of C-RNTIs 1..65535 with that residue. Every ordered pair
+    of states goes through the shared greedy, in the strategy's order: the
+    pair's own (i.i.d.) order for "unordered" and for equal ALs, else sorted
+    by AL."""
+    space, cce_count = cfg.search_space, cfg.coreset.cce_count
+    k = y_multiplier(cfg.coreset.coreset_index, space.slot_index, space.space_type)
+    ys = np.arange(1, RNTI_MAX + 1, dtype=np.int64) * k % Y_MODULUS
+    states = []  # (AL, probability, candidate masks sorted by start)
+    for level, m, p in zip(AGGREGATION_LEVELS, space.candidates_per_al,
+                           cfg.al_distribution.probabilities):
+        if p == 0:
+            continue
+        if m == 0 or cce_count < level:
+            states.append((level, p, ()))  # no candidate: always blocked
+            continue
+        weights = np.bincount(ys % (cce_count // level)) / RNTI_MAX
+        for r in np.flatnonzero(weights).tolist():
+            starts = sorted(candidate_starts(level, cce_count, m, r))
+            states.append((level, p * weights[r],
+                           tuple(((1 << level) - 1) << start for start in starts)))
+    blocked = 0.0
+    for pair in itertools.product(states, repeat=2):
+        if cfg.strategy != STRATEGY_UNORDERED:
+            pair = sorted(pair, key=lambda state: state[0],
+                          reverse=cfg.strategy == STRATEGY_HIGH_TO_LOW)
+        picks, _ = _greedy_assign([0, 1], [pair[0][2], pair[1][2]])
+        blocked += pair[0][1] * pair[1][1] * (2 - len(picks))
+    return blocked / 2
+
+
+SCENARIO_FILES = [name for name in bundled_scenario_names() if not name.startswith("plan_")]
+
+
+@pytest.mark.parametrize("name", SCENARIO_FILES)
+def test_u2_blocking_matches_exact_oracle(name):
+    # the binomial stderr is never narrower than the true spread at U=2
+    cfg = replace(parse_scenario(bundled_scenario_path(name)).config,
+                  ue_count=2, iterations=20000)
+    exact = exact_u2_blocking(cfg)
+    result = run_scenario(cfg)
+    if exact == 0:
+        assert result.blocked_total == 0
+    else:
+        assert abs(result.blocking_probability - exact) <= 4 * result.stderr
 
 
 # blocked_total of every point of every bundled file at its own seed and 200

@@ -237,10 +237,10 @@ def test_tie_break_uses_supplied_rng():
 # --- monitoring limits -------------------------------------------------------
 
 def test_limits_defaults_follow_scs_table():
-    assert MonitoringLimits.for_scs(15) == MonitoringLimits(44, 56, 15)
-    assert MonitoringLimits.for_scs(30) == MonitoringLimits(36, 56, 30)
-    assert MonitoringLimits.for_scs(60) == MonitoringLimits(22, 48, 60)
-    assert MonitoringLimits.for_scs(120) == MonitoringLimits(20, 32, 120)
+    assert MonitoringLimits.for_scs(15) == MonitoringLimits(44, 56)
+    assert MonitoringLimits.for_scs(30) == MonitoringLimits(36, 56)
+    assert MonitoringLimits.for_scs(60) == MonitoringLimits(22, 48)
+    assert MonitoringLimits.for_scs(120) == MonitoringLimits(20, 32)
     with pytest.raises(ValueError):
         MonitoringLimits.for_scs(240)
 
@@ -253,17 +253,14 @@ def test_limits_reject_non_positive_or_non_integer(max_bd, max_cce):
 
 
 def test_limits_store_numpy_integers_as_int():
-    limits = MonitoringLimits(np.int64(44), np.int32(56), np.int16(30))
-    assert limits == MonitoringLimits(44, 56, 30)
+    limits = MonitoringLimits(np.int64(44), np.int32(56))
+    assert limits == MonitoringLimits(44, 56)
     assert type(limits.max_blind_decodes) is int
-    assert type(limits.scs_khz) is int
     assert MonitoringLimits.for_scs(np.int64(60)) == MonitoringLimits.for_scs(60)
 
 
 @pytest.mark.parametrize("scs", [7, 240, True, 15.0, "15", None])
 def test_limits_reject_spacing_outside_the_table(scs):
-    with pytest.raises(ValueError, match="scs_khz"):
-        MonitoringLimits(44, 56, scs_khz=scs)
     with pytest.raises(ValueError, match="scs_khz"):
         MonitoringLimits.for_scs(scs)
 

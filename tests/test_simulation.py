@@ -229,6 +229,25 @@ def test_greedy_call_shape_counts_offered_and_scheduled_ues(monkeypatch, strateg
     assert 0 < result.scheduled_total < sum(offered)
 
 
+@pytest.mark.parametrize("cfg,cce_max", [
+    (scenario(iterations=200), 54),  # a size meets the target
+    (scenario(iterations=50, search_space=SearchSpaceConfig({16: 1}),
+              al_distribution=AlDistribution({16: 1.0})), 8)])  # none does
+def test_planning_result_shape_for_the_benchmark(cfg, cce_max):
+    # perfbench/run.py unpacks evaluations as (cces, blocking, stderr)
+    result = plan_min_coreset(PlanningRequest(base=cfg, target_blocking=0.2,
+                                              cce_min=1, cce_max=cce_max))
+    evaluations = result.evaluations
+    assert type(evaluations) is tuple and len(evaluations) == len(result.points) >= 1
+    assert all([type(v) for v in e] == [int, float, float] for e in evaluations)
+    assert evaluations == tuple((p.point, p.result.blocking_probability, p.result.stderr)
+                                for p in result.points)
+    met = [p.result.blocking_probability for p in result.points
+           if p.point == result.min_cces]
+    assert result.achieved_blocking == (met[0] if met else None)
+    assert (result.min_cces is None) == (cce_max == 8)
+
+
 def test_blocking_grows_with_ue_count():
     low = run_scenario(scenario(ue_count=5, iterations=3000))
     high = run_scenario(scenario(ue_count=30, iterations=3000))
