@@ -114,8 +114,7 @@ def _cmd_sweep(args) -> int:
     if scenario.sweep is None:
         raise ScenarioParseError(
             f"scenario {scenario.name!r} has no sweep section; use `simulate`")
-    points = run_sweep(scenario.config, scenario.sweep.axis,
-                       scenario.sweep.points, al=scenario.sweep.al,
+    points = run_sweep(scenario.config, scenario.sweep.axis, scenario.sweep.points,
                        workers=args.workers)
     print(f"{scenario.name}: sweep over {scenario.sweep.axis}")
     failures = 0

@@ -36,7 +36,7 @@ _SCENARIO = {"name": str, "description": str, "figure": str, "ue_count": int,
 _SCENARIO_REQUIRED = {"name", "ue_count", "coreset", "search_space", "al_distribution"}
 _CORESET = {"rb_count": int, "symbol_duration": int, "cce_count": int, "coreset_index": int}
 _SEARCH_SPACE = {"candidates_per_al": [int], "space_type": str, "slot_index": int}
-_SWEEP = {"axis": str, "points": object, "al": int}
+_SWEEP = {"axis": str, "points": object}
 _PLAN_ONLY = {"target_blocking": float, "cce_range": [int]}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
@@ -49,7 +49,6 @@ class ScenarioParseError(ValueError):
 class SweepSpec:
     axis: str
     points: tuple
-    al: int = None
 
 
 @dataclass(frozen=True)
@@ -115,14 +114,13 @@ def _section(data, table, required, context, path=None) -> dict:
 
 
 def _sweep_point(axis, point, where):
-    """``point`` type-checked for ``axis``; a list comes back as a tuple."""
+    """``point`` type-checked for ``axis``: a ``kind``, or on a list axis a
+    named point {"name": ..., key: [kind, ...]}."""
     kind, key, _ = SWEEP_AXES[axis]
     if key is None:
         return _typed(point, kind, where)
-    if isinstance(point, dict):
-        _section(point, {"name": str, key: [kind]}, {key}, where)
-        return point
-    return _typed(point, [kind], where)
+    _section(point, {"name": str, key: [kind]}, {"name", key}, where)
+    return point
 
 
 def _coreset_from_dict(data) -> CoresetConfig:
@@ -139,7 +137,7 @@ def _coreset_from_dict(data) -> CoresetConfig:
 
 def _sweep_from_dict(data) -> SweepSpec:
     values = _section(data, _SWEEP, {"axis", "points"}, "sweep")
-    check_axis(values["axis"], values.get("al"))
+    check_axis(values["axis"])
     points = values["points"]
     if not isinstance(points, list) or not points:
         raise ScenarioParseError("sweep points must be a non-empty list")
@@ -189,8 +187,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     data = json.loads(json.dumps(asdict(scenario)))
     data |= data.pop("config") | {"sweep": data.pop("sweep")}
     data["al_distribution"] = data["al_distribution"]["probabilities"]
-    if data["sweep"] is not None:
-        data["sweep"] = {k: v for k, v in data["sweep"].items() if v is not None}
     return {k: v for k, v in data.items() if v is not None}
 
 
@@ -255,14 +251,18 @@ def resolve_output_path(path) -> Path:
     return path
 
 
+def _check_format(fmt: str):
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
+
+
 def emit_results(records, fmt: str, path) -> Path:
     """Write records to ``path``. CSV: header plus one row per record, columns
     in CSV_COLUMNS order; JSON: an array of record objects. Floats keep full
     precision (shortest round-trip form)."""
     if not records:
         raise ValueError("no records to emit")
-    if fmt not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
+    _check_format(fmt)
     path = resolve_output_path(path)
     rows = [{col: getattr(r, col) for col in CSV_COLUMNS} for r in records]
     if fmt == FORMAT_CSV:
@@ -282,6 +282,7 @@ def load_results(path, fmt: str = None) -> list:
     path = Path(path)
     if fmt is None:
         fmt = FORMAT_JSON if path.suffix == ".json" else FORMAT_CSV
+    _check_format(fmt)
     if fmt == FORMAT_JSON:
         rows = json.loads(path.read_text())
     else:

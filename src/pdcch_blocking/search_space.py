@@ -88,12 +88,12 @@ def candidate_starts(aggregation_level: int, cce_count: int, candidate_count: in
     Raises NoCandidateFitsError when the aggregation level exceeds the CORESET
     size, i.e. floor(cce_count / aggregation_level) == 0.
     """
-    L, C, M = aggregation_level, cce_count, candidate_count
+    L = as_integer("aggregation_level", aggregation_level)
     if L not in AGGREGATION_LEVELS:
         raise ValueError(f"aggregation level must be one of {AGGREGATION_LEVELS}, got {L}")
-    if C < 1:
-        raise ValueError(f"cce_count must be >= 1, got {C}")
-    M = as_integer("candidate_count", M, 1)
+    C = as_integer("cce_count", cce_count, 1)
+    M = as_integer("candidate_count", candidate_count, 1)
+    y = as_integer("y", y)
     positions = C // L
     if positions == 0:
         raise NoCandidateFitsError(f"AL {L} does not fit in a CORESET of {C} CCEs")
@@ -103,7 +103,7 @@ def candidate_starts(aggregation_level: int, cce_count: int, candidate_count: in
 def candidate_cces(aggregation_level: int, candidate_index: int, cce_count: int,
                    candidate_count: int, y: int) -> tuple:
     """CCE indices of one candidate: L contiguous CCEs from the hashed start."""
-    k, M = candidate_index, candidate_count
+    k, M = as_integer("candidate_index", candidate_index), candidate_count
     if not 0 <= k < M:
         raise ValueError(f"candidate index {k} out of range for {M} candidates")
     start = candidate_starts(aggregation_level, cce_count, candidate_count, y)[k]

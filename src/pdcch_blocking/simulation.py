@@ -372,91 +372,65 @@ class SweepPoint:
 
 
 def _named_point(point, key):
-    """The list of a point on a list axis, which may come named as
-    {"name": ..., key: [...]}."""
-    if isinstance(point, dict):
-        if set(point) - {"name", key} or key not in point:
-            raise ValueError(f"point must have keys ('name', {key!r}), got {sorted(point)}")
-        point = point[key]
-    if not isinstance(point, (list, tuple)):
-        raise ValueError(f"point must be a list, got {point!r}")
-    return point
-
-
-def _with_candidates(base: ScenarioConfig, counts, al=None) -> ScenarioConfig:
-    return replace(base, search_space=replace(base.search_space,
-                                              candidates_per_al=tuple(counts)))
-
-
-def _with_candidate_count(base: ScenarioConfig, count: int, al) -> ScenarioConfig:
-    counts = list(base.search_space.candidates_per_al)
-    counts[AGGREGATION_LEVELS.index(al)] = count
-    return _with_candidates(base, counts)
+    """The list of a named point {"name": ..., key: [...]} on a list axis."""
+    if (not isinstance(point, dict) or set(point) != {"name", key}
+            or not isinstance(point[key], (list, tuple))):
+        raise ValueError(f"point must be {{'name': ..., {key!r}: [...]}}, got {point!r}")
+    return point[key]
 
 
 # Each sweep axis as (kind, key, apply). A point is a ``kind``, or when key
-# is set a list of them that may come named as {"name": ..., key: [...]};
-# ``apply(base, value, al)`` returns ``base`` with that value set.
+# is set a named point {"name": ..., key: [kind, ...]}; ``apply(base, value)``
+# returns ``base`` with that value set.
 SWEEP_AXES = {
-    "ue_count": (int, None, lambda base, n, al: replace(base, ue_count=n)),
-    "coreset_size": (int, None, lambda base, n, al: replace(
+    "ue_count": (int, None, lambda base, n: replace(base, ue_count=n)),
+    "coreset_size": (int, None, lambda base, n: replace(
         base, coreset=CoresetConfig.from_cce_count(n, base.coreset.coreset_index))),
-    "candidate_count": (int, None, _with_candidate_count),
-    "candidate_counts": (int, "counts", _with_candidates),
-    "al_distribution": (float, "probabilities", lambda base, probs, al: replace(
+    "candidate_counts": (int, "counts", lambda base, counts: replace(
+        base, search_space=replace(base.search_space, candidates_per_al=tuple(counts)))),
+    "al_distribution": (float, "probabilities", lambda base, probs: replace(
         base, al_distribution=AlDistribution(tuple(probs)))),
-    "strategy": (str, None, lambda base, strategy, al: replace(base, strategy=strategy)),
+    "strategy": (str, None, lambda base, strategy: replace(base, strategy=strategy)),
 }
 
 
-def _point_label(axis: str, point) -> str:
-    if isinstance(point, dict):
-        if point.get("name"):
-            return str(point["name"])
-        point = point.get(SWEEP_AXES[axis][1], point)
-    if isinstance(point, (list, tuple)):
-        return "/".join(map(str, point))  # str(float) is its shortest round-trip form
-    return str(point)
+def _point_label(point) -> str:
+    return str(point["name"] if isinstance(point, dict) and "name" in point else point)
 
 
-def check_axis(axis: str, al: int = None):
-    """Raise ValueError unless ``axis`` is a sweep axis and ``al`` is an
-    aggregation level on the candidate_count axis and None on any other."""
+def check_axis(axis: str):
+    """Raise ValueError unless ``axis`` is a sweep axis."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
-    if axis == "candidate_count":
-        if al is None or as_integer("al", al) not in AGGREGATION_LEVELS:
-            raise ValueError(f"a candidate count sweep needs al in {AGGREGATION_LEVELS}, got {al}")
-    elif al is not None:
-        raise ValueError(f"al applies to the candidate_count axis only, not {axis!r}")
 
 
-def apply_axis(base: ScenarioConfig, axis: str, point, al: int = None) -> ScenarioConfig:
-    """Return ``base`` with the parameter of sweep axis ``axis`` set to ``point``."""
-    check_axis(axis, al)
+def apply_axis(base: ScenarioConfig, axis: str, point) -> ScenarioConfig:
+    """Return ``base`` with the parameter of sweep axis ``axis`` set to
+    ``point``: a value on a scalar axis, a named point on a list axis."""
+    check_axis(axis)
     kind, key, apply = SWEEP_AXES[axis]
     if key is not None:
         point = _named_point(point, key)
     elif kind is int:
         point = as_integer(f"{axis} point", point)
-    return apply(base, point, al)
+    return apply(base, point)
 
 
-def run_sweep(base: ScenarioConfig, axis: str, points, al: int = None,
-              workers: int = None) -> list:
+def run_sweep(base: ScenarioConfig, axis: str, points, workers: int = None) -> list:
     """Run one scenario per point, in input order, all from the same master
-    seed (common random numbers across points). A point that fails validation
-    is reported in its SweepPoint; the sweep continues. With ``workers`` > 1
-    one process pool serves every point."""
-    check_axis(axis, al)
+    seed (common random numbers across points), labelled by the point's name
+    or by the scalar point. A point that fails validation, such as an
+    unnamed list, is reported in its SweepPoint; the sweep continues. With
+    ``workers`` > 1 one process pool serves every point."""
+    check_axis(axis)
     if not points:
         raise ValueError("sweep needs at least one point")
     out = []
     with worker_pool(workers) as pool:
         for point in points:
-            label = _point_label(axis, point)
+            label = _point_label(point)
             try:
-                cfg = apply_axis(base, axis, point, al=al)
+                cfg = apply_axis(base, axis, point)
             except ValueError as exc:
                 out.append(SweepPoint(point=point, label=label, error=str(exc)))
                 continue

@@ -27,8 +27,8 @@ def _line(tag, ok, detail):
 
 def _sweep(name):
     scenario = parse_scenario(bundled_scenario_path(name))
-    points = run_sweep(scenario.config, scenario.sweep.axis,
-                       scenario.sweep.points, al=scenario.sweep.al, workers=2)
+    points = run_sweep(scenario.config, scenario.sweep.axis, scenario.sweep.points,
+                       workers=2)
     assert all(sp.result is not None for sp in points), \
         f"sweep {name} had failing points"
     return scenario, {sp.label: sp.result for sp in points}

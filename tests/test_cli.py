@@ -104,18 +104,39 @@ def test_integer_past_float_range_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_candidate_count_sweep_without_al_exits_one(tmp_path, monkeypatch, capsys):
+# A candidate count sweep is a candidate_counts sweep of named points; the
+# single-AL candidate_count axis, its "al" key and unnamed list points are
+# parse errors, reported once and before any point runs.
+RETIRED_SWEEPS = {
+    "al_key": ({"al": 1}, "unknown key(s) in sweep: ['al']"),
+    "unnamed_list_point": ({"points": [[1, 1, 1, 1, 1]]},
+                           "sweep.points[0] must be an object"),
+}
+
+
+def exits_one_before_any_run(tmp_path, monkeypatch, capsys, sweep_changes):
     runs = []
     monkeypatch.setattr(simulation, "run_scenario", lambda *a, **k: runs.append(a))
     data = json.loads(bundled_scenario_path("fig6_candidates_al1").read_text())
-    del data["sweep"]["al"]
-    path = tmp_path / "no_al.json"
+    data["sweep"].update(sweep_changes)
+    path = tmp_path / "retired.json"
     path.write_text(json.dumps(data))
     assert main(["sweep", str(path)]) == 1
     out, err = capsys.readouterr()
-    # one parse error, not one error per point under a sweep header
-    assert err.count("candidate count sweep needs al") == 1
-    assert out == "" and runs == []
+    assert out == "" and runs == [] and err.count("error:") == 1
+    return err
+
+
+def test_candidate_count_sweep_without_al_exits_one(tmp_path, monkeypatch, capsys):
+    err = exits_one_before_any_run(tmp_path, monkeypatch, capsys, {
+        "axis": "candidate_count", "points": [1, 2, 3, 4, 5, 6, 8]})
+    assert "sweep axis must be one of" in err
+
+
+@pytest.mark.parametrize("changes,message", list(RETIRED_SWEEPS.values()),
+                         ids=list(RETIRED_SWEEPS))
+def test_retired_sweep_spellings_exit_one(tmp_path, monkeypatch, capsys, changes, message):
+    assert message in exits_one_before_any_run(tmp_path, monkeypatch, capsys, changes)
 
 
 @pytest.mark.parametrize("point", [2.7, True, "3"])

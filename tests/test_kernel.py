@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdcch_blocking import (ALLOWED_CANDIDATE_COUNTS, AGGREGATION_LEVELS,
@@ -172,6 +172,37 @@ def test_u2_blocking_matches_exact_oracle(name):
         assert abs(result.blocking_probability - exact) <= 4 * result.stderr
 
 
+@st.composite
+def u2_scenarios(draw):
+    """A U=2 config whose every AL of nonzero probability has candidates and
+    fits in the CORESET, so the first UE is never blocked."""
+    cce_count = draw(st.integers(6, 48))
+    counts = draw(counts_per_al)
+    w = [draw(st.integers(0, 4)) if m and level <= cce_count else 0
+         for level, m in zip(AGGREGATION_LEVELS, counts)]
+    assume(any(w))
+    return ScenarioConfig(
+        ue_count=2, coreset=CoresetConfig.from_cce_count(cce_count),
+        search_space=SearchSpaceConfig(counts,
+                                       space_type=draw(st.sampled_from(("css", "uss"))),
+                                       slot_index=draw(st.integers(0, 20))),
+        al_distribution=AlDistribution(tuple(x / sum(w) for x in w)),
+        strategy=draw(st.sampled_from(STRATEGIES)),
+        iterations=5000,
+        master_seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(u2_scenarios())
+def test_u2_blocking_matches_exact_oracle_on_drawn_configs(cfg):
+    exact = exact_u2_blocking(cfg)
+    result = run_scenario(cfg)
+    if exact == 0:
+        assert result.blocked_total == 0
+    else:
+        assert abs(result.blocking_probability - exact) <= 4 * result.stderr
+
+
 # blocked_total of every point of every bundled file at its own seed and 200
 # iterations, recorded with the per-UE hash; a plan file runs at its largest
 # CORESET
@@ -194,8 +225,30 @@ BUNDLED_BLOCKED_TOTALS = {
 }
 
 
+# the label of every sweep point of every bundled scenario file, which is the
+# CSV ``point`` column
+BUNDLED_LABELS = {
+    "fig10_strategy_u10": ["low_to_high", "high_to_low"],
+    "fig10_strategy_u40": ["low_to_high", "high_to_low"],
+    "fig4_ue_sweep": ["5", "10", "15", "20", "25", "30", "35", "40", "45", "50"],
+    "fig5_coreset_sweep": ["24", "30", "36", "42", "48", "54", "60", "66", "72", "78", "84"],
+    "fig6_candidates_al1": ["1", "2", "3", "4", "5", "6", "8"],
+    "fig6_candidates_al2": ["1", "2", "3", "4", "5", "6", "8"],
+    "fig6_candidates_al4": ["1", "2", "3", "4", "5", "6", "8"],
+    "fig7_al16_ue_sweep": ["1", "2", "3", "4", "5", "6", "8"],
+    "fig7_al2_ue_sweep": ["5", "10", "15", "20", "25", "28", "30", "32", "33", "34", "36",
+                          "40", "45"],
+    "fig7_al4_ue_sweep": ["2", "4", "6", "8", "10", "12", "14", "15", "16", "17", "18",
+                          "20", "24"],
+    "fig7_al8_ue_sweep": ["1", "2", "3", "4", "5", "6", "7", "8", "10", "12"],
+    "fig8_coverage": ["good", "medium", "extreme"],
+    "fig9_bd_reduction": ["reference", "reduced_a", "reduced_b"],
+}
+
+
 def test_every_bundled_file_is_pinned():
     assert sorted(BUNDLED_BLOCKED_TOTALS) == bundled_scenario_names()
+    assert sorted(BUNDLED_LABELS) == SCENARIO_FILES
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_BLOCKED_TOTALS))
@@ -207,6 +260,7 @@ def test_bundled_blocked_totals_are_unchanged(name):
     else:
         scn = parse_scenario(path)
         cfg = replace(scn.config, iterations=200)
-        got = [sp.result.blocked_total for sp in
-               run_sweep(cfg, scn.sweep.axis, scn.sweep.points, al=scn.sweep.al)]
+        points = run_sweep(cfg, scn.sweep.axis, scn.sweep.points)
+        assert [sp.label for sp in points] == BUNDLED_LABELS[name]
+        got = [sp.result.blocked_total for sp in points]
     assert got == BUNDLED_BLOCKED_TOTALS[name]

@@ -153,8 +153,8 @@ def test_sweep_points_must_be_a_non_empty_list(tmp_path, points):
 
 # One valid point per sweep axis; an axis added to SWEEP_AXES needs one here.
 VALID_SWEEP_POINTS = {
-    "ue_count": 5, "coreset_size": 30, "candidate_count": 3,
-    "candidate_counts": [1, 1, 1, 1, 1],
+    "ue_count": 5, "coreset_size": 30,
+    "candidate_counts": {"name": "one", "counts": [1, 1, 1, 1, 1]},
     "al_distribution": {"name": "al4", "probabilities": [0, 0, 1, 0, 0]},
     "strategy": "high_to_low",
 }
@@ -162,24 +162,10 @@ VALID_SWEEP_POINTS = {
 
 @pytest.mark.parametrize("axis", SWEEP_AXES)
 def test_valid_sweep_point_parses_and_applies(tmp_path, axis):
-    sweep = {"axis": axis, "points": [VALID_SWEEP_POINTS[axis]], "al": 2}
-    if axis != "candidate_count":  # al belongs to the candidate_count axis only
-        with pytest.raises(ValueError, match="candidate_count axis only"):
-            parse_scenario(write(tmp_path, dict(MINIMAL, sweep=sweep)))
-        del sweep["al"]
+    sweep = {"axis": axis, "points": [VALID_SWEEP_POINTS[axis]]}
     scn = parse_scenario(write(tmp_path, dict(MINIMAL, sweep=sweep)))
-    cfg = apply_axis(scn.config, axis, scn.sweep.points[0], al=scn.sweep.al)
+    cfg = apply_axis(scn.config, axis, scn.sweep.points[0])
     assert cfg != scn.config
-
-
-@pytest.mark.parametrize("al", [None, 3])
-def test_candidate_count_sweep_needs_an_al_at_parse_time(tmp_path, al):
-    data = json.loads(bundled_scenario_path("fig6_candidates_al1").read_text())
-    del data["sweep"]["al"]
-    if al is not None:
-        data["sweep"]["al"] = al
-    with pytest.raises(ValueError, match="candidate count sweep needs al"):
-        parse_scenario(write(tmp_path, data))
 
 
 WRONG_SWEEP_POINTS = {
@@ -188,11 +174,15 @@ WRONG_SWEEP_POINTS = {
     "ue_count_string": ("ue_count", "3"),
     "coreset_size_float": ("coreset_size", 54.0),
     "strategy_int": ("strategy", 1),
-    "candidate_counts_string_entry": ("candidate_counts", [6, 6, 4, 2, "1"]),
+    "candidate_counts_string_entry": ("candidate_counts",
+                                      {"name": "r", "counts": [6, 6, 4, 2, "1"]}),
     "candidate_counts_float_entry": ("candidate_counts",
                                      {"name": "r", "counts": [6.5, 6, 4, 2, 1]}),
     "candidate_counts_scalar": ("candidate_counts", 6),
-    "al_distribution_bool_entry": ("al_distribution", [True, 0, 0, 0, 0]),
+    "candidate_counts_unnamed_list": ("candidate_counts", [6, 6, 4, 2, 1]),
+    "al_distribution_bool_entry": ("al_distribution",
+                                   {"name": "b", "probabilities": [True, 0, 0, 0, 0]}),
+    "al_distribution_unnamed": ("al_distribution", {"probabilities": [1, 0, 0, 0, 0]}),
     "al_distribution_name_int": ("al_distribution",
                                  {"name": 5, "probabilities": [1, 0, 0, 0, 0]}),
     "al_distribution_extra_key": ("al_distribution",
@@ -204,21 +194,19 @@ WRONG_SWEEP_POINTS = {
                          ids=list(WRONG_SWEEP_POINTS))
 def test_sweep_points_are_type_checked(tmp_path, axis, point):
     sweep = {"axis": axis, "points": [point]}
-    if axis == "candidate_count":
-        sweep["al"] = 2
     with pytest.raises(ScenarioParseError, match=r"sweep\.points\[0\]"):
         parse_scenario(write(tmp_path, dict(MINIMAL, sweep=sweep)))
 
 
 def test_typed_sweep_points_parse(tmp_path):
-    counts = {"name": "reduced", "counts": [1, 1, 1, 1, 1]}
-    data = dict(MINIMAL, sweep={"axis": "candidate_counts",
-                                "points": [[6, 6, 4, 2, 1], counts]})
-    assert parse_scenario(write(tmp_path, data)).sweep.points == ((6, 6, 4, 2, 1), counts)
-    data = dict(MINIMAL, sweep={"axis": "al_distribution",
-                                "points": [[1, 0, 0, 0, 0], [0.5, 0.5, 0, 0, 0]]})
-    assert parse_scenario(write(tmp_path, data)).sweep.points == (
-        (1, 0, 0, 0, 0), (0.5, 0.5, 0, 0, 0))
+    counts = [{"name": "full", "counts": [6, 6, 4, 2, 1]},
+              {"name": "reduced", "counts": [1, 1, 1, 1, 1]}]
+    data = dict(MINIMAL, sweep={"axis": "candidate_counts", "points": counts})
+    assert parse_scenario(write(tmp_path, data)).sweep.points == tuple(counts)
+    probs = [{"name": "al1", "probabilities": [1, 0, 0, 0, 0]},
+             {"name": "half", "probabilities": [0.5, 0.5, 0, 0, 0]}]
+    data = dict(MINIMAL, sweep={"axis": "al_distribution", "points": probs})
+    assert parse_scenario(write(tmp_path, data)).sweep.points == tuple(probs)
 
 
 def test_roundtrip_normalization_is_stable(tmp_path):
@@ -342,6 +330,13 @@ def test_emit_rejects_empty_and_bad_format(tmp_path):
         emit_results([], "csv", tmp_path / "x.csv")
     with pytest.raises(ValueError):
         emit_results(records(), "xml", tmp_path / "x.xml")
+
+
+def test_load_rejects_bad_format(tmp_path):
+    path = tmp_path / "out.json"
+    emit_results(records(), "json", path)
+    with pytest.raises(ValueError, match="format must be one of"):
+        load_results(path, fmt="xml")
 
 
 def test_emit_surfaces_io_errors(tmp_path):

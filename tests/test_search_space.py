@@ -109,10 +109,21 @@ def test_candidate_cces_rejects_oversized_al():
     dict(aggregation_level=2, candidate_index=4, cce_count=54, candidate_count=4, y=0),
     dict(aggregation_level=2, candidate_index=-1, cce_count=54, candidate_count=4, y=0),
     dict(aggregation_level=2, candidate_index=0, cce_count=0, candidate_count=1, y=0),
+    dict(aggregation_level=2, candidate_index=0, cce_count=54.0, candidate_count=6, y=0),
+    dict(aggregation_level=2.0, candidate_index=0, cce_count=54, candidate_count=6, y=0),
+    dict(aggregation_level=2, candidate_index=0, cce_count=54, candidate_count=6, y=1.5),
+    dict(aggregation_level=True, candidate_index=0, cce_count=54, candidate_count=6, y=0),
+    dict(aggregation_level=2, candidate_index=1.0, cce_count=54, candidate_count=6, y=0),
 ])
 def test_candidate_cces_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError):
         candidate_cces(**kwargs)
+
+
+def test_candidate_starts_rejects_a_non_integer_y():
+    # y = 1.5 gave starts 3.0, 11.0, ..., not aligned to AL 2
+    with pytest.raises(ValueError, match="y must be an integer"):
+        candidate_starts(2, 54, 6, 1.5)
 
 
 def test_alignment_and_range_properties():

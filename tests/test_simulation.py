@@ -347,39 +347,6 @@ def test_sweep_coreset_axis_builds_geometry():
     assert cfg.coreset.rb_count == 180
 
 
-def test_sweep_candidate_count_axis_needs_al():
-    cfg = apply_axis(scenario(), "candidate_count", 3, al=2)
-    assert cfg.search_space.candidates_per_al == (6, 3, 4, 2, 1)
-    for al in (None, 3, True, 2.0):  # True == 1 and 2.0 == 2 are no ALs
-        with pytest.raises(ValueError, match="al"):
-            apply_axis(scenario(), "candidate_count", 3, al=al)
-
-
-@pytest.mark.parametrize("axis,point", [("ue_count", 3), ("coreset_size", 30),
-                                        ("strategy", STRATEGY_HIGH_TO_LOW)])
-def test_al_only_on_the_candidate_count_axis(axis, point):
-    for al in (2, "junk"):
-        with pytest.raises(ValueError, match="candidate_count axis only"):
-            apply_axis(scenario(), axis, point, al=al)
-
-
-def test_sweep_rejects_al_off_its_axis_before_any_point_runs(monkeypatch):
-    runs = []
-    monkeypatch.setattr(simulation, "run_scenario", lambda *a, **k: runs.append(a))
-    with pytest.raises(ValueError, match="candidate_count axis only"):
-        run_sweep(scenario(iterations=10), "ue_count", [2, 4], al=2)
-    assert runs == []
-
-
-@pytest.mark.parametrize("al", [None, 3])
-def test_candidate_count_sweep_rejects_missing_al_before_any_point_runs(monkeypatch, al):
-    runs = []
-    monkeypatch.setattr(simulation, "run_scenario", lambda *a, **k: runs.append(a))
-    with pytest.raises(ValueError, match="candidate count sweep needs al"):
-        run_sweep(scenario(iterations=10), "candidate_count", [1, 2], al=al)
-    assert runs == []
-
-
 def test_sweep_candidate_counts_axis_full_list():
     cfg = apply_axis(scenario(), "candidate_counts",
                      {"name": "reduced", "counts": [1, 1, 1, 1, 1]})
@@ -388,7 +355,8 @@ def test_sweep_candidate_counts_axis_full_list():
 
 def test_sweep_al_fixed_axis():
     # a point-mass al_distribution point fixes the AL; there is no al_fixed axis
-    cfg = apply_axis(scenario(), "al_distribution", [0, 0, 1, 0, 0])
+    cfg = apply_axis(scenario(), "al_distribution",
+                     {"name": "al4", "probabilities": [0, 0, 1, 0, 0]})
     assert cfg.al_distribution == AlDistribution({4: 1.0})
     with pytest.raises(ValueError, match="axis"):
         apply_axis(scenario(), "al_fixed", 4)
@@ -422,31 +390,27 @@ def test_sweep_continues_past_invalid_point():
 
 def test_sweep_records_integer_past_float_range_on_its_point():
     points = run_sweep(scenario(iterations=100), "al_distribution",
-                       [[1, 0, 0, 0, 0], [1, 0, 0, 0, 10**400]])
+                       [{"name": "al1", "probabilities": [1, 0, 0, 0, 0]},
+                        {"name": "huge", "probabilities": [1, 0, 0, 0, 10**400]}])
     assert points[0].result is not None
     assert points[1].result is None and "too large for a float" in points[1].error
 
 
 @pytest.mark.parametrize("axis,point,label", [
     ("al_distribution", {"name": "x", "probabilities": [1, 0, 0, 0, 0], "w": 1}, "x"),
-    ("al_distribution", {"probabilities": [1, 0, 0, 0, 0], "w": 1}, "1/0/0/0/0"),
+    pytest.param("al_distribution", {"probabilities": [1, 0, 0, 0, 0], "w": 1},
+                 "{'probabilities': [1, 0, 0, 0, 0], 'w': 1}",
+                 id="al_distribution-point1-unnamed_dict"),
     ("candidate_counts", {"count": [1, 1, 1, 1, 1]}, "{'count': [1, 1, 1, 1, 1]}"),
     ("candidate_counts", 6, "6"),
+    ("candidate_counts", [1, 1, 1, 1, 1], "[1, 1, 1, 1, 1]"),
+    ("candidate_counts", {"name": "x", "counts": 6}, "x"),
 ])
 def test_sweep_reports_malformed_list_point(axis, point, label):
     # the label is made outside the per-point error handling: it must not raise
     [sp] = run_sweep(scenario(iterations=10), axis, [point])
     assert sp.result is None and "point must" in sp.error
     assert sp.label == label
-
-
-def test_distinct_float_points_get_distinct_labels():
-    points = [[0.1234561, 0.8765439, 0, 0, 0], [0.1234562, 0.8765438, 0, 0, 0],
-              [1.0, 0.0, 0, 0, 0]]
-    swept = run_sweep(scenario(iterations=10), "al_distribution", points)
-    assert [sp.label for sp in swept] == [
-        "0.1234561/0.8765439/0/0/0", "0.1234562/0.8765438/0/0/0", "1.0/0.0/0/0/0"]
-    assert all(sp.result is not None for sp in swept)
 
 
 def test_sweep_rejects_unknown_axis_and_empty_points():
