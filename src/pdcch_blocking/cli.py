@@ -1,6 +1,7 @@
 """Command-line front end: simulate, sweep, plan, validate-limits.
 
-Exit codes: 0 success, 1 validation or parse error, 2 runtime or argparse usage error.
+Exit codes: 0 success; 1 validation or parse error, every sweep point checked
+before any runs; 2 runtime error, a worker that dies included, or argparse usage error.
 """
 
 import argparse
@@ -117,18 +118,11 @@ def _cmd_sweep(args) -> int:
     points = run_sweep(scenario.config, scenario.sweep.axis, scenario.sweep.points,
                        workers=args.workers)
     print(f"{scenario.name}: sweep over {scenario.sweep.axis}")
-    failures = 0
     for sp in points:
-        if sp.result is not None:
-            print(f"  {sp.label:>24}  B={sp.result.blocking_probability:.6g}  "
-                  f"stderr={sp.result.stderr:.3g}")
-        else:
-            failures += 1
-            print(f"  {sp.label:>24}  error: {sp.error}", file=sys.stderr)
-    records = records_for_sweep(scenario.name, scenario.config, points)
-    if records:
-        _emit(records, args)
-    return 0 if failures == 0 else 1
+        print(f"  {sp.label:>24}  B={sp.result.blocking_probability:.6g}  "
+              f"stderr={sp.result.stderr:.3g}")
+    _emit(records_for_sweep(scenario.name, scenario.config, points), args)
+    return 0
 
 
 def _cmd_plan(args) -> int:
@@ -188,7 +182,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, RuntimeError) as exc:  # a worker that dies raises BrokenProcessPool
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -151,7 +151,7 @@ def scenario_from_dict(data) -> Scenario:
     values = _section(data, _SCENARIO, _SCENARIO_REQUIRED, "scenario", "")
     labels = {key: values.pop(key) for key in ("name", "figure", "description")
               if key in values}
-    sweep = values.pop("sweep", None)
+    sweep = _sweep_from_dict(values.pop("sweep")) if "sweep" in values else None
     config = ScenarioConfig(
         coreset=_coreset_from_dict(values.pop("coreset")),
         search_space=SearchSpaceConfig(**_section(
@@ -159,8 +159,7 @@ def scenario_from_dict(data) -> Scenario:
             "search_space")),
         al_distribution=AlDistribution(values.pop("al_distribution")),
         **values)
-    return Scenario(config=config, sweep=None if sweep is None else _sweep_from_dict(sweep),
-                    **labels)
+    return Scenario(config=config, sweep=sweep, **labels)
 
 
 def _load_json(path):
@@ -226,12 +225,10 @@ def bundled_scenario_path(name: str) -> Path:
 
 
 def records_for_sweep(scenario_name: str, base: ScenarioConfig, points) -> list:
-    """ResultRecords for the successful points of a sweep, in sweep order; a
-    single run is a one-point sweep."""
+    """ResultRecords for the points of a sweep, in sweep order; a single run
+    is a one-point sweep."""
     records = []
     for sp in points:
-        if sp.result is None:
-            continue
         records.append(ResultRecord(
             scenario=scenario_name, point=sp.label,
             blocking_probability=sp.result.blocking_probability,

@@ -362,13 +362,11 @@ def run_scenario(cfg: ScenarioConfig, workers: int = None,
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One sweep evaluation: the axis point, a printable label, and either a
-    result or the error that prevented it."""
+    """One sweep evaluation: the axis point, its printable label, its result."""
 
     point: object
     label: str
-    result: SimulationResult = None
-    error: str = None
+    result: SimulationResult
 
 
 def _named_point(point, key):
@@ -419,21 +417,22 @@ def apply_axis(base: ScenarioConfig, axis: str, point) -> ScenarioConfig:
 def run_sweep(base: ScenarioConfig, axis: str, points, workers: int = None) -> list:
     """Run one scenario per point, in input order, all from the same master
     seed (common random numbers across points), labelled by the point's name
-    or by the scalar point. A point that fails validation, such as an
-    unnamed list, is reported in its SweepPoint; the sweep continues. With
-    ``workers`` > 1 one process pool serves every point."""
-    check_axis(axis)
+    or by the scalar point. The whole sweep is checked before any point runs
+    or any pool opens: a point that ``apply_axis`` rejects, such as an
+    unnamed list, raises ValueError as "sweep point <label>: <reason>";
+    repeated labels raise ValueError too. With ``workers`` > 1 one process
+    pool serves every point."""
     if not points:
         raise ValueError("sweep needs at least one point")
-    out = []
+    labels = [_point_label(point) for point in points]
+    configs = []
+    for point, label in zip(points, labels):
+        try:
+            configs.append(apply_axis(base, axis, point))
+        except ValueError as exc:
+            raise ValueError(f"sweep point {label}: {exc}") from exc
+    if repeated := sorted({label for label in labels if labels.count(label) > 1}):
+        raise ValueError(f"sweep point labels must be distinct, got repeated {repeated}")
     with worker_pool(workers) as pool:
-        for point in points:
-            label = _point_label(point)
-            try:
-                cfg = apply_axis(base, axis, point)
-            except ValueError as exc:
-                out.append(SweepPoint(point=point, label=label, error=str(exc)))
-                continue
-            out.append(SweepPoint(point=point, label=label,
-                                  result=run_scenario(cfg, workers=workers, pool=pool)))
-    return out
+        return [SweepPoint(point, label, run_scenario(cfg, workers=workers, pool=pool))
+                for point, label, cfg in zip(points, labels, configs)]

@@ -22,6 +22,14 @@ def pools(monkeypatch):
 
 
 @pytest.fixture
+def runs(monkeypatch):
+    """Record every ``simulation.run_scenario`` call, without running it."""
+    calls = []
+    monkeypatch.setattr(simulation, "run_scenario", lambda *a, **k: calls.append(a))
+    return calls
+
+
+@pytest.fixture
 def fail_second_run(monkeypatch):
     """Patch ``owner.run_scenario`` so that its second call raises after the
     run; returns the list of completed runs."""

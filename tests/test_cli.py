@@ -1,4 +1,5 @@
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -106,37 +107,44 @@ def test_integer_past_float_range_exits_one(tmp_path, capsys):
 
 # A candidate count sweep is a candidate_counts sweep of named points; the
 # single-AL candidate_count axis, its "al" key and unnamed list points are
-# parse errors, reported once and before any point runs.
+# parse errors. A point its config type rejects and repeated labels are
+# found by run_sweep. Each is reported once and before any point runs.
 RETIRED_SWEEPS = {
     "al_key": ({"al": 1}, "unknown key(s) in sweep: ['al']"),
     "unnamed_list_point": ({"points": [[1, 1, 1, 1, 1]]},
                            "sweep.points[0] must be an object"),
+    "invalid_point": ({"points": [{"name": "1", "counts": [1, 1, 1, 1, 1]},
+                                  {"name": "seven", "counts": [7, 1, 1, 1, 1]}]},
+                      "error: sweep point seven: "),
+    "repeated_label": ({"points": [{"name": "2", "counts": [2, 1, 1, 1, 1]},
+                                   {"name": "2", "counts": [3, 1, 1, 1, 1]}]},
+                       "error: sweep point labels must be distinct, got repeated ['2']"),
 }
 
 
-def exits_one_before_any_run(tmp_path, monkeypatch, capsys, sweep_changes):
-    runs = []
-    monkeypatch.setattr(simulation, "run_scenario", lambda *a, **k: runs.append(a))
+def exits_one_before_any_run(tmp_path, runs, capsys, sweep_changes):
     data = json.loads(bundled_scenario_path("fig6_candidates_al1").read_text())
     data["sweep"].update(sweep_changes)
     path = tmp_path / "retired.json"
     path.write_text(json.dumps(data))
-    assert main(["sweep", str(path)]) == 1
+    out_path = tmp_path / "out.csv"
+    assert main(["sweep", str(path), "--out", str(out_path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and runs == [] and err.count("error:") == 1
+    assert not out_path.exists()
     return err
 
 
-def test_candidate_count_sweep_without_al_exits_one(tmp_path, monkeypatch, capsys):
-    err = exits_one_before_any_run(tmp_path, monkeypatch, capsys, {
+def test_candidate_count_sweep_without_al_exits_one(tmp_path, runs, capsys):
+    err = exits_one_before_any_run(tmp_path, runs, capsys, {
         "axis": "candidate_count", "points": [1, 2, 3, 4, 5, 6, 8]})
     assert "sweep axis must be one of" in err
 
 
 @pytest.mark.parametrize("changes,message", list(RETIRED_SWEEPS.values()),
                          ids=list(RETIRED_SWEEPS))
-def test_retired_sweep_spellings_exit_one(tmp_path, monkeypatch, capsys, changes, message):
-    assert message in exits_one_before_any_run(tmp_path, monkeypatch, capsys, changes)
+def test_retired_sweep_spellings_exit_one(tmp_path, runs, capsys, changes, message):
+    assert message in exits_one_before_any_run(tmp_path, runs, capsys, changes)
 
 
 @pytest.mark.parametrize("point", [2.7, True, "3"])
@@ -163,6 +171,15 @@ def test_too_many_iterations_exits_one(scenario_file, command, capsys):
 def test_write_failure_exits_two(scenario_file, tmp_path):
     missing = tmp_path / "no" / "dir" / "out.csv"
     assert main(["simulate", str(scenario_file), "--out", str(missing)]) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_worker_that_dies_exits_two(scenario_file, command, monkeypatch, capsys):
+    def die(*args):
+        raise BrokenProcessPool("a worker died")
+    monkeypatch.setattr(simulation, "_run_range", die)
+    assert main([command, str(scenario_file)]) == 2
+    assert "error: a worker died" in capsys.readouterr().err
 
 
 def test_validate_limits_reports(scenario_file, capsys):

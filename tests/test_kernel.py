@@ -2,6 +2,7 @@
 and the blocked counts of every bundled study pinned bit for bit."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -123,13 +124,14 @@ def test_kernel_matches_per_ue_hash_at_heavy_load(space_type, slot, index):
         reference_blocked(cfg, it) for it in range(cfg.iterations)]
 
 
-def exact_u2_blocking(cfg: ScenarioConfig) -> float:
-    """The exact blocking probability of ``cfg`` at U=2. A UE's state is its
-    AL and its residue Y mod floor(C/L), weighted by the AL's probability
-    times the share of C-RNTIs 1..65535 with that residue. Every ordered pair
-    of states goes through the shared greedy, in the strategy's order: the
-    pair's own (i.i.d.) order for "unordered" and for equal ALs, else sorted
-    by AL."""
+def exact_blocking(cfg: ScenarioConfig) -> float:
+    """The exact blocking probability of ``cfg``, for a small U. A UE's state
+    is its AL and its residue Y mod floor(C/L), weighted by the AL's
+    probability times the share of C-RNTIs 1..65535 with that residue. Every
+    ordered U-tuple of states goes through the shared greedy, in the
+    strategy's order: the tuple's own order for "unordered", else stably
+    sorted by AL. The UEs are i.i.d., so the tuple's order stands for the
+    random permutation, and a stable sort keeps equal ALs in it."""
     space, cce_count = cfg.search_space, cfg.coreset.cce_count
     k = y_multiplier(cfg.coreset.coreset_index, space.slot_index, space.space_type)
     ys = np.arange(1, RNTI_MAX + 1, dtype=np.int64) * k % Y_MODULUS
@@ -146,14 +148,15 @@ def exact_u2_blocking(cfg: ScenarioConfig) -> float:
             starts = sorted(candidate_starts(level, cce_count, m, r))
             states.append((level, p * weights[r],
                            tuple(((1 << level) - 1) << start for start in starts)))
+    u = cfg.ue_count
     blocked = 0.0
-    for pair in itertools.product(states, repeat=2):
+    for ues in itertools.product(states, repeat=u):
         if cfg.strategy != STRATEGY_UNORDERED:
-            pair = sorted(pair, key=lambda state: state[0],
-                          reverse=cfg.strategy == STRATEGY_HIGH_TO_LOW)
-        picks, _ = _greedy_assign([0, 1], [pair[0][2], pair[1][2]])
-        blocked += pair[0][1] * pair[1][1] * (2 - len(picks))
-    return blocked / 2
+            ues = sorted(ues, key=lambda state: state[0],
+                         reverse=cfg.strategy == STRATEGY_HIGH_TO_LOW)
+        picks, _ = _greedy_assign(list(range(u)), [masks for _, _, masks in ues])
+        blocked += math.prod(p for _, p, _ in ues) * (u - len(picks))
+    return blocked / u
 
 
 SCENARIO_FILES = [name for name in bundled_scenario_names() if not name.startswith("plan_")]
@@ -164,7 +167,7 @@ def test_u2_blocking_matches_exact_oracle(name):
     # the binomial stderr is never narrower than the true spread at U=2
     cfg = replace(parse_scenario(bundled_scenario_path(name)).config,
                   ue_count=2, iterations=20000)
-    exact = exact_u2_blocking(cfg)
+    exact = exact_blocking(cfg)
     result = run_scenario(cfg)
     if exact == 0:
         assert result.blocked_total == 0
@@ -173,16 +176,17 @@ def test_u2_blocking_matches_exact_oracle(name):
 
 
 @st.composite
-def u2_scenarios(draw):
-    """A U=2 config whose every AL of nonzero probability has candidates and
-    fits in the CORESET, so the first UE is never blocked."""
-    cce_count = draw(st.integers(6, 48))
+def oracle_scenarios(draw, ue_count, max_cces):
+    """A config of ``ue_count`` UEs and 6..``max_cces`` CCEs whose every AL of
+    nonzero probability has candidates and fits in the CORESET, so the first
+    UE is never blocked."""
+    cce_count = draw(st.integers(6, max_cces))
     counts = draw(counts_per_al)
     w = [draw(st.integers(0, 4)) if m and level <= cce_count else 0
          for level, m in zip(AGGREGATION_LEVELS, counts)]
     assume(any(w))
     return ScenarioConfig(
-        ue_count=2, coreset=CoresetConfig.from_cce_count(cce_count),
+        ue_count=ue_count, coreset=CoresetConfig.from_cce_count(cce_count),
         search_space=SearchSpaceConfig(counts,
                                        space_type=draw(st.sampled_from(("css", "uss"))),
                                        slot_index=draw(st.integers(0, 20))),
@@ -193,14 +197,30 @@ def u2_scenarios(draw):
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
-@given(u2_scenarios())
+@given(oracle_scenarios(2, 48))
 def test_u2_blocking_matches_exact_oracle_on_drawn_configs(cfg):
-    exact = exact_u2_blocking(cfg)
+    exact = exact_blocking(cfg)
     result = run_scenario(cfg)
     if exact == 0:
         assert result.blocked_total == 0
     else:
         assert abs(result.blocking_probability - exact) <= 4 * result.stderr
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(oracle_scenarios(3, 24))
+def test_u3_blocking_matches_exact_oracle_on_drawn_configs(cfg):
+    # a UE's outcome depends on the others' in its iteration, so the stderr
+    # is that of the per-iteration blocked count: sd / (U * sqrt(N))
+    exact = exact_blocking(cfg)
+    result = run_scenario(cfg, keep_per_iteration=True)
+    blocked = np.array(result.per_iteration_blocked)
+    stderr = blocked.std(ddof=1) / (cfg.ue_count * math.sqrt(cfg.iterations))
+    if exact == 0:
+        assert result.blocked_total == 0
+    else:  # rel_tol: a config may block the same count in every iteration
+        assert math.isclose(result.blocking_probability, exact,
+                            rel_tol=1e-9, abs_tol=4 * stderr)
 
 
 # blocked_total of every point of every bundled file at its own seed and 200

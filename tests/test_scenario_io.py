@@ -108,6 +108,7 @@ WRONG_JSON_TYPES = {
     "candidates_mixed": (
         {"search_space": {"candidates_per_al": [6.0, 6, 4, 2, "1"]}},
         {"search_space": {"candidates_per_al": [6.0, 6, 4, 2, "1"]}}),
+    "sweep_null": ({"sweep": None}, {"sweep": None}),
 }
 
 

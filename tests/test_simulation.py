@@ -381,19 +381,18 @@ def test_apply_axis_rejects_mistyped_points(axis, point):
         apply_axis(scenario(), axis, point)
 
 
-def test_sweep_continues_past_invalid_point():
-    points = run_sweep(scenario(iterations=100), "coreset_size", [6, 0, 12])
-    assert points[0].result is not None
-    assert points[1].result is None and "cce_count" in points[1].error
-    assert points[2].result is not None
+def test_sweep_rejects_invalid_point_before_any_run(runs):
+    with pytest.raises(ValueError, match="^sweep point 0: .*cce_count"):
+        run_sweep(scenario(iterations=100), "coreset_size", [6, 0, 12])
+    assert runs == []
 
 
-def test_sweep_records_integer_past_float_range_on_its_point():
-    points = run_sweep(scenario(iterations=100), "al_distribution",
-                       [{"name": "al1", "probabilities": [1, 0, 0, 0, 0]},
-                        {"name": "huge", "probabilities": [1, 0, 0, 0, 10**400]}])
-    assert points[0].result is not None
-    assert points[1].result is None and "too large for a float" in points[1].error
+def test_sweep_rejects_integer_past_float_range_before_any_run(runs):
+    with pytest.raises(ValueError, match="^sweep point huge: .*too large for a float"):
+        run_sweep(scenario(iterations=100), "al_distribution",
+                  [{"name": "al1", "probabilities": [1, 0, 0, 0, 0]},
+                   {"name": "huge", "probabilities": [1, 0, 0, 0, 10**400]}])
+    assert runs == []
 
 
 @pytest.mark.parametrize("axis,point,label", [
@@ -406,11 +405,25 @@ def test_sweep_records_integer_past_float_range_on_its_point():
     ("candidate_counts", [1, 1, 1, 1, 1], "[1, 1, 1, 1, 1]"),
     ("candidate_counts", {"name": "x", "counts": 6}, "x"),
 ])
-def test_sweep_reports_malformed_list_point(axis, point, label):
-    # the label is made outside the per-point error handling: it must not raise
-    [sp] = run_sweep(scenario(iterations=10), axis, [point])
-    assert sp.result is None and "point must" in sp.error
-    assert sp.label == label
+def test_sweep_reports_malformed_list_point(axis, point, label, runs):
+    # the label is made before the point is checked: it must not raise
+    with pytest.raises(ValueError) as info:
+        run_sweep(scenario(iterations=10), axis, [point])
+    assert str(info.value).startswith(f"sweep point {label}: point must")
+    assert runs == []
+
+
+@pytest.mark.parametrize("axis,points,repeated", [
+    ("ue_count", [2, 4, 2], "['2']"),
+    ("al_distribution", [{"name": "a", "probabilities": [1, 0, 0, 0, 0]},
+                         {"name": "a", "probabilities": [0, 1, 0, 0, 0]}], "['a']"),
+])
+def test_sweep_rejects_repeated_labels_before_any_run(axis, points, repeated, runs):
+    # the CSV point column could not tell the rows apart
+    with pytest.raises(ValueError, match="distinct") as info:
+        run_sweep(scenario(iterations=10), axis, points)
+    assert str(info.value).endswith(repeated)
+    assert runs == []
 
 
 def test_sweep_rejects_unknown_axis_and_empty_points():
@@ -436,13 +449,15 @@ def test_sweep_shares_one_pool_and_matches_serial(pools):
     sweep = parse_scenario(bundled_scenario_path("fig5_coreset_sweep"))
     base = dataclasses.replace(sweep.config, iterations=200)
     points = list(sweep.sweep.points)
-    points.insert(2, 0)  # an invalid CORESET size comes back as an error entry
     serial = run_sweep(base, "coreset_size", points)
+    assert pools == []
+    # an invalid CORESET size is found before the pool opens
+    with pytest.raises(ValueError, match="^sweep point 0: "):
+        run_sweep(base, "coreset_size", points[:2] + [0], workers=2)
     assert pools == []
     pooled = run_sweep(base, "coreset_size", points, workers=2)
     assert len(pools) == 1
     assert multiprocessing.active_children() == []
-    assert pooled[2].error is not None and pooled[2].result is None
     assert pooled == serial
 
 
