@@ -103,10 +103,9 @@ def _cmd_simulate(args) -> int:
     print(f"{scenario.name}: B={result.blocking_probability:.6g} "
           f"stderr={result.stderr:.3g} blocked={result.blocked_total} "
           f"scheduled={result.scheduled_total} "
-          f"(U={scenario.config.ue_count}, C={scenario.config.coreset.cce_count}, "
-          f"iterations={scenario.config.iterations}, seed={scenario.config.master_seed})")
-    _emit(records_for_sweep(scenario.name, scenario.config,
-                            [SweepPoint(point=None, label="", result=result)]), args)
+          f"(U={result.ue_count}, C={scenario.config.coreset.cce_count}, "
+          f"iterations={result.iterations}, seed={result.master_seed})")
+    _emit(records_for_sweep(scenario.name, [SweepPoint(None, "", result)]), args)
     return 0
 
 
@@ -121,7 +120,7 @@ def _cmd_sweep(args) -> int:
     for sp in points:
         print(f"  {sp.label:>24}  B={sp.result.blocking_probability:.6g}  "
               f"stderr={sp.result.stderr:.3g}")
-    _emit(records_for_sweep(scenario.name, scenario.config, points), args)
+    _emit(records_for_sweep(scenario.name, points), args)
     return 0
 
 
@@ -129,7 +128,6 @@ def _cmd_plan(args) -> int:
     name, request = parse_plan_request(_resolve_file(args.request))
     request = dataclasses.replace(request, base=_with_overrides(
         request.base, master_seed=args.seed, iterations=args.iterations))
-    base = request.base
     result = plan_min_coreset(request, workers=args.workers)
     if result.min_cces is None:
         print(f"{name}: no CORESET size in [{request.cce_min}, {request.cce_max}] "
@@ -137,9 +135,9 @@ def _cmd_plan(args) -> int:
     else:
         print(f"{name}: min CORESET size = {result.min_cces} CCEs "
               f"(B={result.achieved_blocking:.6g}, target {request.target_blocking}, "
-              f"U={base.ue_count}, {len(result.points)} evaluations)")
+              f"U={request.base.ue_count}, {len(result.points)} evaluations)")
     if args.format == FORMAT_CSV:
-        _emit(records_for_sweep(name, base, result.points), args)
+        _emit(records_for_sweep(name, result.points), args)
     elif args.out:
         path = resolve_output_path(args.out)
         payload = {"name": name, "min_cces": result.min_cces,

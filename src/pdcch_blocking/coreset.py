@@ -25,18 +25,22 @@ def as_integer(name: str, value, minimum: int = None) -> int:
 def per_al(name: str, values, kind) -> tuple:
     """One ``kind`` (int or float) per aggregation level, ordered as
     AGGREGATION_LEVELS, from a sequence of 5 or a mapping {AL: value} in which
-    an absent AL is 0. A bool, or a value that is not an integer (int) or a
-    real number (float), or an integer past float range, raises ValueError."""
+    an absent AL is 0. Any other input, a bool, a non-integer (int) or
+    non-real (float) value, or an integer past float range raises ValueError."""
+    allowed, plural = (Integral, "integers") if kind is int else (Real, "numbers")
     if isinstance(values, dict):
         unknown = set(values) - set(AGGREGATION_LEVELS)
         if unknown:
             raise ValueError(f"unknown aggregation levels: {sorted(unknown)}")
         values = [values.get(al, 0) for al in AGGREGATION_LEVELS]
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be {plural} per AL, as a sequence or a "
+                         f"mapping, got {values!r}") from None
     if len(values) != len(AGGREGATION_LEVELS):
         raise ValueError(f"{name} needs {len(AGGREGATION_LEVELS)} entries "
                          f"(ALs {AGGREGATION_LEVELS}), got {len(values)}")
-    allowed, plural = (Integral, "integers") if kind is int else (Real, "numbers")
     if any(isinstance(v, bool) or not isinstance(v, allowed) for v in values):
         raise ValueError(f"{name} must be {plural}, got {values}")
     try:

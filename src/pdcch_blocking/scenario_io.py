@@ -224,19 +224,14 @@ def bundled_scenario_path(name: str) -> Path:
     return Path(str(path))
 
 
-def records_for_sweep(scenario_name: str, base: ScenarioConfig, points) -> list:
-    """ResultRecords for the points of a sweep, in sweep order; a single run
-    is a one-point sweep."""
-    records = []
-    for sp in points:
-        records.append(ResultRecord(
-            scenario=scenario_name, point=sp.label,
-            blocking_probability=sp.result.blocking_probability,
-            stderr=sp.result.stderr,
-            blocked_total=sp.result.blocked_total,
-            scheduled_total=sp.result.scheduled_total,
-            seed=base.master_seed, iterations=base.iterations))
-    return records
+def records_for_sweep(scenario_name: str, points) -> list:
+    """ResultRecords for the points of a sweep, in sweep order, each with its
+    result's own seed and iterations; a single run is a one-point sweep."""
+    return [ResultRecord(
+        scenario=scenario_name, point=sp.label,
+        blocking_probability=sp.result.blocking_probability, stderr=sp.result.stderr,
+        blocked_total=sp.result.blocked_total, scheduled_total=sp.result.scheduled_total,
+        seed=sp.result.master_seed, iterations=sp.result.iterations) for sp in points]
 
 
 def resolve_output_path(path) -> Path:

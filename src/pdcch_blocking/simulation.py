@@ -97,30 +97,33 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Aggregate blocking estimate over all iterations.
-
-    ``scheduled_total`` counts successfully assigned UEs, so
-    blocked_total + scheduled_total == ue_count * iterations. The stderr is
-    the binomial normal approximation over those trials; per-iteration UE
-    outcomes are correlated, so treat it as indicative.
+    """One run's counts and what produced them: ``blocked_total`` of
+    ``ue_count`` UEs per iteration over ``iterations`` iterations from
+    ``master_seed``, and each iteration's count when the run kept them. The
+    figures derive from the counts: blocked_total + scheduled_total ==
+    ue_count * iterations, and the stderr is the binomial normal
+    approximation over those trials; per-iteration UE outcomes are
+    correlated, so treat it as indicative.
     """
 
-    blocking_probability: float
+    ue_count: int
+    iterations: int
+    master_seed: int
     blocked_total: int
-    scheduled_total: int
-    stderr: float
     per_iteration_blocked: tuple = None
 
-    @classmethod
-    def from_counts(cls, blocked_total: int, ue_count: int, iterations: int,
-                    per_iteration_blocked=None) -> "SimulationResult":
-        trials = ue_count * iterations
-        b = blocked_total / trials
-        stderr = math.sqrt(b * (1.0 - b) / trials)
-        per_iter = None if per_iteration_blocked is None else tuple(per_iteration_blocked)
-        return cls(blocking_probability=b, blocked_total=blocked_total,
-                   scheduled_total=trials - blocked_total, stderr=stderr,
-                   per_iteration_blocked=per_iter)
+    @property
+    def scheduled_total(self) -> int:
+        return self.ue_count * self.iterations - self.blocked_total
+
+    @property
+    def blocking_probability(self) -> float:
+        return self.blocked_total / (self.ue_count * self.iterations)
+
+    @property
+    def stderr(self) -> float:
+        b = self.blocking_probability
+        return math.sqrt(b * (1.0 - b) / (self.ue_count * self.iterations))
 
 
 def iteration_rng(master_seed: int, iteration: int):
@@ -334,30 +337,26 @@ def run_scenario(cfg: ScenarioConfig, workers: int = None,
                  keep_per_iteration: bool = False, *, pool=None) -> SimulationResult:
     """Estimate the blocking probability for one scenario.
 
-    The iterations are split into contiguous ranges, one per worker, run by
-    ``_run_range`` and summed in range order. None or 1 ``workers`` maps one
-    range in this process, and then a ``pool`` is an error. ``workers`` > 1
-    maps the ranges over ``pool``, an open pool from ``worker_pool``, or else
-    over a pool opened and closed for this call; ``run_sweep`` and
-    ``plan_min_coreset`` hold one pool for all their runs. Because every
-    iteration seeds its own stream from (master_seed, iteration), the result
-    does not depend on the number of ranges.
+    The iterations are split into contiguous ranges, one per worker, and one
+    map runs ``_run_range`` over them; their counts are summed in range
+    order. None or 1 ``workers`` is the builtin ``map`` over one range, and
+    then a ``pool`` is an error. ``workers`` > 1 maps over ``pool``, an open
+    pool from ``worker_pool``, or else over a pool opened and closed for this
+    call; ``run_sweep`` and ``plan_min_coreset`` hold one pool for all their
+    runs. Because every iteration seeds its own stream from (master_seed,
+    iteration), the result does not depend on the number of ranges.
     """
     workers = _worker_count(workers)
     if pool is not None and workers is None:
         raise ValueError("a pool needs workers > 1")
     bounds = np.linspace(0, cfg.iterations, (workers or 1) + 1, dtype=int).tolist()
-    starts, stops = zip(*[(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi])
-    ranges = ([cfg] * len(starts), starts, stops, [keep_per_iteration] * len(starts))
-    if workers is None:
-        parts = list(map(_run_range, *ranges))
-    else:
-        with worker_pool(workers) if pool is None else nullcontext(pool) as pool:
-            parts = list(pool.map(_run_range, *ranges))
+    n = len(bounds) - 1
+    with worker_pool(workers) if pool is None else nullcontext(pool) as pool:
+        parts = list((map if pool is None else pool.map)(
+            _run_range, [cfg] * n, bounds[:-1], bounds[1:], [keep_per_iteration] * n))
     blocked_total = sum(total for total, _ in parts)
-    per_iter = [b for _, part in parts for b in part] if keep_per_iteration else None
-    return SimulationResult.from_counts(blocked_total, cfg.ue_count, cfg.iterations,
-                                        per_iteration_blocked=per_iter)
+    per_iter = tuple(b for _, part in parts for b in part) if keep_per_iteration else None
+    return SimulationResult(cfg.ue_count, cfg.iterations, cfg.master_seed, blocked_total, per_iter)
 
 
 @dataclass(frozen=True)
@@ -398,7 +397,7 @@ def _point_label(point) -> str:
 
 def check_axis(axis: str):
     """Raise ValueError unless ``axis`` is a sweep axis."""
-    if axis not in SWEEP_AXES:
+    if axis not in tuple(SWEEP_AXES):  # compared, not hashed: a list is a ValueError too
         raise ValueError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
 
 
@@ -418,10 +417,11 @@ def run_sweep(base: ScenarioConfig, axis: str, points, workers: int = None) -> l
     """Run one scenario per point, in input order, all from the same master
     seed (common random numbers across points), labelled by the point's name
     or by the scalar point. The whole sweep is checked before any point runs
-    or any pool opens: a point that ``apply_axis`` rejects, such as an
-    unnamed list, raises ValueError as "sweep point <label>: <reason>";
-    repeated labels raise ValueError too. With ``workers`` > 1 one process
-    pool serves every point."""
+    or any pool opens: an unknown axis raises ``check_axis``'s ValueError, a
+    point that ``apply_axis`` rejects, such as an unnamed list, raises
+    ValueError as "sweep point <label>: <reason>", and repeated labels raise
+    ValueError too. With ``workers`` > 1 one process pool serves every point."""
+    check_axis(axis)
     if not points:
         raise ValueError("sweep needs at least one point")
     labels = [_point_label(point) for point in points]

@@ -236,8 +236,7 @@ def test_plan_csv_rows_are_coreset_size_sweep_rows(tmp_path, capsys):
     name, request = parse_plan_request(path)
     sizes = [int(row.point) for row in rows]
     assert sizes == [p.point for p in plan_min_coreset(request).points]  # evaluation order
-    assert rows == records_for_sweep(name, request.base,
-                                     run_sweep(request.base, "coreset_size", sizes))
+    assert rows == records_for_sweep(name, run_sweep(request.base, "coreset_size", sizes))
 
 
 def test_list_command(capsys):

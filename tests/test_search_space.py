@@ -218,9 +218,9 @@ def test_search_space_rejects_unknown_al_key():
 
 @pytest.mark.parametrize("counts", [(6.7, 6, 4, 2, 1), (6.0, 6, 4, 2, 1),
                                     (True, 6, 4, 2, 1), ("6", 6, 4, 2, 1),
-                                    {1: 6, 16: 1.0}])
+                                    {1: 6, 16: 1.0}, None, 6])
 def test_search_space_rejects_non_integer_counts(counts):
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="^candidates_per_al must be integers"):
         SearchSpaceConfig(counts)
 
 

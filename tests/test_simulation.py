@@ -6,9 +6,10 @@ import pytest
 
 from pdcch_blocking import (AlDistribution, CoresetConfig, PlanningRequest,
                             ScenarioConfig, SearchSpaceConfig, SimulationResult,
-                            apply_axis, bundled_scenario_path, iteration_rng,
-                            parse_scenario, plan_min_coreset, run_scenario,
-                            run_sweep, simulation)
+                            SweepPoint, apply_axis, bundled_scenario_path,
+                            iteration_rng, parse_scenario, plan_min_coreset,
+                            run_scenario, run_sweep, simulation)
+from pdcch_blocking.scenario_io import records_for_sweep
 from pdcch_blocking import cli, planner
 from pdcch_blocking.scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW,
                                       STRATEGY_UNORDERED)
@@ -54,9 +55,9 @@ def test_distribution_fixed_point_mass():
 
 
 @pytest.mark.parametrize("probs", [(True, 0, 0, 0, 0), ("1", 0, 0, 0, 0),
-                                   (None, 1, 0, 0, 0), {1: 0.5, 2: "0.5"}])
+                                   (None, 1, 0, 0, 0), {1: 0.5, 2: "0.5"}, 5, None])
 def test_distribution_rejects_non_numbers(probs):
-    with pytest.raises(ValueError, match="numbers"):
+    with pytest.raises(ValueError, match="^probabilities must be numbers"):
         AlDistribution(probs)
 
 
@@ -121,7 +122,7 @@ def test_scenario_config_accepts_numpy_integers():
 
 
 def test_result_counts_and_stderr():
-    result = SimulationResult.from_counts(30, ue_count=10, iterations=100)
+    result = SimulationResult(ue_count=10, iterations=100, master_seed=0, blocked_total=30)
     assert result.blocking_probability == pytest.approx(0.03)
     assert result.blocked_total == 30
     assert result.scheduled_total == 970
@@ -246,6 +247,24 @@ def test_planning_result_shape_for_the_benchmark(cfg, cce_max):
            if p.point == result.min_cces]
     assert result.achieved_blocking == (met[0] if met else None)
     assert (result.min_cces is None) == (cce_max == 8)
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_simulation_result_shape_for_the_benchmark(workers, pools):
+    # perfbench/run.py reads blocked_total, scheduled_total and
+    # per_iteration_blocked; a record's seed and iterations are the result's own
+    cfg = scenario(ue_count=6, iterations=40, master_seed=11)
+    result = run_scenario(cfg, workers=workers, keep_per_iteration=True)
+    assert (result.ue_count, result.iterations, result.master_seed) == (6, 40, 11)
+    assert result.blocked_total + result.scheduled_total == 6 * 40
+    assert type(result.per_iteration_blocked) is tuple
+    assert sum(result.per_iteration_blocked) == result.blocked_total
+    assert len(result.per_iteration_blocked) == 40
+    assert run_scenario(cfg, workers=workers).per_iteration_blocked is None
+    [record] = records_for_sweep("s", [SweepPoint(None, "", result)])
+    assert (record.seed, record.iterations) == (11, 40)
+    assert (record.blocked_total, record.scheduled_total) == (
+        result.blocked_total, result.scheduled_total)
 
 
 def test_blocking_grows_with_ue_count():
@@ -427,8 +446,12 @@ def test_sweep_rejects_repeated_labels_before_any_run(axis, points, repeated, ru
 
 
 def test_sweep_rejects_unknown_axis_and_empty_points():
-    with pytest.raises(ValueError):
-        run_sweep(scenario(), "bandwidth", [1])
+    # the axis is checked before any point is applied, so no point is blamed
+    for axis in ("bandwidth", ["ue_count"]):
+        with pytest.raises(ValueError, match="^sweep axis must be one of"):
+            run_sweep(scenario(), axis, [1])
+        with pytest.raises(ValueError, match="^sweep axis must be one of"):
+            apply_axis(scenario(), axis, 1)
     with pytest.raises(ValueError):
         run_sweep(scenario(), "ue_count", [])
 
