@@ -60,10 +60,9 @@ class CoresetConfig:
 
     rb_count: int
     symbol_duration: int
-    coreset_index: int = 0
 
     def __post_init__(self):
-        for name in ("rb_count", "symbol_duration", "coreset_index"):
+        for name in ("rb_count", "symbol_duration"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.rb_count <= 0 or self.rb_count % RBS_PER_CCE != 0:
             raise InvalidGeometryError(
@@ -71,19 +70,15 @@ class CoresetConfig:
         if self.symbol_duration not in (1, 2, 3):
             raise InvalidGeometryError(
                 f"symbol_duration must be 1, 2 or 3, got {self.symbol_duration}")
-        if self.coreset_index < 0:
-            raise InvalidGeometryError(
-                f"coreset_index must be >= 0, got {self.coreset_index}")
 
     @property
     def cce_count(self) -> int:
         return self.rb_count * self.symbol_duration // RBS_PER_CCE
 
     @classmethod
-    def from_cce_count(cls, cce_count: int, coreset_index: int = 0) -> "CoresetConfig":
+    def from_cce_count(cls, cce_count: int) -> "CoresetConfig":
         """Synthesize a one-symbol CORESET with exactly ``cce_count`` CCEs."""
         cce_count = as_integer("cce_count", cce_count)
         if cce_count < 1:
             raise InvalidGeometryError(f"cce_count must be >= 1, got {cce_count}")
-        return cls(rb_count=RBS_PER_CCE * cce_count, symbol_duration=1,
-                   coreset_index=coreset_index)
+        return cls(rb_count=RBS_PER_CCE * cce_count, symbol_duration=1)

@@ -90,14 +90,14 @@ def plan_min_coreset(req: PlanningRequest, workers: int = None) -> PlanningResul
                     lo = mid + 1
             best = lo
             # Hash-structure steps can make blocking dip below the target
-            # before the bisection answer; re-check the sizes just underneath.
-            for cces in range(best - 1, max(req.cce_min, best - CONFIRMATION_SCAN) - 1, -1):
+            # before the bisection answer: re-check the sizes just underneath,
+            # and past them keep descending while the size below still meets,
+            # so min_cces - 1 is always a confirmed miss (or the range floor).
+            for cces in range(lo - 1, req.cce_min - 1, -1):
+                if cces < lo - CONFIRMATION_SCAN and cces < best - 1:
+                    break
                 if meets(cces):
                     best = cces
-            # Keep descending while the size below still meets, so min_cces - 1
-            # is always a confirmed miss (or the range floor).
-            while best > req.cce_min and meets(best - 1):
-                best -= 1
     return PlanningResult(min_cces=best, points=tuple(
         SweepPoint(point=cces, label=str(cces), result=result)
         for cces, result in results.items()))

@@ -1,11 +1,16 @@
-"""PDCCH search-space candidate mapping (TS 38.213 section 10.1 hash function)."""
+"""PDCCH search-space candidate mapping (TS 38.213 section 10.1 hash function).
+
+The model is one monitoring occasion: slot 0 of a CORESET with index
+p mod 3 = 0. A USS hashes every UE with A_p = 39827 and a CSS puts every UE
+at Y = 0. Another CORESET index or slot would only pick another unit K in
+Y = c_rnti * K mod 65537, which does not move a blocking estimate.
+"""
 
 from dataclasses import dataclass
 
 from .coreset import AGGREGATION_LEVELS, as_integer, per_al
 
 Y_MODULUS = 65537
-A_MULTIPLIERS = (39827, 39829, 39839)  # selected by coreset_index mod 3
 ALLOWED_CANDIDATE_COUNTS = (0, 1, 2, 3, 4, 5, 6, 8)
 RNTI_MAX = 65535
 
@@ -20,7 +25,7 @@ class NoCandidateFitsError(ValueError):
 
 @dataclass(frozen=True)
 class SearchSpaceConfig:
-    """Candidate counts per aggregation level, plus search-space type and slot.
+    """Candidate counts per aggregation level, plus the search-space type.
 
     ``candidates_per_al`` is ordered as AGGREGATION_LEVELS, i.e. the counts for
     ALs (1, 2, 4, 8, 16); a mapping {AL: count} is accepted and normalized.
@@ -28,7 +33,6 @@ class SearchSpaceConfig:
 
     candidates_per_al: tuple
     space_type: str = SPACE_TYPE_UE_SPECIFIC
-    slot_index: int = 0
 
     def __post_init__(self):
         counts = per_al("candidates_per_al", self.candidates_per_al, int)
@@ -41,7 +45,6 @@ class SearchSpaceConfig:
             raise ValueError("at least one aggregation level needs a nonzero candidate count")
         if self.space_type not in SPACE_TYPES:
             raise ValueError(f"space_type must be one of {SPACE_TYPES}, got {self.space_type!r}")
-        object.__setattr__(self, "slot_index", as_integer("slot_index", self.slot_index, 0))
 
     @property
     def total_blind_decodes(self) -> int:
@@ -55,29 +58,19 @@ def _check_rnti(c_rnti: int) -> int:
     return c_rnti
 
 
-def y_multiplier(coreset_index: int, slot_index: int, space_type: str) -> int:
-    """K with Y = c_rnti * K mod 65537 for every UE: A**(slot_index + 1)
-    mod 65537 for a USS, with A picked by coreset_index mod 3, and 0 for a
-    CSS."""
-    if space_type == SPACE_TYPE_COMMON:
-        return 0
-    if space_type != SPACE_TYPE_UE_SPECIFIC:
+def y_multiplier(space_type: str) -> int:
+    """K with Y = c_rnti * K mod 65537 for every UE at slot 0: 0 for a CSS,
+    and for a USS A_p = 39827, so that Y is TS 38.213's one step of
+    Y <- (A_p * Y) mod 65537 from the C-RNTI."""
+    if space_type not in SPACE_TYPES:  # compared, not hashed: a list is a ValueError too
         raise ValueError(f"space_type must be one of {SPACE_TYPES}, got {space_type!r}")
-    coreset_index = as_integer("coreset_index", coreset_index, 0)
-    slot_index = as_integer("slot_index", slot_index, 0)
-    return pow(A_MULTIPLIERS[coreset_index % 3], slot_index + 1, Y_MODULUS)
+    return 39827 if space_type == SPACE_TYPE_UE_SPECIFIC else 0
 
 
-def y_value(c_rnti: int, coreset_index: int = 0, slot_index: int = 0,
-            space_type: str = SPACE_TYPE_UE_SPECIFIC) -> int:
-    """Per-UE, per-slot hash seed Y.
-
-    A CSS uses Y = 0 for every UE. For a USS, TS 38.213 iterates
-    Y <- (A * Y) mod 65537 for slot_index + 1 steps from the UE's C-RNTI;
-    this is the closed form c_rnti * ``y_multiplier`` mod 65537.
-    """
+def y_value(c_rnti: int, space_type: str = SPACE_TYPE_UE_SPECIFIC) -> int:
+    """Per-UE hash seed Y at slot 0: c_rnti * ``y_multiplier`` mod 65537."""
     c_rnti = _check_rnti(c_rnti)
-    return c_rnti * y_multiplier(coreset_index, slot_index, space_type) % Y_MODULUS
+    return c_rnti * y_multiplier(space_type) % Y_MODULUS
 
 
 def candidate_starts(aggregation_level: int, cce_count: int, candidate_count: int,

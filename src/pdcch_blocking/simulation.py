@@ -20,8 +20,8 @@ The TS 38.213 hash is not evaluated per UE. Two identities let each run
 build small tables once and turn every UE's candidate set into one lookup:
 
 - Y has a closed form: Y = rnti * K mod 65537, with K from ``y_multiplier``
-  (A**(slot_index + 1) mod 65537, or 0 for a CSS). The product stays below
-  2**32, so an iteration's Ys are one int64 array expression.
+  (39827 for a USS at slot 0, or 0 for a CSS). The product stays below
+  2**32, so a block's Ys are one int64 array expression.
 - A candidate start depends on Y only through r = Y mod P, P = floor(C/L):
   start_k = L * ((r + floor(k*C / (L*M))) mod P). The starts at residue r
   are those at residue 0 moved r aligned blocks on, wrapping at P, so each
@@ -30,6 +30,7 @@ build small tables once and turn every UE's candidate set into one lookup:
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
@@ -259,7 +260,7 @@ def _kernel(cfg: ScenarioConfig) -> tuple:
     mask set, so its UEs are always blocked."""
     space = cfg.search_space
     cce_count = cfg.coreset.cce_count
-    k = y_multiplier(cfg.coreset.coreset_index, space.slot_index, space.space_type)
+    k = y_multiplier(space.space_type)
     positions = []
     tables = []
     for level, m in zip(AGGREGATION_LEVELS, space.candidates_per_al):
@@ -318,7 +319,9 @@ def _worker_count(workers):
 
 @contextmanager
 def worker_pool(workers: int = None):
-    """Yield a process pool of ``workers`` processes, or None when serial.
+    """Yield a process pool for ``workers`` ranges, or None when serial. It
+    opens at most one process per CPU, since every process is started at
+    the first submit; the ranges queue for them.
 
     Holding one pool across many ``run_scenario`` calls (pass it as
     ``pool=``) saves starting and stopping processes per call. The pool is
@@ -329,7 +332,7 @@ def worker_pool(workers: int = None):
     if workers is None:
         yield None
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         yield pool
 
 
@@ -382,7 +385,7 @@ def _named_point(point, key):
 SWEEP_AXES = {
     "ue_count": (int, None, lambda base, n: replace(base, ue_count=n)),
     "coreset_size": (int, None, lambda base, n: replace(
-        base, coreset=CoresetConfig.from_cce_count(n, base.coreset.coreset_index))),
+        base, coreset=CoresetConfig.from_cce_count(n))),
     "candidate_counts": (int, "counts", lambda base, counts: replace(
         base, search_space=replace(base.search_space, candidates_per_al=tuple(counts)))),
     "al_distribution": (float, "probabilities", lambda base, probs: replace(

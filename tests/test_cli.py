@@ -147,6 +147,20 @@ def test_retired_sweep_spellings_exit_one(tmp_path, runs, capsys, changes, messa
     assert message in exits_one_before_any_run(tmp_path, runs, capsys, changes)
 
 
+# The CORESET index and the slot are not modelled, so a file that sets one
+# is rejected, not run at index 0 and slot 0.
+@pytest.mark.parametrize("command,data,section,key", [
+    ("simulate", SCENARIO, "coreset", "coreset_index"),
+    ("simulate", SCENARIO, "search_space", "slot_index"),
+    ("plan", PLAN, "search_space", "slot_index"),
+])
+def test_unmodelled_hash_keys_exit_one(tmp_path, capsys, command, data, section, key):
+    path = tmp_path / "knob.json"
+    path.write_text(json.dumps(dict(data, **{section: dict(data[section], **{key: 0})})))
+    assert main([command, str(path)]) == 1
+    assert f"unknown key(s) in {section}: ['{key}']" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("point", [2.7, True, "3"])
 def test_mistyped_sweep_point_exits_one(tmp_path, point, capsys):
     path = tmp_path / "bad.json"

@@ -4,7 +4,6 @@ import pytest
 from pdcch_blocking import (AlDistribution, CoresetConfig, InvalidGeometryError,
                             MonitoringLimits, PlanningRequest, ScenarioConfig,
                             SearchSpaceConfig, run_scenario)
-from pdcch_blocking.search_space import y_multiplier
 
 
 @pytest.mark.parametrize("rb_count,symbols,expected", [
@@ -34,8 +33,6 @@ def test_invalid_geometry_rejected(rb_count, symbols):
     dict(rb_count="36", symbol_duration=1),
     dict(rb_count=36, symbol_duration=True),
     dict(rb_count=36, symbol_duration=2.0),
-    dict(rb_count=36, symbol_duration=1, coreset_index=1.5),
-    dict(rb_count=36, symbol_duration=1, coreset_index=False),
 ])
 def test_non_integer_geometry_rejected(kwargs):
     with pytest.raises(ValueError, match="integer"):
@@ -49,23 +46,15 @@ def test_from_cce_count_rejects_non_integers(cce_count):
 
 
 def test_numpy_integer_geometry_stored_as_int():
-    cfg = CoresetConfig(np.int64(108), np.int32(3), coreset_index=np.int64(1))
-    assert cfg == CoresetConfig(108, 3, coreset_index=1)
-    assert all(type(v) is int for v in (cfg.rb_count, cfg.symbol_duration,
-                                        cfg.coreset_index, cfg.cce_count))
-
-
-def test_negative_coreset_index_rejected():
-    with pytest.raises(InvalidGeometryError):
-        CoresetConfig(36, 1, coreset_index=-1)
+    cfg = CoresetConfig(np.int64(108), np.int32(3))
+    assert cfg == CoresetConfig(108, 3)
+    assert all(type(v) is int for v in (cfg.rb_count, cfg.symbol_duration, cfg.cce_count))
 
 
 def test_from_cce_count_synthesizes_one_symbol_coreset():
-    cfg = CoresetConfig.from_cce_count(54, coreset_index=2)
+    cfg = CoresetConfig.from_cce_count(54)
+    assert cfg == CoresetConfig(rb_count=324, symbol_duration=1)
     assert cfg.cce_count == 54
-    assert cfg.rb_count == 324
-    assert cfg.symbol_duration == 1
-    assert cfg.coreset_index == 2
 
 
 def test_from_cce_count_rejects_nonpositive():
@@ -102,14 +91,6 @@ INTEGER_MINIMUMS = {
     "ScenarioConfig.ue_count": (_with_defaults(ScenarioConfig, **_BASE), "ue_count", 1),
     "ScenarioConfig.iterations": (_with_defaults(ScenarioConfig, **_BASE), "iterations", 1),
     "ScenarioConfig.master_seed": (_with_defaults(ScenarioConfig, **_BASE), "master_seed", 0),
-    "SearchSpaceConfig.slot_index": (
-        _with_defaults(SearchSpaceConfig, candidates_per_al=(6, 6, 4, 2, 1)), "slot_index", 0),
-    "y_multiplier.coreset_index": (
-        _with_defaults(y_multiplier, coreset_index=0, slot_index=0, space_type="uss"),
-        "coreset_index", 0),
-    "y_multiplier.slot_index": (
-        _with_defaults(y_multiplier, coreset_index=0, slot_index=0, space_type="uss"),
-        "slot_index", 0),
     "MonitoringLimits.max_blind_decodes": (
         _with_defaults(MonitoringLimits, max_blind_decodes=44, max_nonoverlap_cces=56),
         "max_blind_decodes", 1),

@@ -73,8 +73,7 @@ def reference_blocked(cfg: ScenarioConfig, iteration: int) -> int:
         if m == 0 or cce_count < level:
             ues.append((level, []))
             continue
-        y = y_value(int(rntis[i]), cfg.coreset.coreset_index,
-                    cfg.search_space.slot_index, cfg.search_space.space_type)
+        y = y_value(int(rntis[i]), cfg.search_space.space_type)
         ues.append((level, candidate_starts(level, cce_count, m, y)))
     order = reference_order([level for level, _ in ues], cfg.strategy,
                             rng.permutation(u).tolist())
@@ -91,11 +90,9 @@ def scenarios(draw):
     w = draw(weights)
     return ScenarioConfig(
         ue_count=draw(st.integers(1, 60)),
-        coreset=CoresetConfig.from_cce_count(draw(st.integers(1, 200)),
-                                             draw(st.integers(0, 5))),
+        coreset=CoresetConfig.from_cce_count(draw(st.integers(1, 200))),
         search_space=SearchSpaceConfig(draw(counts_per_al),
-                                       space_type=draw(st.sampled_from(("css", "uss"))),
-                                       slot_index=draw(st.integers(0, 20))),
+                                       space_type=draw(st.sampled_from(("css", "uss")))),
         al_distribution=AlDistribution(tuple(x / sum(w) for x in w)),
         strategy=draw(st.sampled_from(STRATEGIES)),
         iterations=3,
@@ -110,14 +107,13 @@ def test_kernel_matches_per_ue_hash(cfg):
         reference_blocked(cfg, it) for it in range(cfg.iterations)]
 
 
-@pytest.mark.parametrize("space_type,slot,index", [
-    ("uss", 0, 0), ("uss", 7, 1), ("uss", 20, 5), ("css", 3, 2)])
-def test_kernel_matches_per_ue_hash_at_heavy_load(space_type, slot, index):
+@pytest.mark.parametrize("space_type,cce_count", [
+    ("uss", 97), ("uss", 54), ("uss", 200), ("css", 97)])
+def test_kernel_matches_per_ue_hash_at_heavy_load(space_type, cce_count):
     # enough UEs and iterations that every AL and most residues occur
     cfg = ScenarioConfig(
-        ue_count=60, coreset=CoresetConfig.from_cce_count(97, index),
-        search_space=SearchSpaceConfig((8, 6, 5, 3, 2), space_type=space_type,
-                                       slot_index=slot),
+        ue_count=60, coreset=CoresetConfig.from_cce_count(cce_count),
+        search_space=SearchSpaceConfig((8, 6, 5, 3, 2), space_type=space_type),
         al_distribution=AlDistribution((0.2,) * 5), iterations=40, master_seed=11)
     result = run_scenario(cfg, keep_per_iteration=True)
     assert list(result.per_iteration_blocked) == [
@@ -133,7 +129,7 @@ def exact_blocking(cfg: ScenarioConfig) -> float:
     sorted by AL. The UEs are i.i.d., so the tuple's order stands for the
     random permutation, and a stable sort keeps equal ALs in it."""
     space, cce_count = cfg.search_space, cfg.coreset.cce_count
-    k = y_multiplier(cfg.coreset.coreset_index, space.slot_index, space.space_type)
+    k = y_multiplier(space.space_type)
     ys = np.arange(1, RNTI_MAX + 1, dtype=np.int64) * k % Y_MODULUS
     states = []  # (AL, probability, candidate masks sorted by start)
     for level, m, p in zip(AGGREGATION_LEVELS, space.candidates_per_al,
@@ -188,8 +184,7 @@ def oracle_scenarios(draw, ue_count, max_cces):
     return ScenarioConfig(
         ue_count=ue_count, coreset=CoresetConfig.from_cce_count(cce_count),
         search_space=SearchSpaceConfig(counts,
-                                       space_type=draw(st.sampled_from(("css", "uss"))),
-                                       slot_index=draw(st.integers(0, 20))),
+                                       space_type=draw(st.sampled_from(("css", "uss")))),
         al_distribution=AlDistribution(tuple(x / sum(w) for x in w)),
         strategy=draw(st.sampled_from(STRATEGIES)),
         iterations=5000,

@@ -117,6 +117,25 @@ def small_fig11_plan():
     return dataclasses.replace(req, base=dataclasses.replace(req.base, iterations=200))
 
 
+# (min_cces, CCE counts in evaluation order) of each bundled plan at its file
+# seed and 1000 iterations. At U=15 the bisection answers 148, the
+# confirmation scan meets at 144 among 147..144, and the descent goes on to
+# 143, below the scan window.
+BUNDLED_PLAN_ORDERS = {
+    "plan_fig11_u5_target20": (22, [200, 103, 54, 30, 18, 24, 21, 23, 22, 20, 19]),
+    "plan_fig11_u15_target5": (
+        144, [200, 103, 152, 128, 140, 146, 149, 148, 147, 145, 144, 143]),
+}
+
+
+@pytest.mark.parametrize("name", BUNDLED_PLAN_ORDERS)
+def test_bundled_plan_evaluation_order_is_pinned(name):
+    _, req = parse_plan_request(bundled_scenario_path(name))
+    result = plan_min_coreset(dataclasses.replace(
+        req, base=dataclasses.replace(req.base, iterations=1000)))
+    assert (result.min_cces, [p.point for p in result.points]) == BUNDLED_PLAN_ORDERS[name]
+
+
 def test_evaluations_match_coreset_size_sweep():
     # the planner evaluates each size exactly as a coreset_size sweep point
     req = small_fig11_plan()

@@ -49,8 +49,7 @@ def test_minimal_scenario_applies_defaults(tmp_path):
     assert scn.config.iterations == 10000
     assert scn.config.strategy == "low_to_high"
     assert scn.config.master_seed == 0
-    assert scn.config.search_space.slot_index == 0
-    assert scn.config.coreset.coreset_index == 0
+    assert scn.config.search_space.space_type == "uss"
     assert scn.config.coreset.cce_count == 12
     assert scn.sweep is None
 
@@ -62,6 +61,17 @@ def test_unknown_key_is_rejected_with_context(tmp_path):
     bad = dict(MINIMAL, coreset={"cce_count": 12, "symbols": 2})
     with pytest.raises(ScenarioParseError, match="symbols"):
         parse_scenario(write(tmp_path, bad))
+    # the CORESET index and the slot are not modelled: USS hashes at slot 0
+    # of a CORESET with index p mod 3 = 0
+    for section, key in (("coreset", "coreset_index"), ("search_space", "slot_index")):
+        bad = dict(MINIMAL, **{section: dict(MINIMAL[section], **{key: 0})})
+        with pytest.raises(ScenarioParseError,
+                           match=fr"unknown key\(s\) in {section}: \['{key}'\]"):
+            parse_scenario(write(tmp_path, bad))
+    bad = dict(PLAN, search_space=dict(PLAN["search_space"], slot_index=0))
+    with pytest.raises(ScenarioParseError,
+                       match=r"unknown key\(s\) in search_space: \['slot_index'\]"):
+        parse_plan_request(write(tmp_path, bad, "plan.json"))
 
 
 def test_missing_key_is_rejected(tmp_path):

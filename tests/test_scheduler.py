@@ -202,7 +202,7 @@ def test_leftmost_choice_picks_lowest_start():
     for cce_count in (1, 8, 12, 54, 97, 200):
         for space_type in ("css", "uss"):
             _, _, tables = kernel_tables(SearchSpaceConfig(
-                (6, 6, 4, 2, 1), space_type=space_type, slot_index=3),
+                (6, 6, 4, 2, 1), space_type=space_type),
                 CoresetConfig.from_cce_count(cce_count))
             for rows in tables:
                 for row in rows:

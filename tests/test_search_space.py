@@ -4,7 +4,6 @@ import pytest
 from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig,
                             NoCandidateFitsError, SearchSpaceConfig,
                             candidate_cces, candidate_starts, y_value)
-from pdcch_blocking.search_space import A_MULTIPLIERS
 from test_kernel import kernel_tables
 
 
@@ -13,18 +12,16 @@ from test_kernel import kernel_tables
 # transcribes the recursion Y <- (A * Y) mod 65537 literally.
 
 def test_y_single_step():
-    assert y_value(1, coreset_index=0, slot_index=0) == 39827
+    assert y_value(1) == y_value(1, "uss") == 39827
 
 
 def test_y_multi_step_frozen_values():
-    assert y_value(12345, coreset_index=1, slot_index=2) == 6371
-    assert y_value(12345, coreset_index=0, slot_index=0) == 5741
-    assert y_value(54321, coreset_index=2, slot_index=5) == 302
+    assert y_value(12345) == 5741
 
 
 def test_y_css_is_zero_for_everyone():
     for rnti in (1, 777, 65535):
-        assert y_value(rnti, coreset_index=3, slot_index=9, space_type="css") == 0
+        assert y_value(rnti, space_type="css") == 0
 
 
 @pytest.mark.parametrize("rnti", [0, -1, 65536])
@@ -43,42 +40,26 @@ def test_y_rejects_non_integer_rnti(rnti):
 
 def test_y_accepts_numpy_integer_rnti():
     assert y_value(np.int64(1)) == y_value(1) == 39827
-    assert type(y_value(np.uint16(12345), 1, 2)) is int
+    assert type(y_value(np.uint16(12345), "uss")) is int
 
 
-def test_y_rejects_negative_slot():
-    with pytest.raises(ValueError):
-        y_value(1, slot_index=-1)
-
-
-@pytest.mark.parametrize("bad", [1.5, 1.0, True])
-def test_y_rejects_non_integer_coreset_and_slot_index(bad):
-    with pytest.raises(ValueError, match="coreset_index"):
-        y_value(1, coreset_index=bad)
-    with pytest.raises(ValueError, match="slot_index"):
-        y_value(1, slot_index=bad)
+@pytest.mark.parametrize("space_type", ["USS", "", None, ["uss"]])
+def test_y_rejects_unknown_space_type(space_type):
+    with pytest.raises(ValueError, match="space_type must be one of"):
+        y_value(1, space_type)
 
 
 def test_y_range_and_determinism():
     rng = np.random.default_rng(7)
     for _ in range(300):
         rnti = int(rng.integers(1, 65536))
-        p = int(rng.integers(0, 12))
-        t = int(rng.integers(0, 20))
-        y = y_value(rnti, p, t)
+        y = y_value(rnti)
         assert 0 <= y <= 65536
-        assert y == y_value(rnti, p, t)
-    # y_value is a closed form; check it against the recursion step by step
-    for _ in range(100):
-        rnti = int(rng.integers(1, 65536))
-        p = int(rng.integers(0, 12))
-        t = int(rng.integers(0, 201))
-        y = rnti
-        for _ in range(t + 1):
-            y = (A_MULTIPLIERS[p % 3] * y) % 65537
-        assert y_value(rnti, p, t) == y
-    # 65537 is prime, so A**65536 = 1 and Y repeats every 65536 slots
-    assert y_value(12345, 1, 2**40) == y_value(12345, 1, 2**40 % 65536)
+        assert y == y_value(rnti)
+    # y_value is a closed form; check it against the slot-0 recursion step
+    # Y <- (A_p * Y) mod 65537 from Y = C-RNTI, A_p = 39827 for p mod 3 = 0
+    for rnti in rng.integers(1, 65536, size=100).tolist():
+        assert y_value(rnti) == 39827 * rnti % 65537
 
 
 # --- candidate hash --------------------------------------------------------
@@ -190,9 +171,9 @@ def test_ue_candidate_set_rejects_zero_count():
 
 
 def test_uss_determinism_across_calls():
-    space = SearchSpaceConfig((6, 6, 4, 2, 1), slot_index=3)
-    coreset = CoresetConfig(108, 3, coreset_index=1)
-    y = y_value(31337, coreset.coreset_index, space.slot_index)
+    space = SearchSpaceConfig((6, 6, 4, 2, 1))
+    coreset = CoresetConfig(108, 3)
+    y = y_value(31337, space.space_type)
     assert candidate_starts(4, 54, 4, y) == candidate_starts(4, 54, 4, y)
     first, again = kernel_tables(space, coreset), kernel_tables(space, coreset)
     assert first[0] == again[0] and first[2] == again[2]
@@ -224,10 +205,10 @@ def test_search_space_rejects_non_integer_counts(counts):
         SearchSpaceConfig(counts)
 
 
-@pytest.mark.parametrize("slot_index", [1.5, 1.0, True, "1"])
-def test_search_space_rejects_non_integer_slot(slot_index):
-    with pytest.raises(ValueError):
-        SearchSpaceConfig((6, 6, 4, 2, 1), slot_index=slot_index)
+@pytest.mark.parametrize("space_type", ["USS", "", None, ["uss"]])
+def test_search_space_rejects_unknown_space_type(space_type):
+    with pytest.raises(ValueError, match="space_type must be one of"):
+        SearchSpaceConfig((6, 6, 4, 2, 1), space_type=space_type)
 
 
 def test_search_space_accepts_numpy_integers():

@@ -341,6 +341,15 @@ def test_fewer_iterations_than_workers_in_shared_pool(pools):
     assert len(pools) == 2
 
 
+def test_pool_opens_at_most_one_process_per_cpu(pools, monkeypatch):
+    # every process is forked at the first submit, so more would only wait
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
+    cfg = scenario(iterations=30)
+    serial = run_scenario(cfg, keep_per_iteration=True)
+    assert run_scenario(cfg, workers=5, keep_per_iteration=True) == serial
+    assert [pool._max_workers for pool in pools] == [2]
+
+
 def test_worker_failure_still_closes_the_pool(pools, monkeypatch):
     def broken_kernel(cfg):
         raise RuntimeError("kernel failed")
