@@ -144,9 +144,7 @@ def _cmd_plan(args) -> int:
                    "achieved_blocking": result.achieved_blocking,
                    "target_blocking": request.target_blocking,
                    "evaluations": [list(e) for e in result.evaluations]}
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        path.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote evaluations to {path}")
     return 0
 

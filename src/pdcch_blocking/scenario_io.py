@@ -263,23 +263,24 @@ def emit_results(records, fmt: str, path) -> Path:
             writer.writeheader()
             writer.writerows(rows)  # str(float) is its shortest round-trip form
     else:
-        with open(path, "w") as handle:
-            json.dump(rows, handle, indent=2)
-            handle.write("\n")
+        path.write_text(json.dumps(rows, indent=2) + "\n")
     return path
 
 
 def load_results(path, fmt: str = None) -> list:
-    """Read records written by emit_results."""
+    """Read records written by emit_results, as JSON when the suffix is .json
+    in any case; rows that are not records with every column raise ValueError."""
     path = Path(path)
     if fmt is None:
-        fmt = FORMAT_JSON if path.suffix == ".json" else FORMAT_CSV
+        fmt = FORMAT_JSON if path.suffix.lower() == ".json" else FORMAT_CSV
     _check_format(fmt)
     if fmt == FORMAT_JSON:
         rows = json.loads(path.read_text())
     else:
         with open(path, newline="") as handle:
             rows = list(csv.DictReader(handle))
-    return [ResultRecord(**{field.name: field.type(row[field.name])
-                            for field in fields(ResultRecord)})
-            for row in rows]
+    try:
+        return [ResultRecord(**{f.name: f.type(row[f.name]) for f in fields(ResultRecord)})
+                for row in rows]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path} does not hold result records: {exc!r}") from None

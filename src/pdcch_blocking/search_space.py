@@ -96,8 +96,8 @@ def candidate_starts(aggregation_level: int, cce_count: int, candidate_count: in
 def candidate_cces(aggregation_level: int, candidate_index: int, cce_count: int,
                    candidate_count: int, y: int) -> tuple:
     """CCE indices of one candidate: L contiguous CCEs from the hashed start."""
-    k, M = as_integer("candidate_index", candidate_index), candidate_count
-    if not 0 <= k < M:
-        raise ValueError(f"candidate index {k} out of range for {M} candidates")
-    start = candidate_starts(aggregation_level, cce_count, candidate_count, y)[k]
-    return tuple(range(start, start + aggregation_level))
+    k = as_integer("candidate_index", candidate_index)
+    starts = candidate_starts(aggregation_level, cce_count, candidate_count, y)
+    if not 0 <= k < len(starts):
+        raise ValueError(f"candidate index {k} out of range for {len(starts)} candidates")
+    return tuple(range(starts[k], starts[k] + aggregation_level))

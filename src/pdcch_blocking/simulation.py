@@ -6,13 +6,13 @@ over workers. Within an iteration the stream is consumed in a fixed order:
 C-RNTIs, then aggregation levels, then the scheduler's tie-break permutation.
 
 The stream of iteration ``it`` is ``iteration_rng(master_seed, it)``, that is
-``default_rng([master_seed, it])``, but a worker range neither builds a
-generator per iteration nor calls one three times. It works a block of
-iterations at a time: ``_state_blocks`` derives their PCG64 states with
-NumPy's SeedSequence algorithm on uint32 arrays, ``_block_draws`` decodes
-their C-RNTIs, uniforms and permutations from raw PCG64 words by NumPy's own
-rules, and the AL indices, table residues and processing orders are array
-passes over the block, and one ``take_along_axis`` puts each row's table
+``default_rng([master_seed, it])``, but a worker range works a block of
+iterations at a time: ``_state_blocks`` runs NumPy's SeedSequence algorithm
+on uint32 arrays, a PCG64 seeds itself in C from each iteration's words and
+gives them all in one ``random_raw``, and ``_block_draws`` decodes the
+C-RNTIs, uniforms and tie-break shuffles by NumPy's own rules as array
+passes over the block. The AL indices, table residues and processing orders
+are array passes too, and one ``take_along_axis`` puts each row's table
 indices in processing order. Each iteration keeps only the greedy, in
 ``_simulate_iteration``. The draws are bit-identical to ``iteration_rng``'s.
 
@@ -132,20 +132,31 @@ def iteration_rng(master_seed: int, iteration: int):
     return np.random.default_rng([master_seed, iteration])
 
 
-# NumPy's SeedSequence (a pool of four uint32 words) and PCG64 seeding
-# constants; numpy/random/bit_generator.pyx and pcg64.h.
+# NumPy's SeedSequence (a pool of four uint32 words) constants;
+# numpy/random/bit_generator.pyx.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32 = 2**32 - 1
 # generate_state hashes pool word i % 4 into output word i: XOR with
 # INIT_B * MULT_B**i, multiply by INIT_B * MULT_B**(i + 1), all mod 2**32
 _GENERATE_CONSTS = np.array([_INIT_B * pow(_MULT_B, i, 2**32) & _MASK32
                              for i in range(2 * _POOL_SIZE + 1)], dtype=np.uint32)[:, None]
 STATE_BLOCK = 1024  # iterations per array pass: memory stays flat and small
 BLOCK_UES = 2**16  # and UEs per block, so that a large U gets shorter blocks
+SHUFFLE_SLACK = 16  # even; the shuffle has 2U + 16 halves, and a row short of them is redrawn
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Derived seed words for PCG64 to seed itself from in C. It reads their
+    buffer, so a strided view instead of a C-contiguous row seeds wrongly."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _mix(x, y):
@@ -153,10 +164,10 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def _generate_state(seed_words, start: int, stop: int) -> list:
+def _generate_state(seed_words, start: int, stop: int):
     """``SeedSequence([seed, it]).generate_state(4, np.uint64)`` for every it
-    in [start, stop), as four lists of words (seed_hi, seed_lo, inc_hi,
-    inc_lo); ``seed_words`` are the seed's uint32 words, low first."""
+    in [start, stop), as a C-contiguous (stop - start, 4) uint64 array, one
+    row per iteration; ``seed_words`` are the seed's uint32 words, low first."""
     n = stop - start
     entropy = [np.full(n, w, dtype=np.uint32) for w in seed_words]
     entropy.append(np.arange(start, stop, dtype=np.uint32))
@@ -181,74 +192,66 @@ def _generate_state(seed_words, start: int, stop: int) -> list:
             pool[dst] = _mix(pool[dst], hashmix(word))
     out = (np.vstack(pool + pool) ^ _GENERATE_CONSTS[:-1]) * _GENERATE_CONSTS[1:]
     out ^= out >> 16
-    # uint32 pairs, little-endian, as uint64 words
-    return (out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << 32).tolist()
+    # each iteration's uint32 pairs, little-endian, as uint64 words
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 def _state_blocks(master_seed: int, start: int, stop: int, block: int = STATE_BLOCK):
-    """Yield the PCG64 (state, inc) of ``iteration_rng(master_seed, it)`` for
-    each it in [start, stop), as one list per ``block`` iterations."""
+    """Yield the seed words of ``iteration_rng(master_seed, it)``'s PCG64 for
+    each it in [start, stop), one ``_generate_state`` array per ``block``."""
     # the seed's uint32 entropy words, low first, as SeedSequence coerces it
     seed_words = [master_seed >> shift & _MASK32
                   for shift in range(0, max(master_seed.bit_length(), 1), 32)]
     for lo in range(start, stop, block):
-        words = _generate_state(seed_words, lo, min(lo + block, stop))
-        # pcg_setseq_128_srandom_r: inc = 2*initseq + 1, then two LCG steps
-        # with initstate added to the state between them
-        states = []
-        for s_hi, s_lo, i_hi, i_lo in zip(*words):
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-        yield states
+        yield _generate_state(seed_words, lo, min(lo + block, stop))
 
 
-def _block_draws(rng, states, u: int):
-    """The v1 draws of a block of iterations, as (len(states), u) arrays:
-    for each (state, inc) in ``states``, what ``integers(1, RNTI_MAX + 1,
-    size=u)``, ``random(u)`` and ``permutation(u)`` of a Generator at that
-    state return, in that order.
-
-    Each iteration sets its state on ``rng`` and takes ceil(u/2) + u raw
-    PCG64 words; numpy's rules decode them for the whole block. A C-RNTI is
-    Lemire's bounded draw of one 32-bit half, low half first: x * 65535 >> 32,
-    rejecting only x == 0 (redrawn here with the Generator calls). A uniform
-    is word >> 11 scaled by 2**-53. The permutation shuffles arange(u) on
-    ``rng`` itself; for odd u its first draw is the high half left over from
-    the last C-RNTI word, masked and rejected as numpy's random_interval
-    does, and the shuffle of the remaining u - 1 places follows.
+def _block_draws(states, u: int):
+    """The v1 draws of a block of iterations, as C-contiguous (len(states), u)
+    arrays: per row of seed words in ``states``, ``integers(1, RNTI_MAX + 1,
+    size=u)``, ``random(u)`` and ``permutation(u)`` of
+    ``Generator(PCG64(_SeedWords(row)))``, decoded from one ``random_raw`` by
+    numpy's rules. A C-RNTI is Lemire's draw on a 32-bit half, low half first:
+    x * 65535 >> 32, rejecting x == 0. A uniform is (word >> 11) * 2**-53. The
+    shuffle swaps place i = u - 1 .. 1 with random_interval's draw, a half
+    masked to the smallest 2**k - 1 >= i and rejected if above i; for odd u
+    the first half is the last C-RNTI word's high one. A row with a rejected
+    C-RNTI or too few halves takes the three Generator calls instead.
     """
-    bit_generator = rng.bit_generator
-    pcg = {"state": 0, "inc": 0}
-    full_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     n, half, last = len(states), (u + 1) // 2, u - 1
-    raw = np.empty((n, half + u), dtype=np.uint64)
-    perm = np.empty((n, u), dtype=np.int64)
-    perm[:] = np.arange(u)
-    odd = u % 2 == 1
-    mask = (1 << last.bit_length()) - 1  # smallest 2**k - 1 >= u - 1
-    for row, (pcg["state"], pcg["inc"]) in enumerate(states):
-        bit_generator.state = full_state  # also clears the buffered 32-bit draw
-        words = raw[row] = bit_generator.random_raw(half + u)
-        if odd:
-            j = int(words[half - 1]) >> 32 & mask
-            while j > last:
-                j = int(rng.integers(0, 2**32, dtype=np.uint32)) & mask
-            perm[row, last], perm[row, j] = j, last  # the shuffle's first step
-            rng.shuffle(perm[row, :last])
-        else:
-            rng.shuffle(perm[row])
-    halves = np.empty((n, 2 * half), dtype=np.uint64)
-    halves[:, 0::2] = raw[:, :half] & _MASK32
-    halves[:, 1::2] = raw[:, :half] >> 32
+    raw = np.empty((n, half + 2 * u + SHUFFLE_SLACK // 2), dtype=np.uint64)
+    for row, words in enumerate(states):
+        raw[row] = np.random.PCG64(_SeedWords(words)).random_raw(raw.shape[1])
+    halves = raw.astype("<u8", copy=False).view("<u4")  # low half first
     x = halves[:, :u]
-    rntis = (x * RNTI_MAX >> 32).astype(np.int64) + 1
-    uniforms = (raw[:, half:] >> 11) * 2.0**-53
-    for row in np.flatnonzero((x == 0).any(axis=1)).tolist():
-        pcg["state"], pcg["inc"] = states[row]
-        bit_generator.state = full_state
-        rntis[row] = rng.integers(1, RNTI_MAX + 1, size=u)
-        uniforms[row] = rng.random(u)
-        perm[row] = rng.permutation(u)
+    rntis = (x.astype(np.int64) * RNTI_MAX >> 32) + 1
+    uniforms = (raw[:, half:half + u] >> 11) * 2.0**-53
+    # one row per shuffle half: for odd u half u, then the spare words' halves
+    columns = np.ascontiguousarray(
+        halves[:, np.r_[u:u + u % 2, 2 * (half + u):halves.shape[1]]].T, dtype=np.int64)
+    masks = np.array([(1 << i.bit_length()) - 1 for i in range(u)])
+    # column i + 1 of a row holds its swap for place i; a done row steps from
+    # place 0 to -1, where no draw is taken, and parks there
+    swaps = np.zeros((n, u + 1), dtype=np.int64)
+    flat_swaps, slots = swaps.reshape(-1), np.arange(1, n * (u + 1), u + 1)
+    place = np.full(n, last)
+    for c, column in enumerate(columns):
+        if c >= last and place.max() < 1:  # no row is done before u - 1 draws
+            break
+        j = column & masks[place]
+        flat_swaps[slots + place] = j
+        place -= j <= place
+    perm = np.tile(np.arange(u), (n, 1))
+    flat_perm, starts = perm.reshape(-1), np.arange(0, n * u, u)
+    for i in range(last, 0, -1):
+        j = starts + swaps[:, i + 1]
+        taken = flat_perm[j]
+        flat_perm[j] = perm[:, i]
+        perm[:, i] = taken
+    for row in np.flatnonzero(~x.all(axis=1) | (place > 0)).tolist():
+        rng = np.random.Generator(np.random.PCG64(_SeedWords(states[row])))
+        rntis[row], uniforms[row], perm[row] = (
+            rng.integers(1, RNTI_MAX + 1, size=u), rng.random(u), rng.permutation(u))
     return rntis, uniforms, perm
 
 
@@ -293,21 +296,19 @@ def _run_range(cfg: ScenarioConfig, start: int, stop: int, keep: bool):
     # every AL's table in one list: (AL index a, residue r) is at offsets[a] + r
     mask_sets = [masks for table in tables for masks in table]
     offsets = np.cumsum(positions) - positions
-    rng = np.random.Generator(np.random.PCG64(0))
-    per_iter = [] if keep else None
-    blocked_total = 0
+    per_iter, blocked_total = [], 0
     block = max(1, min(STATE_BLOCK, BLOCK_UES // cfg.ue_count))
     for states in _state_blocks(cfg.master_seed, start, stop, block):
-        rntis, uniforms, perm = _block_draws(rng, states, cfg.ue_count)
+        rntis, uniforms, perm = _block_draws(states, cfg.ue_count)
         al_idx = np.searchsorted(cumulative, uniforms, side="right")
         index = offsets[al_idx] + rntis * k % Y_MODULUS % positions[al_idx]
         orders = _allocation_order(al_idx, perm, cfg.strategy)  # indices sort as ALs
-        for row in np.take_along_axis(index, orders, axis=1).tolist():
-            blocked = _simulate_iteration(mask_sets, row)
-            blocked_total += blocked
-            if keep:
-                per_iter.append(blocked)
-    return blocked_total, per_iter
+        blocked = [_simulate_iteration(mask_sets, row)
+                   for row in np.take_along_axis(index, orders, axis=1).tolist()]
+        blocked_total += sum(blocked)
+        if keep:
+            per_iter += blocked
+    return blocked_total, per_iter if keep else None
 
 
 def _worker_count(workers):

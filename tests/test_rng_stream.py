@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import PCG64
 from test_kernel import reference_blocked
 
 from pdcch_blocking import (STRATEGIES, AlDistribution, CoresetConfig,
                             ScenarioConfig, SearchSpaceConfig, iteration_rng)
 from pdcch_blocking import simulation
-from pdcch_blocking.simulation import (_PCG64_MULT, STATE_BLOCK, _block_draws,
-                                       _run_range, _state_blocks)
+from pdcch_blocking.simulation import (STATE_BLOCK, _block_draws, _generate_state,
+                                       _run_range, _SeedWords, _state_blocks)
 
 LAST_ITERATION = 2**32 - 1
+# PCG64's 128-bit LCG multiplier (numpy's pcg64.h)
+MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 # v1 RNG stream contract: the PCG64 state of iteration_rng(seed, iteration),
 # recorded with numpy 2.4.6. If numpy changes SeedSequence or PCG64 seeding,
@@ -42,12 +45,22 @@ def reference_states(master_seed, start, stop):
 
 
 def derived_states(master_seed, start, stop):
-    return [{"state": s, "inc": inc}
-            for block in _state_blocks(master_seed, start, stop) for s, inc in block]
+    return [PCG64(_SeedWords(words)).state["state"]
+            for block in _state_blocks(master_seed, start, stop) for words in block]
 
 
 def state_of(master_seed, iteration):
-    return next(_state_blocks(master_seed, iteration, iteration + 1))[0]
+    state = derived_states(master_seed, iteration, iteration + 1)[0]
+    return state["state"], state["inc"]
+
+
+def seed_words(state, inc):
+    """The seed words from which PCG64 seeds itself at (state, inc), by
+    inverting its seeding: inc = 2 * initseq + 1 and state = ((initstate +
+    inc) * MULT + inc) mod 2**128."""
+    initstate = ((state - inc) * pow(MULT, -1, 2**128) - inc) % 2**128
+    initseq = inc >> 1
+    return [initstate >> 64, initstate & 2**64 - 1, initseq >> 64, initseq & 2**64 - 1]
 
 
 def reference_draws(bit_generator, u):
@@ -57,11 +70,20 @@ def reference_draws(bit_generator, u):
             rng.permutation(u).tolist())
 
 
-def decoded(states, u):
-    """Each state's (C-RNTIs, uniforms, permutation) from the block decoder."""
-    rntis, uniforms, perm = _block_draws(np.random.Generator(np.random.PCG64(0)),
-                                         states, u)
+def decoded(words, u):
+    """Each row of seed words' (C-RNTIs, uniforms, permutation) from the
+    block decoder."""
+    rntis, uniforms, perm = _block_draws(np.asarray(words, dtype=np.uint64), u)
     return list(zip(rntis.tolist(), uniforms.tolist(), perm.tolist()))
+
+
+def crafted_words(states):
+    """The seed words of each (state, inc) in ``states``, checked to seed
+    PCG64 at that state."""
+    words = np.array([seed_words(*state) for state in states], dtype=np.uint64)
+    for row, (state, inc) in zip(words, states):
+        assert PCG64(_SeedWords(row)).state["state"] == {"state": state, "inc": inc}
+    return words
 
 
 def pcg64(state, inc):
@@ -75,7 +97,7 @@ def state_with_output(word, position, inc):
     """A PCG64 state whose output word number ``position`` (0 = next) is
     ``word``: after that many + 1 LCG steps the state is (hi 0, lo word),
     whose XSL-RR output is the word itself; undo the steps from there."""
-    inverse = pow(_PCG64_MULT, -1, 2**128)
+    inverse = pow(MULT, -1, 2**128)
     state = word
     for _ in range(position + 1):
         state = (state - inc) * inverse % 2**128
@@ -96,7 +118,8 @@ def test_v1_stream_states_are_pinned(key):
 @given(master_seed=st.integers(0, 2**200), start=st.integers(0, LAST_ITERATION),
        u=st.integers(1, 60),
        length=st.one_of(st.integers(1, 12),
-                        st.sampled_from([STATE_BLOCK - 1, STATE_BLOCK, STATE_BLOCK + 1])))
+                        st.sampled_from([STATE_BLOCK - 1, STATE_BLOCK, STATE_BLOCK + 1,
+                                         300, 400, 500])))
 def test_block_draws_match_reference_stream(master_seed, start, u, length):
     stop = min(start + length, LAST_ITERATION + 1)
     got = [draw for states in _state_blocks(master_seed, start, stop)
@@ -118,7 +141,7 @@ def test_zero_rnti_word_is_redrawn(u, position):
     state = state_with_output(0, word, inc)
     assert pcg64(state, inc).random_raw(word + 1)[word] == 0
     normal = state_of(5, 18)
-    got = decoded([normal, (state, inc), normal], u)
+    got = decoded(crafted_words([normal, (state, inc), normal]), u)
     assert got[1] == reference_draws(pcg64(state, inc), u)
     assert got[0] == got[2] == reference_draws(pcg64(*normal), u)
 
@@ -134,8 +157,48 @@ def test_buffered_half_starts_the_shuffle(u, high):
     state = state_with_output(high << 32 | 0x1234, half - 1, inc)
     assert pcg64(state, inc).random_raw(half)[-1] >> 32 == high
     normal = state_of(9, 5)
-    got = decoded([(state, inc), normal], u)
+    got = decoded(crafted_words([(state, inc), normal]), u)
     assert got == [reference_draws(pcg64(state, inc), u), reference_draws(pcg64(*normal), u)]
+
+
+def shuffle_words(words, u):
+    """The raw words that ``permutation(u)`` takes after the C-RNTIs and the
+    uniforms of the Generator seeded from ``words``."""
+    rng = np.random.Generator(PCG64(_SeedWords(words)))
+    rng.integers(1, 65536, size=u)
+    rng.random(u)
+    probe = PCG64(0)
+    probe.state = rng.bit_generator.state
+    rng.permutation(u)
+    count = 0
+    while probe.state["state"] != rng.bit_generator.state["state"]:
+        probe.random_raw()
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("u, spare_words", [(3, 0), (5, 1), (9, 4), (16, 8), (33, 19),
+                                            (50, 32)])
+def test_rows_that_run_out_of_shuffle_halves_are_redrawn(monkeypatch, u, spare_words):
+    # the shuffle gets spare_words words, 2u + SHUFFLE_SLACK halves: most rows need more
+    monkeypatch.setattr(simulation, "SHUFFLE_SLACK", 2 * (spare_words - u))
+    words = next(_state_blocks(11, 300, 360))
+    exhausted = [shuffle_words(row, u) > spare_words for row in words]
+    assert sum(exhausted) > len(words) // 2
+    assert decoded(words, u) == [reference_draws(iteration_rng(11, it).bit_generator, u)
+                                 for it in range(300, 360)]
+
+
+@pytest.mark.parametrize("u", [1, 2, 7, 50])
+def test_block_arrays_are_c_contiguous(u):
+    # PCG64 reads a seed row's buffer directly, and the kernel's array
+    # passes expect row-major draws
+    words = _generate_state([3], 0, 40)
+    assert words.shape == (40, 4) and words.dtype == np.uint64
+    assert words.flags.c_contiguous
+    for array, dtype in zip(_block_draws(words, u), (np.int64, np.float64, np.int64)):
+        assert array.shape == (40, u) and array.dtype == dtype
+        assert array.flags.c_contiguous
 
 
 @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 9])
@@ -169,9 +232,9 @@ def test_blocks_shrink_to_hold_at_most_block_ues(monkeypatch):
     sizes = []
     draws = simulation._block_draws
 
-    def recorded(rng, states, u):
+    def recorded(states, u):
         sizes.append(len(states))
-        return draws(rng, states, u)
+        return draws(states, u)
     monkeypatch.setattr(simulation, "_block_draws", recorded)
     monkeypatch.setattr(simulation, "BLOCK_UES", 4 * 14 + 3)
     cfg = scenario(ue_count=14, strategy="high_to_low", master_seed=31)

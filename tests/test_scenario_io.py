@@ -8,6 +8,7 @@ from pdcch_blocking import (SWEEP_AXES, ResultRecord, ScenarioParseError,
                             bundled_scenario_path, emit_results, load_results,
                             parse_plan_request, parse_scenario,
                             scenario_from_dict, scenario_to_dict)
+from pdcch_blocking.scenario_io import CSV_COLUMNS
 
 MINIMAL = {
     "name": "minimal",
@@ -334,6 +335,35 @@ def test_json_roundtrip_is_lossless(tmp_path):
     assert load_results(path) == records()
     payload = json.loads(path.read_text())
     assert isinstance(payload, list) and payload[0]["scenario"] == "fig4_ue_sweep"
+
+
+def test_load_reads_an_upper_case_json_suffix_as_json(tmp_path):
+    path = tmp_path / "r.JSON"
+    emit_results(records(), "json", path)
+    assert load_results(path) == records()
+
+
+@pytest.mark.parametrize("content", [
+    # what `pdcch-sim plan --format json` writes: one object, not records
+    {"name": "p", "min_cces": 54, "achieved_blocking": 0.04, "target_blocking": 0.05,
+     "evaluations": [[54, 0.04, 0.002]]},
+    [{"scenario": "s", "point": "1"}],
+    [["s", "1", 0.1, 0.01, 1, 9, 0, 10]],
+    [{column: None for column in CSV_COLUMNS}],
+])
+def test_load_rejects_json_that_is_not_records(tmp_path, content):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(ValueError, match="p.json does not hold result records"):
+        load_results(path)
+
+
+def test_load_rejects_a_csv_with_a_short_row(tmp_path):
+    path = tmp_path / "out.csv"
+    emit_results(records(), "csv", path)
+    path.write_text(path.read_text() + "fig4_ue_sweep,7\n")
+    with pytest.raises(ValueError, match="out.csv does not hold result records"):
+        load_results(path)
 
 
 def test_emit_rejects_empty_and_bad_format(tmp_path):

@@ -95,6 +95,7 @@ def test_candidate_cces_rejects_oversized_al():
     dict(aggregation_level=2, candidate_index=0, cce_count=54, candidate_count=6, y=1.5),
     dict(aggregation_level=True, candidate_index=0, cce_count=54, candidate_count=6, y=0),
     dict(aggregation_level=2, candidate_index=1.0, cce_count=54, candidate_count=6, y=0),
+    dict(aggregation_level=2, candidate_index=0, cce_count=54, candidate_count="6", y=0),
 ])
 def test_candidate_cces_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError):
