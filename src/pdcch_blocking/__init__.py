@@ -1,7 +1,7 @@
 """Monte Carlo blocking-probability simulation and CORESET planning for the
 5G NR physical downlink control channel."""
 
-from .coreset import AGGREGATION_LEVELS, CoresetConfig, InvalidGeometryError
+from .coreset import AGGREGATION_LEVELS, CoresetConfig
 from .planner import PlanningRequest, PlanningResult, plan_min_coreset
 from .scenario_io import (ResultRecord, Scenario, ScenarioParseError, SweepSpec,
                           bundled_scenario_names, bundled_scenario_path,
@@ -12,8 +12,8 @@ from .scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW, STRATEGY_LOW_TO_HIGH,
                         validate_limits)
 from .search_space import (ALLOWED_CANDIDATE_COUNTS, RNTI_MAX,
                            SPACE_TYPE_COMMON, SPACE_TYPE_UE_SPECIFIC,
-                           NoCandidateFitsError, SearchSpaceConfig,
-                           candidate_cces, candidate_starts, y_value)
+                           SearchSpaceConfig, candidate_cces,
+                           candidate_starts, y_value)
 from .simulation import (SWEEP_AXES, AlDistribution, ScenarioConfig,
                          SimulationResult, SweepPoint, apply_axis,
                          iteration_rng, run_scenario, run_sweep)
@@ -25,8 +25,7 @@ __all__ = [
     "SPACE_TYPE_COMMON", "SPACE_TYPE_UE_SPECIFIC", "STRATEGIES",
     "STRATEGY_HIGH_TO_LOW", "STRATEGY_LOW_TO_HIGH", "STRATEGY_UNORDERED",
     "SWEEP_AXES",
-    "AlDistribution", "CoresetConfig", "InvalidGeometryError",
-    "LimitsReport", "MonitoringLimits", "NoCandidateFitsError",
+    "AlDistribution", "CoresetConfig", "LimitsReport", "MonitoringLimits",
     "PlanningRequest", "PlanningResult", "ResultRecord", "Scenario",
     "ScenarioConfig", "ScenarioParseError", "SearchSpaceConfig",
     "SimulationResult", "SweepPoint", "SweepSpec",

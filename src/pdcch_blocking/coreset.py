@@ -8,10 +8,6 @@ AGGREGATION_LEVELS = (1, 2, 4, 8, 16)
 RBS_PER_CCE = 6  # one CCE = 6 REGs, one REG = one RB in one OFDM symbol
 
 
-class InvalidGeometryError(ValueError):
-    """CORESET dimensions violate the NR constraints."""
-
-
 def as_integer(name: str, value, minimum: int = None) -> int:
     """``value`` as an int, at least ``minimum`` when one is given. A bool or
     a non-integral number raises ValueError; numpy integers are accepted."""
@@ -65,11 +61,10 @@ class CoresetConfig:
         for name in ("rb_count", "symbol_duration"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.rb_count <= 0 or self.rb_count % RBS_PER_CCE != 0:
-            raise InvalidGeometryError(
+            raise ValueError(
                 f"rb_count must be a positive multiple of {RBS_PER_CCE}, got {self.rb_count}")
         if self.symbol_duration not in (1, 2, 3):
-            raise InvalidGeometryError(
-                f"symbol_duration must be 1, 2 or 3, got {self.symbol_duration}")
+            raise ValueError(f"symbol_duration must be 1, 2 or 3, got {self.symbol_duration}")
 
     @property
     def cce_count(self) -> int:
@@ -78,7 +73,5 @@ class CoresetConfig:
     @classmethod
     def from_cce_count(cls, cce_count: int) -> "CoresetConfig":
         """Synthesize a one-symbol CORESET with exactly ``cce_count`` CCEs."""
-        cce_count = as_integer("cce_count", cce_count)
-        if cce_count < 1:
-            raise InvalidGeometryError(f"cce_count must be >= 1, got {cce_count}")
+        cce_count = as_integer("cce_count", cce_count, 1)
         return cls(rb_count=RBS_PER_CCE * cce_count, symbol_duration=1)

@@ -76,7 +76,8 @@ class ResultRecord:
     iterations: int
 
 
-CSV_COLUMNS = tuple(field.name for field in fields(ResultRecord))
+_RECORD = {field.name: field.type for field in fields(ResultRecord)}
+CSV_COLUMNS = tuple(_RECORD)
 
 
 def _typed(value, kind, where):
@@ -252,6 +253,7 @@ def emit_results(records, fmt: str, path) -> Path:
     """Write records to ``path``. CSV: header plus one row per record, columns
     in CSV_COLUMNS order; JSON: an array of record objects. Floats keep full
     precision (shortest round-trip form)."""
+    records = list(records)
     if not records:
         raise ValueError("no records to emit")
     _check_format(fmt)
@@ -269,7 +271,8 @@ def emit_results(records, fmt: str, path) -> Path:
 
 def load_results(path, fmt: str = None) -> list:
     """Read records written by emit_results, as JSON when the suffix is .json
-    in any case; rows that are not records with every column raise ValueError."""
+    in any case. A row that is not a record with every column, or a JSON row
+    with another key or a value not of its column's type, raises ValueError."""
     path = Path(path)
     if fmt is None:
         fmt = FORMAT_JSON if path.suffix.lower() == ".json" else FORMAT_CSV
@@ -280,7 +283,9 @@ def load_results(path, fmt: str = None) -> list:
         with open(path, newline="") as handle:
             rows = list(csv.DictReader(handle))
     try:
-        return [ResultRecord(**{f.name: f.type(row[f.name]) for f in fields(ResultRecord)})
+        if fmt == FORMAT_JSON:
+            rows = [_section(row, _RECORD, set(_RECORD), "record") for row in rows]
+        return [ResultRecord(**{name: kind(row[name]) for name, kind in _RECORD.items()})
                 for row in rows]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path} does not hold result records: {exc!r}") from None

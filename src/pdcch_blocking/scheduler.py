@@ -76,8 +76,6 @@ def _allocation_order(al_keys, perm, strategy):
     ``al_keys`` their ALs (or anything that sorts as the ALs). "unordered"
     keeps the permutation; the other strategies sort it stably by AL, so
     equal-AL UEs stay in permutation order."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     if strategy == STRATEGY_UNORDERED:
         return perm
     keys = np.take_along_axis(al_keys, perm, axis=1)

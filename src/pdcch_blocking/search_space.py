@@ -19,10 +19,6 @@ SPACE_TYPE_UE_SPECIFIC = "uss"
 SPACE_TYPES = (SPACE_TYPE_COMMON, SPACE_TYPE_UE_SPECIFIC)
 
 
-class NoCandidateFitsError(ValueError):
-    """The aggregation level is larger than the CORESET, no candidate can fit."""
-
-
 @dataclass(frozen=True)
 class SearchSpaceConfig:
     """Candidate counts per aggregation level, plus the search-space type.
@@ -78,8 +74,8 @@ def candidate_starts(aggregation_level: int, cce_count: int, candidate_count: in
     """First CCE index of each of the ``candidate_count`` candidates, in
     candidate order: L * ((y + floor(k*C / (L*M))) mod floor(C/L)).
 
-    Raises NoCandidateFitsError when the aggregation level exceeds the CORESET
-    size, i.e. floor(cce_count / aggregation_level) == 0.
+    Raises ValueError when the aggregation level exceeds the CORESET size,
+    i.e. floor(cce_count / aggregation_level) == 0.
     """
     L = as_integer("aggregation_level", aggregation_level)
     if L not in AGGREGATION_LEVELS:
@@ -89,7 +85,7 @@ def candidate_starts(aggregation_level: int, cce_count: int, candidate_count: in
     y = as_integer("y", y)
     positions = C // L
     if positions == 0:
-        raise NoCandidateFitsError(f"AL {L} does not fit in a CORESET of {C} CCEs")
+        raise ValueError(f"AL {L} does not fit in a CORESET of {C} CCEs")
     return [L * ((y + (k * C) // (L * M)) % positions) for k in range(M)]
 
 

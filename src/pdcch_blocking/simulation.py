@@ -425,6 +425,7 @@ def run_sweep(base: ScenarioConfig, axis: str, points, workers: int = None) -> l
     point that ``apply_axis`` rejects, such as an unnamed list, raises
     ValueError as "sweep point <label>: <reason>", and repeated labels raise
     ValueError too. With ``workers`` > 1 one process pool serves every point."""
+    points = tuple(points)
     check_axis(axis)
     if not points:
         raise ValueError("sweep needs at least one point")

@@ -239,6 +239,15 @@ def test_plan_command(tmp_path, capsys):
     assert payload["evaluations"]
 
 
+def test_plan_without_a_size_that_meets_the_target_exits_zero(tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(dict(PLAN, ue_count=20, target_blocking=0.001,
+                                    cce_range=[6, 8], iterations=50)))
+    assert main(["plan", str(path)]) == 0
+    assert "small_plan: no CORESET size in [6, 8] meets target B <= 0.001" in (
+        capsys.readouterr().out)
+
+
 def test_plan_csv_rows_are_coreset_size_sweep_rows(tmp_path, capsys):
     # the rows carry the simulator's own counts, not counts rebuilt from B
     path = tmp_path / "plan.json"

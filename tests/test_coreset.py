@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pdcch_blocking import (AlDistribution, CoresetConfig, InvalidGeometryError,
-                            MonitoringLimits, PlanningRequest, ScenarioConfig,
-                            SearchSpaceConfig, run_scenario)
+from pdcch_blocking import (AlDistribution, CoresetConfig, MonitoringLimits,
+                            PlanningRequest, ScenarioConfig, SearchSpaceConfig,
+                            run_scenario)
 
 
 @pytest.mark.parametrize("rb_count,symbols,expected", [
@@ -16,15 +16,15 @@ def test_cce_count(rb_count, symbols, expected):
     assert CoresetConfig(rb_count, symbols).cce_count == expected
 
 
-@pytest.mark.parametrize("rb_count,symbols", [
-    (20, 1),    # not a multiple of 6
-    (0, 1),
-    (-6, 1),
-    (6, 0),
-    (6, 4),
-])
-def test_invalid_geometry_rejected(rb_count, symbols):
-    with pytest.raises(InvalidGeometryError):
+@pytest.mark.parametrize("rb_count,symbols,match", [
+    (20, 1, "rb_count must be a positive multiple of 6"),
+    (0, 1, "rb_count must be a positive multiple of 6"),
+    (-6, 1, "rb_count must be a positive multiple of 6"),
+    (6, 0, "symbol_duration must be 1, 2 or 3"),
+    (6, 4, "symbol_duration must be 1, 2 or 3"),
+], ids=["20-1", "0-1", "-6-1", "6-0", "6-4"])
+def test_invalid_geometry_rejected(rb_count, symbols, match):
+    with pytest.raises(ValueError, match=match):
         CoresetConfig(rb_count, symbols)
 
 
@@ -58,7 +58,7 @@ def test_from_cce_count_synthesizes_one_symbol_coreset():
 
 
 def test_from_cce_count_rejects_nonpositive():
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(ValueError, match="cce_count must be >= 1"):
         CoresetConfig.from_cce_count(0)
 
 

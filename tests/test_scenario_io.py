@@ -120,6 +120,7 @@ WRONG_JSON_TYPES = {
         {"search_space": {"candidates_per_al": [6.0, 6, 4, 2, "1"]}},
         {"search_space": {"candidates_per_al": [6.0, 6, 4, 2, "1"]}}),
     "sweep_null": ({"sweep": None}, {"sweep": None}),
+    "al_distribution_scalar": ({"al_distribution": 5}, {"al_distribution": 5}),
 }
 
 
@@ -142,6 +143,13 @@ def test_nan_probability_is_a_validation_error(tmp_path):
 def test_coreset_forms_are_exclusive(tmp_path):
     bad = dict(MINIMAL, coreset={"cce_count": 12, "rb_count": 72})
     with pytest.raises(ScenarioParseError, match="either"):
+        parse_scenario(write(tmp_path, bad))
+
+
+def test_coreset_needs_both_geometry_keys(tmp_path):
+    bad = dict(MINIMAL, coreset={"rb_count": 72})
+    with pytest.raises(ScenarioParseError,
+                       match="coreset needs cce_count, or rb_count and symbol_duration"):
         parse_scenario(write(tmp_path, bad))
 
 
@@ -358,6 +366,23 @@ def test_load_rejects_json_that_is_not_records(tmp_path, content):
         load_results(path)
 
 
+@pytest.mark.parametrize("changes,reason", [
+    ({"blocked_total": 2.7}, "record.blocked_total must be an integer, got 2.7"),
+    ({"scheduled_total": True}, "record.scheduled_total must be an integer, got true"),
+    ({"seed": "3"}, 'record.seed must be an integer, got "3"'),
+    ({"stderr": "0.1"}, 'record.stderr must be a number, got "0.1"'),
+    ({"blocking_probability": 10**400}, "too large"),
+    ({"extra": 1}, r"unknown key\(s\) in record: \['extra'\]"),
+], ids=["float_int", "bool_int", "string_int", "string_float", "huge_float", "extra_key"])
+def test_load_rejects_json_values_of_another_type(tmp_path, changes, reason):
+    path = tmp_path / "p.json"
+    emit_results(records(), "json", path)
+    rows = json.loads(path.read_text())
+    path.write_text(json.dumps([rows[0] | changes, rows[1]]))
+    with pytest.raises(ValueError, match=f"p.json does not hold result records: .*{reason}"):
+        load_results(path)
+
+
 def test_load_rejects_a_csv_with_a_short_row(tmp_path):
     path = tmp_path / "out.csv"
     emit_results(records(), "csv", path)
@@ -367,8 +392,10 @@ def test_load_rejects_a_csv_with_a_short_row(tmp_path):
 
 
 def test_emit_rejects_empty_and_bad_format(tmp_path):
-    with pytest.raises(ValueError):
-        emit_results([], "csv", tmp_path / "x.csv")
+    for empty in ([], iter([])):
+        with pytest.raises(ValueError, match="no records to emit"):
+            emit_results(empty, "csv", tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
     with pytest.raises(ValueError):
         emit_results(records(), "xml", tmp_path / "x.xml")
 

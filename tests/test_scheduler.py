@@ -221,12 +221,6 @@ def test_block_order_matches_python_sort(strategy):
                        for levels, row in zip(al_idx.tolist(), perm.tolist())]
 
 
-def test_unknown_strategy_rejected():
-    with pytest.raises(ValueError, match="strategy"):
-        _allocation_order(np.zeros((1, 2), dtype=np.int64),
-                          np.arange(2)[None], "random")
-
-
 def test_tie_break_uses_supplied_rng():
     ues = [(2, [0]), (2, [0])]
     winners = {tuple(schedule(ues, STRATEGY_LOW_TO_HIGH, np.random.default_rng(seed))[1])
@@ -297,6 +291,15 @@ def test_validate_limits_single_candidate_everywhere():
     coreset = CoresetConfig.from_cce_count(54)
     report = validate_limits(space, coreset, 7, MonitoringLimits.for_scs(15))
     assert report.blind_decodes == 5
+
+
+def test_validate_limits_skips_an_al_larger_than_the_coreset():
+    # at 8 CCEs the AL16 candidate cannot fit and adds no CCEs
+    space = SearchSpaceConfig((0, 0, 0, 1, 1))
+    coreset = CoresetConfig.from_cce_count(8)
+    report = validate_limits(space, coreset, 7, MonitoringLimits.for_scs(15))
+    assert report.blind_decodes == 2
+    assert report.distinct_cces == 8
 
 
 def test_validate_limits_flags_excess_blind_decodes():

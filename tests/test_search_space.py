@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig,
-                            NoCandidateFitsError, SearchSpaceConfig,
+from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig, SearchSpaceConfig,
                             candidate_cces, candidate_starts, y_value)
 from test_kernel import kernel_tables
 
@@ -81,7 +80,7 @@ def test_candidate_cces_frozen_case():
 
 
 def test_candidate_cces_rejects_oversized_al():
-    with pytest.raises(NoCandidateFitsError):
+    with pytest.raises(ValueError, match="does not fit in a CORESET"):
         candidate_cces(16, 0, 8, 1, 0)
 
 

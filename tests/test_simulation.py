@@ -61,6 +61,11 @@ def test_distribution_rejects_non_numbers(probs):
         AlDistribution(probs)
 
 
+def test_distribution_needs_one_entry_per_al():
+    with pytest.raises(ValueError, match="^probabilities needs 5 entries"):
+        AlDistribution((1.0, 0, 0, 0))
+
+
 def test_distribution_rejects_integer_past_float_range():
     with pytest.raises(ValueError, match="too large for a float"):
         AlDistribution((1, 0, 0, 0, 10**400))
@@ -463,6 +468,13 @@ def test_sweep_rejects_unknown_axis_and_empty_points():
             apply_axis(scenario(), axis, 1)
     with pytest.raises(ValueError):
         run_sweep(scenario(), "ue_count", [])
+
+
+def test_sweep_reads_one_shot_points_once():
+    cfg = scenario(iterations=100)
+    points = run_sweep(cfg, "ue_count", (n for n in [2, 3]))
+    assert [sp.point for sp in points] == [2, 3]
+    assert points == run_sweep(cfg, "ue_count", [2, 3])
 
 
 def test_sweep_points_share_master_seed():
