@@ -9,12 +9,19 @@ The stream of iteration ``it`` is ``iteration_rng(master_seed, it)``, that is
 ``default_rng([master_seed, it])``, but a worker range works a block of
 iterations at a time: ``_state_blocks`` runs NumPy's SeedSequence algorithm
 on uint32 arrays, a PCG64 seeds itself in C from each iteration's words and
-gives them all in one ``random_raw``, and ``_block_draws`` decodes the
-C-RNTIs, uniforms and tie-break shuffles by NumPy's own rules as array
-passes over the block. The AL indices, table residues and processing orders
-are array passes too, and one ``take_along_axis`` puts each row's table
-indices in processing order. Each iteration keeps only the greedy, in
+gives them all in one ``random_raw`` (``_raw_draws``), and ``_decode_draws``
+decodes the C-RNTIs, uniforms and tie-break shuffles by NumPy's own rules as
+array passes over the block. The AL indices, table residues and processing
+orders are array passes too, and one ``take_along_axis`` puts each row's
+table indices in processing order. Each iteration keeps only the greedy, in
 ``_simulate_iteration``. The draws are bit-identical to ``iteration_rng``'s.
+
+A range runs every config of a call together, one config for
+``run_scenario`` and all points for ``run_sweep``. They share the master
+seed and iterations, so a block's seed words and raw words are derived once,
+for the largest U, and a smaller U's words are a prefix of each row; each U
+decodes once, and configs with the same CORESET size, search space and AL
+mix share their tables.
 
 The TS 38.213 hash is not evaluated per UE. Two identities let each run
 build small tables once and turn every UE's candidate set into one lookup:
@@ -206,29 +213,43 @@ def _state_blocks(master_seed: int, start: int, stop: int, block: int = STATE_BL
         yield _generate_state(seed_words, lo, min(lo + block, stop))
 
 
-def _block_draws(states, u: int):
+def _raw_width(u: int) -> int:
+    """Raw PCG64 words per iteration at ``u`` UEs: ceil(u/2) for the
+    C-RNTIs, u for the uniforms, u + SHUFFLE_SLACK/2 for the shuffle."""
+    return (u + 1) // 2 + 2 * u + SHUFFLE_SLACK // 2
+
+
+def _raw_draws(states, u: int):
+    """A (len(states), _raw_width(u)) uint64 array: per row of seed words in
+    ``states``, ``PCG64(_SeedWords(row)).random_raw(_raw_width(u))``. Every
+    smaller U's words are a prefix of each row."""
+    raw = np.empty((len(states), _raw_width(u)), dtype=np.uint64)
+    for row, words in enumerate(states):
+        raw[row] = np.random.PCG64(_SeedWords(words)).random_raw(raw.shape[1])
+    return raw
+
+
+def _decode_draws(states, raw, u: int):
     """The v1 draws of a block of iterations, as C-contiguous (len(states), u)
-    arrays: per row of seed words in ``states``, ``integers(1, RNTI_MAX + 1,
-    size=u)``, ``random(u)`` and ``permutation(u)`` of
-    ``Generator(PCG64(_SeedWords(row)))``, decoded from one ``random_raw`` by
+    arrays, from ``raw = _raw_draws(states, u_max)`` for any u_max >= u: per
+    row, ``integers(1, RNTI_MAX + 1, size=u)``, ``random(u)`` and
+    ``permutation(u)`` of ``Generator(PCG64(_SeedWords(row)))``, decoded by
     numpy's rules. A C-RNTI is Lemire's draw on a 32-bit half, low half first:
     x * 65535 >> 32, rejecting x == 0. A uniform is (word >> 11) * 2**-53. The
     shuffle swaps place i = u - 1 .. 1 with random_interval's draw, a half
     masked to the smallest 2**k - 1 >= i and rejected if above i; for odd u
     the first half is the last C-RNTI word's high one. A row with a rejected
-    C-RNTI or too few halves takes the three Generator calls instead.
+    C-RNTI or too few halves within ``_raw_width(u)`` words takes the three
+    Generator calls instead.
     """
     n, half, last = len(states), (u + 1) // 2, u - 1
-    raw = np.empty((n, half + 2 * u + SHUFFLE_SLACK // 2), dtype=np.uint64)
-    for row, words in enumerate(states):
-        raw[row] = np.random.PCG64(_SeedWords(words)).random_raw(raw.shape[1])
     halves = raw.astype("<u8", copy=False).view("<u4")  # low half first
     x = halves[:, :u]
     rntis = (x.astype(np.int64) * RNTI_MAX >> 32) + 1
     uniforms = (raw[:, half:half + u] >> 11) * 2.0**-53
     # one row per shuffle half: for odd u half u, then the spare words' halves
     columns = np.ascontiguousarray(
-        halves[:, np.r_[u:u + u % 2, 2 * (half + u):halves.shape[1]]].T, dtype=np.int64)
+        halves[:, np.r_[u:u + u % 2, 2 * (half + u):2 * _raw_width(u)]].T, dtype=np.int64)
     masks = np.array([(1 << i.bit_length()) - 1 for i in range(u)])
     # column i + 1 of a row holds its swap for place i; a done row steps from
     # place 0 to -1, where no draw is taken, and parks there
@@ -241,6 +262,9 @@ def _block_draws(states, u: int):
         j = column & masks[place]
         flat_swaps[slots + place] = j
         place -= j <= place
+    # a row that ran out keeps a rejected draw, which may point past its own
+    # u places into the next row's; it is drawn again below
+    swaps[place > 0] = 0
     perm = np.tile(np.arange(u), (n, 1))
     flat_perm, starts = perm.reshape(-1), np.arange(0, n * u, u)
     for i in range(last, 0, -1):
@@ -291,24 +315,42 @@ def _simulate_iteration(mask_sets, row) -> int:
     return len(row) - len(picks)
 
 
-def _run_range(cfg: ScenarioConfig, start: int, stop: int, keep: bool):
-    cumulative, k, positions, tables = _kernel(cfg)
-    # every AL's table in one list: (AL index a, residue r) is at offsets[a] + r
-    mask_sets = [masks for table in tables for masks in table]
-    offsets = np.cumsum(positions) - positions
-    per_iter, blocked_total = [], 0
-    block = max(1, min(STATE_BLOCK, BLOCK_UES // cfg.ue_count))
-    for states in _state_blocks(cfg.master_seed, start, stop, block):
-        rntis, uniforms, perm = _block_draws(states, cfg.ue_count)
-        al_idx = np.searchsorted(cumulative, uniforms, side="right")
-        index = offsets[al_idx] + rntis * k % Y_MODULUS % positions[al_idx]
-        orders = _allocation_order(al_idx, perm, cfg.strategy)  # indices sort as ALs
-        blocked = [_simulate_iteration(mask_sets, row)
-                   for row in np.take_along_axis(index, orders, axis=1).tolist()]
-        blocked_total += sum(blocked)
-        if keep:
-            per_iter += blocked
-    return blocked_total, per_iter if keep else None
+def _run_range(configs, start: int, stop: int, keep: bool) -> list:
+    """Run iterations [start, stop) of every config in ``configs``, which
+    share master_seed, a block at a time. A block derives its seed words and
+    draws each row's raw words once, for the largest U; each U decodes its
+    draws once, and each distinct (C, search space, AL mix) builds its tables
+    once per range. Every config runs its own greedy per iteration. Returns
+    each config's (blocked_total, per-iteration counts or None), in order."""
+    tables = {}  # (C, search space, AL mix) -> cumulative, K, P per AL, offsets, mask sets
+    by_u = {}  # U -> [(config's index, its tables key)]
+    for i, cfg in enumerate(configs):
+        key = (cfg.coreset.cce_count, cfg.search_space, cfg.al_distribution)
+        if key not in tables:
+            cumulative, k, positions, al_tables = _kernel(cfg)
+            # every AL's table in one list: (AL index a, residue r) is at offsets[a] + r
+            tables[key] = (cumulative, k, positions, np.cumsum(positions) - positions,
+                           [masks for table in al_tables for masks in table])
+        by_u.setdefault(cfg.ue_count, []).append((i, key))
+    totals, per_iter = [0] * len(configs), [[] for _ in configs]
+    u_max = max(by_u)
+    block = max(1, min(STATE_BLOCK, BLOCK_UES // u_max))
+    for states in _state_blocks(configs[0].master_seed, start, stop, block):
+        raw = _raw_draws(states, u_max)
+        for u, members in by_u.items():
+            rntis, uniforms, perm = _decode_draws(states, raw, u)
+            for i, key in members:
+                cumulative, k, positions, offsets, mask_sets = tables[key]
+                al_idx = np.searchsorted(cumulative, uniforms, side="right")
+                index = offsets[al_idx] + rntis * k % Y_MODULUS % positions[al_idx]
+                # indices sort as ALs
+                orders = _allocation_order(al_idx, perm, configs[i].strategy)
+                blocked = [_simulate_iteration(mask_sets, row)
+                           for row in np.take_along_axis(index, orders, axis=1).tolist()]
+                totals[i] += sum(blocked)
+                if keep:
+                    per_iter[i] += blocked
+    return [(total, counts if keep else None) for total, counts in zip(totals, per_iter)]
 
 
 def _worker_count(workers):
@@ -337,6 +379,24 @@ def worker_pool(workers: int = None):
         yield pool
 
 
+def _run_configs(configs, workers, keep: bool, pool) -> list:
+    """``run_scenario`` for every config in ``configs`` at once: one map of
+    ``_run_range`` over the iteration ranges, each range running every config.
+    Returns each config's ``SimulationResult``, in order."""
+    workers = _worker_count(workers)
+    if pool is not None and workers is None:
+        raise ValueError("a pool needs workers > 1")
+    bounds = np.linspace(0, configs[0].iterations, (workers or 1) + 1, dtype=int).tolist()
+    n = len(bounds) - 1
+    with worker_pool(workers) if pool is None else nullcontext(pool) as pool:
+        parts = list((map if pool is None else pool.map)(
+            _run_range, [configs] * n, bounds[:-1], bounds[1:], [keep] * n))
+    return [SimulationResult(
+        cfg.ue_count, cfg.iterations, cfg.master_seed, sum(part[i][0] for part in parts),
+        tuple(b for part in parts for b in part[i][1]) if keep else None)
+        for i, cfg in enumerate(configs)]
+
+
 def run_scenario(cfg: ScenarioConfig, workers: int = None,
                  keep_per_iteration: bool = False, *, pool=None) -> SimulationResult:
     """Estimate the blocking probability for one scenario.
@@ -346,21 +406,12 @@ def run_scenario(cfg: ScenarioConfig, workers: int = None,
     order. None or 1 ``workers`` is the builtin ``map`` over one range, and
     then a ``pool`` is an error. ``workers`` > 1 maps over ``pool``, an open
     pool from ``worker_pool``, or else over a pool opened and closed for this
-    call; ``run_sweep`` and ``plan_min_coreset`` hold one pool for all their
-    runs. Because every iteration seeds its own stream from (master_seed,
-    iteration), the result does not depend on the number of ranges.
+    call; ``plan_min_coreset`` holds one pool for all its runs. Because every
+    iteration seeds its own stream from (master_seed, iteration), the result
+    does not depend on the number of ranges. ``run_sweep`` takes the same
+    path with all its points at once.
     """
-    workers = _worker_count(workers)
-    if pool is not None and workers is None:
-        raise ValueError("a pool needs workers > 1")
-    bounds = np.linspace(0, cfg.iterations, (workers or 1) + 1, dtype=int).tolist()
-    n = len(bounds) - 1
-    with worker_pool(workers) if pool is None else nullcontext(pool) as pool:
-        parts = list((map if pool is None else pool.map)(
-            _run_range, [cfg] * n, bounds[:-1], bounds[1:], [keep_per_iteration] * n))
-    blocked_total = sum(total for total, _ in parts)
-    per_iter = tuple(b for _, part in parts for b in part) if keep_per_iteration else None
-    return SimulationResult(cfg.ue_count, cfg.iterations, cfg.master_seed, blocked_total, per_iter)
+    return _run_configs((cfg,), workers, keep_per_iteration, pool)[0]
 
 
 @dataclass(frozen=True)
@@ -424,7 +475,10 @@ def run_sweep(base: ScenarioConfig, axis: str, points, workers: int = None) -> l
     or any pool opens: an unknown axis raises ``check_axis``'s ValueError, a
     point that ``apply_axis`` rejects, such as an unnamed list, raises
     ValueError as "sweep point <label>: <reason>", and repeated labels raise
-    ValueError too. With ``workers`` > 1 one process pool serves every point."""
+    ValueError too. All points run together, as ``run_scenario`` runs one:
+    one map over the iteration ranges, each range running every point on
+    draws and tables shared between points. The results equal one
+    ``run_scenario`` per point."""
     points = tuple(points)
     check_axis(axis)
     if not points:
@@ -438,6 +492,5 @@ def run_sweep(base: ScenarioConfig, axis: str, points, workers: int = None) -> l
             raise ValueError(f"sweep point {label}: {exc}") from exc
     if repeated := sorted({label for label in labels if labels.count(label) > 1}):
         raise ValueError(f"sweep point labels must be distinct, got repeated {repeated}")
-    with worker_pool(workers) as pool:
-        return [SweepPoint(point, label, run_scenario(cfg, workers=workers, pool=pool))
-                for point, label, cfg in zip(points, labels, configs)]
+    return [SweepPoint(point, label, result) for point, label, result
+            in zip(points, labels, _run_configs(configs, workers, False, None))]

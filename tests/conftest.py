@@ -23,9 +23,10 @@ def pools(monkeypatch):
 
 @pytest.fixture
 def runs(monkeypatch):
-    """Record every ``simulation.run_scenario`` call, without running it."""
+    """Record every ``simulation._run_range`` call, the range that both
+    ``run_scenario`` and ``run_sweep`` map, without running it."""
     calls = []
-    monkeypatch.setattr(simulation, "run_scenario", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(simulation, "_run_range", lambda *a: calls.append(a))
     return calls
 
 

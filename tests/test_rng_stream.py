@@ -2,6 +2,8 @@
 against ``iteration_rng``, the reference v1 stream
 ``default_rng([master_seed, iteration])``."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,9 @@ from test_kernel import reference_blocked
 from pdcch_blocking import (STRATEGIES, AlDistribution, CoresetConfig,
                             ScenarioConfig, SearchSpaceConfig, iteration_rng)
 from pdcch_blocking import simulation
-from pdcch_blocking.simulation import (STATE_BLOCK, _block_draws, _generate_state,
-                                       _run_range, _SeedWords, _state_blocks)
+from pdcch_blocking.simulation import (STATE_BLOCK, _decode_draws, _generate_state,
+                                       _raw_draws, _raw_width, _run_range, _SeedWords,
+                                       _state_blocks)
 
 LAST_ITERATION = 2**32 - 1
 # PCG64's 128-bit LCG multiplier (numpy's pcg64.h)
@@ -70,10 +73,11 @@ def reference_draws(bit_generator, u):
             rng.permutation(u).tolist())
 
 
-def decoded(words, u):
+def decoded(words, u, u_max=None):
     """Each row of seed words' (C-RNTIs, uniforms, permutation) from the
-    block decoder."""
-    rntis, uniforms, perm = _block_draws(np.asarray(words, dtype=np.uint64), u)
+    block decoder, on raw words drawn for ``u_max`` UEs (default ``u``)."""
+    words = np.asarray(words, dtype=np.uint64)
+    rntis, uniforms, perm = _decode_draws(words, _raw_draws(words, u_max or u), u)
     return list(zip(rntis.tolist(), uniforms.tolist(), perm.tolist()))
 
 
@@ -129,6 +133,28 @@ def test_block_draws_match_reference_stream(master_seed, start, u, length):
     checked = sorted({*range(min(2, len(got))), *range(max(0, len(got) - 3), len(got))})
     for i in checked:
         assert got[i] == reference_draws(iteration_rng(master_seed, start + i).bit_generator, u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(master_seed=st.integers(0, 2**200), start=st.integers(0, LAST_ITERATION),
+       length=st.integers(1, 12), u=st.integers(1, 60), extra=st.integers(0, 30),
+       short=st.booleans())
+def test_smaller_u_decodes_from_raw_words_drawn_for_a_larger_one(
+        master_seed, start, length, u, extra, short):
+    # a sweep draws each row's raw words once, for its largest U, and every
+    # smaller U decodes its draws from a prefix of them. With short, width u
+    # leaves no shuffle words, so every row that needs a shuffle draw runs
+    # out of halves there and is drawn again
+    stop = min(start + length, LAST_ITERATION + 1)
+    u_max = u + extra
+    with mock.patch.object(simulation, "SHUFFLE_SLACK",
+                           -2 * u if short else simulation.SHUFFLE_SLACK):
+        blocks = list(_state_blocks(master_seed, start, stop))
+        for states in blocks:
+            assert (_raw_draws(states, u_max)[:, :_raw_width(u)] == _raw_draws(states, u)).all()
+        got = [draw for states in blocks for draw in decoded(states, u, u_max)]
+    assert got == [reference_draws(iteration_rng(master_seed, it).bit_generator, u)
+                   for it in range(start, stop)]
 
 
 @pytest.mark.parametrize("u", [1, 2, 3, 8, 9, 60])
@@ -196,7 +222,9 @@ def test_block_arrays_are_c_contiguous(u):
     words = _generate_state([3], 0, 40)
     assert words.shape == (40, 4) and words.dtype == np.uint64
     assert words.flags.c_contiguous
-    for array, dtype in zip(_block_draws(words, u), (np.int64, np.float64, np.int64)):
+    raw = _raw_draws(words, 60)
+    assert raw.shape == (40, _raw_width(60)) and raw.dtype == np.uint64
+    for array, dtype in zip(_decode_draws(words, raw, u), (np.int64, np.float64, np.int64)):
         assert array.shape == (40, u) and array.dtype == dtype
         assert array.flags.c_contiguous
 
@@ -224,20 +252,25 @@ def test_states_up_to_the_last_iteration_index(master_seed):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_range_not_starting_at_zero_matches_reference(strategy):
     cfg = scenario(ue_count=14, strategy=strategy, master_seed=2024)
-    _, per_iter = _run_range(cfg, 777, 817, True)
+    [(_, per_iter)] = _run_range([cfg], 777, 817, True)
     assert per_iter == [reference_blocked(cfg, it) for it in range(777, 817)]
 
 
 def test_blocks_shrink_to_hold_at_most_block_ues(monkeypatch):
     sizes = []
-    draws = simulation._block_draws
+    draws = simulation._raw_draws
 
     def recorded(states, u):
-        sizes.append(len(states))
+        sizes.append((len(states), u))
         return draws(states, u)
-    monkeypatch.setattr(simulation, "_block_draws", recorded)
+    monkeypatch.setattr(simulation, "_raw_draws", recorded)
     monkeypatch.setattr(simulation, "BLOCK_UES", 4 * 14 + 3)
     cfg = scenario(ue_count=14, strategy="high_to_low", master_seed=31)
-    _, per_iter = _run_range(cfg, 5, 19, True)
-    assert sizes == [4, 4, 4, 2]
-    assert per_iter == [reference_blocked(cfg, it) for it in range(5, 19)]
+    small = scenario(ue_count=3, master_seed=31)
+    # a range of several configs sizes its blocks, and draws, by the largest U
+    for configs in ([cfg], [small, cfg]):
+        sizes.clear()
+        ranges = _run_range(configs, 5, 19, True)
+        assert sizes == [(4, 14), (4, 14), (4, 14), (2, 14)]
+        for config, (_, per_iter) in zip(configs, ranges):
+            assert per_iter == [reference_blocked(config, it) for it in range(5, 19)]

@@ -3,6 +3,7 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from test_kernel import reference_blocked
 
 from pdcch_blocking import (AlDistribution, CoresetConfig, PlanningRequest,
                             ScenarioConfig, SearchSpaceConfig, SimulationResult,
@@ -505,9 +506,87 @@ def test_sweep_shares_one_pool_and_matches_serial(pools):
     assert pooled == serial
 
 
-def test_sweep_that_raises_still_closes_its_pool(pools, fail_second_run):
-    runs = fail_second_run(simulation)
+RUN_RANGE = simulation._run_range
+
+
+def _range_that_fails_after_the_first(configs, start, stop, keep):
+    # module level, so that the pool can pickle it by name
+    if start > 0:
+        raise RuntimeError("stop")
+    return RUN_RANGE(configs, start, stop, keep)
+
+
+def test_sweep_that_raises_still_closes_its_pool(pools, monkeypatch):
+    # the workers are forked after this patch, so they run it too
+    monkeypatch.setattr(simulation, "_run_range", _range_that_fails_after_the_first)
     with pytest.raises(RuntimeError, match="stop"):
         run_sweep(scenario(iterations=40), "ue_count", [2, 4, 6], workers=2)
-    assert len(runs) == 2 and len(pools) == 1
+    assert len(pools) == 1
     assert multiprocessing.active_children() == []
+
+
+SWEEP_POINTS = {
+    "ue_count": [1, 4, 9, 14],
+    "coreset_size": [6, 17, 54],
+    "candidate_counts": [{"name": "full", "counts": [6, 6, 4, 2, 1]},
+                         {"name": "sparse", "counts": [1, 2, 0, 1, 1]}],
+    "al_distribution": [{"name": "mixed", "probabilities": list(MIXED)},
+                        {"name": "al16", "probabilities": [0, 0, 0, 0, 1]}],
+    "strategy": list(STRATEGIES),
+}
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+@pytest.mark.parametrize("axis", sorted(SWEEP_POINTS))
+def test_sweep_equals_one_run_per_point(axis, workers, pools):
+    # the points of a sweep share draws and tables, one run has its own
+    base = scenario(iterations=70, master_seed=5)
+    points = SWEEP_POINTS[axis]
+    assert [sp.result for sp in run_sweep(base, axis, points, workers=workers)] == [
+        run_scenario(apply_axis(base, axis, point), workers=workers) for point in points]
+
+
+def test_sweep_points_match_the_reference_model():
+    base = scenario(iterations=30, master_seed=77)
+    for sp in run_sweep(base, "ue_count", SWEEP_POINTS["ue_count"]):
+        cfg = apply_axis(base, "ue_count", sp.point)
+        assert sp.result.blocked_total == sum(reference_blocked(cfg, it) for it in range(30))
+
+
+@pytest.mark.parametrize("axis", ["ue_count", "strategy"])
+def test_sweep_keeps_the_span_contract(monkeypatch, axis):
+    # the benchmark's span counts: one _simulate_iteration call per iteration
+    # and point, and the greedy's args[0] and result[0] as the UEs offered
+    # and scheduled
+    calls, offered, scheduled = [], [], []
+    simulate, greedy = simulation._simulate_iteration, simulation._greedy_assign
+
+    def counted_iteration(*args):
+        calls.append(1)
+        return simulate(*args)
+
+    def counted_greedy(*args):
+        result = greedy(*args)
+        offered.append(len(args[0]))
+        scheduled.append(len(result[0]))
+        return result
+    monkeypatch.setattr(simulation, "_simulate_iteration", counted_iteration)
+    monkeypatch.setattr(simulation, "_greedy_assign", counted_greedy)
+    cfg = scenario(iterations=simulation.STATE_BLOCK + 5)
+    sweep = run_sweep(cfg, axis, SWEEP_POINTS[axis])
+    assert len(calls) == len(sweep) * cfg.iterations
+    assert sum(offered) == sum(sp.result.ue_count for sp in sweep) * cfg.iterations
+    assert sum(scheduled) == sum(sp.result.scheduled_total for sp in sweep)
+
+
+def test_ue_count_sweep_builds_its_tables_once(monkeypatch):
+    levels = []
+    starts = simulation.candidate_starts
+
+    def recorded(level, *args):
+        levels.append(level)
+        return starts(level, *args)
+    monkeypatch.setattr(simulation, "candidate_starts", recorded)
+    run_sweep(scenario(iterations=2 * simulation.STATE_BLOCK + 5), "ue_count",
+              SWEEP_POINTS["ue_count"])
+    assert levels == [1, 2, 4, 8, 16]
