@@ -5,14 +5,17 @@ short downward scan to guard against local non-monotonicity from hash
 effects and Monte Carlo noise. Each evaluation is a ``coreset_size`` sweep
 point at one master seed, so the per-size estimates are directly comparable
 and leave the planner as ``SweepPoint``s, the shape ``run_sweep`` returns.
+Only C changes between evaluations, so a plan draws once: every evaluation
+runs on one set of C-independent draws (common random numbers), derived
+before the search starts.
 """
 
 from dataclasses import dataclass
 from numbers import Real
 
 from .coreset import as_integer
-from .simulation import (ScenarioConfig, SweepPoint, apply_axis, run_scenario,
-                         worker_pool)
+from .simulation import (ScenarioConfig, SweepPoint, apply_axis, draw_ranges,
+                         run_scenario, worker_pool)
 
 CONFIRMATION_SCAN = 4  # CCE sizes re-checked below the bisection answer
 
@@ -70,14 +73,19 @@ def plan_min_coreset(req: PlanningRequest, workers: int = None) -> PlanningResul
     """Find the smallest CORESET (in CCEs) with estimated blocking at or
     below the target, searching [cce_min, cce_max]: bisect, scan and descend
     over CCE counts, simulating each size once, as a ``coreset_size`` sweep
-    point. With ``workers`` > 1 one process pool serves every evaluation."""
+    point. The C-independent half of every evaluation is drawn once, by
+    ``draw_ranges`` over the same ranges, and each ``run_scenario`` takes it
+    as ``draws=``. With ``workers`` > 1 one process pool serves the draws and
+    every evaluation."""
     results = {}  # CCE count -> SimulationResult, in evaluation order
     best = None
     with worker_pool(workers) as pool:
+        draws = draw_ranges(req.base, workers, pool=pool)
+
         def meets(cces: int) -> bool:
             if cces not in results:
                 cfg = apply_axis(req.base, "coreset_size", cces)
-                results[cces] = run_scenario(cfg, workers=workers, pool=pool)
+                results[cces] = run_scenario(cfg, workers=workers, pool=pool, draws=draws)
             return results[cces].blocking_probability <= req.target_blocking
 
         if meets(req.cce_max):

@@ -7,21 +7,22 @@ C-RNTIs, then aggregation levels, then the scheduler's tie-break permutation.
 
 The stream of iteration ``it`` is ``iteration_rng(master_seed, it)``, that is
 ``default_rng([master_seed, it])``, but a worker range works a block of
-iterations at a time: ``_state_blocks`` runs NumPy's SeedSequence algorithm
-on uint32 arrays, a PCG64 seeds itself in C from each iteration's words and
-gives them all in one ``random_raw`` (``_raw_draws``), and ``_decode_draws``
-decodes the C-RNTIs, uniforms and tie-break shuffles by NumPy's own rules as
-array passes over the block. The AL indices, table residues and processing
-orders are array passes too, and one ``take_along_axis`` puts each row's
-table indices in processing order. Each iteration keeps only the greedy, in
-``_simulate_iteration``. The draws are bit-identical to ``iteration_rng``'s.
+iterations at a time, in two halves. The C-independent half
+(``_draw_blocks``) depends only on the master seed, the range, U, the AL
+mix, the strategy and the search-space type: ``_state_blocks`` runs NumPy's
+SeedSequence algorithm on uint32 arrays, a PCG64 seeds itself in C from each
+iteration's words and gives them in one ``random_raw`` (``_raw_draws``),
+``_decode_draws`` decodes the C-RNTIs, uniforms and tie-break shuffles by
+NumPy's rules, bit-identical to ``iteration_rng``'s, and array passes give
+each UE's AL index and Y in processing order. The C-dependent half turns
+them into table indices and runs each iteration's greedy.
 
-A range runs every config of a call together, one config for
-``run_scenario`` and all points for ``run_sweep``. They share the master
-seed and iterations, so a block's seed words and raw words are derived once,
-for the largest U, and a smaller U's words are a prefix of each row; each U
-decodes once, and configs with the same CORESET size, search space and AL
-mix share their tables.
+A range runs every config of a call together: one for ``run_scenario``, all
+points for ``run_sweep``. A block's seed and raw words are derived once, for
+the largest U (a smaller U's are a prefix of each row), each U decodes once,
+configs that differ only in C or candidate counts share the C-independent
+half, and each (C, candidate counts) builds its tables once.
+``plan_min_coreset`` draws the C-independent half once for all evaluations.
 
 The TS 38.213 hash is not evaluated per UE. Two identities let each run
 build small tables once and turn every UE's candidate set into one lookup:
@@ -41,6 +42,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -280,17 +282,14 @@ def _decode_draws(states, raw, u: int):
 
 
 def _kernel(cfg: ScenarioConfig) -> tuple:
-    """Per-run tables for ``_run_range``: the cumulative AL
-    distribution, the Y multiplier K, P = floor(C/L) per AL, and per AL the
-    sorted candidate masks of every residue Y mod P. An AL with no
+    """Per-CORESET tables for ``_run_range``: P = floor(C/L) per AL, and per
+    AL the sorted candidate masks of every residue Y mod P. An AL with no
     candidates, or larger than the CORESET, gets P = 1 and the single empty
     mask set, so its UEs are always blocked."""
-    space = cfg.search_space
     cce_count = cfg.coreset.cce_count
-    k = y_multiplier(space.space_type)
     positions = []
     tables = []
-    for level, m in zip(AGGREGATION_LEVELS, space.candidates_per_al):
+    for level, m in zip(AGGREGATION_LEVELS, cfg.search_space.candidates_per_al):
         p = cce_count // level
         if m == 0 or p == 0:
             positions.append(1)
@@ -303,9 +302,46 @@ def _kernel(cfg: ScenarioConfig) -> tuple:
         tables.append([tuple(sorted([masks[(b + r) % p] for b in blocks]))
                        for r in range(p)])
         positions.append(p)
-    cumulative = np.cumsum(cfg.al_distribution.probabilities)
-    cumulative[-1] = np.inf  # a draw above a rounded-down total is the last AL
-    return cumulative, k, np.array(positions, dtype=np.int64), tables
+    return np.array(positions, dtype=np.int64), tables
+
+
+def _draw_key(cfg: ScenarioConfig) -> tuple:
+    """What a config's C-independent half depends on besides its master seed
+    and iteration range."""
+    return cfg.ue_count, cfg.al_distribution, cfg.strategy, cfg.search_space.space_type
+
+
+def _draw_blocks(configs, start: int, stop: int):
+    """Yield the C-independent half of iterations [start, stop) of
+    ``configs``, which share master_seed, per block: a dict from each
+    distinct ``_draw_key`` to its AL indices (int8) and Ys (int32), (B, U)
+    arrays with each row in processing order."""
+    keys = {}  # draw key -> cumulative AL distribution, Y multiplier K
+    for cfg in configs:
+        cumulative = np.cumsum(cfg.al_distribution.probabilities)
+        cumulative[-1] = np.inf  # a draw above a rounded-down total is the last AL
+        keys[_draw_key(cfg)] = cumulative, y_multiplier(cfg.search_space.space_type)
+    ues = {key[0] for key in keys}
+    u_max = max(ues)
+    block = max(1, min(STATE_BLOCK, BLOCK_UES // u_max))
+    for states in _state_blocks(configs[0].master_seed, start, stop, block):
+        raw = _raw_draws(states, u_max)
+        decoded = {u: _decode_draws(states, raw, u) for u in ues}
+        drawn = {}
+        for key, (cumulative, k) in keys.items():
+            u, _, strategy, _ = key
+            rntis, uniforms, perm = decoded[u]
+            al_idx = np.searchsorted(cumulative, uniforms, side="right")
+            # each row's processing order, as indices into the flat arrays
+            flat = _allocation_order(al_idx, perm, strategy) + np.arange(0, perm.size, u)[:, None]
+            drawn[key] = (al_idx.take(flat).astype(np.int8),
+                          (rntis * k % Y_MODULUS).take(flat).astype(np.int32))
+        yield drawn
+
+
+def _draw_range(configs, start: int, stop: int) -> list:
+    """``_draw_blocks`` as a list, to keep or to pass between processes."""
+    return list(_draw_blocks(configs, start, stop))
 
 
 def _simulate_iteration(mask_sets, row) -> int:
@@ -315,41 +351,32 @@ def _simulate_iteration(mask_sets, row) -> int:
     return len(row) - len(picks)
 
 
-def _run_range(configs, start: int, stop: int, keep: bool) -> list:
+def _run_range(configs, start: int, stop: int, keep: bool, drawn) -> list:
     """Run iterations [start, stop) of every config in ``configs``, which
-    share master_seed, a block at a time. A block derives its seed words and
-    draws each row's raw words once, for the largest U; each U decodes its
-    draws once, and each distinct (C, search space, AL mix) builds its tables
-    once per range. Every config runs its own greedy per iteration. Returns
-    each config's (blocked_total, per-iteration counts or None), in order."""
-    tables = {}  # (C, search space, AL mix) -> cumulative, K, P per AL, offsets, mask sets
-    by_u = {}  # U -> [(config's index, its tables key)]
-    for i, cfg in enumerate(configs):
-        key = (cfg.coreset.cce_count, cfg.search_space, cfg.al_distribution)
+    share master_seed, a block at a time: the C-independent half from
+    ``drawn`` (this range's ``_draw_range``) or, when None, from
+    ``_draw_blocks``, then per config the C-dependent half, each UE's table
+    index and each iteration's greedy. Returns each config's (blocked_total,
+    per-iteration counts or None), in order."""
+    tables = {}  # (C, candidate counts) -> P per AL, offsets, mask sets
+    runs = []  # per config: its draw key and its tables
+    for cfg in configs:
+        key = (cfg.coreset.cce_count, cfg.search_space.candidates_per_al)
         if key not in tables:
-            cumulative, k, positions, al_tables = _kernel(cfg)
+            positions, al_tables = _kernel(cfg)
             # every AL's table in one list: (AL index a, residue r) is at offsets[a] + r
-            tables[key] = (cumulative, k, positions, np.cumsum(positions) - positions,
+            tables[key] = (positions, np.cumsum(positions) - positions,
                            [masks for table in al_tables for masks in table])
-        by_u.setdefault(cfg.ue_count, []).append((i, key))
+        runs.append((_draw_key(cfg), tables[key]))
     totals, per_iter = [0] * len(configs), [[] for _ in configs]
-    u_max = max(by_u)
-    block = max(1, min(STATE_BLOCK, BLOCK_UES // u_max))
-    for states in _state_blocks(configs[0].master_seed, start, stop, block):
-        raw = _raw_draws(states, u_max)
-        for u, members in by_u.items():
-            rntis, uniforms, perm = _decode_draws(states, raw, u)
-            for i, key in members:
-                cumulative, k, positions, offsets, mask_sets = tables[key]
-                al_idx = np.searchsorted(cumulative, uniforms, side="right")
-                index = offsets[al_idx] + rntis * k % Y_MODULUS % positions[al_idx]
-                # indices sort as ALs
-                orders = _allocation_order(al_idx, perm, configs[i].strategy)
-                blocked = [_simulate_iteration(mask_sets, row)
-                           for row in np.take_along_axis(index, orders, axis=1).tolist()]
-                totals[i] += sum(blocked)
-                if keep:
-                    per_iter[i] += blocked
+    for block in _draw_blocks(configs, start, stop) if drawn is None else drawn:
+        for i, (key, (positions, offsets, mask_sets)) in enumerate(runs):
+            al_idx, ys = block[key]
+            index = offsets.take(al_idx) + ys % positions.take(al_idx)
+            blocked = [_simulate_iteration(mask_sets, row) for row in index.tolist()]
+            totals[i] += sum(blocked)
+            if keep:
+                per_iter[i] += blocked
     return [(total, counts if keep else None) for total, counts in zip(totals, per_iter)]
 
 
@@ -379,18 +406,58 @@ def worker_pool(workers: int = None):
         yield pool
 
 
-def _run_configs(configs, workers, keep: bool, pool) -> list:
-    """``run_scenario`` for every config in ``configs`` at once: one map of
-    ``_run_range`` over the iteration ranges, each range running every config.
-    Returns each config's ``SimulationResult``, in order."""
+def _bounds(iterations: int, workers, pool) -> list:
+    """The bounds of the iteration ranges, one per worker; a ``pool`` needs
+    ``workers`` > 1."""
     workers = _worker_count(workers)
     if pool is not None and workers is None:
         raise ValueError("a pool needs workers > 1")
-    bounds = np.linspace(0, configs[0].iterations, (workers or 1) + 1, dtype=int).tolist()
+    return np.linspace(0, iterations, (workers or 1) + 1, dtype=int).tolist()
+
+
+def _map_ranges(fn, configs, bounds, pool, *columns) -> list:
+    """``fn(configs, start, stop, *column values)`` per range of ``bounds``,
+    in order: the builtin ``map`` for one range, else ``pool.map`` or a pool
+    opened for this call."""
     n = len(bounds) - 1
-    with worker_pool(workers) if pool is None else nullcontext(pool) as pool:
-        parts = list((map if pool is None else pool.map)(
-            _run_range, [configs] * n, bounds[:-1], bounds[1:], [keep] * n))
+    with worker_pool(n) if pool is None else nullcontext(pool) as pool:
+        return list((map if pool is None else pool.map)(
+            fn, [configs] * n, bounds[:-1], bounds[1:], *columns))
+
+
+class Draws(NamedTuple):
+    """A run's C-independent half from ``draw_ranges``, per worker range.
+    ``drawn_for`` is (master seed, range bounds, U, AL mix, strategy, space
+    type); the last bound is the iteration count."""
+
+    drawn_for: tuple
+    ranges: tuple
+
+
+def _drawn_for(cfg: ScenarioConfig, bounds) -> tuple:
+    return (cfg.master_seed, tuple(bounds), *_draw_key(cfg))
+
+
+def draw_ranges(cfg: ScenarioConfig, workers: int = None, *, pool=None) -> Draws:
+    """Draw the C-independent half of ``run_scenario(cfg, workers,
+    pool=pool)`` once, for every run that differs from ``cfg`` only in its
+    CORESET or candidate counts to take as ``draws=``."""
+    bounds = _bounds(cfg.iterations, workers, pool)
+    return Draws(_drawn_for(cfg, bounds), tuple(_map_ranges(_draw_range, (cfg,), bounds, pool)))
+
+
+def _run_configs(configs, workers, keep: bool, pool, draws=None) -> list:
+    """``run_scenario`` for every config in ``configs`` at once: one map of
+    ``_run_range`` over the iteration ranges, each range running every config.
+    Returns each config's ``SimulationResult``, in order."""
+    bounds = _bounds(configs[0].iterations, workers, pool)
+    n = len(bounds) - 1
+    if draws is not None and draws.drawn_for != _drawn_for(configs[0], bounds):
+        raise ValueError(
+            f"draws were made for (master seed, range bounds, U, AL mix, strategy, "
+            f"space type) {draws.drawn_for}, not {_drawn_for(configs[0], bounds)}")
+    parts = _map_ranges(_run_range, configs, bounds, pool, [keep] * n,
+                        [None] * n if draws is None else draws.ranges)
     return [SimulationResult(
         cfg.ue_count, cfg.iterations, cfg.master_seed, sum(part[i][0] for part in parts),
         tuple(b for part in parts for b in part[i][1]) if keep else None)
@@ -398,7 +465,8 @@ def _run_configs(configs, workers, keep: bool, pool) -> list:
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = None,
-                 keep_per_iteration: bool = False, *, pool=None) -> SimulationResult:
+                 keep_per_iteration: bool = False, *, pool=None,
+                 draws: Draws = None) -> SimulationResult:
     """Estimate the blocking probability for one scenario.
 
     The iterations are split into contiguous ranges, one per worker, and one
@@ -410,8 +478,14 @@ def run_scenario(cfg: ScenarioConfig, workers: int = None,
     iteration seeds its own stream from (master_seed, iteration), the result
     does not depend on the number of ranges. ``run_sweep`` takes the same
     path with all its points at once.
+
+    ``draws`` from ``draw_ranges`` is the C-independent half, drawn
+    beforehand; the result is the same. Draws made for another master seed,
+    iteration or worker count, U, AL mix, strategy or search-space type
+    raise ValueError before any pool opens. ``plan_min_coreset`` draws once
+    for all its evaluations.
     """
-    return _run_configs((cfg,), workers, keep_per_iteration, pool)[0]
+    return _run_configs((cfg,), workers, keep_per_iteration, pool, draws)[0]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,9 @@ def runs(monkeypatch):
     """Record every ``simulation._run_range`` call, the range that both
     ``run_scenario`` and ``run_sweep`` map, without running it."""
     calls = []
-    monkeypatch.setattr(simulation, "_run_range", lambda *a: calls.append(a))
+    monkeypatch.setattr(simulation, "_run_range",
+                        lambda configs, start, stop, keep, drawn: calls.append(
+                            (configs, start, stop, keep, drawn)))
     return calls
 
 

@@ -51,9 +51,11 @@ def reference_greedy(ues, order):
 
 
 def kernel_tables(space, coreset):
-    """The per-run tables of ``_kernel`` for ``space`` on ``coreset``: (K, P per
-    AL, masks per AL and residue)."""
-    return _kernel(ScenarioConfig(1, coreset, space, AlDistribution({1: 1.0})))[1:]
+    """The Y multiplier K of ``space`` and the per-CORESET tables of
+    ``_kernel`` for ``space`` on ``coreset``: (K, P per AL, masks per AL and
+    residue)."""
+    return (y_multiplier(space.space_type),
+            *_kernel(ScenarioConfig(1, coreset, space, AlDistribution({1: 1.0}))))
 
 
 def reference_blocked(cfg: ScenarioConfig, iteration: int) -> int:

@@ -3,11 +3,15 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pdcch_blocking import (AlDistribution, CoresetConfig, PlanningRequest,
-                            ScenarioConfig, SearchSpaceConfig,
-                            bundled_scenario_path, parse_plan_request,
-                            plan_min_coreset, planner, run_sweep)
+from pdcch_blocking import (STRATEGIES, AlDistribution, CoresetConfig,
+                            PlanningRequest, ScenarioConfig, SearchSpaceConfig,
+                            apply_axis, bundled_scenario_path,
+                            parse_plan_request, plan_min_coreset, planner,
+                            run_scenario, run_sweep, simulation)
+from pdcch_blocking.simulation import draw_ranges, worker_pool
 
 MEDIUM = (0.05, 0.2, 0.5, 0.2, 0.05)
 
@@ -171,3 +175,76 @@ def test_plan_that_raises_still_closes_its_pool(pools, fail_second_run):
         plan_min_coreset(small_fig11_plan(), workers=2)
     assert len(runs) == 2 and len(pools) == 1
     assert multiprocessing.active_children() == []
+
+
+def assert_points_equal_fresh_runs(req, workers):
+    """Every planner point equals its own run without shared draws, and so
+    do the per-iteration counts of each size run on the plan's draws."""
+    result = plan_min_coreset(req, workers=workers)
+    with worker_pool(workers) as pool:
+        draws = draw_ranges(req.base, workers, pool=pool)
+        for sp in result.points:
+            cfg = apply_axis(req.base, "coreset_size", sp.point)
+            fresh = run_scenario(cfg, workers, keep_per_iteration=True, pool=pool)
+            assert sp.result == dataclasses.replace(fresh, per_iteration_blocked=None)
+            assert run_scenario(cfg, workers, keep_per_iteration=True, pool=pool,
+                                draws=draws) == fresh
+
+
+@st.composite
+def small_plans(draw):
+    w = draw(st.tuples(*[st.integers(0, 3)] * 5).filter(any))
+    cce_min = draw(st.integers(1, 40))
+    return PlanningRequest(
+        base=ScenarioConfig(
+            ue_count=draw(st.integers(1, 20)),
+            coreset=CoresetConfig.from_cce_count(6),
+            search_space=SearchSpaceConfig(
+                (6, 6, 4, 2, 2), space_type=draw(st.sampled_from(("css", "uss")))),
+            al_distribution=AlDistribution(tuple(x / sum(w) for x in w)),
+            strategy=draw(st.sampled_from(STRATEGIES)),
+            iterations=draw(st.integers(1, 40)),
+            master_seed=draw(st.integers(0, 2**64))),
+        target_blocking=draw(st.floats(0.02, 0.6)),
+        cce_min=cce_min, cce_max=draw(st.integers(cce_min, cce_min + 40)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_plans())
+def test_shared_draws_equal_fresh_runs_serial(req):
+    assert_points_equal_fresh_runs(req, None)
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_plans())
+def test_shared_draws_equal_fresh_runs_pooled(req):
+    assert_points_equal_fresh_runs(req, 2)
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_shared_draws_equal_fresh_runs_over_blocks_and_mask_words(workers):
+    # several blocks per range, and sizes above 64 CCEs (masks past one word)
+    req = request(ue_count=12, strategy="high_to_low", cce_min=40, cce_max=130,
+                  target_blocking=0.05, iterations=2 * simulation.STATE_BLOCK + 37)
+    assert_points_equal_fresh_runs(req, workers)
+
+
+def test_plan_draws_once_and_keeps_one_greedy_per_iteration(monkeypatch):
+    calls = {"_state_blocks": 0, "_allocation_order": 0, "_simulate_iteration": 0}
+
+    def counted(name):
+        fn = getattr(simulation, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(simulation, name, wrapped)
+    for name in calls:
+        counted(name)
+    req = request(iterations=2 * simulation.STATE_BLOCK + 5)
+    result = plan_min_coreset(req)
+    assert len(result.points) > 1
+    # one range and three blocks drawn for the whole plan, and the greedy
+    # still runs once per iteration of every evaluation
+    assert calls == {"_state_blocks": 1, "_allocation_order": 3,
+                     "_simulate_iteration": len(result.points) * req.base.iterations}

@@ -252,7 +252,7 @@ def test_states_up_to_the_last_iteration_index(master_seed):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_range_not_starting_at_zero_matches_reference(strategy):
     cfg = scenario(ue_count=14, strategy=strategy, master_seed=2024)
-    [(_, per_iter)] = _run_range([cfg], 777, 817, True)
+    [(_, per_iter)] = _run_range([cfg], 777, 817, True, None)
     assert per_iter == [reference_blocked(cfg, it) for it in range(777, 817)]
 
 
@@ -270,7 +270,7 @@ def test_blocks_shrink_to_hold_at_most_block_ues(monkeypatch):
     # a range of several configs sizes its blocks, and draws, by the largest U
     for configs in ([cfg], [small, cfg]):
         sizes.clear()
-        ranges = _run_range(configs, 5, 19, True)
+        ranges = _run_range(configs, 5, 19, True, None)
         assert sizes == [(4, 14), (4, 14), (4, 14), (2, 14)]
         for config, (_, per_iter) in zip(configs, ranges):
             assert per_iter == [reference_blocked(config, it) for it in range(5, 19)]

@@ -509,11 +509,11 @@ def test_sweep_shares_one_pool_and_matches_serial(pools):
 RUN_RANGE = simulation._run_range
 
 
-def _range_that_fails_after_the_first(configs, start, stop, keep):
+def _range_that_fails_after_the_first(configs, start, stop, keep, drawn):
     # module level, so that the pool can pickle it by name
     if start > 0:
         raise RuntimeError("stop")
-    return RUN_RANGE(configs, start, stop, keep)
+    return RUN_RANGE(configs, start, stop, keep, drawn)
 
 
 def test_sweep_that_raises_still_closes_its_pool(pools, monkeypatch):
@@ -523,6 +523,30 @@ def test_sweep_that_raises_still_closes_its_pool(pools, monkeypatch):
         run_sweep(scenario(iterations=40), "ue_count", [2, 4, 6], workers=2)
     assert len(pools) == 1
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("change,workers", [
+    ({"master_seed": 124}, 2), ({"ue_count": 11}, 2),
+    ({"al_distribution": AlDistribution({4: 1.0})}, 2), ({"strategy": STRATEGY_HIGH_TO_LOW}, 2),
+    ({"search_space": SearchSpaceConfig((6, 6, 4, 2, 1), space_type="css")}, 2),
+    ({"iterations": 41}, 2), ({}, 3), ({}, None)])
+def test_draws_made_for_another_run_are_rejected(change, workers, pools):
+    cfg = scenario(iterations=40)
+    draws = simulation.draw_ranges(cfg, workers=2)
+    assert len(pools) == 1
+    with pytest.raises(ValueError, match="draws were made for"):
+        run_scenario(dataclasses.replace(cfg, **change), workers=workers, draws=draws)
+    assert len(pools) == 1  # rejected before a pool opens
+    assert multiprocessing.active_children() == []
+
+
+def test_draws_are_shared_across_coreset_and_candidate_counts():
+    cfg = scenario(iterations=40, strategy=STRATEGY_HIGH_TO_LOW)
+    draws = simulation.draw_ranges(cfg)
+    for other in (apply_axis(cfg, "coreset_size", 100),
+                  apply_axis(cfg, "candidate_counts", {"name": "x", "counts": [1, 2, 0, 1, 1]})):
+        assert run_scenario(other, keep_per_iteration=True, draws=draws) == \
+            run_scenario(other, keep_per_iteration=True)
 
 
 SWEEP_POINTS = {
@@ -577,6 +601,22 @@ def test_sweep_keeps_the_span_contract(monkeypatch, axis):
     assert len(calls) == len(sweep) * cfg.iterations
     assert sum(offered) == sum(sp.result.ue_count for sp in sweep) * cfg.iterations
     assert sum(scheduled) == sum(sp.result.scheduled_total for sp in sweep)
+
+
+@pytest.mark.parametrize("axis", ["coreset_size", "candidate_counts"])
+def test_sweep_orders_each_block_once_for_all_points(monkeypatch, axis):
+    # the points differ only in the C-dependent half, so they share one
+    # processing order per block
+    calls = []
+    order = simulation._allocation_order
+
+    def counted(*args):
+        calls.append(1)
+        return order(*args)
+    monkeypatch.setattr(simulation, "_allocation_order", counted)
+    cfg = scenario(iterations=2 * simulation.STATE_BLOCK + 5, strategy=STRATEGY_HIGH_TO_LOW)
+    assert len(run_sweep(cfg, axis, SWEEP_POINTS[axis])) > 1
+    assert len(calls) == 3
 
 
 def test_ue_count_sweep_builds_its_tables_once(monkeypatch):
