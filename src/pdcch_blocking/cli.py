@@ -6,6 +6,7 @@ before any runs; 2 runtime error, a worker that dies included, or argparse usage
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -19,7 +20,10 @@ from .scheduler import MonitoringLimits, validate_limits
 from .simulation import SweepPoint, run_scenario, run_sweep
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and shared by every
+    later ``main`` in the process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="pdcch-sim",
         description="PDCCH blocking-probability simulator and CORESET planner")

@@ -75,8 +75,9 @@ def plan_min_coreset(req: PlanningRequest, workers: int = None) -> PlanningResul
     over CCE counts, simulating each size once, as a ``coreset_size`` sweep
     point. The C-independent half of every evaluation is drawn once, by
     ``draw_ranges`` over the same ranges, and each ``run_scenario`` takes it
-    as ``draws=``. With ``workers`` > 1 one process pool serves the draws and
-    every evaluation."""
+    as ``draws=``. With ``workers`` > 1 one ``worker_pool(workers)`` serves
+    the draws and every evaluation; the calling process, which ``workers``
+    counts, works range 0 of each."""
     results = {}  # CCE count -> SimulationResult, in evaluation order
     best = None
     with worker_pool(workers) as pool:

@@ -389,9 +389,11 @@ def _worker_count(workers):
 
 @contextmanager
 def worker_pool(workers: int = None):
-    """Yield a process pool for ``workers`` ranges, or None when serial. It
-    opens at most one process per CPU, since every process is started at
-    the first submit; the ranges queue for them.
+    """Yield a process pool for ``workers`` ranges, or None when serial.
+    ``workers`` counts the calling process, which runs the first range of
+    every map itself. The pool opens one process fewer than ``workers`` or
+    than the CPUs, whichever is fewer, but at least one, since every
+    process is started at the first submit; the ranges queue for them.
 
     Holding one pool across many ``run_scenario`` calls (pass it as
     ``pool=``) saves starting and stopping processes per call. The pool is
@@ -402,7 +404,8 @@ def worker_pool(workers: int = None):
     if workers is None:
         yield None
         return
-    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+    processes = max(1, min(workers, os.cpu_count() or 1) - 1)
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         yield pool
 
 
@@ -417,12 +420,17 @@ def _bounds(iterations: int, workers, pool) -> list:
 
 def _map_ranges(fn, configs, bounds, pool, *columns) -> list:
     """``fn(configs, start, stop, *column values)`` per range of ``bounds``,
-    in order: the builtin ``map`` for one range, else ``pool.map`` or a pool
-    opened for this call."""
+    in order: the builtin ``map`` for one range. With more, ranges 1 .. n - 1
+    go to ``pool.map``, or a pool opened for this call, and then the calling
+    process runs range 0 itself, so its arguments and result are never
+    pickled."""
     n = len(bounds) - 1
+    args = [[configs] * n, bounds[:-1], bounds[1:], *columns]
     with worker_pool(n) if pool is None else nullcontext(pool) as pool:
-        return list((map if pool is None else pool.map)(
-            fn, [configs] * n, bounds[:-1], bounds[1:], *columns))
+        if pool is None:
+            return list(map(fn, *args))
+        rest = pool.map(fn, *(column[1:] for column in args))
+        return [fn(*(column[0] for column in args)), *rest]
 
 
 class Draws(NamedTuple):
@@ -441,7 +449,9 @@ def _drawn_for(cfg: ScenarioConfig, bounds) -> tuple:
 def draw_ranges(cfg: ScenarioConfig, workers: int = None, *, pool=None) -> Draws:
     """Draw the C-independent half of ``run_scenario(cfg, workers,
     pool=pool)`` once, for every run that differs from ``cfg`` only in its
-    CORESET or candidate counts to take as ``draws=``."""
+    CORESET or candidate counts to take as ``draws=``. Its ranges are
+    ``run_scenario``'s: the calling process, one of the ``workers``, draws
+    range 0, and the pool the rest."""
     bounds = _bounds(cfg.iterations, workers, pool)
     return Draws(_drawn_for(cfg, bounds), tuple(_map_ranges(_draw_range, (cfg,), bounds, pool)))
 
@@ -472,7 +482,8 @@ def run_scenario(cfg: ScenarioConfig, workers: int = None,
     The iterations are split into contiguous ranges, one per worker, and one
     map runs ``_run_range`` over them; their counts are summed in range
     order. None or 1 ``workers`` is the builtin ``map`` over one range, and
-    then a ``pool`` is an error. ``workers`` > 1 maps over ``pool``, an open
+    then a ``pool`` is an error. ``workers`` > 1 counts the calling process:
+    it runs range 0 itself while the other ranges map over ``pool``, an open
     pool from ``worker_pool``, or else over a pool opened and closed for this
     call; ``plan_min_coreset`` holds one pool for all its runs. Because every
     iteration seeds its own stream from (master_seed, iteration), the result

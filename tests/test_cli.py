@@ -5,6 +5,7 @@ import pytest
 
 from pdcch_blocking import (bundled_scenario_path, load_results, parse_plan_request,
                             plan_min_coreset, run_sweep, simulation)
+from pdcch_blocking import cli
 from pdcch_blocking.cli import main
 from pdcch_blocking.scenario_io import records_for_sweep
 
@@ -194,6 +195,30 @@ def test_worker_that_dies_exits_two(scenario_file, command, monkeypatch, capsys)
     monkeypatch.setattr(simulation, "_run_range", die)
     assert main([command, str(scenario_file)]) == 2
     assert "error: a worker died" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(scenario_file, monkeypatch,
+                                                          request, capsys):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counting_init(parser, *args, **kwargs):
+        init(parser, *args, **kwargs)
+        built.append(parser)
+
+    cli.build_parser.cache_clear()
+    request.addfinalizer(cli.build_parser.cache_clear)
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["simulate", str(scenario_file)]) == 0
+    assert sum(parser.prog == "pdcch-sim" for parser in built) == 1
+    assert main(["sweep", str(scenario_file)]) == 0
+    with pytest.raises(SystemExit) as usage:
+        main(["simulate", str(scenario_file), "--workers", "x"])
+    assert usage.value.code == 2
+    assert main(["simulate", str(scenario_file), "--seed", "77"]) == 0
+    assert sum(parser.prog == "pdcch-sim" for parser in built) == 1
+    out = capsys.readouterr().out
+    assert out.count("tiny: B=") == 2 and "seed=9" in out and "seed=77" in out
 
 
 def test_validate_limits_reports(scenario_file, capsys):

@@ -348,12 +348,14 @@ def test_fewer_iterations_than_workers_in_shared_pool(pools):
 
 
 def test_pool_opens_at_most_one_process_per_cpu(pools, monkeypatch):
-    # every process is forked at the first submit, so more would only wait
-    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
+    # every process is forked at the first submit, so more would only wait;
+    # the calling process runs a range too, so it counts as one of the CPUs
     cfg = scenario(iterations=30)
     serial = run_scenario(cfg, keep_per_iteration=True)
-    assert run_scenario(cfg, workers=5, keep_per_iteration=True) == serial
-    assert [pool._max_workers for pool in pools] == [2]
+    for cpus in (2, 1):
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
+        assert run_scenario(cfg, workers=5, keep_per_iteration=True) == serial
+    assert [pool._max_workers for pool in pools] == [1, 1]
 
 
 def test_worker_failure_still_closes_the_pool(pools, monkeypatch):
@@ -522,6 +524,73 @@ def test_sweep_that_raises_still_closes_its_pool(pools, monkeypatch):
     with pytest.raises(RuntimeError, match="stop"):
         run_sweep(scenario(iterations=40), "ue_count", [2, 4, 6], workers=2)
     assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+
+
+# the starts of the ranges that ran in this process; a pool's forked workers
+# append to their own copies, which are lost with them
+RANGE_STARTS = []
+DRAW_RANGE = simulation._draw_range
+
+
+def _recorded_run_range(configs, start, stop, keep, drawn):
+    RANGE_STARTS.append(("run", start))
+    return RUN_RANGE(configs, start, stop, keep, drawn)
+
+
+def _recorded_draw_range(configs, start, stop):
+    RANGE_STARTS.append(("draw", start))
+    return DRAW_RANGE(configs, start, stop)
+
+
+def _first_range_fails(configs, start, stop, keep, drawn):
+    if start == 0:
+        raise RuntimeError("range 0 failed")
+    return RUN_RANGE(configs, start, stop, keep, drawn)
+
+
+def test_calling_process_runs_range_zero_of_every_pooled_map(pools, monkeypatch, request):
+    monkeypatch.setattr(simulation, "_run_range", _recorded_run_range)
+    monkeypatch.setattr(simulation, "_draw_range", _recorded_draw_range)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 2)
+    starts = RANGE_STARTS
+    starts.clear()
+    request.addfinalizer(starts.clear)
+    cfg = scenario(iterations=40)
+    serial = run_scenario(cfg)
+    assert starts == [("run", 0)]
+    for workers in (2, 3):
+        starts.clear()
+        assert run_scenario(cfg, workers=workers) == serial
+        assert starts == [("run", 0)]
+        starts.clear()
+        assert (run_sweep(cfg, "ue_count", [4, 10], workers=workers)
+                == run_sweep(cfg, "ue_count", [4, 10]))
+        assert starts == [("run", 0)] * 2  # the pooled sweep, then the serial one
+        starts.clear()
+        draws = simulation.draw_ranges(cfg, workers=workers)
+        assert starts == [("draw", 0)]
+        assert run_scenario(cfg, workers=workers, draws=draws) == serial
+        starts.clear()
+        req = PlanningRequest(base=cfg, target_blocking=0.2, cce_min=6, cce_max=54)
+        plan = plan_min_coreset(req, workers=workers)
+        assert plan == plan_min_coreset(req)
+        # the pooled plan's draws and evaluations, then the serial plan's
+        assert starts == 2 * ([("draw", 0)] + [("run", 0)] * len(plan.points))
+    assert len(pools) == 10
+    assert all(pool._max_workers == 1 for pool in pools)
+
+
+def test_failure_in_range_zero_propagates_and_closes_the_pool(pools, monkeypatch):
+    # range 0 runs in the calling process, while the pool works the others
+    monkeypatch.setattr(simulation, "_run_range", _first_range_fails)
+    cfg = scenario(iterations=40)
+    with pytest.raises(RuntimeError, match="range 0 failed"):
+        run_scenario(cfg, workers=3)
+    req = PlanningRequest(base=cfg, target_blocking=0.2, cce_min=6, cce_max=54)
+    with pytest.raises(RuntimeError, match="range 0 failed"):
+        plan_min_coreset(req, workers=2)
+    assert len(pools) == 2
     assert multiprocessing.active_children() == []
 
 
