@@ -11,7 +11,6 @@ from .scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW, STRATEGY_LOW_TO_HIGH,
                         STRATEGY_UNORDERED, LimitsReport, MonitoringLimits,
                         validate_limits)
 from .search_space import (ALLOWED_CANDIDATE_COUNTS, RNTI_MAX,
-                           SPACE_TYPE_COMMON, SPACE_TYPE_UE_SPECIFIC,
                            SearchSpaceConfig, candidate_cces,
                            candidate_starts, y_value)
 from .simulation import (SWEEP_AXES, AlDistribution, ScenarioConfig,
@@ -21,8 +20,7 @@ from .simulation import (SWEEP_AXES, AlDistribution, ScenarioConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AGGREGATION_LEVELS", "ALLOWED_CANDIDATE_COUNTS", "RNTI_MAX",
-    "SPACE_TYPE_COMMON", "SPACE_TYPE_UE_SPECIFIC", "STRATEGIES",
+    "AGGREGATION_LEVELS", "ALLOWED_CANDIDATE_COUNTS", "RNTI_MAX", "STRATEGIES",
     "STRATEGY_HIGH_TO_LOW", "STRATEGY_LOW_TO_HIGH", "STRATEGY_UNORDERED",
     "SWEEP_AXES",
     "AlDistribution", "CoresetConfig", "LimitsReport", "MonitoringLimits",

@@ -35,7 +35,7 @@ _SCENARIO = {"name": str, "description": str, "figure": str, "ue_count": int,
              "strategy": str, "iterations": int, "master_seed": int, "sweep": object}
 _SCENARIO_REQUIRED = {"name", "ue_count", "coreset", "search_space", "al_distribution"}
 _CORESET = {"rb_count": int, "symbol_duration": int, "cce_count": int}
-_SEARCH_SPACE = {"candidates_per_al": [int], "space_type": str}
+_SEARCH_SPACE = {"candidates_per_al": [int]}
 _SWEEP = {"axis": str, "points": object}
 _PLAN_ONLY = {"target_blocking": float, "cce_range": [int]}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}

@@ -108,7 +108,7 @@ def validate_limits(search_space: SearchSpaceConfig, coreset: CoresetConfig,
     that do not fit in the CORESET contribute no candidates.
     """
     blind_decodes = search_space.total_blind_decodes
-    y = y_value(c_rnti, search_space.space_type)
+    y = y_value(c_rnti)
     cce_count = coreset.cce_count
     union = set()
     for al, m in zip(AGGREGATION_LEVELS, search_space.candidates_per_al):

@@ -1,8 +1,8 @@
 """PDCCH search-space candidate mapping (TS 38.213 section 10.1 hash function).
 
-The model is one monitoring occasion: slot 0 of a CORESET with index
-p mod 3 = 0. A USS hashes every UE with A_p = 39827 and a CSS puts every UE
-at Y = 0. Another CORESET index or slot would only pick another unit K in
+The model is one monitoring occasion of a UE-specific search space: slot 0
+of a CORESET with index p mod 3 = 0, where every UE hashes with
+A_p = 39827. Another CORESET index or slot would only pick another unit K in
 Y = c_rnti * K mod 65537, which does not move a blocking estimate.
 """
 
@@ -11,24 +11,22 @@ from dataclasses import dataclass
 from .coreset import AGGREGATION_LEVELS, as_integer, per_al
 
 Y_MODULUS = 65537
+# K in Y = c_rnti * K mod 65537 at slot 0: A_p, so that Y is TS 38.213's one
+# step of Y <- (A_p * Y) mod 65537 from the C-RNTI.
+Y_MULTIPLIER = 39827
 ALLOWED_CANDIDATE_COUNTS = (0, 1, 2, 3, 4, 5, 6, 8)
 RNTI_MAX = 65535
-
-SPACE_TYPE_COMMON = "css"
-SPACE_TYPE_UE_SPECIFIC = "uss"
-SPACE_TYPES = (SPACE_TYPE_COMMON, SPACE_TYPE_UE_SPECIFIC)
 
 
 @dataclass(frozen=True)
 class SearchSpaceConfig:
-    """Candidate counts per aggregation level, plus the search-space type.
+    """Candidate counts per aggregation level.
 
     ``candidates_per_al`` is ordered as AGGREGATION_LEVELS, i.e. the counts for
     ALs (1, 2, 4, 8, 16); a mapping {AL: count} is accepted and normalized.
     """
 
     candidates_per_al: tuple
-    space_type: str = SPACE_TYPE_UE_SPECIFIC
 
     def __post_init__(self):
         counts = per_al("candidates_per_al", self.candidates_per_al, int)
@@ -39,8 +37,6 @@ class SearchSpaceConfig:
                     f"candidate count {m} for AL {al} not in {ALLOWED_CANDIDATE_COUNTS}")
         if not any(counts):
             raise ValueError("at least one aggregation level needs a nonzero candidate count")
-        if self.space_type not in SPACE_TYPES:
-            raise ValueError(f"space_type must be one of {SPACE_TYPES}, got {self.space_type!r}")
 
     @property
     def total_blind_decodes(self) -> int:
@@ -54,19 +50,9 @@ def _check_rnti(c_rnti: int) -> int:
     return c_rnti
 
 
-def y_multiplier(space_type: str) -> int:
-    """K with Y = c_rnti * K mod 65537 for every UE at slot 0: 0 for a CSS,
-    and for a USS A_p = 39827, so that Y is TS 38.213's one step of
-    Y <- (A_p * Y) mod 65537 from the C-RNTI."""
-    if space_type not in SPACE_TYPES:  # compared, not hashed: a list is a ValueError too
-        raise ValueError(f"space_type must be one of {SPACE_TYPES}, got {space_type!r}")
-    return 39827 if space_type == SPACE_TYPE_UE_SPECIFIC else 0
-
-
-def y_value(c_rnti: int, space_type: str = SPACE_TYPE_UE_SPECIFIC) -> int:
-    """Per-UE hash seed Y at slot 0: c_rnti * ``y_multiplier`` mod 65537."""
-    c_rnti = _check_rnti(c_rnti)
-    return c_rnti * y_multiplier(space_type) % Y_MODULUS
+def y_value(c_rnti: int) -> int:
+    """Per-UE hash seed Y at slot 0: c_rnti * ``Y_MULTIPLIER`` mod 65537."""
+    return _check_rnti(c_rnti) * Y_MULTIPLIER % Y_MODULUS
 
 
 def candidate_starts(aggregation_level: int, cce_count: int, candidate_count: int,

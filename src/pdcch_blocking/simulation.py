@@ -9,8 +9,8 @@ The stream of iteration ``it`` is ``iteration_rng(master_seed, it)``, that is
 ``default_rng([master_seed, it])``, but a worker range works a block of
 iterations at a time, in two halves. The C-independent half
 (``_draw_blocks``) depends only on the master seed, the range, U, the AL
-mix, the strategy and the search-space type: ``_state_blocks`` runs NumPy's
-SeedSequence algorithm on uint32 arrays, a PCG64 seeds itself in C from each
+mix and the strategy: ``_state_blocks`` runs NumPy's SeedSequence
+algorithm on uint32 arrays, a PCG64 seeds itself in C from each
 iteration's words and gives them in one ``random_raw`` (``_raw_draws``),
 ``_decode_draws`` decodes the C-RNTIs, uniforms and tie-break shuffles by
 NumPy's rules, bit-identical to ``iteration_rng``'s, and array passes give
@@ -27,9 +27,9 @@ half, and each (C, candidate counts) builds its tables once.
 The TS 38.213 hash is not evaluated per UE. Two identities let each run
 build small tables once and turn every UE's candidate set into one lookup:
 
-- Y has a closed form: Y = rnti * K mod 65537, with K from ``y_multiplier``
-  (39827 for a USS at slot 0, or 0 for a CSS). The product stays below
-  2**32, so a block's Ys are one int64 array expression.
+- Y has a closed form: Y = rnti * K mod 65537, with K = ``Y_MULTIPLIER``
+  (39827 at slot 0). The product stays below 2**32, so a block's Ys are
+  one int64 array expression.
 - A candidate start depends on Y only through r = Y mod P, P = floor(C/L):
   start_k = L * ((r + floor(k*C / (L*M))) mod P). The starts at residue r
   are those at residue 0 moved r aligned blocks on, wrapping at P, so each
@@ -49,8 +49,8 @@ import numpy as np
 from .coreset import AGGREGATION_LEVELS, CoresetConfig, as_integer, per_al
 from .scheduler import (STRATEGIES, STRATEGY_LOW_TO_HIGH, _allocation_order,
                         _greedy_assign)
-from .search_space import (RNTI_MAX, Y_MODULUS, SearchSpaceConfig,
-                           candidate_starts, y_multiplier)
+from .search_space import (RNTI_MAX, Y_MODULUS, Y_MULTIPLIER, SearchSpaceConfig,
+                           candidate_starts)
 from .search_space import y_value  # noqa: F401  wrapped by perfbench/spans.py
 
 PROBABILITY_TOLERANCE = 1e-9
@@ -308,7 +308,7 @@ def _kernel(cfg: ScenarioConfig) -> tuple:
 def _draw_key(cfg: ScenarioConfig) -> tuple:
     """What a config's C-independent half depends on besides its master seed
     and iteration range."""
-    return cfg.ue_count, cfg.al_distribution, cfg.strategy, cfg.search_space.space_type
+    return cfg.ue_count, cfg.al_distribution, cfg.strategy
 
 
 def _draw_blocks(configs, start: int, stop: int):
@@ -316,11 +316,11 @@ def _draw_blocks(configs, start: int, stop: int):
     ``configs``, which share master_seed, per block: a dict from each
     distinct ``_draw_key`` to its AL indices (int8) and Ys (int32), (B, U)
     arrays with each row in processing order."""
-    keys = {}  # draw key -> cumulative AL distribution, Y multiplier K
+    keys = {}  # draw key -> cumulative AL distribution
     for cfg in configs:
         cumulative = np.cumsum(cfg.al_distribution.probabilities)
         cumulative[-1] = np.inf  # a draw above a rounded-down total is the last AL
-        keys[_draw_key(cfg)] = cumulative, y_multiplier(cfg.search_space.space_type)
+        keys[_draw_key(cfg)] = cumulative
     ues = {key[0] for key in keys}
     u_max = max(ues)
     block = max(1, min(STATE_BLOCK, BLOCK_UES // u_max))
@@ -328,14 +328,14 @@ def _draw_blocks(configs, start: int, stop: int):
         raw = _raw_draws(states, u_max)
         decoded = {u: _decode_draws(states, raw, u) for u in ues}
         drawn = {}
-        for key, (cumulative, k) in keys.items():
-            u, _, strategy, _ = key
+        for key, cumulative in keys.items():
+            u, _, strategy = key
             rntis, uniforms, perm = decoded[u]
             al_idx = np.searchsorted(cumulative, uniforms, side="right")
             # each row's processing order, as indices into the flat arrays
             flat = _allocation_order(al_idx, perm, strategy) + np.arange(0, perm.size, u)[:, None]
             drawn[key] = (al_idx.take(flat).astype(np.int8),
-                          (rntis * k % Y_MODULUS).take(flat).astype(np.int32))
+                          (rntis * Y_MULTIPLIER % Y_MODULUS).take(flat).astype(np.int32))
         yield drawn
 
 
@@ -410,12 +410,12 @@ def worker_pool(workers: int = None):
 
 
 def _bounds(iterations: int, workers, pool) -> list:
-    """The bounds of the iteration ranges, one per worker; a ``pool`` needs
-    ``workers`` > 1."""
+    """The bounds of the iteration ranges, one per worker but no more than
+    ``iterations``, so that none is empty; a ``pool`` needs ``workers`` > 1."""
     workers = _worker_count(workers)
     if pool is not None and workers is None:
         raise ValueError("a pool needs workers > 1")
-    return np.linspace(0, iterations, (workers or 1) + 1, dtype=int).tolist()
+    return np.linspace(0, iterations, min(workers or 1, iterations) + 1, dtype=int).tolist()
 
 
 def _map_ranges(fn, configs, bounds, pool, *columns) -> list:
@@ -435,8 +435,8 @@ def _map_ranges(fn, configs, bounds, pool, *columns) -> list:
 
 class Draws(NamedTuple):
     """A run's C-independent half from ``draw_ranges``, per worker range.
-    ``drawn_for`` is (master seed, range bounds, U, AL mix, strategy, space
-    type); the last bound is the iteration count."""
+    ``drawn_for`` is (master seed, range bounds, U, AL mix, strategy); the
+    last bound is the iteration count."""
 
     drawn_for: tuple
     ranges: tuple
@@ -464,8 +464,8 @@ def _run_configs(configs, workers, keep: bool, pool, draws=None) -> list:
     n = len(bounds) - 1
     if draws is not None and draws.drawn_for != _drawn_for(configs[0], bounds):
         raise ValueError(
-            f"draws were made for (master seed, range bounds, U, AL mix, strategy, "
-            f"space type) {draws.drawn_for}, not {_drawn_for(configs[0], bounds)}")
+            f"draws were made for (master seed, range bounds, U, AL mix, strategy) "
+            f"{draws.drawn_for}, not {_drawn_for(configs[0], bounds)}")
     parts = _map_ranges(_run_range, configs, bounds, pool, [keep] * n,
                         [None] * n if draws is None else draws.ranges)
     return [SimulationResult(
@@ -479,22 +479,21 @@ def run_scenario(cfg: ScenarioConfig, workers: int = None,
                  draws: Draws = None) -> SimulationResult:
     """Estimate the blocking probability for one scenario.
 
-    The iterations are split into contiguous ranges, one per worker, and one
-    map runs ``_run_range`` over them; their counts are summed in range
-    order. None or 1 ``workers`` is the builtin ``map`` over one range, and
-    then a ``pool`` is an error. ``workers`` > 1 counts the calling process:
-    it runs range 0 itself while the other ranges map over ``pool``, an open
-    pool from ``worker_pool``, or else over a pool opened and closed for this
-    call; ``plan_min_coreset`` holds one pool for all its runs. Because every
-    iteration seeds its own stream from (master_seed, iteration), the result
-    does not depend on the number of ranges. ``run_sweep`` takes the same
-    path with all its points at once.
+    The iterations are split into contiguous ranges, one per worker but at
+    most one per iteration, and one map runs ``_run_range`` over them; their
+    counts are summed in range order. None or 1 ``workers`` is the builtin
+    ``map`` over one range, and then a ``pool`` is an error. ``workers`` > 1
+    counts the calling process: it runs range 0 itself while the other
+    ranges map over ``pool``, an open pool from ``worker_pool``, or else over
+    a pool opened and closed for this call; ``plan_min_coreset`` holds one
+    pool for all its runs. Because every iteration seeds its own stream from
+    (master_seed, iteration), the result does not depend on the number of
+    ranges. ``run_sweep`` takes the same path with all its points at once.
 
     ``draws`` from ``draw_ranges`` is the C-independent half, drawn
     beforehand; the result is the same. Draws made for another master seed,
-    iteration or worker count, U, AL mix, strategy or search-space type
-    raise ValueError before any pool opens. ``plan_min_coreset`` draws once
-    for all its evaluations.
+    iteration or worker count, U, AL mix or strategy raise ValueError before
+    any pool opens. ``plan_min_coreset`` draws once for all its evaluations.
     """
     return _run_configs((cfg,), workers, keep_per_iteration, pool, draws)[0]
 

@@ -18,7 +18,7 @@ from pdcch_blocking import (ALLOWED_CANDIDATE_COUNTS, AGGREGATION_LEVELS,
                             parse_scenario, run_scenario, run_sweep, y_value)
 from pdcch_blocking.scheduler import (STRATEGY_HIGH_TO_LOW, STRATEGY_UNORDERED,
                                       _greedy_assign)
-from pdcch_blocking.search_space import RNTI_MAX, Y_MODULUS, y_multiplier
+from pdcch_blocking.search_space import RNTI_MAX, Y_MODULUS, Y_MULTIPLIER
 from pdcch_blocking.simulation import _kernel
 
 
@@ -51,11 +51,9 @@ def reference_greedy(ues, order):
 
 
 def kernel_tables(space, coreset):
-    """The Y multiplier K of ``space`` and the per-CORESET tables of
-    ``_kernel`` for ``space`` on ``coreset``: (K, P per AL, masks per AL and
-    residue)."""
-    return (y_multiplier(space.space_type),
-            *_kernel(ScenarioConfig(1, coreset, space, AlDistribution({1: 1.0}))))
+    """The per-CORESET tables of ``_kernel`` for ``space`` on ``coreset``:
+    (P per AL, masks per AL and residue)."""
+    return _kernel(ScenarioConfig(1, coreset, space, AlDistribution({1: 1.0})))
 
 
 def reference_blocked(cfg: ScenarioConfig, iteration: int) -> int:
@@ -75,7 +73,7 @@ def reference_blocked(cfg: ScenarioConfig, iteration: int) -> int:
         if m == 0 or cce_count < level:
             ues.append((level, []))
             continue
-        y = y_value(int(rntis[i]), cfg.search_space.space_type)
+        y = y_value(int(rntis[i]))
         ues.append((level, candidate_starts(level, cce_count, m, y)))
     order = reference_order([level for level, _ in ues], cfg.strategy,
                             rng.permutation(u).tolist())
@@ -93,8 +91,7 @@ def scenarios(draw):
     return ScenarioConfig(
         ue_count=draw(st.integers(1, 60)),
         coreset=CoresetConfig.from_cce_count(draw(st.integers(1, 200))),
-        search_space=SearchSpaceConfig(draw(counts_per_al),
-                                       space_type=draw(st.sampled_from(("css", "uss")))),
+        search_space=SearchSpaceConfig(draw(counts_per_al)),
         al_distribution=AlDistribution(tuple(x / sum(w) for x in w)),
         strategy=draw(st.sampled_from(STRATEGIES)),
         iterations=3,
@@ -109,13 +106,12 @@ def test_kernel_matches_per_ue_hash(cfg):
         reference_blocked(cfg, it) for it in range(cfg.iterations)]
 
 
-@pytest.mark.parametrize("space_type,cce_count", [
-    ("uss", 97), ("uss", 54), ("uss", 200), ("css", 97)])
-def test_kernel_matches_per_ue_hash_at_heavy_load(space_type, cce_count):
+@pytest.mark.parametrize("cce_count", [97, 54, 200])
+def test_kernel_matches_per_ue_hash_at_heavy_load(cce_count):
     # enough UEs and iterations that every AL and most residues occur
     cfg = ScenarioConfig(
         ue_count=60, coreset=CoresetConfig.from_cce_count(cce_count),
-        search_space=SearchSpaceConfig((8, 6, 5, 3, 2), space_type=space_type),
+        search_space=SearchSpaceConfig((8, 6, 5, 3, 2)),
         al_distribution=AlDistribution((0.2,) * 5), iterations=40, master_seed=11)
     result = run_scenario(cfg, keep_per_iteration=True)
     assert list(result.per_iteration_blocked) == [
@@ -131,8 +127,7 @@ def exact_blocking(cfg: ScenarioConfig) -> float:
     sorted by AL. The UEs are i.i.d., so the tuple's order stands for the
     random permutation, and a stable sort keeps equal ALs in it."""
     space, cce_count = cfg.search_space, cfg.coreset.cce_count
-    k = y_multiplier(space.space_type)
-    ys = np.arange(1, RNTI_MAX + 1, dtype=np.int64) * k % Y_MODULUS
+    ys = np.arange(1, RNTI_MAX + 1, dtype=np.int64) * Y_MULTIPLIER % Y_MODULUS
     states = []  # (AL, probability, candidate masks sorted by start)
     for level, m, p in zip(AGGREGATION_LEVELS, space.candidates_per_al,
                            cfg.al_distribution.probabilities):
@@ -185,8 +180,7 @@ def oracle_scenarios(draw, ue_count, max_cces):
     assume(any(w))
     return ScenarioConfig(
         ue_count=ue_count, coreset=CoresetConfig.from_cce_count(cce_count),
-        search_space=SearchSpaceConfig(counts,
-                                       space_type=draw(st.sampled_from(("css", "uss")))),
+        search_space=SearchSpaceConfig(counts),
         al_distribution=AlDistribution(tuple(x / sum(w) for x in w)),
         strategy=draw(st.sampled_from(STRATEGIES)),
         iterations=5000,

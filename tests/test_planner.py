@@ -199,8 +199,7 @@ def small_plans(draw):
         base=ScenarioConfig(
             ue_count=draw(st.integers(1, 20)),
             coreset=CoresetConfig.from_cce_count(6),
-            search_space=SearchSpaceConfig(
-                (6, 6, 4, 2, 2), space_type=draw(st.sampled_from(("css", "uss")))),
+            search_space=SearchSpaceConfig((6, 6, 4, 2, 2)),
             al_distribution=AlDistribution(tuple(x / sum(w) for x in w)),
             strategy=draw(st.sampled_from(STRATEGIES)),
             iterations=draw(st.integers(1, 40)),

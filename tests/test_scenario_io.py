@@ -50,7 +50,6 @@ def test_minimal_scenario_applies_defaults(tmp_path):
     assert scn.config.iterations == 10000
     assert scn.config.strategy == "low_to_high"
     assert scn.config.master_seed == 0
-    assert scn.config.search_space.space_type == "uss"
     assert scn.config.coreset.cce_count == 12
     assert scn.sweep is None
 
@@ -62,9 +61,10 @@ def test_unknown_key_is_rejected_with_context(tmp_path):
     bad = dict(MINIMAL, coreset={"cce_count": 12, "symbols": 2})
     with pytest.raises(ScenarioParseError, match="symbols"):
         parse_scenario(write(tmp_path, bad))
-    # the CORESET index and the slot are not modelled: USS hashes at slot 0
-    # of a CORESET with index p mod 3 = 0
-    for section, key in (("coreset", "coreset_index"), ("search_space", "slot_index")):
+    # the CORESET index, the slot and the search-space type are not modelled:
+    # every UE hashes in a USS at slot 0 of a CORESET with index p mod 3 = 0
+    for section, key in (("coreset", "coreset_index"), ("search_space", "slot_index"),
+                         ("search_space", "space_type")):
         bad = dict(MINIMAL, **{section: dict(MINIMAL[section], **{key: 0})})
         with pytest.raises(ScenarioParseError,
                            match=fr"unknown key\(s\) in {section}: \['{key}'\]"):

@@ -7,7 +7,7 @@ from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig, MonitoringLimits,
 from pdcch_blocking.scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW,
                                       STRATEGY_LOW_TO_HIGH, _allocation_order,
                                       _greedy_assign)
-from pdcch_blocking.search_space import Y_MODULUS
+from pdcch_blocking.search_space import Y_MODULUS, Y_MULTIPLIER
 from test_kernel import kernel_tables, reference_greedy, reference_order
 
 
@@ -71,8 +71,8 @@ def test_three_ue_blocking_example():
 
 def test_identical_candidates_block_all_but_one():
     # one AL-16 candidate in a 16-CCE CORESET: a single residue, a single mask
-    _, positions, tables = kernel_tables(SearchSpaceConfig({16: 1}),
-                                         CoresetConfig.from_cce_count(16))
+    positions, tables = kernel_tables(SearchSpaceConfig({16: 1}),
+                                      CoresetConfig.from_cce_count(16))
     assert positions[4] == 1 and tables[4] == [((1 << 16) - 1,)]
     for total in (2, 5, 9):
         order = order_for([4] * total, STRATEGY_LOW_TO_HIGH, np.random.default_rng(3))
@@ -92,8 +92,8 @@ def test_ue_without_candidates_is_blocked():
     assert blocked == [0]
     assert 1 in taken
     # the kernel gives an AL larger than the CORESET the single empty mask set
-    _, positions, tables = kernel_tables(SearchSpaceConfig((6, 6, 4, 2, 1)),
-                                         CoresetConfig.from_cce_count(8))
+    positions, tables = kernel_tables(SearchSpaceConfig((6, 6, 4, 2, 1)),
+                                      CoresetConfig.from_cce_count(8))
     assert positions[4] == 1 and tables[4] == ((),)
 
 
@@ -157,11 +157,11 @@ def test_greedy_prefix_property():
 
 def test_strategies_equivalent_under_uniform_al():
     space = SearchSpaceConfig((0, 6, 0, 0, 0))
-    k, positions, tables = kernel_tables(space, CoresetConfig.from_cce_count(24))
+    positions, tables = kernel_tables(space, CoresetConfig.from_cce_count(24))
     rng = np.random.default_rng(29)
     for _ in range(50):
         rntis = rng.integers(1, 65536, size=8)
-        residues = (rntis * k % Y_MODULUS % positions[1]).tolist()
+        residues = (rntis * Y_MULTIPLIER % Y_MODULUS % positions[1]).tolist()
         candidate_masks = [tables[1][r] for r in residues]
         blocked_counts = set()
         for strategy in STRATEGIES:
@@ -196,17 +196,15 @@ def test_leftmost_choice_picks_lowest_start():
     # C=12, AL 4, M=2: at residue 2 the hash lists start 8 before start 0
     space = SearchSpaceConfig({4: 2})
     assert candidate_starts(4, 12, 2, 2) == [8, 0]
-    _, _, tables = kernel_tables(space, CoresetConfig.from_cce_count(12))
+    _, tables = kernel_tables(space, CoresetConfig.from_cce_count(12))
     assert _greedy_assign([0], [tables[2][2]]) == ([0b1111], 0b1111)
     # every table row lists its masks by first CCE
     for cce_count in (1, 8, 12, 54, 97, 200):
-        for space_type in ("css", "uss"):
-            _, _, tables = kernel_tables(SearchSpaceConfig(
-                (6, 6, 4, 2, 1), space_type=space_type),
-                CoresetConfig.from_cce_count(cce_count))
-            for rows in tables:
-                for row in rows:
-                    assert list(row) == sorted(row)
+        _, tables = kernel_tables(SearchSpaceConfig((6, 6, 4, 2, 1)),
+                                  CoresetConfig.from_cce_count(cce_count))
+        for rows in tables:
+            for row in rows:
+                assert list(row) == sorted(row)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -269,21 +267,17 @@ def test_validate_limits_reference_candidate_set():
     assert not report.cces_exceeded
 
 
-def test_validate_limits_checks_rnti_for_css_and_uss():
-    coreset = CoresetConfig.from_cce_count(54)
-    for space_type in ("css", "uss"):
-        space = SearchSpaceConfig((6, 6, 4, 2, 1), space_type=space_type)
-        with pytest.raises(ValueError):
-            validate_limits(space, coreset, 0, MonitoringLimits.for_scs(15))
+def test_validate_limits_checks_rnti():
+    with pytest.raises(ValueError):
+        validate_limits(SPACE, CoresetConfig.from_cce_count(54), 0,
+                        MonitoringLimits.for_scs(15))
 
 
 @pytest.mark.parametrize("rnti", [1.5, True])
 def test_validate_limits_rejects_non_integer_rnti(rnti):
-    coreset = CoresetConfig.from_cce_count(54)
-    for space_type in ("css", "uss"):
-        space = SearchSpaceConfig((6, 6, 4, 2, 1), space_type=space_type)
-        with pytest.raises(ValueError, match="c_rnti"):
-            validate_limits(space, coreset, rnti, MonitoringLimits.for_scs(15))
+    with pytest.raises(ValueError, match="c_rnti"):
+        validate_limits(SPACE, CoresetConfig.from_cce_count(54), rnti,
+                        MonitoringLimits.for_scs(15))
 
 
 def test_validate_limits_single_candidate_everywhere():

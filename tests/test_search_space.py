@@ -11,41 +11,28 @@ from test_kernel import kernel_tables
 # transcribes the recursion Y <- (A * Y) mod 65537 literally.
 
 def test_y_single_step():
-    assert y_value(1) == y_value(1, "uss") == 39827
+    assert y_value(1) == 39827
 
 
 def test_y_multi_step_frozen_values():
     assert y_value(12345) == 5741
 
 
-def test_y_css_is_zero_for_everyone():
-    for rnti in (1, 777, 65535):
-        assert y_value(rnti, space_type="css") == 0
-
-
 @pytest.mark.parametrize("rnti", [0, -1, 65536])
 def test_y_rejects_bad_rnti(rnti):
-    for space_type in ("uss", "css"):
-        with pytest.raises(ValueError):
-            y_value(rnti, space_type=space_type)
+    with pytest.raises(ValueError):
+        y_value(rnti)
 
 
 @pytest.mark.parametrize("rnti", [1.5, 1.0, True, "1"])
 def test_y_rejects_non_integer_rnti(rnti):
-    for space_type in ("uss", "css"):
-        with pytest.raises(ValueError, match="c_rnti"):
-            y_value(rnti, space_type=space_type)
+    with pytest.raises(ValueError, match="c_rnti"):
+        y_value(rnti)
 
 
 def test_y_accepts_numpy_integer_rnti():
     assert y_value(np.int64(1)) == y_value(1) == 39827
-    assert type(y_value(np.uint16(12345), "uss")) is int
-
-
-@pytest.mark.parametrize("space_type", ["USS", "", None, ["uss"]])
-def test_y_rejects_unknown_space_type(space_type):
-    with pytest.raises(ValueError, match="space_type must be one of"):
-        y_value(1, space_type)
+    assert type(y_value(np.uint16(12345))) is int
 
 
 def test_y_range_and_determinism():
@@ -146,38 +133,27 @@ def test_ue_candidate_set_counts_and_order():
 def test_ue_candidate_set_hash_collapse():
     # floor(C/L) = 1 collapses every candidate index to the same block
     assert candidate_starts(8, 8, 2, y_value(12345)) == [0, 0]
-    _, positions, tables = kernel_tables(SearchSpaceConfig({8: 2}),
-                                         CoresetConfig.from_cce_count(8))
+    positions, tables = kernel_tables(SearchSpaceConfig({8: 2}),
+                                      CoresetConfig.from_cce_count(8))
     assert positions[3] == 1 and tables[3] == [(0xFF, 0xFF)]
-
-
-def test_ue_candidate_set_css_is_ue_independent():
-    space = SearchSpaceConfig((6, 6, 4, 2, 1), space_type="css")
-    sets = [candidate_starts(2, 54, 6, y_value(rnti, space_type="css"))
-            for rnti in (1, 999, 65535)]
-    assert sets[0] == sets[1] == sets[2]
-    # K = 0 sends every C-RNTI to residue 0
-    k, _, _ = kernel_tables(space, CoresetConfig.from_cce_count(54))
-    assert k == 0
 
 
 def test_ue_candidate_set_rejects_zero_count():
     with pytest.raises(ValueError):
         candidate_cces(2, 0, 54, 0, 0)
     # an AL with no configured candidates gets the single empty mask set
-    _, positions, tables = kernel_tables(SearchSpaceConfig({1: 6}),
-                                         CoresetConfig.from_cce_count(54))
+    positions, tables = kernel_tables(SearchSpaceConfig({1: 6}),
+                                      CoresetConfig.from_cce_count(54))
     assert positions[1] == 1 and tables[1] == ((),)
 
 
 def test_uss_determinism_across_calls():
     space = SearchSpaceConfig((6, 6, 4, 2, 1))
     coreset = CoresetConfig(108, 3)
-    y = y_value(31337, space.space_type)
+    y = y_value(31337)
     assert candidate_starts(4, 54, 4, y) == candidate_starts(4, 54, 4, y)
     first, again = kernel_tables(space, coreset), kernel_tables(space, coreset)
-    assert first[0] == again[0] and first[2] == again[2]
-    assert first[1].tolist() == again[1].tolist()
+    assert first[0].tolist() == again[0].tolist() and first[1] == again[1]
 
 
 # --- config validation -----------------------------------------------------
@@ -203,12 +179,6 @@ def test_search_space_rejects_unknown_al_key():
 def test_search_space_rejects_non_integer_counts(counts):
     with pytest.raises(ValueError, match="^candidates_per_al must be integers"):
         SearchSpaceConfig(counts)
-
-
-@pytest.mark.parametrize("space_type", ["USS", "", None, ["uss"]])
-def test_search_space_rejects_unknown_space_type(space_type):
-    with pytest.raises(ValueError, match="space_type must be one of"):
-        SearchSpaceConfig((6, 6, 4, 2, 1), space_type=space_type)
 
 
 def test_search_space_accepts_numpy_integers():

@@ -347,6 +347,13 @@ def test_fewer_iterations_than_workers_in_shared_pool(pools):
     assert len(pools) == 2
 
 
+def test_bounds_make_no_empty_range():
+    # no more ranges than iterations, however many workers are asked for
+    assert simulation._bounds(3, 5, None) == [0, 1, 2, 3]
+    assert simulation._bounds(1, 2000, None) == [0, 1]
+    assert simulation._bounds(10, 4, None) == [0, 2, 5, 7, 10]
+
+
 def test_pool_opens_at_most_one_process_per_cpu(pools, monkeypatch):
     # every process is forked at the first submit, so more would only wait;
     # the calling process runs a range too, so it counts as one of the CPUs
@@ -597,7 +604,7 @@ def test_failure_in_range_zero_propagates_and_closes_the_pool(pools, monkeypatch
 @pytest.mark.parametrize("change,workers", [
     ({"master_seed": 124}, 2), ({"ue_count": 11}, 2),
     ({"al_distribution": AlDistribution({4: 1.0})}, 2), ({"strategy": STRATEGY_HIGH_TO_LOW}, 2),
-    ({"search_space": SearchSpaceConfig((6, 6, 4, 2, 1), space_type="css")}, 2),
+    ({"al_distribution": AlDistribution((0.3, 0.4, 0.2, 0.05, 0.05))}, 2),  # MIXED's levels
     ({"iterations": 41}, 2), ({}, 3), ({}, None)])
 def test_draws_made_for_another_run_are_rejected(change, workers, pools):
     cfg = scenario(iterations=40)
