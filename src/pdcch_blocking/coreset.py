@@ -1,11 +1,9 @@
-"""CORESET geometry and the CCE index space."""
+"""The CORESET as its CCE count, and the value checks the config types share."""
 
 from dataclasses import dataclass
 from numbers import Integral, Real
 
 AGGREGATION_LEVELS = (1, 2, 4, 8, 16)
-
-RBS_PER_CCE = 6  # one CCE = 6 REGs, one REG = one RB in one OFDM symbol
 
 
 def as_integer(name: str, value, minimum: int = None) -> int:
@@ -47,31 +45,19 @@ def per_al(name: str, values, kind) -> tuple:
 
 @dataclass(frozen=True)
 class CoresetConfig:
-    """A CORESET spanning ``rb_count`` RBs over ``symbol_duration`` OFDM symbols.
+    """A CORESET of ``cce_count`` CCEs, indexed 0 .. cce_count - 1.
 
-    The frequency span must be a whole number of 6-RB chunks and the duration
-    1 to 3 symbols, so the CCE count rb_count * symbol_duration / 6 is always
-    a positive integer.
+    Only the CCE count enters the model; a CORESET of 108 RBs over 3 OFDM
+    symbols, for one, is 54 CCEs (one CCE is 6 REGs of one RB by one symbol).
     """
 
-    rb_count: int
-    symbol_duration: int
+    cce_count: int
 
     def __post_init__(self):
-        for name in ("rb_count", "symbol_duration"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        if self.rb_count <= 0 or self.rb_count % RBS_PER_CCE != 0:
-            raise ValueError(
-                f"rb_count must be a positive multiple of {RBS_PER_CCE}, got {self.rb_count}")
-        if self.symbol_duration not in (1, 2, 3):
-            raise ValueError(f"symbol_duration must be 1, 2 or 3, got {self.symbol_duration}")
-
-    @property
-    def cce_count(self) -> int:
-        return self.rb_count * self.symbol_duration // RBS_PER_CCE
+        object.__setattr__(self, "cce_count", as_integer("cce_count", self.cce_count, 1))
 
     @classmethod
     def from_cce_count(cls, cce_count: int) -> "CoresetConfig":
-        """Synthesize a one-symbol CORESET with exactly ``cce_count`` CCEs."""
-        cce_count = as_integer("cce_count", cce_count, 1)
-        return cls(rb_count=RBS_PER_CCE * cce_count, symbol_duration=1)
+        """A CORESET of ``cce_count`` CCEs; the one place the file parser and
+        the ``coreset_size`` sweep axis build one."""
+        return cls(cce_count)

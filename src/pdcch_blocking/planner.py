@@ -24,8 +24,8 @@ CONFIRMATION_SCAN = 4  # CCE sizes re-checked below the bisection answer
 class PlanningRequest:
     """A scenario and the blocking target its CORESET size must meet.
 
-    Each evaluation replaces ``base.coreset`` with a one-symbol CORESET of
-    the size under test, as a ``coreset_size`` sweep does.
+    Each evaluation replaces ``base.coreset`` with a CORESET of the size
+    under test, as a ``coreset_size`` sweep does.
     """
 
     base: ScenarioConfig

@@ -34,7 +34,7 @@ _SCENARIO = {"name": str, "description": str, "figure": str, "ue_count": int,
              "coreset": object, "search_space": object, "al_distribution": [float],
              "strategy": str, "iterations": int, "master_seed": int, "sweep": object}
 _SCENARIO_REQUIRED = {"name", "ue_count", "coreset", "search_space", "al_distribution"}
-_CORESET = {"rb_count": int, "symbol_duration": int, "cce_count": int}
+_CORESET = {"cce_count": int}
 _SEARCH_SPACE = {"candidates_per_al": [int]}
 _SWEEP = {"axis": str, "points": object}
 _PLAN_ONLY = {"target_blocking": float, "cce_range": [int]}
@@ -124,18 +124,6 @@ def _sweep_point(axis, point, where):
     return point
 
 
-def _coreset_from_dict(data) -> CoresetConfig:
-    values = _section(data, _CORESET, set(), "coreset")
-    if "cce_count" in values:
-        if "rb_count" in values or "symbol_duration" in values:
-            raise ScenarioParseError(
-                "coreset takes either cce_count or rb_count/symbol_duration, not both")
-        return CoresetConfig.from_cce_count(**values)
-    if "rb_count" not in values or "symbol_duration" not in values:
-        raise ScenarioParseError("coreset needs cce_count, or rb_count and symbol_duration")
-    return CoresetConfig(**values)
-
-
 def _sweep_from_dict(data) -> SweepSpec:
     values = _section(data, _SWEEP, {"axis", "points"}, "sweep")
     check_axis(values["axis"])
@@ -154,7 +142,8 @@ def scenario_from_dict(data) -> Scenario:
               if key in values}
     sweep = _sweep_from_dict(values.pop("sweep")) if "sweep" in values else None
     config = ScenarioConfig(
-        coreset=_coreset_from_dict(values.pop("coreset")),
+        coreset=CoresetConfig.from_cce_count(**_section(
+            values.pop("coreset"), _CORESET, {"cce_count"}, "coreset")),
         search_space=SearchSpaceConfig(**_section(
             values.pop("search_space"), _SEARCH_SPACE, {"candidates_per_al"},
             "search_space")),

@@ -148,14 +148,16 @@ def test_retired_sweep_spellings_exit_one(tmp_path, runs, capsys, changes, messa
     assert message in exits_one_before_any_run(tmp_path, runs, capsys, changes)
 
 
-# The CORESET index, the slot and the search-space type are not modelled, so
-# a file that sets one is rejected, not run at index 0 and slot 0 of a USS.
+# The CORESET index, the slot and the search-space type are not modelled, nor
+# the CORESET's RBs and symbols, so a file that sets one is rejected, not run
+# at index 0 and slot 0 of a USS.
 @pytest.mark.parametrize("command,data,section,key", [
     ("simulate", SCENARIO, "coreset", "coreset_index"),
     ("simulate", SCENARIO, "search_space", "slot_index"),
     ("plan", PLAN, "search_space", "slot_index"),
     ("simulate", SCENARIO, "search_space", "space_type"),
     ("plan", PLAN, "search_space", "space_type"),
+    ("simulate", SCENARIO, "coreset", "rb_count"),
 ])
 def test_unmodelled_hash_keys_exit_one(tmp_path, capsys, command, data, section, key):
     path = tmp_path / "knob.json"

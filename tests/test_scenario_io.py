@@ -62,9 +62,11 @@ def test_unknown_key_is_rejected_with_context(tmp_path):
     with pytest.raises(ScenarioParseError, match="symbols"):
         parse_scenario(write(tmp_path, bad))
     # the CORESET index, the slot and the search-space type are not modelled:
-    # every UE hashes in a USS at slot 0 of a CORESET with index p mod 3 = 0
+    # every UE hashes in a USS at slot 0 of a CORESET with index p mod 3 = 0;
+    # nor are the CORESET's RBs and symbols, only its CCE count
     for section, key in (("coreset", "coreset_index"), ("search_space", "slot_index"),
-                         ("search_space", "space_type")):
+                         ("search_space", "space_type"), ("coreset", "rb_count"),
+                         ("coreset", "symbol_duration")):
         bad = dict(MINIMAL, **{section: dict(MINIMAL[section], **{key: 0})})
         with pytest.raises(ScenarioParseError,
                            match=fr"unknown key\(s\) in {section}: \['{key}'\]"):
@@ -79,6 +81,9 @@ def test_missing_key_is_rejected(tmp_path):
     bad = {k: v for k, v in MINIMAL.items() if k != "al_distribution"}
     with pytest.raises(ScenarioParseError, match="al_distribution"):
         parse_scenario(write(tmp_path, bad))
+    with pytest.raises(ScenarioParseError,
+                       match=r"missing key\(s\) in coreset: \['cce_count'\]"):
+        parse_scenario(write(tmp_path, dict(MINIMAL, coreset={})))
 
 
 def test_invalid_distribution_is_validation_error(tmp_path):
@@ -137,19 +142,6 @@ def test_nan_probability_is_a_validation_error(tmp_path):
     # JSON NaN is a number to the parser; the distribution must refuse it
     bad = dict(MINIMAL, al_distribution=[float("nan"), 0.5, 0, 0, 0.5])
     with pytest.raises(ValueError, match="finite"):
-        parse_scenario(write(tmp_path, bad))
-
-
-def test_coreset_forms_are_exclusive(tmp_path):
-    bad = dict(MINIMAL, coreset={"cce_count": 12, "rb_count": 72})
-    with pytest.raises(ScenarioParseError, match="either"):
-        parse_scenario(write(tmp_path, bad))
-
-
-def test_coreset_needs_both_geometry_keys(tmp_path):
-    bad = dict(MINIMAL, coreset={"rb_count": 72})
-    with pytest.raises(ScenarioParseError,
-                       match="coreset needs cce_count, or rb_count and symbol_duration"):
         parse_scenario(write(tmp_path, bad))
 
 

@@ -149,7 +149,7 @@ def test_ue_candidate_set_rejects_zero_count():
 
 def test_uss_determinism_across_calls():
     space = SearchSpaceConfig((6, 6, 4, 2, 1))
-    coreset = CoresetConfig(108, 3)
+    coreset = CoresetConfig(54)
     y = y_value(31337)
     assert candidate_starts(4, 54, 4, y) == candidate_starts(4, 54, 4, y)
     first, again = kernel_tables(space, coreset), kernel_tables(space, coreset)

@@ -96,7 +96,7 @@ def test_scenario_config_validation():
 
 @pytest.mark.parametrize("field,value", [
     ("coreset", 54), ("coreset", None), ("search_space", (6, 6, 4, 2, 1)),
-    ("search_space", CoresetConfig(36, 1)), ("al_distribution", MIXED),
+    ("search_space", CoresetConfig(6)), ("al_distribution", MIXED),
     ("al_distribution", {1: 1.0})])
 def test_scenario_config_rejects_mistyped_nested_configs(field, value):
     with pytest.raises(ValueError, match=f"{field} must be a "):
@@ -386,8 +386,7 @@ def test_sweep_ue_count_axis():
 
 def test_sweep_coreset_axis_builds_geometry():
     cfg = apply_axis(scenario(), "coreset_size", 30)
-    assert cfg.coreset.cce_count == 30
-    assert cfg.coreset.rb_count == 180
+    assert cfg.coreset == CoresetConfig(30)
 
 
 def test_sweep_candidate_counts_axis_full_list():
