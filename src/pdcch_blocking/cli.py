@@ -40,7 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS, default=FORMAT_CSV,
                        help="output file format (default csv)")
         p.add_argument("--workers", type=int, default=None,
-                       help="parallel worker processes (default serial)")
+                       help="processes to split the iterations over, the calling "
+                            "one included; a run too small to pay for a "
+                            "process pool stays serial (default serial)")
 
     p_sim = sub.add_parser("simulate", help="run one scenario's base configuration")
     p_sim.add_argument("scenario", help="scenario file path or bundled scenario name")

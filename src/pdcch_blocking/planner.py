@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from numbers import Real
 
 from .coreset import as_integer
-from .simulation import (ScenarioConfig, SweepPoint, apply_axis, draw_ranges,
-                         run_scenario, worker_pool)
+from .simulation import (ScenarioConfig, SweepPoint, _bounds, apply_axis,
+                         draw_ranges, run_scenario, worker_pool)
 
 CONFIRMATION_SCAN = 4  # CCE sizes re-checked below the bisection answer
 
@@ -75,12 +75,14 @@ def plan_min_coreset(req: PlanningRequest, workers: int = None) -> PlanningResul
     over CCE counts, simulating each size once, as a ``coreset_size`` sweep
     point. The C-independent half of every evaluation is drawn once, by
     ``draw_ranges`` over the same ranges, and each ``run_scenario`` takes it
-    as ``draws=``. With ``workers`` > 1 one ``worker_pool(workers)`` serves
-    the draws and every evaluation; the calling process, which ``workers``
-    counts, works range 0 of each."""
+    as ``draws=``. When ``workers`` > 1 splits the run into more than one
+    range, one ``worker_pool`` for those ranges serves the draws and every
+    evaluation, and the calling process, which ``workers`` counts, works
+    range 0 of each; a plan too small to split opens no pool."""
     results = {}  # CCE count -> SimulationResult, in evaluation order
     best = None
-    with worker_pool(workers) as pool:
+    ranges = len(_bounds((req.base,), workers, None)) - 1
+    with worker_pool(ranges) as pool:
         draws = draw_ranges(req.base, workers, pool=pool)
 
         def meets(cces: int) -> bool:

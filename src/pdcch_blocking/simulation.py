@@ -396,9 +396,9 @@ def worker_pool(workers: int = None):
     process is started at the first submit; the ranges queue for them.
 
     Holding one pool across many ``run_scenario`` calls (pass it as
-    ``pool=``) saves starting and stopping processes per call. The pool is
-    shut down, and its workers waited for, when the block exits, also by an
-    exception.
+    ``pool=``) saves starting and stopping processes per call; a call that
+    ``_bounds`` keeps to one range leaves it idle. The pool is shut down,
+    and its workers waited for, when the block exits, also by an exception.
     """
     workers = _worker_count(workers)
     if workers is None:
@@ -409,26 +409,41 @@ def worker_pool(workers: int = None):
         yield pool
 
 
-def _bounds(iterations: int, workers, pool) -> list:
-    """The bounds of the iteration ranges, one per worker but no more than
-    ``iterations``, so that none is empty; a ``pool`` needs ``workers`` > 1."""
+# UE-iterations a range must hold before a run is split into another one.
+# On a 2-vCPU host, with one pool held per plan as the planner does, the
+# pooled/serial wall-time ratio of the bundled U=5 plan was 1.48 at 1000
+# iterations, 1.13 at 2048, 0.87 at 4096 and 0.74 at 10 000; of the U=15
+# plan 1.03, 0.75, 0.68 and 0.69. Both cross at about 7.5-8k UE-iterations
+# per range, and pooled CPU time was higher in every case.
+MIN_RANGE_UES = 2**13
+
+
+def _bounds(configs, workers, pool) -> list:
+    """The bounds of the iteration ranges of a run of ``configs``, which
+    share their iteration count: one per worker, but no more than the
+    iterations, so that none is empty, and no more than one per
+    ``MIN_RANGE_UES`` UE-iterations of all configs together, so that a
+    small run stays in the calling process. A ``pool`` needs ``workers`` > 1."""
     workers = _worker_count(workers)
     if pool is not None and workers is None:
         raise ValueError("a pool needs workers > 1")
-    return np.linspace(0, iterations, min(workers or 1, iterations) + 1, dtype=int).tolist()
+    iterations = configs[0].iterations
+    work = iterations * sum(cfg.ue_count for cfg in configs)
+    n = min(workers or 1, iterations, max(1, work // MIN_RANGE_UES))
+    return np.linspace(0, iterations, n + 1, dtype=int).tolist()
 
 
 def _map_ranges(fn, configs, bounds, pool, *columns) -> list:
     """``fn(configs, start, stop, *column values)`` per range of ``bounds``,
-    in order: the builtin ``map`` for one range. With more, ranges 1 .. n - 1
-    go to ``pool.map``, or a pool opened for this call, and then the calling
-    process runs range 0 itself, so its arguments and result are never
-    pickled."""
+    in order: the builtin ``map`` for one range, even when handed a pool.
+    With more, ranges 1 .. n - 1 go to ``pool.map``, or a pool opened for
+    this call, and then the calling process runs range 0 itself, so its
+    arguments and result are never pickled."""
     n = len(bounds) - 1
     args = [[configs] * n, bounds[:-1], bounds[1:], *columns]
+    if n == 1:
+        return list(map(fn, *args))
     with worker_pool(n) if pool is None else nullcontext(pool) as pool:
-        if pool is None:
-            return list(map(fn, *args))
         rest = pool.map(fn, *(column[1:] for column in args))
         return [fn(*(column[0] for column in args)), *rest]
 
@@ -450,9 +465,11 @@ def draw_ranges(cfg: ScenarioConfig, workers: int = None, *, pool=None) -> Draws
     """Draw the C-independent half of ``run_scenario(cfg, workers,
     pool=pool)`` once, for every run that differs from ``cfg`` only in its
     CORESET or candidate counts to take as ``draws=``. Its ranges are
-    ``run_scenario``'s: the calling process, one of the ``workers``, draws
-    range 0, and the pool the rest."""
-    bounds = _bounds(cfg.iterations, workers, pool)
+    ``run_scenario``'s, from ``_bounds`` of ``(cfg,)``: the calling process,
+    one of the ``workers``, draws range 0, and the pool the rest. A run
+    below the ``MIN_RANGE_UES`` split is one range, drawn in the calling
+    process; a ``pool`` is then left idle."""
+    bounds = _bounds((cfg,), workers, pool)
     return Draws(_drawn_for(cfg, bounds), tuple(_map_ranges(_draw_range, (cfg,), bounds, pool)))
 
 
@@ -460,7 +477,7 @@ def _run_configs(configs, workers, keep: bool, pool, draws=None) -> list:
     """``run_scenario`` for every config in ``configs`` at once: one map of
     ``_run_range`` over the iteration ranges, each range running every config.
     Returns each config's ``SimulationResult``, in order."""
-    bounds = _bounds(configs[0].iterations, workers, pool)
+    bounds = _bounds(configs, workers, pool)
     n = len(bounds) - 1
     if draws is not None and draws.drawn_for != _drawn_for(configs[0], bounds):
         raise ValueError(
@@ -480,20 +497,24 @@ def run_scenario(cfg: ScenarioConfig, workers: int = None,
     """Estimate the blocking probability for one scenario.
 
     The iterations are split into contiguous ranges, one per worker but at
-    most one per iteration, and one map runs ``_run_range`` over them; their
-    counts are summed in range order. None or 1 ``workers`` is the builtin
-    ``map`` over one range, and then a ``pool`` is an error. ``workers`` > 1
-    counts the calling process: it runs range 0 itself while the other
-    ranges map over ``pool``, an open pool from ``worker_pool``, or else over
-    a pool opened and closed for this call; ``plan_min_coreset`` holds one
-    pool for all its runs. Because every iteration seeds its own stream from
-    (master_seed, iteration), the result does not depend on the number of
-    ranges. ``run_sweep`` takes the same path with all its points at once.
+    most one per iteration and one per ``MIN_RANGE_UES`` UE-iterations, and
+    one map runs ``_run_range`` over them; their counts are summed in range
+    order. None or 1 ``workers``, or a run too small to split, is the
+    builtin ``map`` over one range in the calling process, which opens no
+    pool; a ``pool`` with None or 1 ``workers`` is an error. ``workers`` > 1
+    counts the calling process: on a split run it works range 0 itself while
+    the other ranges map over ``pool``, an open pool from ``worker_pool``,
+    or else over a pool opened and closed for this call; ``plan_min_coreset``
+    holds one pool for all its runs. Because every iteration seeds its own
+    stream from (master_seed, iteration), the result does not depend on the
+    number of ranges. ``run_sweep`` takes the same path with all its points
+    at once, and its ranges count the UEs of every point.
 
     ``draws`` from ``draw_ranges`` is the C-independent half, drawn
     beforehand; the result is the same. Draws made for another master seed,
-    iteration or worker count, U, AL mix or strategy raise ValueError before
-    any pool opens. ``plan_min_coreset`` draws once for all its evaluations.
+    iteration count, U, AL mix or strategy, or at a worker count that gives
+    other ranges, raise ValueError before any pool opens.
+    ``plan_min_coreset`` draws once for all its evaluations.
     """
     return _run_configs((cfg,), workers, keep_per_iteration, pool, draws)[0]
 

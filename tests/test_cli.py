@@ -1,4 +1,5 @@
 import json
+import os
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -266,6 +267,21 @@ def test_plan_command(tmp_path, capsys):
     assert payload["name"] == "tiny_plan"
     assert payload["min_cces"] == 2  # two AL-1 UEs with 6 candidates each
     assert payload["evaluations"]
+
+
+def test_plan_too_small_to_split_forks_no_process(tmp_path, monkeypatch, pools):
+    # U=5 at 1000 iterations is one range, so --workers 2 runs serially
+    def no_fork():
+        raise AssertionError("a process was forked")
+    monkeypatch.setattr(os, "fork", no_fork)
+    outputs = []
+    for workers in ([], ["--workers", "2"]):
+        out_path = tmp_path / f"plan{len(workers)}.json"
+        assert main(["plan", "plan_fig11_u5_target20", "--iterations", "1000", *workers,
+                     "--format", "json", "--out", str(out_path)]) == 0
+        outputs.append(out_path.read_text())
+    assert outputs[0] == outputs[1]
+    assert pools == []
 
 
 def test_plan_without_a_size_that_meets_the_target_exits_zero(tmp_path, capsys):

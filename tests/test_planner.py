@@ -116,9 +116,13 @@ def test_min_cces_nondecreasing_in_ue_count():
     assert sizes[-1] > sizes[0]
 
 
-def small_fig11_plan():
+def small_fig11_plan(iterations=200):
     _, req = parse_plan_request(bundled_scenario_path("plan_fig11_u5_target20"))
-    return dataclasses.replace(req, base=dataclasses.replace(req.base, iterations=200))
+    return dataclasses.replace(req, base=dataclasses.replace(req.base, iterations=iterations))
+
+
+# the U=5 plan's fewest iterations that split into two ranges at workers=2
+POOLED_PLAN_ITERATIONS = 2 * simulation.MIN_RANGE_UES // 5 + 1
 
 
 # (min_cces, CCE counts in evaluation order) of each bundled plan at its file
@@ -158,7 +162,7 @@ def test_planning_result_lookup():
 
 
 def test_plan_shares_one_pool_and_matches_serial(pools):
-    req = small_fig11_plan()
+    req = small_fig11_plan(POOLED_PLAN_ITERATIONS)
     serial = plan_min_coreset(req)
     assert pools == []
     pooled = plan_min_coreset(req, workers=2)
@@ -172,9 +176,16 @@ def test_plan_shares_one_pool_and_matches_serial(pools):
 def test_plan_that_raises_still_closes_its_pool(pools, fail_second_run):
     runs = fail_second_run(planner)
     with pytest.raises(RuntimeError, match="stop"):
-        plan_min_coreset(small_fig11_plan(), workers=2)
+        plan_min_coreset(small_fig11_plan(POOLED_PLAN_ITERATIONS), workers=2)
     assert len(runs) == 2 and len(pools) == 1
     assert multiprocessing.active_children() == []
+
+
+def test_plan_too_small_to_split_opens_no_pool(pools):
+    # U=5 at 1000 iterations is one range: workers=2 stays in this process
+    req = small_fig11_plan(1000)
+    assert plan_min_coreset(req, workers=2) == plan_min_coreset(req)
+    assert pools == []
 
 
 def assert_points_equal_fresh_runs(req, workers):

@@ -29,6 +29,12 @@ def scenario(**overrides):
     return ScenarioConfig(**base)
 
 
+# iterations at which a scenario() run of 10 UEs splits into 3 ranges, each
+# holding at least MIN_RANGE_UES UE-iterations, so that workers=2 and
+# workers=3 both pool
+SPLIT = 3 * simulation.MIN_RANGE_UES // 10 + 1
+
+
 # --- distribution and config validation -------------------------------------
 
 def test_distribution_must_sum_to_one():
@@ -323,7 +329,7 @@ def test_non_integer_workers_rejected_before_any_pool(workers, pools):
 
 
 def test_direct_run_opens_and_closes_its_own_pool(pools):
-    cfg = scenario(iterations=40)
+    cfg = scenario(iterations=SPLIT)
     serial = run_scenario(cfg)
     assert run_scenario(cfg, workers=2) == serial
     assert run_scenario(cfg, workers=np.int64(2)) == serial  # numpy integers accepted
@@ -333,7 +339,8 @@ def test_direct_run_opens_and_closes_its_own_pool(pools):
 
 
 def test_fewer_iterations_than_workers_in_shared_pool(pools):
-    cfg = scenario(iterations=3)
+    # each of the 3 iterations holds MIN_RANGE_UES UEs, one range's worth
+    cfg = scenario(ue_count=simulation.MIN_RANGE_UES, iterations=3)
     serial = run_scenario(cfg, keep_per_iteration=True)
     with simulation.worker_pool(5) as pool:
         shared = run_scenario(cfg, workers=5, keep_per_iteration=True, pool=pool)
@@ -349,15 +356,50 @@ def test_fewer_iterations_than_workers_in_shared_pool(pools):
 
 def test_bounds_make_no_empty_range():
     # no more ranges than iterations, however many workers are asked for
-    assert simulation._bounds(3, 5, None) == [0, 1, 2, 3]
-    assert simulation._bounds(1, 2000, None) == [0, 1]
-    assert simulation._bounds(10, 4, None) == [0, 2, 5, 7, 10]
+    def bounds(iterations, workers):
+        cfg = scenario(ue_count=simulation.MIN_RANGE_UES, iterations=iterations)
+        return simulation._bounds((cfg,), workers, None)
+    assert bounds(3, 5) == [0, 1, 2, 3]
+    assert bounds(1, 2000) == [0, 1]
+    assert bounds(10, 4) == [0, 2, 5, 7, 10]
+
+
+def test_bounds_split_only_runs_worth_a_range_each():
+    def ranges(ue_counts, iterations, workers):
+        configs = [scenario(ue_count=u, iterations=iterations) for u in ue_counts]
+        return len(simulation._bounds(configs, workers, None)) - 1
+    two = 2 * simulation.MIN_RANGE_UES  # UE-iterations for two ranges
+    assert ranges([1], two - 1, 8) == 1
+    assert ranges([1], two, 8) == 2
+    assert ranges([16], two // 16, 8) == 2
+    assert ranges([16], two // 16 - 1, 8) == 1
+    # never more than the workers
+    assert ranges([1], 100 * two, 3) == 3
+    assert ranges([1], 100 * two, None) == ranges([1], 100 * two, 1) == 1
+    # a sweep's points count together
+    assert ranges([4, 4], two // 8, 8) == 2
+    assert ranges([4], two // 8, 8) == 1
+
+
+@pytest.mark.parametrize("iterations", [2 * simulation.MIN_RANGE_UES // 10, SPLIT],
+                         ids=["below-split", "above-split"])
+def test_results_do_not_depend_on_the_split(iterations, pools):
+    # 10 UEs per run, sweep and plan: a few UE-iterations short of two
+    # ranges, or 2 and 3 ranges at 2 and 3 workers
+    cfg = scenario(iterations=iterations)
+    req = PlanningRequest(base=cfg, target_blocking=0.2, cce_min=6, cce_max=54)
+    runs = [(run_scenario(cfg, workers=w, keep_per_iteration=True),
+             run_sweep(cfg, "ue_count", [4, 6], workers=w),
+             plan_min_coreset(req, workers=w)) for w in (None, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+    # above the split, a pooled run_scenario, sweep and plan per worker count
+    assert len(pools) == (6 if iterations == SPLIT else 0)
 
 
 def test_pool_opens_at_most_one_process_per_cpu(pools, monkeypatch):
     # every process is forked at the first submit, so more would only wait;
     # the calling process runs a range too, so it counts as one of the CPUs
-    cfg = scenario(iterations=30)
+    cfg = scenario(iterations=SPLIT)
     serial = run_scenario(cfg, keep_per_iteration=True)
     for cpus in (2, 1):
         monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
@@ -371,7 +413,7 @@ def test_worker_failure_still_closes_the_pool(pools, monkeypatch):
     # the workers are forked after this patch, so they run it too
     monkeypatch.setattr(simulation, "_kernel", broken_kernel)
     with pytest.raises(RuntimeError, match="kernel failed"):
-        run_scenario(scenario(iterations=20), workers=2)
+        run_scenario(scenario(iterations=SPLIT), workers=2)
     assert len(pools) == 1
     assert multiprocessing.active_children() == []
 
@@ -528,7 +570,7 @@ def test_sweep_that_raises_still_closes_its_pool(pools, monkeypatch):
     # the workers are forked after this patch, so they run it too
     monkeypatch.setattr(simulation, "_run_range", _range_that_fails_after_the_first)
     with pytest.raises(RuntimeError, match="stop"):
-        run_sweep(scenario(iterations=40), "ue_count", [2, 4, 6], workers=2)
+        run_sweep(scenario(iterations=SPLIT), "ue_count", [2, 4, 6], workers=2)
     assert len(pools) == 1
     assert multiprocessing.active_children() == []
 
@@ -562,7 +604,7 @@ def test_calling_process_runs_range_zero_of_every_pooled_map(pools, monkeypatch,
     starts = RANGE_STARTS
     starts.clear()
     request.addfinalizer(starts.clear)
-    cfg = scenario(iterations=40)
+    cfg = scenario(iterations=SPLIT)
     serial = run_scenario(cfg)
     assert starts == [("run", 0)]
     for workers in (2, 3):
@@ -590,7 +632,7 @@ def test_calling_process_runs_range_zero_of_every_pooled_map(pools, monkeypatch,
 def test_failure_in_range_zero_propagates_and_closes_the_pool(pools, monkeypatch):
     # range 0 runs in the calling process, while the pool works the others
     monkeypatch.setattr(simulation, "_run_range", _first_range_fails)
-    cfg = scenario(iterations=40)
+    cfg = scenario(iterations=SPLIT)
     with pytest.raises(RuntimeError, match="range 0 failed"):
         run_scenario(cfg, workers=3)
     req = PlanningRequest(base=cfg, target_blocking=0.2, cce_min=6, cce_max=54)
@@ -604,9 +646,10 @@ def test_failure_in_range_zero_propagates_and_closes_the_pool(pools, monkeypatch
     ({"master_seed": 124}, 2), ({"ue_count": 11}, 2),
     ({"al_distribution": AlDistribution({4: 1.0})}, 2), ({"strategy": STRATEGY_HIGH_TO_LOW}, 2),
     ({"al_distribution": AlDistribution((0.3, 0.4, 0.2, 0.05, 0.05))}, 2),  # MIXED's levels
-    ({"iterations": 41}, 2), ({}, 3), ({}, None)])
+    ({"iterations": SPLIT + 1}, 2), ({}, 3), ({}, None)])
 def test_draws_made_for_another_run_are_rejected(change, workers, pools):
-    cfg = scenario(iterations=40)
+    # at SPLIT iterations, 2 and 3 workers give 2 and 3 ranges
+    cfg = scenario(iterations=SPLIT)
     draws = simulation.draw_ranges(cfg, workers=2)
     assert len(pools) == 1
     with pytest.raises(ValueError, match="draws were made for"):
