@@ -15,7 +15,7 @@ iteration's words and gives them in one ``random_raw`` (``_raw_draws``),
 ``_decode_draws`` decodes the C-RNTIs, uniforms and tie-break shuffles by
 NumPy's rules, bit-identical to ``iteration_rng``'s, and array passes give
 each UE's AL index and Y in processing order. The C-dependent half turns
-them into table indices and runs each iteration's greedy.
+them into table rows and runs one greedy pass over the whole block.
 
 A range runs every config of a call together: one for ``run_scenario``, all
 points for ``run_sweep``. A block's seed and raw words are derived once, for
@@ -35,6 +35,12 @@ build small tables once and turn every UE's candidate set into one lookup:
   are those at residue 0 moved r aligned blocks on, wrapping at P, so each
   AL's table of sorted candidate masks over all P residues comes from one
   ``candidate_starts`` call.
+
+All ALs' tables are one (W, S, M) uint64 array: each of its S rows is a
+candidate set of up to M masks in W = C // 64 + 1 words, the top bit C
+being a sentinel CCE that every iteration starts with and that stands for
+an empty set. The greedy then walks a block's U processing positions once,
+for every iteration of the block together (``scheduler._greedy_assign``).
 """
 
 import math
@@ -281,28 +287,49 @@ def _decode_draws(states, raw, u: int):
     return rntis, uniforms, perm
 
 
+# _ALL_ONES[k] is the uint64 word of the low k bits set, k = 0 .. 64
+_ALL_ONES = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
+
+
+def _mask_words(first, stop, words: int):
+    """The masks of CCEs [first, stop) as ``words`` uint64 words each, low
+    word first, along a new first axis; word w holds CCEs [64w, 64w + 64)."""
+    base = 64 * np.arange(words).reshape(-1, *[1] * np.ndim(first))
+    # np.minimum and np.maximum: np.clip costs more on arrays this small
+    return (_ALL_ONES[np.minimum(np.maximum(stop - base, 0), 64)]
+            ^ _ALL_ONES[np.minimum(np.maximum(first - base, 0), 64)])
+
+
 def _kernel(cfg: ScenarioConfig) -> tuple:
-    """Per-CORESET tables for ``_run_range``: P = floor(C/L) per AL, and per
-    AL the sorted candidate masks of every residue Y mod P. An AL with no
-    candidates, or larger than the CORESET, gets P = 1 and the single empty
-    mask set, so its UEs are always blocked."""
+    """Per-CORESET tables for ``_run_range``: (positions, table, start).
+    ``positions`` is P = floor(C/L) per AL. ``table`` is a (W, S, M) uint64
+    array of candidate masks in W = C // 64 + 1 words: its S = sum(P) rows
+    are each AL's candidate set at every residue Y mod P, AL by AL, and M is
+    the largest candidate count. A set with fewer candidates repeats its
+    last mask, which never changes which one is the first free. An AL with
+    no candidates, or larger than the CORESET, gets P = 1 and the set of the
+    sentinel CCE C alone; ``start``, the words every iteration's used CCEs
+    start from, holds that CCE, so its UEs are always blocked."""
     cce_count = cfg.coreset.cce_count
-    positions = []
-    tables = []
+    positions, sets, levels = [], [], []
     for level, m in zip(AGGREGATION_LEVELS, cfg.search_space.candidates_per_al):
         p = cce_count // level
         if m == 0 or p == 0:
-            positions.append(1)
-            tables.append(((),))
-            continue
-        full = (1 << level) - 1
-        masks = [full << start for start in range(0, level * p, level)]
-        blocks = [start // level for start in candidate_starts(level, cce_count, m, 0)]
-        # sorted by start CCE: the greedy tries the leftmost free one first
-        tables.append([tuple(sorted([masks[(b + r) % p] for b in blocks]))
-                       for r in range(p)])
+            level, p, first = 1, 1, np.array([[cce_count]])
+        else:
+            blocks = np.array(candidate_starts(level, cce_count, m, 0)) // level
+            # sorted by start CCE: the greedy tries the leftmost free one first
+            first = level * np.sort((blocks + np.arange(p)[:, None]) % p, axis=1)
         positions.append(p)
-    return np.array(positions, dtype=np.int64), tables
+        sets.append(first)
+        levels.append(np.full((p, 1), level))
+    width = max(first.shape[1] for first in sets)
+    starts = np.concatenate([first[:, np.minimum(np.arange(width), first.shape[1] - 1)]
+                             for first in sets])
+    words = cce_count // 64 + 1
+    return (np.array(positions, dtype=np.int64),
+            _mask_words(starts, starts + np.concatenate(levels), words),
+            _mask_words(cce_count, cce_count + 1, words))
 
 
 def _draw_key(cfg: ScenarioConfig) -> tuple:
@@ -344,11 +371,12 @@ def _draw_range(configs, start: int, stop: int) -> list:
     return list(_draw_blocks(configs, start, stop))
 
 
-def _simulate_iteration(mask_sets, row) -> int:
-    """Run one scheduling opportunity: ``row`` holds each UE's index into
-    ``mask_sets``, in processing order. Returns the number of blocked UEs."""
-    picks, _ = _greedy_assign(row, mask_sets)
-    return len(row) - len(picks)
+def _simulate_iteration(index, table, start):
+    """Run a block of scheduling opportunities: row b of ``index`` holds
+    iteration b's UEs as rows of ``table``, in processing order. Returns
+    each row's number of blocked UEs."""
+    scheduled, _ = _greedy_assign(index, table, start)
+    return index.shape[1] - scheduled.sum(axis=1)
 
 
 def _run_range(configs, start: int, stop: int, keep: bool, drawn) -> list:
@@ -356,27 +384,26 @@ def _run_range(configs, start: int, stop: int, keep: bool, drawn) -> list:
     share master_seed, a block at a time: the C-independent half from
     ``drawn`` (this range's ``_draw_range``) or, when None, from
     ``_draw_blocks``, then per config the C-dependent half, each UE's table
-    index and each iteration's greedy. Returns each config's (blocked_total,
-    per-iteration counts or None), in order."""
-    tables = {}  # (C, candidate counts) -> P per AL, offsets, mask sets
+    row and one greedy pass over the block. Returns each config's
+    (blocked_total, per-iteration counts or None), in order."""
+    tables = {}  # (C, candidate counts) -> P per AL, offsets, table, start words
     runs = []  # per config: its draw key and its tables
     for cfg in configs:
         key = (cfg.coreset.cce_count, cfg.search_space.candidates_per_al)
         if key not in tables:
-            positions, al_tables = _kernel(cfg)
-            # every AL's table in one list: (AL index a, residue r) is at offsets[a] + r
-            tables[key] = (positions, np.cumsum(positions) - positions,
-                           [masks for table in al_tables for masks in table])
+            positions, table, words = _kernel(cfg)
+            # (AL index a, residue r) is table row offsets[a] + r
+            tables[key] = (positions, np.cumsum(positions) - positions, table, words)
         runs.append((_draw_key(cfg), tables[key]))
     totals, per_iter = [0] * len(configs), [[] for _ in configs]
     for block in _draw_blocks(configs, start, stop) if drawn is None else drawn:
-        for i, (key, (positions, offsets, mask_sets)) in enumerate(runs):
+        for i, (key, (positions, offsets, table, words)) in enumerate(runs):
             al_idx, ys = block[key]
             index = offsets.take(al_idx) + ys % positions.take(al_idx)
-            blocked = [_simulate_iteration(mask_sets, row) for row in index.tolist()]
-            totals[i] += sum(blocked)
+            blocked = _simulate_iteration(index, table, words)
+            totals[i] += int(blocked.sum())
             if keep:
-                per_iter[i] += blocked
+                per_iter[i] += blocked.tolist()
     return [(total, counts if keep else None) for total, counts in zip(totals, per_iter)]
 
 
@@ -411,11 +438,20 @@ def worker_pool(workers: int = None):
 
 # UE-iterations a range must hold before a run is split into another one.
 # On a 2-vCPU host, with one pool held per plan as the planner does, the
-# pooled/serial wall-time ratio of the bundled U=5 plan was 1.48 at 1000
-# iterations, 1.13 at 2048, 0.87 at 4096 and 0.74 at 10 000; of the U=15
-# plan 1.03, 0.75, 0.68 and 0.69. Both cross at about 7.5-8k UE-iterations
-# per range, and pooled CPU time was higher in every case.
-MIN_RANGE_UES = 2**13
+# pooled/serial wall-time ratio of the bundled plans at 1000, 2048, 4096
+# and 10 000 iterations, split in two ranges, was, in two runs of 7 and 9
+# alternated rounds:
+#
+#   U=5 plan:  UE-iterations per range  2500  5120  10 240  25 000
+#              pooled/serial wall       2.40  1.73   1.30    0.91
+#                                       3.97  1.81   1.34    0.98
+#   U=15 plan: UE-iterations per range  7500  15 360  30 720  75 000
+#              pooled/serial wall       1.90  1.30    0.96    0.67
+#                                       1.73  1.08    0.83    0.72
+#
+# Both cross at about 25k UE-iterations per range, and pooled CPU time was
+# higher in every case.
+MIN_RANGE_UES = 3 * 2**13
 
 
 def _bounds(configs, workers, pool) -> list:

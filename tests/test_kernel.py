@@ -50,10 +50,73 @@ def reference_greedy(ues, order):
     return assigned, sorted(blocked)
 
 
+def word_ints(words):
+    """Each mask of a (W, ...) uint64 array of mask words, low word first, as
+    one Python int."""
+    return sum(words[w].astype(object) << 64 * w for w in range(len(words)))
+
+
+def block_table(mask_sets, cce_count):
+    """Candidate sets given as tuples of Python-int CCE masks below CCE
+    ``cce_count``, each sorted by first CCE, laid out as ``_kernel`` lays out
+    its tables: (table, start), a (W, S, M) uint64 table of W = C // 64 + 1
+    words, each set padded to M with its last mask and an empty set as the
+    sentinel CCE C alone, and the start words, which hold the sentinel."""
+    words = cce_count // 64 + 1
+    width = max([len(masks) for masks in mask_sets] + [1])
+    sentinel = 1 << cce_count
+    rows = [[*masks, *masks[-1:] * (width - len(masks))] if masks else [sentinel] * width
+            for masks in mask_sets]
+
+    def split(mask):
+        return [mask >> 64 * w & (2**64 - 1) for w in range(words)]
+    table = np.array([[split(mask) for mask in row] for row in rows], dtype=np.uint64)
+    return (np.ascontiguousarray(table.reshape(len(rows), width, words).transpose(2, 0, 1)),
+            np.array(split(sentinel), dtype=np.uint64))
+
+
+def block_greedy(mask_sets, cce_count, index):
+    """``_greedy_assign`` over the rows of ``index``, lists of indices into
+    ``mask_sets`` laid out by ``block_table``. Per row: (the mask each UE took
+    in processing order, None where it was blocked; the CCEs used). The
+    mask UE j took is what it added to the CCEs its row had used after the
+    first j positions, so every prefix of the block is run too."""
+    table, start = block_table(mask_sets, cce_count)
+    index = np.array(index, dtype=np.int64)
+    runs = [_greedy_assign(index[:, :j], table, start) for j in range(index.shape[1] + 1)]
+    used = [word_ints(words).tolist() for _, words in runs]
+    sentinel = 1 << cce_count
+    outcomes = []
+    for b, scheduled in enumerate(runs[-1][0].tolist()):
+        assert used[0][b] == sentinel
+        taken = [used[j + 1][b] ^ used[j][b] or None for j in range(len(scheduled))]
+        assert [mask is not None for mask in taken] == scheduled
+        outcomes.append((taken, used[-1][b] ^ sentinel))
+    return outcomes
+
+
 def kernel_tables(space, coreset):
-    """The per-CORESET tables of ``_kernel`` for ``space`` on ``coreset``:
-    (P per AL, masks per AL and residue)."""
-    return _kernel(ScenarioConfig(1, coreset, space, AlDistribution({1: 1.0})))
+    """The per-CORESET tables of ``_kernel`` for ``space`` on ``coreset``,
+    decoded: (P per AL, per AL the masks of every residue as Python ints, cut
+    to the AL's candidate count). A set of the sentinel CCE C alone decodes
+    to the single empty mask set ``((),)``."""
+    cce_count = coreset.cce_count
+    positions, table, start = _kernel(ScenarioConfig(1, coreset, space, AlDistribution({1: 1.0})))
+    sentinel = 1 << cce_count
+    assert len(table) == len(start) == cce_count // 64 + 1 and word_ints(start) == sentinel
+    sets = word_ints(table).tolist()
+    assert len(sets) == positions.sum()
+    tables, offset = [], 0
+    for m, p in zip(space.candidates_per_al, positions.tolist()):
+        rows, offset = sets[offset:offset + p], offset + p
+        if rows[0][0] == sentinel:
+            assert rows == [[sentinel] * table.shape[2]]
+            tables.append(((),))
+            continue
+        # a set with fewer than M candidates repeats its last mask
+        assert all(row[m:] == [row[m - 1]] * (len(row) - m) for row in rows)
+        tables.append([tuple(row[:m]) for row in rows])
+    return positions, tables
 
 
 def reference_blocked(cfg: ScenarioConfig, iteration: int) -> int:
@@ -125,7 +188,8 @@ def exact_blocking(cfg: ScenarioConfig) -> float:
     ordered U-tuple of states goes through the shared greedy, in the
     strategy's order: the tuple's own order for "unordered", else stably
     sorted by AL. The UEs are i.i.d., so the tuple's order stands for the
-    random permutation, and a stable sort keeps equal ALs in it."""
+    random permutation, and a stable sort keeps equal ALs in it. All the
+    tuples run as one block."""
     space, cce_count = cfg.search_space, cfg.coreset.cce_count
     ys = np.arange(1, RNTI_MAX + 1, dtype=np.int64) * Y_MULTIPLIER % Y_MODULUS
     states = []  # (AL, probability, candidate masks sorted by start)
@@ -142,14 +206,17 @@ def exact_blocking(cfg: ScenarioConfig) -> float:
             states.append((level, p * weights[r],
                            tuple(((1 << level) - 1) << start for start in starts)))
     u = cfg.ue_count
-    blocked = 0.0
-    for ues in itertools.product(states, repeat=u):
+    rows, weights = [], []
+    for ues in itertools.product(range(len(states)), repeat=u):
         if cfg.strategy != STRATEGY_UNORDERED:
-            ues = sorted(ues, key=lambda state: state[0],
+            ues = sorted(ues, key=lambda state: states[state][0],
                          reverse=cfg.strategy == STRATEGY_HIGH_TO_LOW)
-        picks, _ = _greedy_assign(list(range(u)), [masks for _, _, masks in ues])
-        blocked += math.prod(p for _, p, _ in ues) * (u - len(picks))
-    return blocked / u
+        rows.append(ues)
+        weights.append(math.prod(states[state][1] for state in ues))
+    table, start = block_table([masks for _, _, masks in states], cce_count)
+    scheduled, _ = _greedy_assign(np.array(rows, dtype=np.int64), table, start)
+    blocked = (u - scheduled.sum(axis=1)).tolist()
+    return sum(weight * b for weight, b in zip(weights, blocked)) / u
 
 
 SCENARIO_FILES = [name for name in bundled_scenario_names() if not name.startswith("plan_")]

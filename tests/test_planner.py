@@ -239,7 +239,7 @@ def test_shared_draws_equal_fresh_runs_over_blocks_and_mask_words(workers):
     assert_points_equal_fresh_runs(req, workers)
 
 
-def test_plan_draws_once_and_keeps_one_greedy_per_iteration(monkeypatch):
+def test_plan_draws_once_and_keeps_one_greedy_per_block(monkeypatch):
     calls = {"_state_blocks": 0, "_allocation_order": 0, "_simulate_iteration": 0}
 
     def counted(name):
@@ -255,6 +255,6 @@ def test_plan_draws_once_and_keeps_one_greedy_per_iteration(monkeypatch):
     result = plan_min_coreset(req)
     assert len(result.points) > 1
     # one range and three blocks drawn for the whole plan, and the greedy
-    # still runs once per iteration of every evaluation
+    # runs once per block of every evaluation
     assert calls == {"_state_blocks": 1, "_allocation_order": 3,
-                     "_simulate_iteration": len(result.points) * req.base.iterations}
+                     "_simulate_iteration": 3 * len(result.points)}

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig, MonitoringLimits,
                             SearchSpaceConfig, candidate_starts, validate_limits,
                             y_value)
 from pdcch_blocking.scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW,
-                                      STRATEGY_LOW_TO_HIGH, _allocation_order,
-                                      _greedy_assign)
+                                      STRATEGY_LOW_TO_HIGH, _allocation_order)
 from pdcch_blocking.search_space import Y_MODULUS, Y_MULTIPLIER
-from test_kernel import kernel_tables, reference_greedy, reference_order
+from test_kernel import (block_greedy, kernel_tables, reference_greedy,
+                         reference_order)
 
 
 def masks(level, starts):
@@ -24,30 +26,21 @@ def order_for(levels, strategy, rng):
                              strategy)[0].tolist()
 
 
-def outcomes(order, candidate_masks, picks):
-    """Each UE's outcome rebuilt from the greedy's ``picks``: ({UE: mask
-    taken}, [blocked UEs in order]). UE order[j] took the next pick exactly
-    when that mask is one of its candidates: a mask that overlapped the CCEs
-    taken at a blocked UE's turn overlaps them at every later turn too."""
-    taken, blocked = {}, []
-    for i in order:
-        if len(taken) < len(picks) and picks[len(taken)] in candidate_masks[i]:
-            taken[i] = picks[len(taken)]
-        else:
-            blocked.append(i)
-    assert len(taken) == len(picks)
-    return taken, blocked
+def assign(ues, order):
+    """Greedy-assign UEs given as (AL, candidate starts) in ``order``, as a
+    one-row block. Returns ({UE: mask taken}, sorted blocked UEs, mask of
+    every CCE used)."""
+    candidate_masks = [masks(*u) for u in ues]
+    cce_count = max((mask.bit_length() for m in candidate_masks for mask in m), default=0)
+    ((taken, used),) = block_greedy(candidate_masks, cce_count, [order])
+    return ({i: mask for i, mask in zip(order, taken) if mask is not None},
+            sorted(i for i, mask in zip(order, taken) if mask is None), used)
 
 
 def schedule(ues, strategy=STRATEGY_LOW_TO_HIGH, rng=None):
-    """Order and greedy-assign UEs given as (AL, candidate starts). Returns
-    ({UE: mask taken}, sorted blocked UEs, mask of every CCE used)."""
+    """Order UEs given as (AL, candidate starts) and ``assign`` them."""
     rng = np.random.default_rng(0) if rng is None else rng
-    order = order_for([level for level, _ in ues], strategy, rng)
-    candidate_masks = [masks(*u) for u in ues]
-    picks, used = _greedy_assign(order, candidate_masks)
-    taken, blocked = outcomes(order, candidate_masks, picks)
-    return taken, sorted(blocked), used
+    return assign(ues, order_for([level for level, _ in ues], strategy, rng))
 
 
 def test_single_ue_never_blocked():
@@ -76,15 +69,15 @@ def test_identical_candidates_block_all_but_one():
     assert positions[4] == 1 and tables[4] == [((1 << 16) - 1,)]
     for total in (2, 5, 9):
         order = order_for([4] * total, STRATEGY_LOW_TO_HIGH, np.random.default_rng(3))
-        picks, _ = _greedy_assign(order, [tables[4][0]] * total)
-        assert len(order) - len(picks) == total - 1
+        ((taken, _),) = block_greedy([tables[4][0]] * total, 16, [order])
+        assert taken.count(None) == total - 1
 
 
 def test_empty_input_yields_empty_outcome():
     for strategy in STRATEGIES:
         order = order_for([], strategy, np.random.default_rng(0))
         assert order == []
-        assert _greedy_assign(order, []) == ([], 0)
+        assert block_greedy([], 0, [order]) == [([], 0)]
 
 
 def test_ue_without_candidates_is_blocked():
@@ -144,13 +137,9 @@ def test_greedy_prefix_property():
     rng = np.random.default_rng(23)
     for _ in range(50):
         ues = _random_ues(rng, 24)
-        candidate_masks = [masks(*u) for u in ues]
         order = order_for([level for level, _ in ues], STRATEGY_LOW_TO_HIGH, rng)
-        first, _ = outcomes(order, candidate_masks,
-                            _greedy_assign(order, candidate_masks)[0])
-        survivors = [i for i in order if i in first]
-        rerun, blocked = outcomes(survivors, candidate_masks,
-                                  _greedy_assign(survivors, candidate_masks)[0])
+        first, _, _ = assign(ues, order)
+        rerun, blocked, _ = assign(ues, [i for i in order if i in first])
         assert blocked == []
         assert rerun == first
 
@@ -163,10 +152,11 @@ def test_strategies_equivalent_under_uniform_al():
         rntis = rng.integers(1, 65536, size=8)
         residues = (rntis * Y_MULTIPLIER % Y_MODULUS % positions[1]).tolist()
         candidate_masks = [tables[1][r] for r in residues]
-        blocked_counts = set()
-        for strategy in STRATEGIES:
-            order = order_for([1] * 8, strategy, np.random.default_rng(5))
-            blocked_counts.add(8 - len(_greedy_assign(order, candidate_masks)[0]))
+        # every strategy's order of the same UEs, as the rows of one block
+        orders = [order_for([1] * 8, strategy, np.random.default_rng(5))
+                  for strategy in STRATEGIES]
+        blocked_counts = {taken.count(None)
+                          for taken, _ in block_greedy(candidate_masks, 24, orders)}
         assert len(blocked_counts) == 1
 
 
@@ -183,13 +173,44 @@ def test_matches_reference_simulation_small_cases():
                                 rng.integers(0, 8 // level, size=n_starts)]))
         order = order_for([level for level, _ in ues],
                           str(rng.choice(STRATEGIES)), rng)
-        candidate_masks = [masks(*u) for u in ues]
-        taken, blocked = outcomes(order, candidate_masks,
-                                  _greedy_assign(order, candidate_masks)[0])
+        taken, blocked, _ = assign(ues, order)
         ref_assigned, ref_blocked = reference_greedy(ues, order)
         assert sorted(blocked) == ref_blocked
         # a mask's lowest set bit is its start CCE
         assert {i: (m & -m).bit_length() - 1 for i, m in taken.items()} == ref_assigned
+
+
+@st.composite
+def greedy_blocks(draw):
+    """A CORESET of 1..200 CCEs, one to four mask words, or at a word edge;
+    candidate sets of aligned starts as (AL, starts), empty when the AL does
+    not fit and with repeats as at a hash collapse; rows of indices into them."""
+    cce_count = draw(st.one_of(st.sampled_from([63, 64, 127, 128]), st.integers(1, 200)))
+    sets = []
+    for _ in range(draw(st.integers(1, 8))):
+        level = draw(st.sampled_from(AGGREGATION_LEVELS))
+        blocks = cce_count // level
+        starts = draw(st.lists(st.integers(0, blocks - 1), max_size=8)) if blocks else []
+        sets.append((level, sorted(level * block for block in starts)))
+    u = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(st.integers(0, len(sets) - 1), min_size=u, max_size=u),
+                         min_size=1, max_size=6))
+    return cce_count, sets, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(greedy_blocks())
+def test_block_greedy_matches_reference_greedy(case):
+    cce_count, sets, rows = case
+    outcomes = block_greedy([masks(*s) for s in sets], cce_count, rows)
+    for row, (taken, used) in zip(rows, outcomes):
+        ues = [sets[k] for k in row]  # position j of the row is UE j
+        assigned, blocked = reference_greedy(ues, range(len(ues)))
+        assert [j for j, mask in enumerate(taken) if mask is None] == blocked
+        # a mask's lowest set bit is its start CCE
+        assert {j: (mask & -mask).bit_length() - 1
+                for j, mask in enumerate(taken) if mask is not None} == assigned
+        assert used == sum(((1 << ues[j][0]) - 1) << start for j, start in assigned.items())
 
 
 def test_leftmost_choice_picks_lowest_start():
@@ -197,7 +218,7 @@ def test_leftmost_choice_picks_lowest_start():
     space = SearchSpaceConfig({4: 2})
     assert candidate_starts(4, 12, 2, 2) == [8, 0]
     _, tables = kernel_tables(space, CoresetConfig.from_cce_count(12))
-    assert _greedy_assign([0], [tables[2][2]]) == ([0b1111], 0b1111)
+    assert block_greedy([tables[2][2]], 12, [[0]]) == [([0b1111], 0b1111)]
     # every table row lists its masks by first CCE
     for cce_count in (1, 8, 12, 54, 97, 200):
         _, tables = kernel_tables(SearchSpaceConfig((6, 6, 4, 2, 1)),

@@ -208,35 +208,43 @@ def test_benchmark_span_targets_exist(owner, attr):
     assert attr in vars(owner)
 
 
-def test_one_simulate_iteration_call_per_iteration(monkeypatch):
-    # the benchmark's simulation.iteration.calls counts these calls
-    calls = []
+def test_one_simulate_iteration_call_per_block(monkeypatch):
+    # the benchmark's simulation.iteration.calls counts these calls, one per
+    # block of iterations; each row of args[0] is one iteration's UEs
+    offered, blocked = [], []
     simulate = simulation._simulate_iteration
 
     def counted(*args):
-        calls.append(1)
-        return simulate(*args)
+        result = simulate(*args)
+        offered.append(args[0].shape)
+        blocked.append(int(result.sum()))
+        return result
     monkeypatch.setattr(simulation, "_simulate_iteration", counted)
     cfg = scenario(iterations=simulation.STATE_BLOCK + 5)
     result = run_scenario(cfg, keep_per_iteration=True)
-    assert len(calls) == len(result.per_iteration_blocked) == cfg.iterations
+    assert offered == [(simulation.STATE_BLOCK, cfg.ue_count), (5, cfg.ue_count)]
+    assert sum(blocked) == sum(result.per_iteration_blocked) == result.blocked_total
+    assert len(result.per_iteration_blocked) == cfg.iterations
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_greedy_call_shape_counts_offered_and_scheduled_ues(monkeypatch, strategy):
-    # the benchmark's scheduler.greedy.scheduled_ratio reads len(args[0]) as
-    # the UEs offered and len(result[0]) as the UEs scheduled
+    # one greedy call per block: args[0] holds the UEs offered, one row per
+    # iteration, and result[0] is True for each UE scheduled. The benchmark's
+    # scheduler.greedy.scheduled_ratio reads len(args[0]) and len(result[0]),
+    # which both count rows.
     offered, scheduled = [], []
     greedy = simulation._greedy_assign
 
     def counted(*args):
         result = greedy(*args)
-        offered.append(len(args[0]))
-        scheduled.append(len(result[0]))
+        offered.append(args[0].size)
+        scheduled.append(int(result[0].sum()))
         return result
     monkeypatch.setattr(simulation, "_greedy_assign", counted)
     cfg = scenario(strategy=strategy, iterations=2 * simulation.STATE_BLOCK + 5)
     result = run_scenario(cfg)
+    assert len(offered) == 3
     assert sum(offered) == cfg.ue_count * cfg.iterations
     assert sum(scheduled) == result.scheduled_total
     assert 0 < result.scheduled_total < sum(offered)
@@ -542,8 +550,11 @@ def test_unordered_strategy_runs():
 
 def test_sweep_shares_one_pool_and_matches_serial(pools):
     sweep = parse_scenario(bundled_scenario_path("fig5_coreset_sweep"))
-    base = dataclasses.replace(sweep.config, iterations=200)
     points = list(sweep.sweep.points)
+    # the fewest iterations at which its points of 20 UEs split into two ranges
+    iterations = 2 * simulation.MIN_RANGE_UES // (20 * len(points)) + 1
+    base = dataclasses.replace(sweep.config, iterations=iterations)
+    assert base.ue_count == 20
     serial = run_sweep(base, "coreset_size", points)
     assert pools == []
     # an invalid CORESET size is found before the pool opens
@@ -697,9 +708,9 @@ def test_sweep_points_match_the_reference_model():
 
 @pytest.mark.parametrize("axis", ["ue_count", "strategy"])
 def test_sweep_keeps_the_span_contract(monkeypatch, axis):
-    # the benchmark's span counts: one _simulate_iteration call per iteration
-    # and point, and the greedy's args[0] and result[0] as the UEs offered
-    # and scheduled
+    # the benchmark's span counts: one _simulate_iteration and one greedy
+    # call per block and point, and the greedy's args[0].size and
+    # result[0].sum() as the UEs offered and scheduled
     calls, offered, scheduled = [], [], []
     simulate, greedy = simulation._simulate_iteration, simulation._greedy_assign
 
@@ -709,14 +720,14 @@ def test_sweep_keeps_the_span_contract(monkeypatch, axis):
 
     def counted_greedy(*args):
         result = greedy(*args)
-        offered.append(len(args[0]))
-        scheduled.append(len(result[0]))
+        offered.append(args[0].size)
+        scheduled.append(int(result[0].sum()))
         return result
     monkeypatch.setattr(simulation, "_simulate_iteration", counted_iteration)
     monkeypatch.setattr(simulation, "_greedy_assign", counted_greedy)
     cfg = scenario(iterations=simulation.STATE_BLOCK + 5)
     sweep = run_sweep(cfg, axis, SWEEP_POINTS[axis])
-    assert len(calls) == len(sweep) * cfg.iterations
+    assert len(calls) == len(offered) == 2 * len(sweep)
     assert sum(offered) == sum(sp.result.ue_count for sp in sweep) * cfg.iterations
     assert sum(scheduled) == sum(sp.result.scheduled_total for sp in sweep)
 
