@@ -8,8 +8,7 @@ from .scenario_io import (ResultRecord, Scenario, ScenarioParseError, SweepSpec,
                           emit_results, load_results, parse_plan_request,
                           parse_scenario, scenario_from_dict, scenario_to_dict)
 from .scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW, STRATEGY_LOW_TO_HIGH,
-                        STRATEGY_UNORDERED, LimitsReport, MonitoringLimits,
-                        validate_limits)
+                        STRATEGY_UNORDERED)
 from .search_space import (ALLOWED_CANDIDATE_COUNTS, RNTI_MAX,
                            SearchSpaceConfig, candidate_cces,
                            candidate_starts, y_value)
@@ -23,13 +22,12 @@ __all__ = [
     "AGGREGATION_LEVELS", "ALLOWED_CANDIDATE_COUNTS", "RNTI_MAX", "STRATEGIES",
     "STRATEGY_HIGH_TO_LOW", "STRATEGY_LOW_TO_HIGH", "STRATEGY_UNORDERED",
     "SWEEP_AXES",
-    "AlDistribution", "CoresetConfig", "LimitsReport", "MonitoringLimits",
-    "PlanningRequest", "PlanningResult", "ResultRecord", "Scenario",
-    "ScenarioConfig", "ScenarioParseError", "SearchSpaceConfig",
-    "SimulationResult", "SweepPoint", "SweepSpec",
+    "AlDistribution", "CoresetConfig", "PlanningRequest", "PlanningResult",
+    "ResultRecord", "Scenario", "ScenarioConfig", "ScenarioParseError",
+    "SearchSpaceConfig", "SimulationResult", "SweepPoint", "SweepSpec",
     "apply_axis", "bundled_scenario_names", "bundled_scenario_path",
     "candidate_cces", "candidate_starts", "emit_results", "iteration_rng",
     "load_results", "parse_plan_request", "parse_scenario",
     "plan_min_coreset", "run_scenario", "run_sweep", "scenario_from_dict",
-    "scenario_to_dict", "validate_limits", "y_value",
+    "scenario_to_dict", "y_value",
 ]

@@ -1,4 +1,4 @@
-"""Command-line front end: simulate, sweep, plan, validate-limits.
+"""Command-line front end: simulate, sweep, plan, list.
 
 Exit codes: 0 success; 1 validation or parse error, every sweep point checked
 before any runs; 2 runtime error, a worker that dies included, or argparse usage error.
@@ -16,7 +16,6 @@ from .scenario_io import (FORMAT_CSV, FORMATS, Scenario, ScenarioParseError,
                           bundled_scenario_names, bundled_scenario_path,
                           emit_results, parse_plan_request, parse_scenario,
                           records_for_sweep, resolve_output_path)
-from .scheduler import MonitoringLimits, validate_limits
 from .simulation import SweepPoint, run_scenario, run_sweep
 
 
@@ -59,19 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("request", help="plan request file path or bundled name")
     add_common(p_plan)
     p_plan.set_defaults(func=_cmd_plan)
-
-    p_lim = sub.add_parser("validate-limits",
-                           help="check a scenario's search space against BD/CCE limits")
-    p_lim.add_argument("scenario", help="scenario file path or bundled scenario name")
-    p_lim.add_argument("--rnti", type=int, default=1,
-                       help="C-RNTI of the UE to report on (default 1)")
-    p_lim.add_argument("--scs", type=int, default=15,
-                       help="subcarrier spacing in kHz (default 15)")
-    p_lim.add_argument("--max-bd", type=int, default=None,
-                       help="override the blind-decode limit")
-    p_lim.add_argument("--max-cce", type=int, default=None,
-                       help="override the non-overlapping-CCE limit")
-    p_lim.set_defaults(func=_cmd_validate_limits)
 
     p_list = sub.add_parser("list", help="list bundled scenarios")
     p_list.set_defaults(func=_cmd_list)
@@ -152,21 +138,6 @@ def _cmd_plan(args) -> int:
                    "evaluations": [list(e) for e in result.evaluations]}
         path.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote evaluations to {path}")
-    return 0
-
-
-def _cmd_validate_limits(args) -> int:
-    scenario = parse_scenario(_resolve_file(args.scenario))
-    limits = _with_overrides(MonitoringLimits.for_scs(args.scs),
-                             max_blind_decodes=args.max_bd, max_nonoverlap_cces=args.max_cce)
-    report = validate_limits(scenario.config.search_space, scenario.config.coreset,
-                             args.rnti, limits)
-    bd_flag = "EXCEEDED" if report.blind_decodes_exceeded else "ok"
-    cce_flag = "EXCEEDED" if report.cces_exceeded else "ok"
-    print(f"{scenario.name}: blind decodes {report.blind_decodes}/"
-          f"{report.max_blind_decodes} [{bd_flag}], distinct CCEs "
-          f"{report.distinct_cces}/{report.max_nonoverlap_cces} [{cce_flag}] "
-          f"(rnti={args.rnti}, scs={args.scs} kHz)")
     return 0
 
 

@@ -38,10 +38,6 @@ class SearchSpaceConfig:
         if not any(counts):
             raise ValueError("at least one aggregation level needs a nonzero candidate count")
 
-    @property
-    def total_blind_decodes(self) -> int:
-        return sum(self.candidates_per_al)
-
 
 def _check_rnti(c_rnti: int) -> int:
     c_rnti = as_integer("c_rnti", c_rnti)

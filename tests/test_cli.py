@@ -1,6 +1,8 @@
+import argparse
 import json
 import os
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,8 @@ SCENARIO = {
     "master_seed": 9,
     "sweep": {"axis": "ue_count", "points": [2, 4]},
 }
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PLAN = {"name": "small_plan", "ue_count": 5, "target_blocking": 0.1,
         "al_distribution": [0.4, 0.3, 0.2, 0.05, 0.05],
@@ -149,6 +153,13 @@ def test_retired_sweep_spellings_exit_one(tmp_path, runs, capsys, changes, messa
     assert message in exits_one_before_any_run(tmp_path, runs, capsys, changes)
 
 
+def test_retired_limits_subcommand_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as usage:
+        main(["validate-limits", "fig4_ue_sweep"])
+    assert usage.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 # The CORESET index, the slot and the search-space type are not modelled, nor
 # the CORESET's RBs and symbols, so a file that sets one is rejected, not run
 # at index 0 and slot 0 of a USS.
@@ -226,33 +237,6 @@ def test_parser_is_built_once_and_survives_a_usage_error(scenario_file, monkeypa
     assert out.count("tiny: B=") == 2 and "seed=9" in out and "seed=77" in out
 
 
-def test_validate_limits_reports(scenario_file, capsys):
-    assert main(["validate-limits", str(scenario_file), "--rnti", "4242"]) == 0
-    out = capsys.readouterr().out
-    assert "blind decodes 19/44" in out
-    assert "ok" in out
-
-
-def test_validate_limits_flags_excess(scenario_file, capsys):
-    assert main(["validate-limits", str(scenario_file), "--scs", "120",
-                 "--max-bd", "10"]) == 0
-    assert "EXCEEDED" in capsys.readouterr().out
-
-
-def test_validate_limits_rejects_unknown_scs(capsys):
-    # MonitoringLimits.for_scs is the one rule for the subcarrier spacing
-    assert main(["validate-limits", "fig4_ue_sweep", "--scs", "45"]) == 1
-    assert ("error: scs_khz must be one of [15, 30, 60, 120], got 45"
-            in capsys.readouterr().err)
-
-
-@pytest.mark.parametrize("flags", [["--max-bd", "-5", "--max-cce", "-1"],
-                                   ["--max-bd", "0"], ["--max-cce", "-1"]])
-def test_validate_limits_rejects_non_positive_limits(flags, capsys):
-    assert main(["validate-limits", "fig4_ue_sweep", *flags]) == 1
-    assert "must be >= 1" in capsys.readouterr().err
-
-
 def test_plan_command(tmp_path, capsys):
     request = {"name": "tiny_plan", "ue_count": 2, "target_blocking": 0.3,
                "al_distribution": [1.0, 0, 0, 0, 0],
@@ -320,3 +304,13 @@ def test_outdir_env_applies(scenario_file, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["simulate", str(scenario_file), "--out", "run.csv"]) == 0
     assert (outdir / "run.csv").exists()
+
+
+def test_readme_cli_block_names_every_subcommand():
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1] for line in block.splitlines()
+                  if line.startswith("pdcch-sim ")}
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert documented == set(subcommands.choices)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from pdcch_blocking import (AlDistribution, CoresetConfig, MonitoringLimits,
-                            PlanningRequest, ScenarioConfig, SearchSpaceConfig,
-                            run_scenario)
+from pdcch_blocking import (AlDistribution, CoresetConfig, PlanningRequest,
+                            ScenarioConfig, SearchSpaceConfig, run_scenario)
 
 
 @pytest.mark.parametrize("cce_count", [9.0, 9.5, True, "54"])
@@ -51,12 +50,6 @@ INTEGER_MINIMUMS = {
     "ScenarioConfig.ue_count": (_with_defaults(ScenarioConfig, **_BASE), "ue_count", 1),
     "ScenarioConfig.iterations": (_with_defaults(ScenarioConfig, **_BASE), "iterations", 1),
     "ScenarioConfig.master_seed": (_with_defaults(ScenarioConfig, **_BASE), "master_seed", 0),
-    "MonitoringLimits.max_blind_decodes": (
-        _with_defaults(MonitoringLimits, max_blind_decodes=44, max_nonoverlap_cces=56),
-        "max_blind_decodes", 1),
-    "MonitoringLimits.max_nonoverlap_cces": (
-        _with_defaults(MonitoringLimits, max_blind_decodes=44, max_nonoverlap_cces=56),
-        "max_nonoverlap_cces", 1),
     "PlanningRequest.cce_min": (
         _with_defaults(PlanningRequest, base=ScenarioConfig(**_BASE), target_blocking=0.1,
                        cce_min=6, cce_max=20), "cce_min", 1),

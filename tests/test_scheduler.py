@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig, MonitoringLimits,
-                            SearchSpaceConfig, candidate_starts, validate_limits,
-                            y_value)
+from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig, SearchSpaceConfig,
+                            candidate_starts, y_value)
 from pdcch_blocking.scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW,
                                       STRATEGY_LOW_TO_HIGH, _allocation_order)
 from pdcch_blocking.search_space import Y_MODULUS, Y_MULTIPLIER
@@ -246,81 +245,3 @@ def test_tie_break_uses_supplied_rng():
                for seed in range(20)}
     assert winners == {(0,), (1,)}  # both orders occur across seeds
 
-
-# --- monitoring limits -------------------------------------------------------
-
-def test_limits_defaults_follow_scs_table():
-    assert MonitoringLimits.for_scs(15) == MonitoringLimits(44, 56)
-    assert MonitoringLimits.for_scs(30) == MonitoringLimits(36, 56)
-    assert MonitoringLimits.for_scs(60) == MonitoringLimits(22, 48)
-    assert MonitoringLimits.for_scs(120) == MonitoringLimits(20, 32)
-    with pytest.raises(ValueError):
-        MonitoringLimits.for_scs(240)
-
-
-@pytest.mark.parametrize("max_bd,max_cce", [
-    (-5, 56), (44, -1), (0, 56), (44, 0), (44.0, 56), (True, 56), (44, "56")])
-def test_limits_reject_non_positive_or_non_integer(max_bd, max_cce):
-    with pytest.raises(ValueError):
-        MonitoringLimits(max_bd, max_cce)
-
-
-def test_limits_store_numpy_integers_as_int():
-    limits = MonitoringLimits(np.int64(44), np.int32(56))
-    assert limits == MonitoringLimits(44, 56)
-    assert type(limits.max_blind_decodes) is int
-    assert MonitoringLimits.for_scs(np.int64(60)) == MonitoringLimits.for_scs(60)
-
-
-@pytest.mark.parametrize("scs", [7, 240, True, 15.0, "15", None])
-def test_limits_reject_spacing_outside_the_table(scs):
-    with pytest.raises(ValueError, match="scs_khz"):
-        MonitoringLimits.for_scs(scs)
-
-
-def test_validate_limits_reference_candidate_set():
-    space = SearchSpaceConfig((6, 6, 4, 2, 1))
-    coreset = CoresetConfig.from_cce_count(54)
-    report = validate_limits(space, coreset, 4242, MonitoringLimits.for_scs(15))
-    assert report.blind_decodes == 19
-    assert not report.blind_decodes_exceeded
-    assert 0 < report.distinct_cces <= 54
-    assert not report.cces_exceeded
-
-
-def test_validate_limits_checks_rnti():
-    with pytest.raises(ValueError):
-        validate_limits(SPACE, CoresetConfig.from_cce_count(54), 0,
-                        MonitoringLimits.for_scs(15))
-
-
-@pytest.mark.parametrize("rnti", [1.5, True])
-def test_validate_limits_rejects_non_integer_rnti(rnti):
-    with pytest.raises(ValueError, match="c_rnti"):
-        validate_limits(SPACE, CoresetConfig.from_cce_count(54), rnti,
-                        MonitoringLimits.for_scs(15))
-
-
-def test_validate_limits_single_candidate_everywhere():
-    space = SearchSpaceConfig((1, 1, 1, 1, 1))
-    coreset = CoresetConfig.from_cce_count(54)
-    report = validate_limits(space, coreset, 7, MonitoringLimits.for_scs(15))
-    assert report.blind_decodes == 5
-
-
-def test_validate_limits_skips_an_al_larger_than_the_coreset():
-    # at 8 CCEs the AL16 candidate cannot fit and adds no CCEs
-    space = SearchSpaceConfig((0, 0, 0, 1, 1))
-    coreset = CoresetConfig.from_cce_count(8)
-    report = validate_limits(space, coreset, 7, MonitoringLimits.for_scs(15))
-    assert report.blind_decodes == 2
-    assert report.distinct_cces == 8
-
-
-def test_validate_limits_flags_excess_blind_decodes():
-    space = SearchSpaceConfig((8, 8, 8, 8, 8))
-    coreset = CoresetConfig.from_cce_count(96)
-    report = validate_limits(space, coreset, 7, MonitoringLimits.for_scs(120))
-    assert report.blind_decodes == 40
-    assert report.blind_decodes_exceeded
-    assert report.blind_decodes > report.max_blind_decodes

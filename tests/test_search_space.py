@@ -190,4 +190,3 @@ def test_search_space_accepts_numpy_integers():
 def test_search_space_accepts_mapping_form():
     space = SearchSpaceConfig({1: 6, 2: 6, 4: 4, 8: 2, 16: 1})
     assert space.candidates_per_al == (6, 6, 4, 2, 1)
-    assert space.total_blind_decodes == 19
