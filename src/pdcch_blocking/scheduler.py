@@ -9,11 +9,16 @@ of iterations at once: one pass over the U processing positions handles
 every iteration's UE at that position, and it returns which UEs were
 scheduled and the CCEs each iteration used.
 
-Candidates are CCE masks in uint64 words, and each UE gets its first free
-candidate in the order listed. The simulator lists them by first CCE, so the
-pick is the free candidate with the lowest first CCE. Packing toward low CCE
-indices keeps aligned blocks intact for the high aggregation levels, which
-dominate blocking at light load.
+TS 38.213 places every AL-L candidate at a start aligned to L, so a
+candidate is one L-bit field of a uint64 word of CCEs and never crosses a
+word. A UE's candidate set is one bit per candidate, at its last CCE, the
+top bit of its field. One test per word marks the top bit of every field
+that holds a used CCE (the zero-byte test of Warren's Hacker's Delight,
+section 6-1, for L-bit fields), so the set's free candidates are its bits
+outside that mark, and the UE takes the lowest: the free candidate with
+the lowest first CCE. Packing toward low CCE indices keeps aligned blocks
+intact for the high aggregation levels, which dominate blocking at light
+load.
 """
 
 import numpy as np
@@ -40,27 +45,28 @@ def _allocation_order(al_keys, perm, strategy):
 
 def _greedy_assign(index, table, start):
     """Run the greedy on a block of iterations at once. Row b of ``index`` is
-    iteration b's UEs in processing order, each as a row of ``table``, a
-    (W, S, M) uint64 array of candidate CCE masks in W words, low word
-    first; every iteration's used CCEs start as the W words ``start``. At
-    each position, every row's UE takes its first candidate free of its
-    row's used CCEs, or is blocked and takes none. Returns (scheduled,
-    used): a (B, U) bool array, True where the UE took a candidate, and the
-    (W, B) words of each row's used CCEs."""
-    b, m = len(index), table.shape[2]
-    rows = np.arange(0, b * m, m)  # each row's first candidate in a flat (B, M) array
+    iteration b's UEs in processing order, each as a column of ``table``, a
+    (W + 3, S) uint64 array: a candidate set's W words, low word first, with
+    one bit at the last CCE of each candidate, then its AL's constants lo
+    (the low L - 1 bits of every L-bit field), L - 1 and 2**L - 1. Every
+    iteration's used CCEs start as the W words ``start``. At each position,
+    every row's UE takes its first free candidate, or is blocked and takes
+    none. Returns (scheduled, used): a (B, U) bool array, True where the UE
+    took a candidate, and the (W, B) words of each row's used CCEs."""
+    b, words = len(index), len(start)
     used = np.repeat(start[:, None], b, axis=1)
     scheduled = np.empty((index.shape[1], b), dtype=bool)
-    # one word at a time: a (B, M, W) gather reduced over W is about 2x slower
     for j, sets in enumerate(np.asfortranarray(index).T):
-        candidates = [words.take(sets, axis=0) for words in table]
-        conflict = candidates[0] & used[0][:, None]
-        for words, row_used in zip(candidates[1:], used[1:]):
-            conflict |= words & row_used[:, None]
-        free = conflict == 0
-        first = rows + free.argmax(axis=1)
-        took = scheduled[j] = free.take(first)
-        for words, row_used in zip(candidates, used):
-            row_used |= words.take(first) * took
+        column = table.take(sets, axis=1)
+        lo, shift, fill = column[words:]
+        # the top bit of an L-field of ((used & lo) + lo) | used is set when
+        # the field holds a used CCE: a carry out of its low L - 1 bits, or
+        # its own top bit; candidate bits are field tops, so the other bits
+        # of that test need no mask
+        free = column[:words] & ~(((used & lo) + lo) | used)
+        low = free & -free  # each word's first free candidate
+        for w in range(1, words):  # kept in the lowest word that has one
+            low[w] *= ~free[:w].any(axis=0)
+        used |= (low >> shift) * fill  # the L CCEs of the block ending at low
+        np.logical_or.reduce(free, axis=0, out=scheduled[j])
     return scheduled.T, used
-

@@ -33,14 +33,15 @@ build small tables once and turn every UE's candidate set into one lookup:
 - A candidate start depends on Y only through r = Y mod P, P = floor(C/L):
   start_k = L * ((r + floor(k*C / (L*M))) mod P). The starts at residue r
   are those at residue 0 moved r aligned blocks on, wrapping at P, so each
-  AL's table of sorted candidate masks over all P residues comes from one
-  ``candidate_starts`` call.
+  AL's candidate sets over all P residues come from one ``candidate_starts``
+  call.
 
-All ALs' tables are one (W, S, M) uint64 array: each of its S rows is a
-candidate set of up to M masks in W = C // 64 + 1 words, the top bit C
-being a sentinel CCE that every iteration starts with and that stands for
-an empty set. The greedy then walks a block's U processing positions once,
-for every iteration of the block together (``scheduler._greedy_assign``).
+All ALs' sets are the columns of one (W + 3, S) uint64 table: a set is
+W = ceil(C/64) words with one bit at the last CCE of each candidate, and
+then its AL's three block-test constants. The greedy walks a block's U
+processing positions once, for every iteration of the block together: at
+each, one test per word finds the UE's free candidates among the CCEs its
+iteration has used (``scheduler._greedy_assign``).
 """
 
 import math
@@ -287,49 +288,54 @@ def _decode_draws(states, raw, u: int):
     return rntis, uniforms, perm
 
 
-# _ALL_ONES[k] is the uint64 word of the low k bits set, k = 0 .. 64
-_ALL_ONES = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
-
-
-def _mask_words(first, stop, words: int):
-    """The masks of CCEs [first, stop) as ``words`` uint64 words each, low
-    word first, along a new first axis; word w holds CCEs [64w, 64w + 64)."""
-    base = 64 * np.arange(words).reshape(-1, *[1] * np.ndim(first))
-    # np.minimum and np.maximum: np.clip costs more on arrays this small
-    return (_ALL_ONES[np.minimum(np.maximum(stop - base, 0), 64)]
-            ^ _ALL_ONES[np.minimum(np.maximum(first - base, 0), 64)])
+_LEVELS = np.array(AGGREGATION_LEVELS, dtype=np.int64)
+# Per AL, the constants of scheduler._greedy_assign's block test: the low
+# L - 1 bits of every L-bit field of a word, L - 1, and the low L bits
+_FIELDS = np.array([[(2**64 - 1) // (2**L - 1) * (2**(L - 1) - 1) for L in AGGREGATION_LEVELS],
+                    [L - 1 for L in AGGREGATION_LEVELS],
+                    [2**L - 1 for L in AGGREGATION_LEVELS]], dtype=np.uint64)
 
 
 def _kernel(cfg: ScenarioConfig) -> tuple:
     """Per-CORESET tables for ``_run_range``: (positions, table, start).
-    ``positions`` is P = floor(C/L) per AL. ``table`` is a (W, S, M) uint64
-    array of candidate masks in W = C // 64 + 1 words: its S = sum(P) rows
-    are each AL's candidate set at every residue Y mod P, AL by AL, and M is
-    the largest candidate count. A set with fewer candidates repeats its
-    last mask, which never changes which one is the first free. An AL with
-    no candidates, or larger than the CORESET, gets P = 1 and the set of the
-    sentinel CCE C alone; ``start``, the words every iteration's used CCEs
-    start from, holds that CCE, so its UEs are always blocked."""
+    ``positions`` is P = floor(C/L) per AL. ``table`` is a (W + 3, S) uint64
+    array whose S = sum(P) columns are each AL's candidate set at every
+    residue Y mod P, AL by AL: W = ceil(C/64) words, low word first, with
+    one bit at the last CCE of each candidate, then the AL's three
+    ``_FIELDS`` constants. An AL with no candidates, or larger than the
+    CORESET, gets P = 1 and an all-zero set, so its UEs are always blocked.
+    ``start`` is the W zero words every iteration's used CCEs start from."""
     cce_count = cfg.coreset.cce_count
-    positions, sets, levels = [], [], []
-    for level, m in zip(AGGREGATION_LEVELS, cfg.search_space.candidates_per_al):
-        p = cce_count // level
-        if m == 0 or p == 0:
-            level, p, first = 1, 1, np.array([[cce_count]])
+    words = -(-cce_count // 64)
+    counts = cfg.search_space.candidates_per_al
+    width = max(counts)
+    # per AL: P, its candidate blocks (start CCE // L) at residue 0, cycled
+    # to the largest count, and the offset of a candidate's last CCE from
+    # its first; an empty set's is the CCE past the last word, whose column
+    # is cut
+    positions, blocks, tail = [], [], []
+    for level, m in zip(AGGREGATION_LEVELS, counts):
+        if m and level <= cce_count:
+            starts = candidate_starts(level, cce_count, m, 0)
+            positions.append(cce_count // level)
+            blocks.append([starts[k % m] // level for k in range(width)])
+            tail.append(level - 1)
         else:
-            blocks = np.array(candidate_starts(level, cce_count, m, 0)) // level
-            # sorted by start CCE: the greedy tries the leftmost free one first
-            first = level * np.sort((blocks + np.arange(p)[:, None]) % p, axis=1)
-        positions.append(p)
-        sets.append(first)
-        levels.append(np.full((p, 1), level))
-    width = max(first.shape[1] for first in sets)
-    starts = np.concatenate([first[:, np.minimum(np.arange(width), first.shape[1] - 1)]
-                             for first in sets])
-    words = cce_count // 64 + 1
-    return (np.array(positions, dtype=np.int64),
-            _mask_words(starts, starts + np.concatenate(levels), words),
-            _mask_words(cce_count, cce_count + 1, words))
+            positions.append(1)
+            blocks.append([0] * width)
+            tail.append(64 * words)
+    positions, blocks, tail = np.array(positions), np.array(blocks).T, np.array(tail)
+    al = np.repeat(np.arange(len(counts)), positions)
+    # the starts at residue r are those at residue 0 moved r blocks on
+    residue = np.arange(len(al)) - (np.cumsum(positions) - positions).take(al)
+    first = _LEVELS.take(al) * ((blocks.take(al, axis=1) + residue) % positions.take(al))
+    # one bit per (set, last CCE) of a (S, 64 W + 1) array, set as flat indices
+    stride = 64 * words + 1
+    bits = np.zeros((len(al), stride), dtype=bool)
+    bits.reshape(-1)[first + (tail.take(al) + np.arange(0, len(al) * stride, stride))] = True
+    sets = np.packbits(bits[:, :-1], axis=1, bitorder="little").view("<u8").T
+    return (positions, np.concatenate([sets, _FIELDS.take(al, axis=1)]),
+            np.zeros(words, dtype=np.uint64))
 
 
 def _draw_key(cfg: ScenarioConfig) -> tuple:

@@ -53,26 +53,41 @@ def reference_greedy(ues, order):
 def word_ints(words):
     """Each mask of a (W, ...) uint64 array of mask words, low word first, as
     one Python int."""
-    return sum(words[w].astype(object) << 64 * w for w in range(len(words)))
+    return sum((words[w].astype(object) << 64 * w for w in range(len(words))),
+               np.zeros(words.shape[1:], dtype=object))
+
+
+def field_constants(level):
+    """The block-test constants of AL ``level`` as Python ints: the low
+    L - 1 bits of every L-bit field of a word, L - 1, and the low L bits."""
+    lo = sum(((1 << level - 1) - 1) << field for field in range(0, 64, level))
+    return lo, level - 1, (1 << level) - 1
 
 
 def block_table(mask_sets, cce_count):
     """Candidate sets given as tuples of Python-int CCE masks below CCE
-    ``cce_count``, each sorted by first CCE, laid out as ``_kernel`` lays out
-    its tables: (table, start), a (W, S, M) uint64 table of W = C // 64 + 1
-    words, each set padded to M with its last mask and an empty set as the
-    sentinel CCE C alone, and the start words, which hold the sentinel."""
-    words = cce_count // 64 + 1
-    width = max([len(masks) for masks in mask_sets] + [1])
-    sentinel = 1 << cce_count
-    rows = [[*masks, *masks[-1:] * (width - len(masks))] if masks else [sentinel] * width
-            for masks in mask_sets]
-
-    def split(mask):
-        return [mask >> 64 * w & (2**64 - 1) for w in range(words)]
-    table = np.array([[split(mask) for mask in row] for row in rows], dtype=np.uint64)
-    return (np.ascontiguousarray(table.reshape(len(rows), width, words).transpose(2, 0, 1)),
-            np.array(split(sentinel), dtype=np.uint64))
+    ``cce_count``, each an aligned block of one AL's 1, 2, 4, 8 or 16 CCEs,
+    laid out as ``_kernel`` lays out its tables: (table, start), a
+    (W + 3, S) uint64 table of W = ceil(C/64) words per set with one bit at
+    the last CCE of each candidate and then the AL's block-test constants
+    (an empty set has no bit, and AL 1's constants), and the W zero start
+    words."""
+    words = -(-cce_count // 64)
+    columns = []
+    for masks in mask_sets:
+        levels = {mask.bit_count() for mask in masks} or {1}
+        assert len(levels) == 1, masks
+        level = levels.pop()
+        bits = 0
+        for mask in masks:
+            first = (mask & -mask).bit_length() - 1
+            assert level in AGGREGATION_LEVELS and first % level == 0, mask
+            assert mask == ((1 << level) - 1) << first and mask.bit_length() <= cce_count, mask
+            bits |= 1 << first + level - 1
+        columns.append([bits >> 64 * w & (2**64 - 1) for w in range(words)]
+                       + list(field_constants(level)))
+    table = np.array(columns, dtype=np.uint64).reshape(len(mask_sets), words + 3)
+    return np.ascontiguousarray(table.T), np.zeros(words, dtype=np.uint64)
 
 
 def block_greedy(mask_sets, cce_count, index):
@@ -85,37 +100,42 @@ def block_greedy(mask_sets, cce_count, index):
     index = np.array(index, dtype=np.int64)
     runs = [_greedy_assign(index[:, :j], table, start) for j in range(index.shape[1] + 1)]
     used = [word_ints(words).tolist() for _, words in runs]
-    sentinel = 1 << cce_count
     outcomes = []
     for b, scheduled in enumerate(runs[-1][0].tolist()):
-        assert used[0][b] == sentinel
+        assert used[0][b] == 0
         taken = [used[j + 1][b] ^ used[j][b] or None for j in range(len(scheduled))]
         assert [mask is not None for mask in taken] == scheduled
-        outcomes.append((taken, used[-1][b] ^ sentinel))
+        outcomes.append((taken, used[-1][b]))
     return outcomes
 
 
 def kernel_tables(space, coreset):
     """The per-CORESET tables of ``_kernel`` for ``space`` on ``coreset``,
-    decoded: (P per AL, per AL the masks of every residue as Python ints, cut
-    to the AL's candidate count). A set of the sentinel CCE C alone decodes
-    to the single empty mask set ``((),)``."""
+    decoded: (P per AL, per AL the distinct candidate masks of every residue
+    as Python ints, by first CCE). Every set is checked against the
+    ``candidate_starts`` of its residue. An empty set, one all-zero
+    column, decodes to the single empty mask set ``((),)``."""
     cce_count = coreset.cce_count
     positions, table, start = _kernel(ScenarioConfig(1, coreset, space, AlDistribution({1: 1.0})))
-    sentinel = 1 << cce_count
-    assert len(table) == len(start) == cce_count // 64 + 1 and word_ints(start) == sentinel
-    sets = word_ints(table).tolist()
-    assert len(sets) == positions.sum()
+    words = -(-cce_count // 64)
+    assert len(table) == words + 3 and len(start) == words and not start.any()
+    sets = word_ints(table[:words]).tolist()
+    assert len(sets) == positions.sum() and max(sets).bit_length() <= cce_count
     tables, offset = [], 0
-    for m, p in zip(space.candidates_per_al, positions.tolist()):
+    for level, m, p in zip(AGGREGATION_LEVELS, space.candidates_per_al, positions.tolist()):
         rows, offset = sets[offset:offset + p], offset + p
-        if rows[0][0] == sentinel:
-            assert rows == [[sentinel] * table.shape[2]]
+        if m == 0 or level > cce_count:
+            assert rows == [0]
             tables.append(((),))
             continue
-        # a set with fewer than M candidates repeats its last mask
-        assert all(row[m:] == [row[m - 1]] * (len(row) - m) for row in rows)
-        tables.append([tuple(row[:m]) for row in rows])
+        assert table[words:, offset - p:offset].T.tolist() == [list(field_constants(level))] * p
+        masks = [tuple(((1 << level) - 1) << last - level + 1
+                       for last in range(row.bit_length()) if row >> last & 1)
+                 for row in rows]
+        assert masks == [tuple(sorted({((1 << level) - 1) << start
+                                       for start in candidate_starts(level, cce_count, m, r)}))
+                         for r in range(p)]
+        tables.append(masks)
     return positions, tables
 
 

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig, SearchSpaceConfig,
-                            candidate_starts, y_value)
+from pdcch_blocking import (AGGREGATION_LEVELS, AlDistribution, CoresetConfig,
+                            ScenarioConfig, SearchSpaceConfig, candidate_starts,
+                            y_value)
 from pdcch_blocking.scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW,
-                                      STRATEGY_LOW_TO_HIGH, _allocation_order)
+                                      STRATEGY_LOW_TO_HIGH, _allocation_order,
+                                      _greedy_assign)
 from pdcch_blocking.search_space import Y_MODULUS, Y_MULTIPLIER
-from test_kernel import (block_greedy, kernel_tables, reference_greedy,
-                         reference_order)
+from pdcch_blocking.simulation import _kernel
+from test_kernel import (block_greedy, counts_per_al, kernel_tables,
+                         reference_greedy, reference_order, word_ints)
 
 
 def masks(level, starts):
@@ -179,12 +182,20 @@ def test_matches_reference_simulation_small_cases():
         assert {i: (m & -m).bit_length() - 1 for i, m in taken.items()} == ref_assigned
 
 
+# CORESET sizes at a word edge (64, 128 and 192 are the last sizes of one,
+# two and three words), one with fewer blocks than a set's 8 candidates, and
+# the sizes with one AL-16 position
+EDGE_CCE_COUNTS = st.one_of(st.sampled_from([6, 63, 64, 65, 127, 128, 191, 192]),
+                            st.integers(16, 31), st.integers(1, 200))
+
+
 @st.composite
 def greedy_blocks(draw):
-    """A CORESET of 1..200 CCEs, one to four mask words, or at a word edge;
-    candidate sets of aligned starts as (AL, starts), empty when the AL does
-    not fit and with repeats as at a hash collapse; rows of indices into them."""
-    cce_count = draw(st.one_of(st.sampled_from([63, 64, 127, 128]), st.integers(1, 200)))
+    """A CORESET of 1..200 CCEs, one to four mask words, often at a word
+    edge; candidate sets of aligned starts as (AL, starts), empty when the
+    AL does not fit and with repeats as at a hash collapse, also more of
+    them than the AL's blocks; rows of indices into them."""
+    cce_count = draw(EDGE_CCE_COUNTS)
     sets = []
     for _ in range(draw(st.integers(1, 8))):
         level = draw(st.sampled_from(AGGREGATION_LEVELS))
@@ -199,6 +210,12 @@ def greedy_blocks(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(greedy_blocks())
+# AL 1 with 8 candidates on 6 CCEs: 7 UEs of the set, the last one blocked
+@example((6, [(1, [0, 0, 1, 2, 3, 4, 5, 5])], [[0] * 7]))
+# one AL-16 position beside AL-1 candidates on either side of it
+@example((20, [(16, [0, 0]), (1, [3, 17])], [[0, 1, 0, 1], [1, 0, 1, 1]]))
+# a full last word of three: the AL-8 blocks at CCEs 176 and 184
+@example((192, [(8, [176, 184]), (16, [176])], [[0, 1, 0], [1, 0, 0]]))
 def test_block_greedy_matches_reference_greedy(case):
     cce_count, sets, rows = case
     outcomes = block_greedy([masks(*s) for s in sets], cce_count, rows)
@@ -210,6 +227,32 @@ def test_block_greedy_matches_reference_greedy(case):
         assert {j: (mask & -mask).bit_length() - 1
                 for j, mask in enumerate(taken) if mask is not None} == assigned
         assert used == sum(((1 << ues[j][0]) - 1) << start for j, start in assigned.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(EDGE_CCE_COUNTS, counts_per_al, st.lists(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 199)), min_size=1, max_size=40),
+    min_size=1, max_size=6))
+def test_used_words_are_the_blocks_taken(cce_count, counts, draws):
+    # one greedy pass over _kernel's own table: each row's used words are
+    # the union of the blocks its scheduled UEs took, nothing else
+    space, coreset = SearchSpaceConfig(counts), CoresetConfig.from_cce_count(cce_count)
+    positions, table, start = _kernel(ScenarioConfig(1, coreset, space, AlDistribution({1: 1.0})))
+    offsets = (np.cumsum(positions) - positions).tolist()
+    _, tables = kernel_tables(space, coreset)
+    u = min(len(row) for row in draws)
+    rows = [[(a, r % positions[a]) for a, r in row[:u]] for row in draws]
+    index = np.array([[offsets[a] + r for a, r in row] for row in rows], dtype=np.int64)
+    scheduled, used = _greedy_assign(index, table, start)
+    assert used.shape == (len(start), len(rows))
+    for row, took, words in zip(rows, scheduled.tolist(), word_ints(used).tolist()):
+        ues = [(AGGREGATION_LEVELS[a], [(mask & -mask).bit_length() - 1
+                                         for mask in tables[a][r]]) for a, r in row]
+        assigned, blocked = reference_greedy(ues, range(u))
+        assert [j for j in range(u) if not took[j]] == blocked
+        assert words == sum(((1 << ues[j][0]) - 1) << first for j, first in assigned.items())
+        assert words.bit_count() == sum(ues[j][0] for j in range(u) if took[j])
+        assert words >> cce_count == 0
 
 
 def test_leftmost_choice_picks_lowest_start():

@@ -133,9 +133,10 @@ def test_ue_candidate_set_counts_and_order():
 def test_ue_candidate_set_hash_collapse():
     # floor(C/L) = 1 collapses every candidate index to the same block
     assert candidate_starts(8, 8, 2, y_value(12345)) == [0, 0]
+    # and the table holds the two equal candidates as one bit
     positions, tables = kernel_tables(SearchSpaceConfig({8: 2}),
                                       CoresetConfig.from_cce_count(8))
-    assert positions[3] == 1 and tables[3] == [(0xFF, 0xFF)]
+    assert positions[3] == 1 and tables[3] == [(0xFF,)]
 
 
 def test_ue_candidate_set_rejects_zero_count():
