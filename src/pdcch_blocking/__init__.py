@@ -9,12 +9,11 @@ from .scenario_io import (ResultRecord, Scenario, ScenarioParseError, SweepSpec,
                           parse_scenario, scenario_from_dict, scenario_to_dict)
 from .scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW, STRATEGY_LOW_TO_HIGH,
                         STRATEGY_UNORDERED)
-from .search_space import (ALLOWED_CANDIDATE_COUNTS, RNTI_MAX,
-                           SearchSpaceConfig, candidate_cces,
+from .search_space import (ALLOWED_CANDIDATE_COUNTS, RNTI_MAX, candidate_cces,
                            candidate_starts, y_value)
-from .simulation import (SWEEP_AXES, AlDistribution, ScenarioConfig,
-                         SimulationResult, SweepPoint, apply_axis,
-                         iteration_rng, run_scenario, run_sweep)
+from .simulation import (SWEEP_AXES, ScenarioConfig, SimulationResult,
+                         SweepPoint, apply_axis, iteration_rng, run_scenario,
+                         run_sweep)
 
 __version__ = "0.1.0"
 
@@ -22,9 +21,9 @@ __all__ = [
     "AGGREGATION_LEVELS", "ALLOWED_CANDIDATE_COUNTS", "RNTI_MAX", "STRATEGIES",
     "STRATEGY_HIGH_TO_LOW", "STRATEGY_LOW_TO_HIGH", "STRATEGY_UNORDERED",
     "SWEEP_AXES",
-    "AlDistribution", "CoresetConfig", "PlanningRequest", "PlanningResult",
-    "ResultRecord", "Scenario", "ScenarioConfig", "ScenarioParseError",
-    "SearchSpaceConfig", "SimulationResult", "SweepPoint", "SweepSpec",
+    "CoresetConfig", "PlanningRequest", "PlanningResult", "ResultRecord",
+    "Scenario", "ScenarioConfig", "ScenarioParseError", "SimulationResult",
+    "SweepPoint", "SweepSpec",
     "apply_axis", "bundled_scenario_names", "bundled_scenario_path",
     "candidate_cces", "candidate_starts", "emit_results", "iteration_rng",
     "load_results", "parse_plan_request", "parse_scenario",

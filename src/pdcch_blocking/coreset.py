@@ -1,4 +1,5 @@
-"""The CORESET as its CCE count, and the value checks the config types share."""
+"""The CORESET as its CCE count, and the value checks of the config fields:
+an integer with a minimum, and one value per aggregation level."""
 
 from dataclasses import dataclass
 from numbers import Integral, Real

@@ -18,8 +18,7 @@ from pathlib import Path
 
 from .coreset import CoresetConfig
 from .planner import PlanningRequest
-from .search_space import SearchSpaceConfig
-from .simulation import SWEEP_AXES, AlDistribution, ScenarioConfig, check_axis
+from .simulation import SWEEP_AXES, ScenarioConfig, check_axis
 
 OUTPUT_DIR_ENV = "PDCCH_SIM_OUTDIR"
 
@@ -144,10 +143,8 @@ def scenario_from_dict(data) -> Scenario:
     config = ScenarioConfig(
         coreset=CoresetConfig.from_cce_count(**_section(
             values.pop("coreset"), _CORESET, {"cce_count"}, "coreset")),
-        search_space=SearchSpaceConfig(**_section(
-            values.pop("search_space"), _SEARCH_SPACE, {"candidates_per_al"},
-            "search_space")),
-        al_distribution=AlDistribution(values.pop("al_distribution")),
+        **_section(values.pop("search_space"), _SEARCH_SPACE, {"candidates_per_al"},
+                   "search_space"),
         **values)
     return Scenario(config=config, sweep=sweep, **labels)
 
@@ -171,11 +168,12 @@ def parse_scenario(path) -> Scenario:
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Normalized mapping form of a scenario: its fields as JSON values, the
-    config's fields lifted before ``sweep``, ``al_distribution`` as its
-    probabilities and no None-valued key; parse(scenario_to_dict(s)) == s."""
+    config's fields lifted before ``sweep``, ``candidates_per_al`` under
+    ``search_space`` as in a file, and no None-valued key;
+    parse(scenario_to_dict(s)) == s."""
     data = json.loads(json.dumps(asdict(scenario)))
     data |= data.pop("config") | {"sweep": data.pop("sweep")}
-    data["al_distribution"] = data["al_distribution"]["probabilities"]
+    data["search_space"] = {"candidates_per_al": data.pop("candidates_per_al")}
     return {k: v for k, v in data.items() if v is not None}
 
 

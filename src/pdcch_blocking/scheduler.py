@@ -43,18 +43,18 @@ def _allocation_order(al_keys, perm, strategy):
     return np.take_along_axis(perm, np.argsort(keys, axis=1, kind="stable"), axis=1)
 
 
-def _greedy_assign(index, table, start):
+def _greedy_assign(index, table):
     """Run the greedy on a block of iterations at once. Row b of ``index`` is
     iteration b's UEs in processing order, each as a column of ``table``, a
     (W + 3, S) uint64 array: a candidate set's W words, low word first, with
     one bit at the last CCE of each candidate, then its AL's constants lo
     (the low L - 1 bits of every L-bit field), L - 1 and 2**L - 1. Every
-    iteration's used CCEs start as the W words ``start``. At each position,
-    every row's UE takes its first free candidate, or is blocked and takes
-    none. Returns (scheduled, used): a (B, U) bool array, True where the UE
-    took a candidate, and the (W, B) words of each row's used CCEs."""
-    b, words = len(index), len(start)
-    used = np.repeat(start[:, None], b, axis=1)
+    iteration starts with no CCE used. At each position, every row's UE
+    takes its first free candidate, or is blocked and takes none. Returns
+    (scheduled, used): a (B, U) bool array, True where the UE took a
+    candidate, and the (W, B) words of each row's used CCEs."""
+    b, words = len(index), len(table) - 3
+    used = np.zeros((words, b), dtype=np.uint64)
     scheduled = np.empty((index.shape[1], b), dtype=bool)
     for j, sets in enumerate(np.asfortranarray(index).T):
         column = table.take(sets, axis=1)

@@ -4,11 +4,13 @@ The model is one monitoring occasion of a UE-specific search space: slot 0
 of a CORESET with index p mod 3 = 0, where every UE hashes with
 A_p = 39827. Another CORESET index or slot would only pick another unit K in
 Y = c_rnti * K mod 65537, which does not move a blocking estimate.
+
+This module holds only the hash. The candidate counts per AL are
+``ScenarioConfig.candidates_per_al``, which checks each against
+``ALLOWED_CANDIDATE_COUNTS``.
 """
 
-from dataclasses import dataclass
-
-from .coreset import AGGREGATION_LEVELS, as_integer, per_al
+from .coreset import AGGREGATION_LEVELS, as_integer
 
 Y_MODULUS = 65537
 # K in Y = c_rnti * K mod 65537 at slot 0: A_p, so that Y is TS 38.213's one
@@ -16,27 +18,6 @@ Y_MODULUS = 65537
 Y_MULTIPLIER = 39827
 ALLOWED_CANDIDATE_COUNTS = (0, 1, 2, 3, 4, 5, 6, 8)
 RNTI_MAX = 65535
-
-
-@dataclass(frozen=True)
-class SearchSpaceConfig:
-    """Candidate counts per aggregation level.
-
-    ``candidates_per_al`` is ordered as AGGREGATION_LEVELS, i.e. the counts for
-    ALs (1, 2, 4, 8, 16); a mapping {AL: count} is accepted and normalized.
-    """
-
-    candidates_per_al: tuple
-
-    def __post_init__(self):
-        counts = per_al("candidates_per_al", self.candidates_per_al, int)
-        object.__setattr__(self, "candidates_per_al", counts)
-        for al, m in zip(AGGREGATION_LEVELS, counts):
-            if m not in ALLOWED_CANDIDATE_COUNTS:
-                raise ValueError(
-                    f"candidate count {m} for AL {al} not in {ALLOWED_CANDIDATE_COUNTS}")
-        if not any(counts):
-            raise ValueError("at least one aggregation level needs a nonzero candidate count")
 
 
 def _check_rnti(c_rnti: int) -> int:

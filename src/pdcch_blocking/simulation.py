@@ -56,7 +56,7 @@ import numpy as np
 from .coreset import AGGREGATION_LEVELS, CoresetConfig, as_integer, per_al
 from .scheduler import (STRATEGIES, STRATEGY_LOW_TO_HIGH, _allocation_order,
                         _greedy_assign)
-from .search_space import (RNTI_MAX, Y_MODULUS, Y_MULTIPLIER, SearchSpaceConfig,
+from .search_space import (ALLOWED_CANDIDATE_COUNTS, RNTI_MAX, Y_MODULUS, Y_MULTIPLIER,
                            candidate_starts)
 from .search_space import y_value  # noqa: F401  wrapped by perfbench/spans.py
 
@@ -68,40 +68,41 @@ MAX_ITERATIONS = 2**32
 
 
 @dataclass(frozen=True)
-class AlDistribution:
-    """Probability of each aggregation level, ordered as ALs (1, 2, 4, 8, 16);
-    a mapping {AL: probability} is accepted, so AlDistribution({16: 1.0}) puts
-    every UE on AL 16."""
-
-    probabilities: tuple
-
-    def __post_init__(self):
-        probs = per_al("probabilities", self.probabilities, float)
-        object.__setattr__(self, "probabilities", probs)
-        if not all(math.isfinite(p) and p >= 0 for p in probs):
-            raise ValueError(f"probabilities must be finite and >= 0, got {probs}")
-        total = sum(probs)
-        if abs(total - 1.0) > PROBABILITY_TOLERANCE:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one blocking-probability estimate needs."""
+    """Everything one blocking-probability estimate needs.
+
+    ``candidates_per_al`` and ``al_distribution`` are per-AL tuples ordered
+    as AGGREGATION_LEVELS, i.e. the candidate counts and probabilities of
+    ALs (1, 2, 4, 8, 16); a mapping {AL: value}, in which an absent AL is 0,
+    is accepted and normalized, so ``al_distribution={16: 1.0}`` puts every
+    UE on AL 16."""
 
     ue_count: int
     coreset: CoresetConfig
-    search_space: SearchSpaceConfig
-    al_distribution: AlDistribution
+    candidates_per_al: tuple
+    al_distribution: tuple
     strategy: str = STRATEGY_LOW_TO_HIGH
     iterations: int = 10000
     master_seed: int = 0
 
     def __post_init__(self):
-        for name, kind in (("coreset", CoresetConfig), ("search_space", SearchSpaceConfig),
-                           ("al_distribution", AlDistribution)):
-            if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        if not isinstance(self.coreset, CoresetConfig):
+            raise ValueError(f"coreset must be a CoresetConfig, got {self.coreset!r}")
+        counts = per_al("candidates_per_al", self.candidates_per_al, int)
+        object.__setattr__(self, "candidates_per_al", counts)
+        for al, m in zip(AGGREGATION_LEVELS, counts):
+            if m not in ALLOWED_CANDIDATE_COUNTS:
+                raise ValueError(
+                    f"candidate count {m} for AL {al} not in {ALLOWED_CANDIDATE_COUNTS}")
+        if not any(counts):
+            raise ValueError("at least one aggregation level needs a nonzero candidate count")
+        probs = per_al("probabilities", self.al_distribution, float)
+        object.__setattr__(self, "al_distribution", probs)
+        if not all(math.isfinite(p) and p >= 0 for p in probs):
+            raise ValueError(f"probabilities must be finite and >= 0, got {probs}")
+        total = sum(probs)
+        if abs(total - 1.0) > PROBABILITY_TOLERANCE:
+            raise ValueError(f"probabilities must sum to 1, got {total!r}")
         for name, minimum in (("ue_count", 1), ("iterations", 1), ("master_seed", 0)):
             object.__setattr__(self, name, as_integer(name, getattr(self, name), minimum))
         if self.iterations > MAX_ITERATIONS:
@@ -297,17 +298,16 @@ _FIELDS = np.array([[(2**64 - 1) // (2**L - 1) * (2**(L - 1) - 1) for L in AGGRE
 
 
 def _kernel(cfg: ScenarioConfig) -> tuple:
-    """Per-CORESET tables for ``_run_range``: (positions, table, start).
+    """Per-CORESET tables for ``_run_range``: (positions, table).
     ``positions`` is P = floor(C/L) per AL. ``table`` is a (W + 3, S) uint64
     array whose S = sum(P) columns are each AL's candidate set at every
     residue Y mod P, AL by AL: W = ceil(C/64) words, low word first, with
     one bit at the last CCE of each candidate, then the AL's three
     ``_FIELDS`` constants. An AL with no candidates, or larger than the
-    CORESET, gets P = 1 and an all-zero set, so its UEs are always blocked.
-    ``start`` is the W zero words every iteration's used CCEs start from."""
+    CORESET, gets P = 1 and an all-zero set, so its UEs are always blocked."""
     cce_count = cfg.coreset.cce_count
     words = -(-cce_count // 64)
-    counts = cfg.search_space.candidates_per_al
+    counts = cfg.candidates_per_al
     width = max(counts)
     # per AL: P, its candidate blocks (start CCE // L) at residue 0, cycled
     # to the largest count, and the offset of a candidate's last CCE from
@@ -334,8 +334,7 @@ def _kernel(cfg: ScenarioConfig) -> tuple:
     bits = np.zeros((len(al), stride), dtype=bool)
     bits.reshape(-1)[first + (tail.take(al) + np.arange(0, len(al) * stride, stride))] = True
     sets = np.packbits(bits[:, :-1], axis=1, bitorder="little").view("<u8").T
-    return (positions, np.concatenate([sets, _FIELDS.take(al, axis=1)]),
-            np.zeros(words, dtype=np.uint64))
+    return positions, np.concatenate([sets, _FIELDS.take(al, axis=1)])
 
 
 def _draw_key(cfg: ScenarioConfig) -> tuple:
@@ -351,8 +350,9 @@ def _draw_blocks(configs, start: int, stop: int):
     arrays with each row in processing order."""
     keys = {}  # draw key -> cumulative AL distribution
     for cfg in configs:
-        cumulative = np.cumsum(cfg.al_distribution.probabilities)
-        cumulative[-1] = np.inf  # a draw above a rounded-down total is the last AL
+        cumulative = np.cumsum(cfg.al_distribution)
+        # a draw above a rounded-down total is the last AL of nonzero probability
+        cumulative[np.flatnonzero(cfg.al_distribution)[-1]:] = np.inf
         keys[_draw_key(cfg)] = cumulative
     ues = {key[0] for key in keys}
     u_max = max(ues)
@@ -377,11 +377,11 @@ def _draw_range(configs, start: int, stop: int) -> list:
     return list(_draw_blocks(configs, start, stop))
 
 
-def _simulate_iteration(index, table, start):
+def _simulate_iteration(index, table):
     """Run a block of scheduling opportunities: row b of ``index`` holds
     iteration b's UEs as rows of ``table``, in processing order. Returns
     each row's number of blocked UEs."""
-    scheduled, _ = _greedy_assign(index, table, start)
+    scheduled, _ = _greedy_assign(index, table)
     return index.shape[1] - scheduled.sum(axis=1)
 
 
@@ -392,21 +392,21 @@ def _run_range(configs, start: int, stop: int, keep: bool, drawn) -> list:
     ``_draw_blocks``, then per config the C-dependent half, each UE's table
     row and one greedy pass over the block. Returns each config's
     (blocked_total, per-iteration counts or None), in order."""
-    tables = {}  # (C, candidate counts) -> P per AL, offsets, table, start words
+    tables = {}  # (C, candidate counts) -> P per AL, offsets, table
     runs = []  # per config: its draw key and its tables
     for cfg in configs:
-        key = (cfg.coreset.cce_count, cfg.search_space.candidates_per_al)
+        key = (cfg.coreset.cce_count, cfg.candidates_per_al)
         if key not in tables:
-            positions, table, words = _kernel(cfg)
+            positions, table = _kernel(cfg)
             # (AL index a, residue r) is table row offsets[a] + r
-            tables[key] = (positions, np.cumsum(positions) - positions, table, words)
+            tables[key] = (positions, np.cumsum(positions) - positions, table)
         runs.append((_draw_key(cfg), tables[key]))
     totals, per_iter = [0] * len(configs), [[] for _ in configs]
     for block in _draw_blocks(configs, start, stop) if drawn is None else drawn:
-        for i, (key, (positions, offsets, table, words)) in enumerate(runs):
+        for i, (key, (positions, offsets, table)) in enumerate(runs):
             al_idx, ys = block[key]
             index = offsets.take(al_idx) + ys % positions.take(al_idx)
-            blocked = _simulate_iteration(index, table, words)
+            blocked = _simulate_iteration(index, table)
             totals[i] += int(blocked.sum())
             if keep:
                 per_iter[i] += blocked.tolist()
@@ -586,9 +586,9 @@ SWEEP_AXES = {
     "coreset_size": (int, None, lambda base, n: replace(
         base, coreset=CoresetConfig.from_cce_count(n))),
     "candidate_counts": (int, "counts", lambda base, counts: replace(
-        base, search_space=replace(base.search_space, candidates_per_al=tuple(counts)))),
+        base, candidates_per_al=counts)),
     "al_distribution": (float, "probabilities", lambda base, probs: replace(
-        base, al_distribution=AlDistribution(tuple(probs)))),
+        base, al_distribution=probs)),
     "strategy": (str, None, lambda base, strategy: replace(base, strategy=strategy)),
 }
 

@@ -194,14 +194,13 @@ def test_criterion_8_hash_golden_vectors():
 def test_criterion_9_analytic_oracle():
     import dataclasses
 
-    from pdcch_blocking import (AlDistribution, CoresetConfig, ScenarioConfig,
-                                SearchSpaceConfig)
+    from pdcch_blocking import CoresetConfig, ScenarioConfig
     failures = []
     for u in (2, 5, 10):
         cfg = ScenarioConfig(ue_count=u,
                              coreset=CoresetConfig.from_cce_count(16),
-                             search_space=SearchSpaceConfig({16: 1}),
-                             al_distribution=AlDistribution({16: 1.0}),
+                             candidates_per_al={16: 1},
+                             al_distribution={16: 1.0},
                              iterations=10000,
                              master_seed=1000 + u)
         result = run_scenario(cfg, keep_per_iteration=True)

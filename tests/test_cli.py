@@ -314,3 +314,11 @@ def test_readme_cli_block_names_every_subcommand():
     subcommands = next(action for action in cli.build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
     assert documented == set(subcommands.choices)
+
+
+def test_readme_library_example_runs(capsys):
+    section = README.read_text().split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})
+    blocking, stderr = map(float, capsys.readouterr().out.split())
+    assert 0 < blocking < 1 and 0 < stderr < blocking

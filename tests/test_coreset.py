@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pdcch_blocking import (AlDistribution, CoresetConfig, PlanningRequest,
-                            ScenarioConfig, SearchSpaceConfig, run_scenario)
+from pdcch_blocking import (CoresetConfig, PlanningRequest, ScenarioConfig,
+                            run_scenario)
 
 
 @pytest.mark.parametrize("cce_count", [9.0, 9.5, True, "54"])
@@ -40,8 +40,7 @@ def _with_defaults(build, **defaults):
 
 
 _BASE = dict(ue_count=2, coreset=CoresetConfig.from_cce_count(16),
-             search_space=SearchSpaceConfig({16: 1}),
-             al_distribution=AlDistribution({16: 1.0}), iterations=10)
+             candidates_per_al={16: 1}, al_distribution={16: 1.0}, iterations=10)
 
 # Every integer field checked by coreset.as_integer(name, value, minimum), as
 # (constructor with the other arguments filled in, field, minimum).

@@ -11,8 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdcch_blocking import (ALLOWED_CANDIDATE_COUNTS, AGGREGATION_LEVELS,
-                            STRATEGIES, AlDistribution, CoresetConfig,
-                            ScenarioConfig, SearchSpaceConfig,
+                            STRATEGIES, CoresetConfig, ScenarioConfig,
                             bundled_scenario_names, bundled_scenario_path,
                             candidate_starts, iteration_rng, parse_plan_request,
                             parse_scenario, run_scenario, run_sweep, y_value)
@@ -67,11 +66,10 @@ def field_constants(level):
 def block_table(mask_sets, cce_count):
     """Candidate sets given as tuples of Python-int CCE masks below CCE
     ``cce_count``, each an aligned block of one AL's 1, 2, 4, 8 or 16 CCEs,
-    laid out as ``_kernel`` lays out its tables: (table, start), a
-    (W + 3, S) uint64 table of W = ceil(C/64) words per set with one bit at
-    the last CCE of each candidate and then the AL's block-test constants
-    (an empty set has no bit, and AL 1's constants), and the W zero start
-    words."""
+    laid out as ``_kernel`` lays out its tables: a (W + 3, S) uint64 table
+    of W = ceil(C/64) words per set with one bit at the last CCE of each
+    candidate and then the AL's block-test constants (an empty set has no
+    bit, and AL 1's constants)."""
     words = -(-cce_count // 64)
     columns = []
     for masks in mask_sets:
@@ -87,7 +85,7 @@ def block_table(mask_sets, cce_count):
         columns.append([bits >> 64 * w & (2**64 - 1) for w in range(words)]
                        + list(field_constants(level)))
     table = np.array(columns, dtype=np.uint64).reshape(len(mask_sets), words + 3)
-    return np.ascontiguousarray(table.T), np.zeros(words, dtype=np.uint64)
+    return np.ascontiguousarray(table.T)
 
 
 def block_greedy(mask_sets, cce_count, index):
@@ -96,9 +94,9 @@ def block_greedy(mask_sets, cce_count, index):
     in processing order, None where it was blocked; the CCEs used). The
     mask UE j took is what it added to the CCEs its row had used after the
     first j positions, so every prefix of the block is run too."""
-    table, start = block_table(mask_sets, cce_count)
+    table = block_table(mask_sets, cce_count)
     index = np.array(index, dtype=np.int64)
-    runs = [_greedy_assign(index[:, :j], table, start) for j in range(index.shape[1] + 1)]
+    runs = [_greedy_assign(index[:, :j], table) for j in range(index.shape[1] + 1)]
     used = [word_ints(words).tolist() for _, words in runs]
     outcomes = []
     for b, scheduled in enumerate(runs[-1][0].tolist()):
@@ -109,20 +107,22 @@ def block_greedy(mask_sets, cce_count, index):
     return outcomes
 
 
-def kernel_tables(space, coreset):
-    """The per-CORESET tables of ``_kernel`` for ``space`` on ``coreset``,
+def kernel_tables(counts, coreset):
+    """The per-CORESET tables of ``_kernel`` for the candidate counts
+    ``counts`` (per AL, as ``ScenarioConfig.candidates_per_al``) on ``coreset``,
     decoded: (P per AL, per AL the distinct candidate masks of every residue
     as Python ints, by first CCE). Every set is checked against the
     ``candidate_starts`` of its residue. An empty set, one all-zero
     column, decodes to the single empty mask set ``((),)``."""
     cce_count = coreset.cce_count
-    positions, table, start = _kernel(ScenarioConfig(1, coreset, space, AlDistribution({1: 1.0})))
+    cfg = ScenarioConfig(1, coreset, counts, {1: 1.0})
+    positions, table = _kernel(cfg)
     words = -(-cce_count // 64)
-    assert len(table) == words + 3 and len(start) == words and not start.any()
+    assert len(table) == words + 3
     sets = word_ints(table[:words]).tolist()
     assert len(sets) == positions.sum() and max(sets).bit_length() <= cce_count
     tables, offset = [], 0
-    for level, m, p in zip(AGGREGATION_LEVELS, space.candidates_per_al, positions.tolist()):
+    for level, m, p in zip(AGGREGATION_LEVELS, cfg.candidates_per_al, positions.tolist()):
         rows, offset = sets[offset:offset + p], offset + p
         if m == 0 or level > cce_count:
             assert rows == [0]
@@ -145,14 +145,14 @@ def reference_blocked(cfg: ScenarioConfig, iteration: int) -> int:
     rng = iteration_rng(cfg.master_seed, iteration)
     u = cfg.ue_count
     rntis = rng.integers(1, RNTI_MAX + 1, size=u)
-    cumulative = np.cumsum(cfg.al_distribution.probabilities)
+    cumulative = np.cumsum(cfg.al_distribution)
     al_idx = np.searchsorted(cumulative, rng.random(u), side="right")
     al_idx = np.minimum(al_idx, len(AGGREGATION_LEVELS) - 1)
     cce_count = cfg.coreset.cce_count
     ues = []
     for i in range(u):
         level = AGGREGATION_LEVELS[al_idx[i]]
-        m = cfg.search_space.candidates_per_al[al_idx[i]]
+        m = cfg.candidates_per_al[al_idx[i]]
         if m == 0 or cce_count < level:
             ues.append((level, []))
             continue
@@ -174,8 +174,8 @@ def scenarios(draw):
     return ScenarioConfig(
         ue_count=draw(st.integers(1, 60)),
         coreset=CoresetConfig.from_cce_count(draw(st.integers(1, 200))),
-        search_space=SearchSpaceConfig(draw(counts_per_al)),
-        al_distribution=AlDistribution(tuple(x / sum(w) for x in w)),
+        candidates_per_al=draw(counts_per_al),
+        al_distribution=tuple(x / sum(w) for x in w),
         strategy=draw(st.sampled_from(STRATEGIES)),
         iterations=3,
         master_seed=draw(st.integers(0, 2**32 - 1)))
@@ -194,8 +194,8 @@ def test_kernel_matches_per_ue_hash_at_heavy_load(cce_count):
     # enough UEs and iterations that every AL and most residues occur
     cfg = ScenarioConfig(
         ue_count=60, coreset=CoresetConfig.from_cce_count(cce_count),
-        search_space=SearchSpaceConfig((8, 6, 5, 3, 2)),
-        al_distribution=AlDistribution((0.2,) * 5), iterations=40, master_seed=11)
+        candidates_per_al=(8, 6, 5, 3, 2),
+        al_distribution=(0.2,) * 5, iterations=40, master_seed=11)
     result = run_scenario(cfg, keep_per_iteration=True)
     assert list(result.per_iteration_blocked) == [
         reference_blocked(cfg, it) for it in range(cfg.iterations)]
@@ -210,11 +210,10 @@ def exact_blocking(cfg: ScenarioConfig) -> float:
     sorted by AL. The UEs are i.i.d., so the tuple's order stands for the
     random permutation, and a stable sort keeps equal ALs in it. All the
     tuples run as one block."""
-    space, cce_count = cfg.search_space, cfg.coreset.cce_count
+    cce_count = cfg.coreset.cce_count
     ys = np.arange(1, RNTI_MAX + 1, dtype=np.int64) * Y_MULTIPLIER % Y_MODULUS
     states = []  # (AL, probability, candidate masks sorted by start)
-    for level, m, p in zip(AGGREGATION_LEVELS, space.candidates_per_al,
-                           cfg.al_distribution.probabilities):
+    for level, m, p in zip(AGGREGATION_LEVELS, cfg.candidates_per_al, cfg.al_distribution):
         if p == 0:
             continue
         if m == 0 or cce_count < level:
@@ -233,8 +232,8 @@ def exact_blocking(cfg: ScenarioConfig) -> float:
                          reverse=cfg.strategy == STRATEGY_HIGH_TO_LOW)
         rows.append(ues)
         weights.append(math.prod(states[state][1] for state in ues))
-    table, start = block_table([masks for _, _, masks in states], cce_count)
-    scheduled, _ = _greedy_assign(np.array(rows, dtype=np.int64), table, start)
+    table = block_table([masks for _, _, masks in states], cce_count)
+    scheduled, _ = _greedy_assign(np.array(rows, dtype=np.int64), table)
     blocked = (u - scheduled.sum(axis=1)).tolist()
     return sum(weight * b for weight, b in zip(weights, blocked)) / u
 
@@ -267,8 +266,8 @@ def oracle_scenarios(draw, ue_count, max_cces):
     assume(any(w))
     return ScenarioConfig(
         ue_count=ue_count, coreset=CoresetConfig.from_cce_count(cce_count),
-        search_space=SearchSpaceConfig(counts),
-        al_distribution=AlDistribution(tuple(x / sum(w) for x in w)),
+        candidates_per_al=counts,
+        al_distribution=tuple(x / sum(w) for x in w),
         strategy=draw(st.sampled_from(STRATEGIES)),
         iterations=5000,
         master_seed=draw(st.integers(0, 2**32 - 1)))

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdcch_blocking import (STRATEGIES, AlDistribution, CoresetConfig,
-                            PlanningRequest, ScenarioConfig, SearchSpaceConfig,
-                            apply_axis, bundled_scenario_path,
+from pdcch_blocking import (STRATEGIES, CoresetConfig, PlanningRequest,
+                            ScenarioConfig, apply_axis, bundled_scenario_path,
                             parse_plan_request, plan_min_coreset, planner,
                             run_scenario, run_sweep, simulation)
 from pdcch_blocking.simulation import draw_ranges, worker_pool
@@ -19,8 +18,8 @@ MEDIUM = (0.05, 0.2, 0.5, 0.2, 0.05)
 def request(target_blocking=0.2, cce_min=6, cce_max=96, **overrides):
     base = dict(ue_count=6,
                 coreset=CoresetConfig.from_cce_count(cce_max),
-                al_distribution=AlDistribution(MEDIUM),
-                search_space=SearchSpaceConfig((6, 6, 4, 2, 1)),
+                al_distribution=MEDIUM,
+                candidates_per_al=(6, 6, 4, 2, 1),
                 strategy="unordered",
                 iterations=1500,
                 master_seed=7)
@@ -62,7 +61,7 @@ def test_request_stores_numpy_integer_bounds_as_int():
 
 def test_single_ue_returns_range_floor():
     req = request(ue_count=1, target_blocking=0.5,
-                  al_distribution=AlDistribution({1: 1.0}), cce_min=2, cce_max=24)
+                  al_distribution={1: 1.0}, cce_min=2, cce_max=24)
     result = plan_min_coreset(req)
     assert result.min_cces == 2
     assert result.achieved_blocking == 0.0
@@ -70,8 +69,7 @@ def test_single_ue_returns_range_floor():
 
 def test_unreachable_target_returns_none():
     # AL 16 never fits below 16 CCEs, so every UE is always blocked
-    req = request(al_distribution=AlDistribution({16: 1.0}),
-                  search_space=SearchSpaceConfig({16: 1}),
+    req = request(al_distribution={16: 1.0}, candidates_per_al={16: 1},
                   cce_min=1, cce_max=8, iterations=50)
     result = plan_min_coreset(req)
     assert result.min_cces is None
@@ -210,8 +208,8 @@ def small_plans(draw):
         base=ScenarioConfig(
             ue_count=draw(st.integers(1, 20)),
             coreset=CoresetConfig.from_cce_count(6),
-            search_space=SearchSpaceConfig((6, 6, 4, 2, 2)),
-            al_distribution=AlDistribution(tuple(x / sum(w) for x in w)),
+            candidates_per_al=(6, 6, 4, 2, 2),
+            al_distribution=tuple(x / sum(w) for x in w),
             strategy=draw(st.sampled_from(STRATEGIES)),
             iterations=draw(st.integers(1, 40)),
             master_seed=draw(st.integers(0, 2**64))),

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from numpy.random import PCG64
 from test_kernel import reference_blocked
 
-from pdcch_blocking import (STRATEGIES, AlDistribution, CoresetConfig,
-                            ScenarioConfig, SearchSpaceConfig, iteration_rng)
+from pdcch_blocking import (STRATEGIES, CoresetConfig, ScenarioConfig,
+                            iteration_rng)
 from pdcch_blocking import simulation
 from pdcch_blocking.simulation import (STATE_BLOCK, _decode_draws, _generate_state,
                                        _raw_draws, _raw_width, _run_range, _SeedWords,
@@ -35,8 +35,8 @@ PINNED_STATES = {
 
 def scenario(**overrides):
     base = dict(ue_count=9, coreset=CoresetConfig.from_cce_count(30),
-                search_space=SearchSpaceConfig((6, 6, 4, 2, 1)),
-                al_distribution=AlDistribution((0.3, 0.3, 0.2, 0.1, 0.1)),
+                candidates_per_al=(6, 6, 4, 2, 1),
+                al_distribution=(0.3, 0.3, 0.2, 0.1, 0.1),
                 iterations=10, master_seed=0)
     base.update(overrides)
     return ScenarioConfig(**base)

@@ -255,8 +255,8 @@ def test_bundled_scenarios_all_load():
 def test_bundled_fig4_matches_study_setup():
     scn = parse_scenario(bundled_scenario_path("fig4_ue_sweep"))
     assert scn.config.coreset.cce_count == 54
-    assert scn.config.search_space.candidates_per_al == (6, 6, 4, 2, 1)
-    assert scn.config.al_distribution.probabilities == (0.4, 0.3, 0.2, 0.05, 0.05)
+    assert scn.config.candidates_per_al == (6, 6, 4, 2, 1)
+    assert scn.config.al_distribution == (0.4, 0.3, 0.2, 0.05, 0.05)
     assert scn.config.iterations == 10000
     assert scn.sweep.axis == "ue_count"
     assert set(scn.sweep.points) >= set(range(5, 51, 5))

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdcch_blocking import (AGGREGATION_LEVELS, AlDistribution, CoresetConfig,
-                            ScenarioConfig, SearchSpaceConfig, candidate_starts,
-                            y_value)
+from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig, ScenarioConfig,
+                            candidate_starts, y_value)
 from pdcch_blocking.scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW,
                                       STRATEGY_LOW_TO_HIGH, _allocation_order,
                                       _greedy_assign)
@@ -66,8 +65,7 @@ def test_three_ue_blocking_example():
 
 def test_identical_candidates_block_all_but_one():
     # one AL-16 candidate in a 16-CCE CORESET: a single residue, a single mask
-    positions, tables = kernel_tables(SearchSpaceConfig({16: 1}),
-                                      CoresetConfig.from_cce_count(16))
+    positions, tables = kernel_tables({16: 1}, CoresetConfig.from_cce_count(16))
     assert positions[4] == 1 and tables[4] == [((1 << 16) - 1,)]
     for total in (2, 5, 9):
         order = order_for([4] * total, STRATEGY_LOW_TO_HIGH, np.random.default_rng(3))
@@ -87,8 +85,7 @@ def test_ue_without_candidates_is_blocked():
     assert blocked == [0]
     assert 1 in taken
     # the kernel gives an AL larger than the CORESET the single empty mask set
-    positions, tables = kernel_tables(SearchSpaceConfig((6, 6, 4, 2, 1)),
-                                      CoresetConfig.from_cce_count(8))
+    positions, tables = kernel_tables(COUNTS, CoresetConfig.from_cce_count(8))
     assert positions[4] == 1 and tables[4] == ((),)
 
 
@@ -99,7 +96,7 @@ def test_strategy_orders_differ_in_who_wins():
     assert schedule(ues, STRATEGY_HIGH_TO_LOW)[1] == [1]
 
 
-SPACE = SearchSpaceConfig((6, 6, 4, 2, 1))
+COUNTS = (6, 6, 4, 2, 1)
 
 
 def _random_ues(rng, cce_count, max_ues=10):
@@ -111,7 +108,7 @@ def _random_ues(rng, cce_count, max_ues=10):
         if cce_count < level:
             ues.append((level, []))
         else:
-            m = SPACE.candidates_per_al[AGGREGATION_LEVELS.index(level)]
+            m = COUNTS[AGGREGATION_LEVELS.index(level)]
             ues.append((level, candidate_starts(level, cce_count, m, y_value(rnti))))
     return ues
 
@@ -147,8 +144,7 @@ def test_greedy_prefix_property():
 
 
 def test_strategies_equivalent_under_uniform_al():
-    space = SearchSpaceConfig((0, 6, 0, 0, 0))
-    positions, tables = kernel_tables(space, CoresetConfig.from_cce_count(24))
+    positions, tables = kernel_tables((0, 6, 0, 0, 0), CoresetConfig.from_cce_count(24))
     rng = np.random.default_rng(29)
     for _ in range(50):
         rntis = rng.integers(1, 65536, size=8)
@@ -236,15 +232,15 @@ def test_block_greedy_matches_reference_greedy(case):
 def test_used_words_are_the_blocks_taken(cce_count, counts, draws):
     # one greedy pass over _kernel's own table: each row's used words are
     # the union of the blocks its scheduled UEs took, nothing else
-    space, coreset = SearchSpaceConfig(counts), CoresetConfig.from_cce_count(cce_count)
-    positions, table, start = _kernel(ScenarioConfig(1, coreset, space, AlDistribution({1: 1.0})))
+    coreset = CoresetConfig.from_cce_count(cce_count)
+    positions, table = _kernel(ScenarioConfig(1, coreset, counts, {1: 1.0}))
     offsets = (np.cumsum(positions) - positions).tolist()
-    _, tables = kernel_tables(space, coreset)
+    _, tables = kernel_tables(counts, coreset)
     u = min(len(row) for row in draws)
     rows = [[(a, r % positions[a]) for a, r in row[:u]] for row in draws]
     index = np.array([[offsets[a] + r for a, r in row] for row in rows], dtype=np.int64)
-    scheduled, used = _greedy_assign(index, table, start)
-    assert used.shape == (len(start), len(rows))
+    scheduled, used = _greedy_assign(index, table)
+    assert used.shape == (-(-cce_count // 64), len(rows))
     for row, took, words in zip(rows, scheduled.tolist(), word_ints(used).tolist()):
         ues = [(AGGREGATION_LEVELS[a], [(mask & -mask).bit_length() - 1
                                          for mask in tables[a][r]]) for a, r in row]
@@ -257,14 +253,12 @@ def test_used_words_are_the_blocks_taken(cce_count, counts, draws):
 
 def test_leftmost_choice_picks_lowest_start():
     # C=12, AL 4, M=2: at residue 2 the hash lists start 8 before start 0
-    space = SearchSpaceConfig({4: 2})
     assert candidate_starts(4, 12, 2, 2) == [8, 0]
-    _, tables = kernel_tables(space, CoresetConfig.from_cce_count(12))
+    _, tables = kernel_tables({4: 2}, CoresetConfig.from_cce_count(12))
     assert block_greedy([tables[2][2]], 12, [[0]]) == [([0b1111], 0b1111)]
     # every table row lists its masks by first CCE
     for cce_count in (1, 8, 12, 54, 97, 200):
-        _, tables = kernel_tables(SearchSpaceConfig((6, 6, 4, 2, 1)),
-                                  CoresetConfig.from_cce_count(cce_count))
+        _, tables = kernel_tables(COUNTS, CoresetConfig.from_cce_count(cce_count))
         for rows in tables:
             for row in rows:
                 assert list(row) == sorted(row)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig, SearchSpaceConfig,
+from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig, ScenarioConfig,
                             candidate_cces, candidate_starts, y_value)
 from test_kernel import kernel_tables
 
@@ -121,11 +121,11 @@ def test_candidate_starts_matches_per_candidate_calls():
 # simulator reads them from ``_kernel``'s per-residue tables.
 
 def test_ue_candidate_set_counts_and_order():
-    space = SearchSpaceConfig((6, 6, 4, 2, 1))
+    counts = (6, 6, 4, 2, 1)
     y = y_value(4242)
-    one = candidate_starts(16, 54, space.candidates_per_al[4], y)
+    one = candidate_starts(16, 54, counts[4], y)
     assert len(one) == 1 and len(candidate_cces(16, 0, 54, 1, y)) == 16
-    six = candidate_starts(1, 54, space.candidates_per_al[0], y)
+    six = candidate_starts(1, 54, counts[0], y)
     assert six == [candidate_cces(1, k, 54, 6, y)[0] for k in range(6)]
     assert all(len(candidate_cces(1, k, 54, 6, y)) == 1 for k in range(6))
 
@@ -134,8 +134,7 @@ def test_ue_candidate_set_hash_collapse():
     # floor(C/L) = 1 collapses every candidate index to the same block
     assert candidate_starts(8, 8, 2, y_value(12345)) == [0, 0]
     # and the table holds the two equal candidates as one bit
-    positions, tables = kernel_tables(SearchSpaceConfig({8: 2}),
-                                      CoresetConfig.from_cce_count(8))
+    positions, tables = kernel_tables({8: 2}, CoresetConfig.from_cce_count(8))
     assert positions[3] == 1 and tables[3] == [(0xFF,)]
 
 
@@ -143,35 +142,39 @@ def test_ue_candidate_set_rejects_zero_count():
     with pytest.raises(ValueError):
         candidate_cces(2, 0, 54, 0, 0)
     # an AL with no configured candidates gets the single empty mask set
-    positions, tables = kernel_tables(SearchSpaceConfig({1: 6}),
-                                      CoresetConfig.from_cce_count(54))
+    positions, tables = kernel_tables({1: 6}, CoresetConfig.from_cce_count(54))
     assert positions[1] == 1 and tables[1] == ((),)
 
 
 def test_uss_determinism_across_calls():
-    space = SearchSpaceConfig((6, 6, 4, 2, 1))
-    coreset = CoresetConfig(54)
+    counts, coreset = (6, 6, 4, 2, 1), CoresetConfig(54)
     y = y_value(31337)
     assert candidate_starts(4, 54, 4, y) == candidate_starts(4, 54, 4, y)
-    first, again = kernel_tables(space, coreset), kernel_tables(space, coreset)
+    first, again = kernel_tables(counts, coreset), kernel_tables(counts, coreset)
     assert first[0].tolist() == again[0].tolist() and first[1] == again[1]
 
 
 # --- config validation -----------------------------------------------------
+# The candidate counts are ScenarioConfig's candidates_per_al field.
+
+def config(counts):
+    return ScenarioConfig(ue_count=1, coreset=CoresetConfig(54), candidates_per_al=counts,
+                          al_distribution={1: 1.0})
+
 
 def test_search_space_rejects_disallowed_count():
     with pytest.raises(ValueError):
-        SearchSpaceConfig((7, 0, 0, 0, 0))
+        config((7, 0, 0, 0, 0))
 
 
 def test_search_space_rejects_all_zero():
     with pytest.raises(ValueError):
-        SearchSpaceConfig((0, 0, 0, 0, 0))
+        config((0, 0, 0, 0, 0))
 
 
 def test_search_space_rejects_unknown_al_key():
     with pytest.raises(ValueError):
-        SearchSpaceConfig({3: 2})
+        config({3: 2})
 
 
 @pytest.mark.parametrize("counts", [(6.7, 6, 4, 2, 1), (6.0, 6, 4, 2, 1),
@@ -179,15 +182,15 @@ def test_search_space_rejects_unknown_al_key():
                                     {1: 6, 16: 1.0}, None, 6])
 def test_search_space_rejects_non_integer_counts(counts):
     with pytest.raises(ValueError, match="^candidates_per_al must be integers"):
-        SearchSpaceConfig(counts)
+        config(counts)
 
 
 def test_search_space_accepts_numpy_integers():
-    space = SearchSpaceConfig(tuple(np.array([6, 6, 4, 2, 1])))
-    assert space.candidates_per_al == (6, 6, 4, 2, 1)
-    assert all(type(m) is int for m in space.candidates_per_al)
+    cfg = config(tuple(np.array([6, 6, 4, 2, 1])))
+    assert cfg.candidates_per_al == (6, 6, 4, 2, 1)
+    assert all(type(m) is int for m in cfg.candidates_per_al)
 
 
 def test_search_space_accepts_mapping_form():
-    space = SearchSpaceConfig({1: 6, 2: 6, 4: 4, 8: 2, 16: 1})
-    assert space.candidates_per_al == (6, 6, 4, 2, 1)
+    cfg = config({1: 6, 2: 6, 4: 4, 8: 2, 16: 1})
+    assert cfg.candidates_per_al == (6, 6, 4, 2, 1)

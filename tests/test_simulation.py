@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from test_kernel import reference_blocked
 
-from pdcch_blocking import (AlDistribution, CoresetConfig, PlanningRequest,
-                            ScenarioConfig, SearchSpaceConfig, SimulationResult,
-                            SweepPoint, apply_axis, bundled_scenario_path,
+from pdcch_blocking import (CoresetConfig, PlanningRequest, ScenarioConfig,
+                            SimulationResult, SweepPoint, apply_axis, bundled_scenario_path,
                             iteration_rng, parse_scenario, plan_min_coreset,
                             run_scenario, run_sweep, simulation)
 from pdcch_blocking.scenario_io import records_for_sweep
@@ -21,8 +20,8 @@ MIXED = (0.4, 0.3, 0.2, 0.05, 0.05)
 def scenario(**overrides):
     base = dict(ue_count=10,
                 coreset=CoresetConfig.from_cce_count(54),
-                search_space=SearchSpaceConfig((6, 6, 4, 2, 1)),
-                al_distribution=AlDistribution(MIXED),
+                candidates_per_al=(6, 6, 4, 2, 1),
+                al_distribution=MIXED,
                 iterations=500,
                 master_seed=123)
     base.update(overrides)
@@ -36,57 +35,74 @@ SPLIT = 3 * simulation.MIN_RANGE_UES // 10 + 1
 
 
 # --- distribution and config validation -------------------------------------
+# The AL distribution is ScenarioConfig's al_distribution field.
 
 def test_distribution_must_sum_to_one():
     with pytest.raises(ValueError):
-        AlDistribution((0.4, 0.3, 0.2, 0.05, 0.0))
+        scenario(al_distribution=(0.4, 0.3, 0.2, 0.05, 0.0))
     with pytest.raises(ValueError):
-        AlDistribution((0.5, 0.5, 0.2, -0.1, -0.1))
-    AlDistribution((0.2, 0.2, 0.2, 0.2, 0.2 + 1e-12))  # within tolerance
+        scenario(al_distribution=(0.5, 0.5, 0.2, -0.1, -0.1))
+    scenario(al_distribution=(0.2, 0.2, 0.2, 0.2, 0.2 + 1e-12))  # within tolerance
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_distribution_rejects_non_finite(bad):
     # a NaN passes both "p < 0" and "|sum - 1| > tol" unnoticed
     with pytest.raises(ValueError, match="finite"):
-        AlDistribution((bad, 0.5, 0, 0, 0.5))
+        scenario(al_distribution=(bad, 0.5, 0, 0, 0.5))
     with pytest.raises(ValueError, match="finite"):
-        AlDistribution({1: 0.5, 16: bad})
+        scenario(al_distribution={1: 0.5, 16: bad})
 
 
 def test_distribution_fixed_point_mass():
-    dist = AlDistribution({8: 1.0})
-    assert dist.probabilities == (0.0, 0.0, 0.0, 1.0, 0.0)
+    cfg = scenario(al_distribution={8: 1.0})
+    assert cfg.al_distribution == (0.0, 0.0, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="unknown aggregation levels"):
-        AlDistribution({3: 1.0})
+        scenario(al_distribution={3: 1.0})
 
 
 @pytest.mark.parametrize("probs", [(True, 0, 0, 0, 0), ("1", 0, 0, 0, 0),
                                    (None, 1, 0, 0, 0), {1: 0.5, 2: "0.5"}, 5, None])
 def test_distribution_rejects_non_numbers(probs):
     with pytest.raises(ValueError, match="^probabilities must be numbers"):
-        AlDistribution(probs)
+        scenario(al_distribution=probs)
 
 
 def test_distribution_needs_one_entry_per_al():
     with pytest.raises(ValueError, match="^probabilities needs 5 entries"):
-        AlDistribution((1.0, 0, 0, 0))
+        scenario(al_distribution=(1.0, 0, 0, 0))
 
 
 def test_distribution_rejects_integer_past_float_range():
     with pytest.raises(ValueError, match="too large for a float"):
-        AlDistribution((1, 0, 0, 0, 10**400))
+        scenario(al_distribution=(1, 0, 0, 0, 10**400))
 
 
 def test_distribution_accepts_integer_entries():
-    dist = AlDistribution((0, 0, 1, 0, 0))
-    assert dist.probabilities == (0.0, 0.0, 1.0, 0.0, 0.0)
-    assert all(type(p) is float for p in dist.probabilities)
+    cfg = scenario(al_distribution=(0, 0, 1, 0, 0))
+    assert cfg.al_distribution == (0.0, 0.0, 1.0, 0.0, 0.0)
+    assert all(type(p) is float for p in cfg.al_distribution)
 
 
 def test_distribution_mapping_form():
-    dist = AlDistribution({1: 0.5, 2: 0.5})
-    assert dist.probabilities == (0.5, 0.5, 0.0, 0.0, 0.0)
+    cfg = scenario(al_distribution={1: 0.5, 2: 0.5})
+    assert cfg.al_distribution == (0.5, 0.5, 0.0, 0.0, 0.0)
+
+
+def test_zero_probability_al_is_never_drawn(monkeypatch):
+    # within tolerance of 1, so a uniform just below 1 lies above the total;
+    # it goes to AL 4, the last AL that has a nonzero probability, not AL 16
+    decode = simulation._decode_draws
+
+    def highest_uniforms(*args):
+        rntis, uniforms, perm = decode(*args)
+        return rntis, np.full_like(uniforms, np.nextafter(1.0, 0.0)), perm
+    monkeypatch.setattr(simulation, "_decode_draws", highest_uniforms)
+    cfg = scenario(al_distribution=(0.3, 0.3, 0.3999999999, 0, 0), iterations=20)
+    [block] = simulation._draw_range((cfg,), 0, cfg.iterations)
+    al_idx, _ = block[simulation._draw_key(cfg)]
+    assert al_idx.shape == (cfg.iterations, cfg.ue_count)
+    assert (al_idx == 2).all()
 
 
 def test_scenario_config_validation():
@@ -100,10 +116,7 @@ def test_scenario_config_validation():
         scenario(master_seed=-1)
 
 
-@pytest.mark.parametrize("field,value", [
-    ("coreset", 54), ("coreset", None), ("search_space", (6, 6, 4, 2, 1)),
-    ("search_space", CoresetConfig(6)), ("al_distribution", MIXED),
-    ("al_distribution", {1: 1.0})])
+@pytest.mark.parametrize("field,value", [("coreset", 54), ("coreset", None)])
 def test_scenario_config_rejects_mistyped_nested_configs(field, value):
     with pytest.raises(ValueError, match=f"{field} must be a "):
         scenario(**{field: value})
@@ -155,8 +168,8 @@ def test_analytic_oracle_identical_candidates():
     for u in (2, 6):
         cfg = scenario(ue_count=u,
                        coreset=CoresetConfig.from_cce_count(16),
-                       search_space=SearchSpaceConfig({16: 1}),
-                       al_distribution=AlDistribution({16: 1.0}),
+                       candidates_per_al={16: 1},
+                       al_distribution={16: 1.0},
                        iterations=400)
         result = run_scenario(cfg, keep_per_iteration=True)
         assert set(result.per_iteration_blocked) == {u - 1}
@@ -252,8 +265,8 @@ def test_greedy_call_shape_counts_offered_and_scheduled_ues(monkeypatch, strateg
 
 @pytest.mark.parametrize("cfg,cce_max", [
     (scenario(iterations=200), 54),  # a size meets the target
-    (scenario(iterations=50, search_space=SearchSpaceConfig({16: 1}),
-              al_distribution=AlDistribution({16: 1.0})), 8)])  # none does
+    (scenario(iterations=50, candidates_per_al={16: 1},
+              al_distribution={16: 1.0}), 8)])  # none does
 def test_planning_result_shape_for_the_benchmark(cfg, cce_max):
     # perfbench/run.py unpacks evaluations as (cces, blocking, stderr)
     result = plan_min_coreset(PlanningRequest(base=cfg, target_blocking=0.2,
@@ -299,7 +312,7 @@ def test_unschedulable_al_counts_as_blocked():
     # AL 16 cannot fit into 8 CCEs: those UEs are blocked by definition
     cfg = scenario(ue_count=4,
                    coreset=CoresetConfig.from_cce_count(8),
-                   al_distribution=AlDistribution({16: 1.0}),
+                   al_distribution={16: 1.0},
                    iterations=50)
     result = run_scenario(cfg)
     assert result.blocking_probability == 1.0
@@ -308,8 +321,8 @@ def test_unschedulable_al_counts_as_blocked():
 def test_zero_candidate_al_counts_as_blocked():
     # the sampled AL has no configured candidates: nothing to monitor
     cfg = scenario(ue_count=3,
-                   search_space=SearchSpaceConfig({1: 6}),
-                   al_distribution=AlDistribution({2: 1.0}),
+                   candidates_per_al={1: 6},
+                   al_distribution={2: 1.0},
                    iterations=50)
     result = run_scenario(cfg)
     assert result.blocking_probability == 1.0
@@ -442,14 +455,14 @@ def test_sweep_coreset_axis_builds_geometry():
 def test_sweep_candidate_counts_axis_full_list():
     cfg = apply_axis(scenario(), "candidate_counts",
                      {"name": "reduced", "counts": [1, 1, 1, 1, 1]})
-    assert cfg.search_space.candidates_per_al == (1, 1, 1, 1, 1)
+    assert cfg.candidates_per_al == (1, 1, 1, 1, 1)
 
 
 def test_sweep_al_fixed_axis():
     # a point-mass al_distribution point fixes the AL; there is no al_fixed axis
     cfg = apply_axis(scenario(), "al_distribution",
                      {"name": "al4", "probabilities": [0, 0, 1, 0, 0]})
-    assert cfg.al_distribution == AlDistribution({4: 1.0})
+    assert cfg.al_distribution == (0.0, 0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="axis"):
         apply_axis(scenario(), "al_fixed", 4)
 
@@ -457,7 +470,7 @@ def test_sweep_al_fixed_axis():
 def test_sweep_al_distribution_axis():
     cfg = apply_axis(scenario(), "al_distribution",
                      {"name": "good", "probabilities": [0.5, 0.4, 0.07, 0.02, 0.01]})
-    assert cfg.al_distribution.probabilities[0] == 0.5
+    assert cfg.al_distribution[0] == 0.5
 
 
 def test_sweep_strategy_axis():
@@ -655,8 +668,8 @@ def test_failure_in_range_zero_propagates_and_closes_the_pool(pools, monkeypatch
 
 @pytest.mark.parametrize("change,workers", [
     ({"master_seed": 124}, 2), ({"ue_count": 11}, 2),
-    ({"al_distribution": AlDistribution({4: 1.0})}, 2), ({"strategy": STRATEGY_HIGH_TO_LOW}, 2),
-    ({"al_distribution": AlDistribution((0.3, 0.4, 0.2, 0.05, 0.05))}, 2),  # MIXED's levels
+    ({"al_distribution": {4: 1.0}}, 2), ({"strategy": STRATEGY_HIGH_TO_LOW}, 2),
+    ({"al_distribution": (0.3, 0.4, 0.2, 0.05, 0.05)}, 2),  # MIXED's levels
     ({"iterations": SPLIT + 1}, 2), ({}, 3), ({}, None)])
 def test_draws_made_for_another_run_are_rejected(change, workers, pools):
     # at SPLIT iterations, 2 and 3 workers give 2 and 3 ranges
