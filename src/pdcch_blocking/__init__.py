@@ -9,8 +9,8 @@ from .scenario_io import (ResultRecord, Scenario, ScenarioParseError, SweepSpec,
                           parse_scenario, scenario_from_dict, scenario_to_dict)
 from .scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW, STRATEGY_LOW_TO_HIGH,
                         STRATEGY_UNORDERED)
-from .search_space import (ALLOWED_CANDIDATE_COUNTS, RNTI_MAX, candidate_cces,
-                           candidate_starts, y_value)
+from .search_space import (ALLOWED_CANDIDATE_COUNTS, RNTI_MAX, candidate_starts,
+                           y_value)
 from .simulation import (SWEEP_AXES, ScenarioConfig, SimulationResult,
                          SweepPoint, apply_axis, iteration_rng, run_scenario,
                          run_sweep)
@@ -25,8 +25,7 @@ __all__ = [
     "Scenario", "ScenarioConfig", "ScenarioParseError", "SimulationResult",
     "SweepPoint", "SweepSpec",
     "apply_axis", "bundled_scenario_names", "bundled_scenario_path",
-    "candidate_cces", "candidate_starts", "emit_results", "iteration_rng",
-    "load_results", "parse_plan_request", "parse_scenario",
-    "plan_min_coreset", "run_scenario", "run_sweep", "scenario_from_dict",
-    "scenario_to_dict", "y_value",
+    "candidate_starts", "emit_results", "iteration_rng", "load_results",
+    "parse_plan_request", "parse_scenario", "plan_min_coreset", "run_scenario",
+    "run_sweep", "scenario_from_dict", "scenario_to_dict", "y_value",
 ]

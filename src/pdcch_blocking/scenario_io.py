@@ -256,21 +256,19 @@ def emit_results(records, fmt: str, path) -> Path:
     return path
 
 
-def load_results(path, fmt: str = None) -> list:
-    """Read records written by emit_results, as JSON when the suffix is .json
-    in any case. A row that is not a record with every column, or a JSON row
-    with another key or a value not of its column's type, raises ValueError."""
+def load_results(path) -> list:
+    """Read records written by emit_results: JSON for a .json suffix in any
+    case, else CSV. A row that is not a record with every column, or a JSON
+    row with another key or a value not of its column's type, raises ValueError."""
     path = Path(path)
-    if fmt is None:
-        fmt = FORMAT_JSON if path.suffix.lower() == ".json" else FORMAT_CSV
-    _check_format(fmt)
-    if fmt == FORMAT_JSON:
+    is_json = path.suffix.lower() == ".json"
+    if is_json:
         rows = json.loads(path.read_text())
     else:
         with open(path, newline="") as handle:
             rows = list(csv.DictReader(handle))
     try:
-        if fmt == FORMAT_JSON:
+        if is_json:
             rows = [_section(row, _RECORD, set(_RECORD), "record") for row in rows]
         return [ResultRecord(**{name: kind(row[name]) for name, kind in _RECORD.items()})
                 for row in rows]

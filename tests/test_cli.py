@@ -1,11 +1,13 @@
 import argparse
 import json
 import os
+import re
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
+import pdcch_blocking
 from pdcch_blocking import (bundled_scenario_path, load_results, parse_plan_request,
                             plan_min_coreset, run_sweep, simulation)
 from pdcch_blocking import cli
@@ -322,3 +324,9 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, str(README), "exec"), {})
     blocking, stderr = map(float, capsys.readouterr().out.split())
     assert 0 < blocking < 1 and 0 < stderr < blocking
+
+
+def test_readme_lower_level_names_are_exported():
+    text = README.read_text().split("Lower-level pieces are exported for direct use:", 1)[1]
+    names = re.findall(r"`(\w+)`", text.split(".", 1)[0])
+    assert names and set(names) <= set(pdcch_blocking.__all__)

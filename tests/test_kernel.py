@@ -139,15 +139,28 @@ def kernel_tables(counts, coreset):
     return positions, tables
 
 
+def reference_al_index(al_distribution, uniforms):
+    """The AL index of each uniform by inverse CDF. A uniform above a
+    rounded-down probability total goes to the last AL of nonzero
+    probability, as in the simulator."""
+    last = np.flatnonzero(al_distribution)[-1]
+    return np.minimum(np.searchsorted(np.cumsum(al_distribution), uniforms, side="right"),
+                      last)
+
+
+def test_reference_al_index_never_draws_a_zero_probability_al():
+    # the total is 0.9999999999, within tolerance of 1
+    uniforms = [0.0, 0.3, 0.6, np.nextafter(1.0, 0.0)]
+    assert reference_al_index((0.3, 0.3, 0.3999999999, 0, 0), uniforms).tolist() == [0, 1, 2, 2]
+
+
 def reference_blocked(cfg: ScenarioConfig, iteration: int) -> int:
     """One iteration hashed UE by UE: Y by iteration and the starts of every
     candidate, allocated by ``reference_greedy``."""
     rng = iteration_rng(cfg.master_seed, iteration)
     u = cfg.ue_count
     rntis = rng.integers(1, RNTI_MAX + 1, size=u)
-    cumulative = np.cumsum(cfg.al_distribution)
-    al_idx = np.searchsorted(cumulative, rng.random(u), side="right")
-    al_idx = np.minimum(al_idx, len(AGGREGATION_LEVELS) - 1)
+    al_idx = reference_al_index(cfg.al_distribution, rng.random(u))
     cce_count = cfg.coreset.cce_count
     ues = []
     for i in range(u):

@@ -392,13 +392,6 @@ def test_emit_rejects_empty_and_bad_format(tmp_path):
         emit_results(records(), "xml", tmp_path / "x.xml")
 
 
-def test_load_rejects_bad_format(tmp_path):
-    path = tmp_path / "out.json"
-    emit_results(records(), "json", path)
-    with pytest.raises(ValueError, match="format must be one of"):
-        load_results(path, fmt="xml")
-
-
 def test_emit_surfaces_io_errors(tmp_path):
     with pytest.raises(OSError):
         emit_results(records(), "csv", tmp_path / "missing" / "out.csv")

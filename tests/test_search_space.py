@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig, ScenarioConfig,
-                            candidate_cces, candidate_starts, y_value)
+                            candidate_starts, y_value)
 from test_kernel import kernel_tables
 
 
@@ -49,43 +49,41 @@ def test_y_range_and_determinism():
 
 
 # --- candidate hash --------------------------------------------------------
+# A candidate's CCEs are range(start, start + L) from its hashed start.
 
 def test_candidate_cces_full_coreset_candidate():
     # floor(C/L) = 1 forces the modulo to zero regardless of Y
-    assert candidate_cces(16, 0, 16, 1, 7) == tuple(range(16))
+    assert candidate_starts(16, 16, 1, 7) == [0]
 
 
 def test_candidate_cces_direct_substitution():
-    assert candidate_cces(4, 1, 16, 4, 0) == (4, 5, 6, 7)
+    assert candidate_starts(4, 16, 4, 0)[1] == 4
 
 
 def test_candidate_cces_frozen_case():
     # frozen from the standalone brute-force evaluation
-    cces = candidate_cces(2, 3, 54, 6, 39827)
-    assert cces == (30, 31)
-    assert cces[0] % 2 == 0 and cces[-1] < 54
+    start = candidate_starts(2, 54, 6, 39827)[3]
+    assert start == 30
+    assert start % 2 == 0 and start + 2 <= 54
 
 
 def test_candidate_cces_rejects_oversized_al():
     with pytest.raises(ValueError, match="does not fit in a CORESET"):
-        candidate_cces(16, 0, 8, 1, 0)
+        candidate_starts(16, 8, 1, 0)
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(aggregation_level=3, candidate_index=0, cce_count=54, candidate_count=1, y=0),
-    dict(aggregation_level=2, candidate_index=4, cce_count=54, candidate_count=4, y=0),
-    dict(aggregation_level=2, candidate_index=-1, cce_count=54, candidate_count=4, y=0),
-    dict(aggregation_level=2, candidate_index=0, cce_count=0, candidate_count=1, y=0),
-    dict(aggregation_level=2, candidate_index=0, cce_count=54.0, candidate_count=6, y=0),
-    dict(aggregation_level=2.0, candidate_index=0, cce_count=54, candidate_count=6, y=0),
-    dict(aggregation_level=2, candidate_index=0, cce_count=54, candidate_count=6, y=1.5),
-    dict(aggregation_level=True, candidate_index=0, cce_count=54, candidate_count=6, y=0),
-    dict(aggregation_level=2, candidate_index=1.0, cce_count=54, candidate_count=6, y=0),
-    dict(aggregation_level=2, candidate_index=0, cce_count=54, candidate_count="6", y=0),
+    dict(aggregation_level=3, cce_count=54, candidate_count=1, y=0),
+    dict(aggregation_level=2, cce_count=0, candidate_count=1, y=0),
+    dict(aggregation_level=2, cce_count=54.0, candidate_count=6, y=0),
+    dict(aggregation_level=2.0, cce_count=54, candidate_count=6, y=0),
+    dict(aggregation_level=2, cce_count=54, candidate_count=6, y=1.5),
+    dict(aggregation_level=True, cce_count=54, candidate_count=6, y=0),
+    dict(aggregation_level=2, cce_count=54, candidate_count="6", y=0),
 ])
 def test_candidate_cces_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError):
-        candidate_cces(**kwargs)
+        candidate_starts(**kwargs)
 
 
 def test_candidate_starts_rejects_a_non_integer_y():
@@ -104,16 +102,10 @@ def test_alignment_and_range_properties():
         m = int(rng.choice([1, 2, 3, 4, 5, 6, 8]))
         k = int(rng.integers(0, m))
         y = int(rng.integers(0, 65537))
-        cces = candidate_cces(level, k, cce_count, m, y)
-        assert len(cces) == level
-        assert cces[0] % level == 0
-        assert cces == tuple(range(cces[0], cces[0] + level))
-        assert cces[-1] < cce_count
-
-
-def test_candidate_starts_matches_per_candidate_calls():
-    starts = candidate_starts(2, 54, 6, 39827)
-    assert starts == [candidate_cces(2, k, 54, 6, 39827)[0] for k in range(6)]
+        starts = candidate_starts(level, cce_count, m, y)
+        assert len(starts) == m
+        assert starts[k] % level == 0
+        assert starts[k] + level <= cce_count
 
 
 # --- per-UE candidate sets ------------------------------------------------
@@ -124,10 +116,10 @@ def test_ue_candidate_set_counts_and_order():
     counts = (6, 6, 4, 2, 1)
     y = y_value(4242)
     one = candidate_starts(16, 54, counts[4], y)
-    assert len(one) == 1 and len(candidate_cces(16, 0, 54, 1, y)) == 16
+    assert len(one) == 1 and one[0] + 16 <= 54
     six = candidate_starts(1, 54, counts[0], y)
-    assert six == [candidate_cces(1, k, 54, 6, y)[0] for k in range(6)]
-    assert all(len(candidate_cces(1, k, 54, 6, y)) == 1 for k in range(6))
+    # candidate k of AL 1 starts floor(k * 54 / 6) = 9k CCEs after Y mod 54
+    assert six == [(y + 9 * k) % 54 for k in range(6)]
 
 
 def test_ue_candidate_set_hash_collapse():
@@ -140,7 +132,7 @@ def test_ue_candidate_set_hash_collapse():
 
 def test_ue_candidate_set_rejects_zero_count():
     with pytest.raises(ValueError):
-        candidate_cces(2, 0, 54, 0, 0)
+        candidate_starts(2, 54, 0, 0)
     # an AL with no configured candidates gets the single empty mask set
     positions, tables = kernel_tables({1: 6}, CoresetConfig.from_cce_count(54))
     assert positions[1] == 1 and tables[1] == ((),)
