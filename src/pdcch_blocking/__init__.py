@@ -7,13 +7,12 @@ from .scenario_io import (ResultRecord, Scenario, ScenarioParseError, SweepSpec,
                           bundled_scenario_names, bundled_scenario_path,
                           emit_results, load_results, parse_plan_request,
                           parse_scenario, scenario_from_dict, scenario_to_dict)
-from .scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW, STRATEGY_LOW_TO_HIGH,
-                        STRATEGY_UNORDERED)
-from .search_space import (ALLOWED_CANDIDATE_COUNTS, RNTI_MAX, candidate_starts,
-                           y_value)
-from .simulation import (SWEEP_AXES, ScenarioConfig, SimulationResult,
-                         SweepPoint, apply_axis, iteration_rng, run_scenario,
-                         run_sweep)
+from .simulation import (ALLOWED_CANDIDATE_COUNTS, RNTI_MAX, STRATEGIES,
+                         STRATEGY_HIGH_TO_LOW, STRATEGY_LOW_TO_HIGH,
+                         STRATEGY_UNORDERED, SWEEP_AXES, ScenarioConfig,
+                         SimulationResult, SweepPoint, apply_axis,
+                         candidate_starts, iteration_rng, run_scenario,
+                         run_sweep, y_value)
 
 __version__ = "0.1.0"
 

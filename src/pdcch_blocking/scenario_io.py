@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-from .coreset import CoresetConfig
+from .coreset import CoresetConfig, as_integer
 from .planner import PlanningRequest
 from .simulation import SWEEP_AXES, ScenarioConfig, check_axis
 
@@ -134,19 +134,25 @@ def _sweep_from_dict(data) -> SweepSpec:
     return SweepSpec(**values)
 
 
-def scenario_from_dict(data) -> Scenario:
-    """Build a validated Scenario from a parsed mapping, applying defaults."""
-    values = _section(data, _SCENARIO, _SCENARIO_REQUIRED, "scenario", "")
+def _scenario(values, cce_count, sweep=None) -> Scenario:
+    """The Scenario of a file's checked top level ``values``, its sweep and
+    CORESET taken out, on a CORESET of ``cce_count`` CCEs."""
     labels = {key: values.pop(key) for key in ("name", "figure", "description")
               if key in values}
-    sweep = _sweep_from_dict(values.pop("sweep")) if "sweep" in values else None
     config = ScenarioConfig(
-        coreset=CoresetConfig.from_cce_count(**_section(
-            values.pop("coreset"), _CORESET, {"cce_count"}, "coreset")),
+        coreset=CoresetConfig.from_cce_count(cce_count),
         **_section(values.pop("search_space"), _SEARCH_SPACE, {"candidates_per_al"},
                    "search_space"),
         **values)
     return Scenario(config=config, sweep=sweep, **labels)
+
+
+def scenario_from_dict(data) -> Scenario:
+    """Build a validated Scenario from a parsed mapping, applying defaults."""
+    values = _section(data, _SCENARIO, _SCENARIO_REQUIRED, "scenario", "")
+    sweep = _sweep_from_dict(values.pop("sweep")) if "sweep" in values else None
+    coreset = _section(values.pop("coreset"), _CORESET, {"cce_count"}, "coreset")
+    return _scenario(values, coreset["cce_count"], sweep)
 
 
 def _load_json(path):
@@ -186,12 +192,12 @@ def parse_plan_request(path):
              if key not in ("coreset", "sweep")} | _PLAN_ONLY
     values = _section(data, table, (_SCENARIO_REQUIRED - {"coreset"}) | set(_PLAN_ONLY),
                       "plan request", "")
-    target, cce_range = values["target_blocking"], values["cce_range"]
+    target, cce_range = values.pop("target_blocking"), values.pop("cce_range")
     if len(cce_range) != 2:
         raise ScenarioParseError("cce_range must be [min, max]")
-    scenario = scenario_from_dict(
-        {key: value for key, value in data.items() if key not in _PLAN_ONLY}
-        | {"coreset": {"cce_count": cce_range[1]}})
+    # PlanningRequest's range check, before the base is built at the max
+    as_integer("cce_max", cce_range[1], as_integer("cce_min", cce_range[0], 1))
+    scenario = _scenario(values, cce_range[1])
     return scenario.name, PlanningRequest(base=scenario.config, target_blocking=target,
                                           cce_min=cce_range[0], cce_max=cce_range[1])
 

@@ -1,5 +1,10 @@
 """Monte Carlo estimation of PDCCH blocking probability.
 
+The model is one monitoring occasion of a UE-specific search space: slot 0
+of a CORESET with index p mod 3 = 0, where every UE hashes with
+A_p = 39827. Another CORESET index or slot would only pick another unit K
+in Y = c_rnti * K mod 65537, which does not move a blocking estimate.
+
 Every iteration draws its own RNG stream from (master_seed, iteration index),
 so results are bit-identical no matter how iterations are ordered or spread
 over workers. Within an iteration the stream is consumed in a fixed order:
@@ -27,9 +32,9 @@ half, and each (C, candidate counts) builds its tables once.
 The TS 38.213 hash is not evaluated per UE. Two identities let each run
 build small tables once and turn every UE's candidate set into one lookup:
 
-- Y has a closed form: Y = rnti * K mod 65537, with K = ``Y_MULTIPLIER``
-  (39827 at slot 0). The product stays below 2**32, so a block's Ys are
-  one int64 array expression.
+- Y has a closed form: Y = rnti * K mod 65537, with K = ``Y_MULTIPLIER``.
+  The product stays below 2**32, so a block's Ys are one int64 array
+  expression.
 - A candidate start depends on Y only through r = Y mod P, P = floor(C/L):
   start_k = L * ((r + floor(k*C / (L*M))) mod P). The starts at residue r
   are those at residue 0 moved r aligned blocks on, wrapping at P, so each
@@ -38,10 +43,14 @@ build small tables once and turn every UE's candidate set into one lookup:
 
 All ALs' sets are the columns of one (W + 3, S) uint64 table: a set is
 W = ceil(C/64) words with one bit at the last CCE of each candidate, and
-then its AL's three block-test constants. The greedy walks a block's U
-processing positions once, for every iteration of the block together: at
-each, one test per word finds the UE's free candidates among the CCEs its
-iteration has used (``scheduler._greedy_assign``).
+then its AL's three block-test constants. TS 38.213 aligns every AL-L
+candidate to L, so a candidate is one L-bit field of a word. The greedy
+walks a block's U processing positions once, for every iteration of the
+block together: at each, one test per word finds the UE's free candidates
+among the CCEs its iteration has used (Warren's zero-byte test, Hacker's
+Delight section 6-1, for L-bit fields), and the UE takes the one with the
+lowest first CCE. Packing toward low CCEs keeps aligned blocks intact for
+the high ALs, which dominate blocking at light load.
 """
 
 import math
@@ -54,17 +63,57 @@ from typing import NamedTuple
 import numpy as np
 
 from .coreset import AGGREGATION_LEVELS, CoresetConfig, as_integer, per_al
-from .scheduler import (STRATEGIES, STRATEGY_LOW_TO_HIGH, _allocation_order,
-                        _greedy_assign)
-from .search_space import (ALLOWED_CANDIDATE_COUNTS, RNTI_MAX, Y_MODULUS, Y_MULTIPLIER,
-                           candidate_starts)
-from .search_space import y_value  # noqa: F401  wrapped by perfbench/spans.py
 
 PROBABILITY_TOLERANCE = 1e-9
 
 # Iteration indices stay below 2**32, so each is one uint32 SeedSequence
 # entropy word and a block's entropy is one array shape.
 MAX_ITERATIONS = 2**32
+
+Y_MODULUS = 65537
+# K in Y = c_rnti * K mod 65537 at slot 0: A_p, so that Y is TS 38.213's one
+# step of Y <- (A_p * Y) mod 65537 from the C-RNTI.
+Y_MULTIPLIER = 39827
+ALLOWED_CANDIDATE_COUNTS = (0, 1, 2, 3, 4, 5, 6, 8)
+RNTI_MAX = 65535
+
+
+def _check_rnti(c_rnti: int) -> int:
+    c_rnti = as_integer("c_rnti", c_rnti)
+    if not 1 <= c_rnti <= RNTI_MAX:
+        raise ValueError(f"c_rnti must be in [1, {RNTI_MAX}], got {c_rnti}")
+    return c_rnti
+
+
+def y_value(c_rnti: int) -> int:
+    """Per-UE hash seed Y at slot 0: c_rnti * ``Y_MULTIPLIER`` mod 65537."""
+    return _check_rnti(c_rnti) * Y_MULTIPLIER % Y_MODULUS
+
+
+def candidate_starts(aggregation_level: int, cce_count: int, candidate_count: int,
+                     y: int) -> list:
+    """First CCE index of each of the ``candidate_count`` candidates, in
+    candidate order: L * ((y + floor(k*C / (L*M))) mod floor(C/L)).
+
+    Raises ValueError when the aggregation level exceeds the CORESET size,
+    i.e. floor(cce_count / aggregation_level) == 0.
+    """
+    L = as_integer("aggregation_level", aggregation_level)
+    if L not in AGGREGATION_LEVELS:
+        raise ValueError(f"aggregation level must be one of {AGGREGATION_LEVELS}, got {L}")
+    C = as_integer("cce_count", cce_count, 1)
+    M = as_integer("candidate_count", candidate_count, 1)
+    y = as_integer("y", y)
+    positions = C // L
+    if positions == 0:
+        raise ValueError(f"AL {L} does not fit in a CORESET of {C} CCEs")
+    return [L * ((y + (k * C) // (L * M)) % positions) for k in range(M)]
+
+
+STRATEGY_LOW_TO_HIGH = "low_to_high"
+STRATEGY_HIGH_TO_LOW = "high_to_low"
+STRATEGY_UNORDERED = "unordered"
+STRATEGIES = (STRATEGY_LOW_TO_HIGH, STRATEGY_HIGH_TO_LOW, STRATEGY_UNORDERED)
 
 
 @dataclass(frozen=True)
@@ -289,22 +338,66 @@ def _decode_draws(states, raw, u: int):
     return rntis, uniforms, perm
 
 
-_LEVELS = np.array(AGGREGATION_LEVELS, dtype=np.int64)
-# Per AL, the constants of scheduler._greedy_assign's block test: the low
-# L - 1 bits of every L-bit field of a word, L - 1, and the low L bits
+def _allocation_order(al_keys, perm, strategy):
+    """Processing orders of a block of iterations, one row each: row b of
+    ``perm`` is iteration b's random permutation of its UEs and row b of
+    ``al_keys`` their ALs (or anything that sorts as the ALs). "unordered"
+    keeps the permutation; the other strategies sort it stably by AL, so
+    equal-AL UEs stay in permutation order."""
+    if strategy == STRATEGY_UNORDERED:
+        return perm
+    keys = np.take_along_axis(al_keys, perm, axis=1)
+    if strategy == STRATEGY_HIGH_TO_LOW:
+        keys = -keys
+    return np.take_along_axis(perm, np.argsort(keys, axis=1, kind="stable"), axis=1)
+
+
+# Per AL, the constants of _greedy_assign's block test: the low L - 1 bits
+# of every L-bit field of a word, L - 1, and the low L bits
 _FIELDS = np.array([[(2**64 - 1) // (2**L - 1) * (2**(L - 1) - 1) for L in AGGREGATION_LEVELS],
                     [L - 1 for L in AGGREGATION_LEVELS],
                     [2**L - 1 for L in AGGREGATION_LEVELS]], dtype=np.uint64)
 
 
+def _greedy_assign(index, table):
+    """Run the greedy on a block of iterations at once. Row b of ``index`` is
+    iteration b's UEs in processing order, each as a column of ``table``, a
+    (W + 3, S) uint64 array: a candidate set's W words, low word first, with
+    one bit at the last CCE of each candidate, then its AL's constants lo
+    (the low L - 1 bits of every L-bit field), L - 1 and 2**L - 1. Every
+    iteration starts with no CCE used. At each position, every row's UE
+    takes its first free candidate, or is blocked and takes none. Returns
+    (scheduled, used): a (B, U) bool array, True where the UE took a
+    candidate, and the (W, B) words of each row's used CCEs."""
+    b, words = len(index), len(table) - 3
+    used = np.zeros((words, b), dtype=np.uint64)
+    scheduled = np.empty((index.shape[1], b), dtype=bool)
+    for j, sets in enumerate(np.asfortranarray(index).T):
+        column = table.take(sets, axis=1)
+        lo, shift, fill = column[words:]
+        # the top bit of an L-field of ((used & lo) + lo) | used is set when
+        # the field holds a used CCE: a carry out of its low L - 1 bits, or
+        # its own top bit; candidate bits are field tops, so the other bits
+        # of that test need no mask
+        free = column[:words] & ~(((used & lo) + lo) | used)
+        low = free & -free  # each word's first free candidate
+        for w in range(1, words):  # kept in the lowest word that has one
+            low[w] *= ~free[:w].any(axis=0)
+        used |= (low >> shift) * fill  # the L CCEs of the block ending at low
+        np.logical_or.reduce(free, axis=0, out=scheduled[j])
+    return scheduled.T, used
+
+
+_LEVELS = np.array(AGGREGATION_LEVELS, dtype=np.int64)
+
+
 def _kernel(cfg: ScenarioConfig) -> tuple:
     """Per-CORESET tables for ``_run_range``: (positions, table).
-    ``positions`` is P = floor(C/L) per AL. ``table`` is a (W + 3, S) uint64
-    array whose S = sum(P) columns are each AL's candidate set at every
-    residue Y mod P, AL by AL: W = ceil(C/64) words, low word first, with
-    one bit at the last CCE of each candidate, then the AL's three
-    ``_FIELDS`` constants. An AL with no candidates, or larger than the
-    CORESET, gets P = 1 and an all-zero set, so its UEs are always blocked."""
+    ``positions`` is P = floor(C/L) per AL. ``table``, in
+    ``_greedy_assign``'s format, holds S = sum(P) columns, each AL's
+    candidate set at every residue Y mod P, AL by AL. An AL with no
+    candidates, or larger than the CORESET, gets P = 1 and an all-zero set,
+    so its UEs are always blocked."""
     cce_count = cfg.coreset.cce_count
     words = -(-cce_count // 64)
     counts = cfg.candidates_per_al

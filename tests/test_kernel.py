@@ -11,14 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdcch_blocking import (ALLOWED_CANDIDATE_COUNTS, AGGREGATION_LEVELS,
-                            STRATEGIES, CoresetConfig, ScenarioConfig,
+                            STRATEGIES, CoresetConfig, ScenarioConfig, apply_axis,
                             bundled_scenario_names, bundled_scenario_path,
                             candidate_starts, iteration_rng, parse_plan_request,
                             parse_scenario, run_scenario, run_sweep, y_value)
-from pdcch_blocking.scheduler import (STRATEGY_HIGH_TO_LOW, STRATEGY_UNORDERED,
-                                      _greedy_assign)
-from pdcch_blocking.search_space import RNTI_MAX, Y_MODULUS, Y_MULTIPLIER
-from pdcch_blocking.simulation import _kernel
+from pdcch_blocking.simulation import (RNTI_MAX, STRATEGY_HIGH_TO_LOW, STRATEGY_UNORDERED,
+                                       Y_MODULUS, Y_MULTIPLIER, _greedy_assign, _kernel)
 
 
 def reference_order(levels, strategy, perm):
@@ -311,6 +309,86 @@ def test_u3_blocking_matches_exact_oracle_on_drawn_configs(cfg):
     else:  # rel_tol: a config may block the same count in every iteration
         assert math.isclose(result.blocking_probability, exact,
                             rel_tol=1e-9, abs_tol=4 * stderr)
+
+
+def dp_blocking(cfg: ScenarioConfig) -> float:
+    """The exact blocking probability of an "unordered" ``cfg``, for any U,
+    written from TS 38.213 alone. In processing order each UE's AL and Y are
+    independent of the UEs before it, so the used-CCE mask after i UEs is a
+    Markov chain: a dict from mask to probability. A step takes each (AL,
+    residue r = Y mod floor(C/L)) with weight p_AL * q(r), where q is the
+    share of C-RNTIs 1..65535 whose Y = rnti * 39827 mod 65537 has residue
+    r, and the UE takes its free candidate with the lowest first CCE or is
+    blocked. E[blocked] sums each step's blocked probability."""
+    assert cfg.strategy == STRATEGY_UNORDERED
+    cce_count = cfg.coreset.cce_count
+    ys = np.arange(1, 65536, dtype=np.int64) * 39827 % 65537
+    moves = []  # (weight, candidate masks by first CCE); none: always blocked
+    for level, m, p in zip(AGGREGATION_LEVELS, cfg.candidates_per_al, cfg.al_distribution):
+        positions = cce_count // level
+        if p and (m == 0 or positions == 0):
+            moves.append((p, ()))
+        elif p:
+            q = np.bincount(ys % positions, minlength=positions) / 65535
+            for r in np.flatnonzero(q).tolist():
+                starts = {level * ((r + k * cce_count // (level * m)) % positions)
+                          for k in range(m)}
+                moves.append((p * q[r], tuple(((1 << level) - 1) << s for s in sorted(starts))))
+    states, blocked = {0: 1.0}, 0.0
+    for i in range(cfg.ue_count):
+        after = {}
+        for used, prob in states.items():
+            for weight, masks in moves:
+                taken = next((mask for mask in masks if not used & mask), 0)
+                if not taken:
+                    blocked += prob * weight
+                if i < cfg.ue_count - 1:  # the last step needs no new states
+                    after[used | taken] = after.get(used | taken, 0.0) + prob * weight
+        states = after
+    return blocked / cfg.ue_count
+
+
+def dp_cases():
+    """Every point of the fig7 AL8 and AL16 sweeps, and the U=5 plan's
+    decisive sizes 20..24 CCEs, at their file seeds and iterations."""
+    for name in ("fig7_al8_ue_sweep", "fig7_al16_ue_sweep"):
+        scn = parse_scenario(bundled_scenario_path(name))
+        for point in scn.sweep.points:
+            yield pytest.param(apply_axis(scn.config, scn.sweep.axis, point),
+                               id=f"{name}-{point}")
+    _, req = parse_plan_request(bundled_scenario_path("plan_fig11_u5_target20"))
+    for cce_count in range(20, 25):
+        yield pytest.param(apply_axis(req.base, "coreset_size", cce_count),
+                           id=f"plan_fig11_u5_target20-{cce_count}")
+
+
+@pytest.mark.parametrize("cfg", dp_cases())
+def test_unordered_blocking_matches_exact_dp(cfg):
+    # the stderr of the per-iteration blocked count, sd / (U * sqrt(N))
+    exact = dp_blocking(cfg)
+    result = run_scenario(cfg, keep_per_iteration=True)
+    blocked = np.array(result.per_iteration_blocked)
+    stderr = blocked.std(ddof=1) / (cfg.ue_count * math.sqrt(cfg.iterations))
+    if exact == 0:
+        assert result.blocked_total == 0
+    else:
+        assert abs(result.blocking_probability - exact) <= 4 * stderr
+
+
+def test_exact_dp_answers_the_u5_plan():
+    # exactly, 22 CCEs is the smallest size at or below the 20% target
+    _, req = parse_plan_request(bundled_scenario_path("plan_fig11_u5_target20"))
+    exact = [dp_blocking(apply_axis(req.base, "coreset_size", c)) for c in range(20, 25)]
+    assert exact == pytest.approx([0.201129, 0.200455, 0.195487, 0.194988, 0.131683],
+                                  abs=1e-6)
+    assert [b <= req.target_blocking for b in exact] == [False, False, True, True, True]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(oracle_scenarios(2, 48))
+def test_exact_dp_matches_enumeration_on_drawn_configs(cfg):
+    cfg = replace(cfg, strategy=STRATEGY_UNORDERED)
+    assert dp_blocking(cfg) == pytest.approx(exact_blocking(cfg), rel=1e-12, abs=1e-15)
 
 
 # blocked_total of every point of every bundled file at its own seed and 200

@@ -301,8 +301,10 @@ def test_plan_request_rejects_scenario_only_keys(tmp_path, key, value):
 def test_plan_request_validates_planning_values(tmp_path):
     with pytest.raises(ValueError, match="target_blocking"):
         parse_plan_request(write(tmp_path, dict(PLAN, target_blocking=1.5)))
-    with pytest.raises(ValueError, match="cce_max"):
-        parse_plan_request(write(tmp_path, dict(PLAN, cce_range=[50, 40])))
+    # the range is reported under its own names, not as the base's CORESET
+    for cce_range, key in (([50, 40], "cce_max"), ([5, 0], "cce_max"), ([0, 0], "cce_min")):
+        with pytest.raises(ValueError, match=key):
+            parse_plan_request(write(tmp_path, dict(PLAN, cce_range=cce_range)))
 
 
 # --- result records -------------------------------------------------------------

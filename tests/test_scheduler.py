@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 
 from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig, ScenarioConfig,
                             candidate_starts, y_value)
-from pdcch_blocking.scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW,
-                                      STRATEGY_LOW_TO_HIGH, _allocation_order,
-                                      _greedy_assign)
-from pdcch_blocking.search_space import Y_MODULUS, Y_MULTIPLIER
-from pdcch_blocking.simulation import _kernel
+from pdcch_blocking.simulation import (STRATEGIES, STRATEGY_HIGH_TO_LOW,
+                                       STRATEGY_LOW_TO_HIGH, Y_MODULUS, Y_MULTIPLIER,
+                                       _allocation_order, _greedy_assign, _kernel)
 from test_kernel import (block_greedy, counts_per_al, kernel_tables,
                          reference_greedy, reference_order, word_ints)
 

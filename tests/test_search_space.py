@@ -51,23 +51,23 @@ def test_y_range_and_determinism():
 # --- candidate hash --------------------------------------------------------
 # A candidate's CCEs are range(start, start + L) from its hashed start.
 
-def test_candidate_cces_full_coreset_candidate():
+def test_candidate_starts_full_coreset_candidate():
     # floor(C/L) = 1 forces the modulo to zero regardless of Y
     assert candidate_starts(16, 16, 1, 7) == [0]
 
 
-def test_candidate_cces_direct_substitution():
+def test_candidate_starts_direct_substitution():
     assert candidate_starts(4, 16, 4, 0)[1] == 4
 
 
-def test_candidate_cces_frozen_case():
+def test_candidate_starts_frozen_case():
     # frozen from the standalone brute-force evaluation
     start = candidate_starts(2, 54, 6, 39827)[3]
     assert start == 30
     assert start % 2 == 0 and start + 2 <= 54
 
 
-def test_candidate_cces_rejects_oversized_al():
+def test_candidate_starts_rejects_oversized_al():
     with pytest.raises(ValueError, match="does not fit in a CORESET"):
         candidate_starts(16, 8, 1, 0)
 
@@ -77,11 +77,10 @@ def test_candidate_cces_rejects_oversized_al():
     dict(aggregation_level=2, cce_count=0, candidate_count=1, y=0),
     dict(aggregation_level=2, cce_count=54.0, candidate_count=6, y=0),
     dict(aggregation_level=2.0, cce_count=54, candidate_count=6, y=0),
-    dict(aggregation_level=2, cce_count=54, candidate_count=6, y=1.5),
     dict(aggregation_level=True, cce_count=54, candidate_count=6, y=0),
     dict(aggregation_level=2, cce_count=54, candidate_count="6", y=0),
 ])
-def test_candidate_cces_rejects_bad_arguments(kwargs):
+def test_candidate_starts_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError):
         candidate_starts(**kwargs)
 

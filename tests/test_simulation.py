@@ -11,8 +11,8 @@ from pdcch_blocking import (CoresetConfig, PlanningRequest, ScenarioConfig,
                             run_scenario, run_sweep, simulation)
 from pdcch_blocking.scenario_io import records_for_sweep
 from pdcch_blocking import cli, planner
-from pdcch_blocking.scheduler import (STRATEGIES, STRATEGY_HIGH_TO_LOW,
-                                      STRATEGY_UNORDERED)
+from pdcch_blocking.simulation import (STRATEGIES, STRATEGY_HIGH_TO_LOW,
+                                       STRATEGY_UNORDERED)
 
 MIXED = (0.4, 0.3, 0.2, 0.05, 0.05)
 
