@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from numbers import Real
 
 from .coreset import as_integer
-from .simulation import (ScenarioConfig, SweepPoint, _bounds, apply_axis,
-                         draw_ranges, run_scenario, worker_pool)
+from .simulation import ScenarioConfig, SweepPoint, apply_axis, draw_ranges, run_scenario
 
 CONFIRMATION_SCAN = 4  # CCE sizes re-checked below the bisection answer
 
@@ -76,19 +75,16 @@ def plan_min_coreset(req: PlanningRequest, workers: int = None) -> PlanningResul
     point. The C-independent half of every evaluation is drawn once, by
     ``draw_ranges`` over the same ranges, and each ``run_scenario`` takes it
     as ``draws=``. When ``workers`` > 1 splits the run into more than one
-    range, one ``worker_pool`` for those ranges serves the draws and every
+    range, the pool that ``draw_ranges`` holds serves the draws and every
     evaluation, and the calling process, which ``workers`` counts, works
     range 0 of each; a plan too small to split opens no pool."""
     results = {}  # CCE count -> SimulationResult, in evaluation order
     best = None
-    ranges = len(_bounds((req.base,), workers, None)) - 1
-    with worker_pool(ranges) as pool:
-        draws = draw_ranges(req.base, workers, pool=pool)
-
+    with draw_ranges(req.base, workers) as draws:
         def meets(cces: int) -> bool:
             if cces not in results:
                 cfg = apply_axis(req.base, "coreset_size", cces)
-                results[cces] = run_scenario(cfg, workers=workers, pool=pool, draws=draws)
+                results[cces] = run_scenario(cfg, workers=workers, draws=draws)
             return results[cces].blocking_probability <= req.target_blocking
 
         if meets(req.cce_max):

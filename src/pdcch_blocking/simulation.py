@@ -514,18 +514,14 @@ def _worker_count(workers):
 
 
 @contextmanager
-def worker_pool(workers: int = None):
+def _worker_pool(workers: int = None):
     """Yield a process pool for ``workers`` ranges, or None when serial.
     ``workers`` counts the calling process, which runs the first range of
     every map itself. The pool opens one process fewer than ``workers`` or
     than the CPUs, whichever is fewer, but at least one, since every
-    process is started at the first submit; the ranges queue for them.
-
-    Holding one pool across many ``run_scenario`` calls (pass it as
-    ``pool=``) saves starting and stopping processes per call; a call that
-    ``_bounds`` keeps to one range leaves it idle. The pool is shut down,
-    and its workers waited for, when the block exits, also by an exception.
-    """
+    process is started at the first submit; the ranges queue for them. The
+    pool is shut down, and its workers waited for, when the block exits,
+    also by an exception."""
     workers = _worker_count(workers)
     if workers is None:
         yield None
@@ -553,15 +549,13 @@ def worker_pool(workers: int = None):
 MIN_RANGE_UES = 3 * 2**13
 
 
-def _bounds(configs, workers, pool) -> list:
+def _bounds(configs, workers) -> list:
     """The bounds of the iteration ranges of a run of ``configs``, which
     share their iteration count: one per worker, but no more than the
     iterations, so that none is empty, and no more than one per
     ``MIN_RANGE_UES`` UE-iterations of all configs together, so that a
-    small run stays in the calling process. A ``pool`` needs ``workers`` > 1."""
+    small run stays in the calling process."""
     workers = _worker_count(workers)
-    if pool is not None and workers is None:
-        raise ValueError("a pool needs workers > 1")
     iterations = configs[0].iterations
     work = iterations * sum(cfg.ue_count for cfg in configs)
     n = min(workers or 1, iterations, max(1, work // MIN_RANGE_UES))
@@ -578,48 +572,54 @@ def _map_ranges(fn, configs, bounds, pool, *columns) -> list:
     args = [[configs] * n, bounds[:-1], bounds[1:], *columns]
     if n == 1:
         return list(map(fn, *args))
-    with worker_pool(n) if pool is None else nullcontext(pool) as pool:
+    with _worker_pool(n) if pool is None else nullcontext(pool) as pool:
         rest = pool.map(fn, *(column[1:] for column in args))
         return [fn(*(column[0] for column in args)), *rest]
 
 
 class Draws(NamedTuple):
-    """A run's C-independent half from ``draw_ranges``, per worker range.
-    ``drawn_for`` is (master seed, range bounds, U, AL mix, strategy); the
-    last bound is the iteration count."""
+    """A run's C-independent half from ``draw_ranges``, per worker range,
+    and the pool of its block, or None. ``drawn_for`` is (master seed, range
+    bounds, U, AL mix, strategy); the last bound is the iteration count."""
 
     drawn_for: tuple
     ranges: tuple
+    pool: object
 
 
 def _drawn_for(cfg: ScenarioConfig, bounds) -> tuple:
     return (cfg.master_seed, tuple(bounds), *_draw_key(cfg))
 
 
-def draw_ranges(cfg: ScenarioConfig, workers: int = None, *, pool=None) -> Draws:
-    """Draw the C-independent half of ``run_scenario(cfg, workers,
-    pool=pool)`` once, for every run that differs from ``cfg`` only in its
-    CORESET or candidate counts to take as ``draws=``. Its ranges are
-    ``run_scenario``'s, from ``_bounds`` of ``(cfg,)``: the calling process,
-    one of the ``workers``, draws range 0, and the pool the rest. A run
-    below the ``MIN_RANGE_UES`` split is one range, drawn in the calling
-    process; a ``pool`` is then left idle."""
-    bounds = _bounds((cfg,), workers, pool)
-    return Draws(_drawn_for(cfg, bounds), tuple(_map_ranges(_draw_range, (cfg,), bounds, pool)))
+@contextmanager
+def draw_ranges(cfg: ScenarioConfig, workers: int = None):
+    """Draw the C-independent half of ``run_scenario(cfg, workers)`` once,
+    for every run that differs from ``cfg`` only in CORESET or candidate
+    counts to take as ``draws=``, and yield it as ``Draws``. Its ranges are
+    ``run_scenario``'s: the calling process, one of the ``workers``, draws
+    range 0, and a split run's pool the rest; runs given these draws map
+    their ranges over the same pool. A run below the ``MIN_RANGE_UES`` split
+    is one range and opens no pool. The pool closes when the block exits,
+    also by an exception: a split run's draws are valid only inside it, and
+    after it the closed pool raises RuntimeError."""
+    bounds = _bounds((cfg,), workers)
+    with _worker_pool(len(bounds) - 1) as pool:
+        ranges = tuple(_map_ranges(_draw_range, (cfg,), bounds, pool))
+        yield Draws(_drawn_for(cfg, bounds), ranges, pool)
 
 
-def _run_configs(configs, workers, keep: bool, pool, draws=None) -> list:
+def _run_configs(configs, workers, keep: bool, draws=None) -> list:
     """``run_scenario`` for every config in ``configs`` at once: one map of
     ``_run_range`` over the iteration ranges, each range running every config.
     Returns each config's ``SimulationResult``, in order."""
-    bounds = _bounds(configs, workers, pool)
+    bounds = _bounds(configs, workers)
     n = len(bounds) - 1
     if draws is not None and draws.drawn_for != _drawn_for(configs[0], bounds):
         raise ValueError(
             f"draws were made for (master seed, range bounds, U, AL mix, strategy) "
             f"{draws.drawn_for}, not {_drawn_for(configs[0], bounds)}")
-    parts = _map_ranges(_run_range, configs, bounds, pool, [keep] * n,
-                        [None] * n if draws is None else draws.ranges)
+    pool, drawn = (None, [None] * n) if draws is None else (draws.pool, draws.ranges)
+    parts = _map_ranges(_run_range, configs, bounds, pool, [keep] * n, drawn)
     return [SimulationResult(
         cfg.ue_count, cfg.iterations, cfg.master_seed, sum(part[i][0] for part in parts),
         tuple(b for part in parts for b in part[i][1]) if keep else None)
@@ -627,8 +627,7 @@ def _run_configs(configs, workers, keep: bool, pool, draws=None) -> list:
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = None,
-                 keep_per_iteration: bool = False, *, pool=None,
-                 draws: Draws = None) -> SimulationResult:
+                 keep_per_iteration: bool = False, *, draws: Draws = None) -> SimulationResult:
     """Estimate the blocking probability for one scenario.
 
     The iterations are split into contiguous ranges, one per worker but at
@@ -636,22 +635,20 @@ def run_scenario(cfg: ScenarioConfig, workers: int = None,
     one map runs ``_run_range`` over them; their counts are summed in range
     order. None or 1 ``workers``, or a run too small to split, is the
     builtin ``map`` over one range in the calling process, which opens no
-    pool; a ``pool`` with None or 1 ``workers`` is an error. ``workers`` > 1
-    counts the calling process: on a split run it works range 0 itself while
-    the other ranges map over ``pool``, an open pool from ``worker_pool``,
-    or else over a pool opened and closed for this call; ``plan_min_coreset``
-    holds one pool for all its runs. Because every iteration seeds its own
-    stream from (master_seed, iteration), the result does not depend on the
-    number of ranges. ``run_sweep`` takes the same path with all its points
-    at once, and its ranges count the UEs of every point.
+    pool. ``workers`` > 1 counts the calling process: on a split run it
+    works range 0 itself while the other ranges map over the pool of
+    ``draws``, or a pool opened and closed for this call. Every iteration
+    seeds its own stream from (master_seed, iteration), so the result does
+    not depend on the number of ranges. ``run_sweep`` takes the same path
+    with all its points at once, and its ranges count the UEs of every point.
 
     ``draws`` from ``draw_ranges`` is the C-independent half, drawn
     beforehand; the result is the same. Draws made for another master seed,
     iteration count, U, AL mix or strategy, or at a worker count that gives
-    other ranges, raise ValueError before any pool opens.
+    other ranges, raise ValueError before any range runs.
     ``plan_min_coreset`` draws once for all its evaluations.
     """
-    return _run_configs((cfg,), workers, keep_per_iteration, pool, draws)[0]
+    return _run_configs((cfg,), workers, keep_per_iteration, draws)[0]
 
 
 @dataclass(frozen=True)
@@ -733,4 +730,4 @@ def run_sweep(base: ScenarioConfig, axis: str, points, workers: int = None) -> l
     if repeated := sorted({label for label in labels if labels.count(label) > 1}):
         raise ValueError(f"sweep point labels must be distinct, got repeated {repeated}")
     return [SweepPoint(point, label, result) for point, label, result
-            in zip(points, labels, _run_configs(configs, workers, False, None))]
+            in zip(points, labels, _run_configs(configs, workers, False))]

@@ -15,7 +15,6 @@ from pdcch_blocking import (bundled_scenario_path, candidate_starts,
                             parse_plan_request, parse_scenario,
                             plan_min_coreset, run_scenario, run_sweep,
                             apply_axis)
-from pdcch_blocking.simulation import worker_pool
 
 
 def _line(tag, ok, detail):
@@ -67,13 +66,12 @@ def test_criterion_2_coreset_size_reproduction():
     assert endpoints_ok and monotone_ok
 
 
-def _largest_ue_count_below(config, threshold, pool, hi=60):
+def _largest_ue_count_below(config, threshold, hi=60):
     cache = {}
 
     def blocking(u):
         if u not in cache:
-            cache[u] = run_scenario(apply_axis(config, "ue_count", u),
-                                    workers=2, pool=pool)
+            cache[u] = run_scenario(apply_axis(config, "ue_count", u), workers=2)
         return cache[u].blocking_probability
 
     lo = 1
@@ -90,10 +88,9 @@ def _largest_ue_count_below(config, threshold, pool, hi=60):
 def test_criterion_3_fixed_al_capacity():
     targets = {2: 33, 4: 16, 8: 6, 16: 2}
     observed = {}
-    with worker_pool(2) as pool:
-        for al in targets:
-            scenario = parse_scenario(bundled_scenario_path(f"fig7_al{al}_ue_sweep"))
-            observed[al] = _largest_ue_count_below(scenario.config, 0.2, pool)
+    for al in targets:
+        scenario = parse_scenario(bundled_scenario_path(f"fig7_al{al}_ue_sweep"))
+        observed[al] = _largest_ue_count_below(scenario.config, 0.2)
     ok = all(abs(observed[al] - targets[al]) <= 2 for al in targets)
     _line("C3", ok,
           f"fig7 largest U with B<0.2 per AL: {observed} (targets {targets}, +/-2)")

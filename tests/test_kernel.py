@@ -1,6 +1,7 @@
 """The table-driven iteration kernel against the per-UE hash it replaces,
 and the blocked counts of every bundled study pinned bit for bit."""
 
+import functools
 import itertools
 import math
 from dataclasses import replace
@@ -311,15 +312,17 @@ def test_u3_blocking_matches_exact_oracle_on_drawn_configs(cfg):
                             rel_tol=1e-9, abs_tol=4 * stderr)
 
 
-def dp_blocking(cfg: ScenarioConfig) -> float:
-    """The exact blocking probability of an "unordered" ``cfg``, for any U,
-    written from TS 38.213 alone. In processing order each UE's AL and Y are
-    independent of the UEs before it, so the used-CCE mask after i UEs is a
-    Markov chain: a dict from mask to probability. A step takes each (AL,
-    residue r = Y mod floor(C/L)) with weight p_AL * q(r), where q is the
-    share of C-RNTIs 1..65535 whose Y = rnti * 39827 mod 65537 has residue
-    r, and the UE takes its free candidate with the lowest first CCE or is
-    blocked. E[blocked] sums each step's blocked probability."""
+@functools.cache
+def dp_blocked_by_position(cfg: ScenarioConfig) -> tuple:
+    """The exact probability that an "unordered" ``cfg``'s UE at processing
+    position i = 0..U-1 is blocked, written from TS 38.213 alone. In
+    processing order each UE's AL and Y are independent of the UEs before
+    it, so the used-CCE mask after i UEs is a Markov chain that does not
+    depend on U: a dict from mask to probability, and a smaller U's
+    positions are a prefix. A step takes each (AL, residue r = Y mod
+    floor(C/L)) with weight p_AL * q(r), where q is the share of C-RNTIs
+    1..65535 whose Y = rnti * 39827 mod 65537 has residue r, and the UE
+    takes its free candidate with the lowest first CCE or is blocked."""
     assert cfg.strategy == STRATEGY_UNORDERED
     cce_count = cfg.coreset.cce_count
     ys = np.arange(1, 65536, dtype=np.int64) * 39827 % 65537
@@ -334,38 +337,48 @@ def dp_blocking(cfg: ScenarioConfig) -> float:
                 starts = {level * ((r + k * cce_count // (level * m)) % positions)
                           for k in range(m)}
                 moves.append((p * q[r], tuple(((1 << level) - 1) << s for s in sorted(starts))))
-    states, blocked = {0: 1.0}, 0.0
+    states, blocked = {0: 1.0}, []
     for i in range(cfg.ue_count):
-        after = {}
+        after, blocked_here = {}, 0.0
         for used, prob in states.items():
             for weight, masks in moves:
                 taken = next((mask for mask in masks if not used & mask), 0)
                 if not taken:
-                    blocked += prob * weight
+                    blocked_here += prob * weight
                 if i < cfg.ue_count - 1:  # the last step needs no new states
                     after[used | taken] = after.get(used | taken, 0.0) + prob * weight
         states = after
-    return blocked / cfg.ue_count
+        blocked.append(blocked_here)
+    return tuple(blocked)
+
+
+def dp_blocking(cfg: ScenarioConfig, chain: ScenarioConfig = None) -> float:
+    """The exact blocking probability of an "unordered" ``cfg``: the mean of
+    its positions' blocked probabilities, read from the chain of ``chain``,
+    ``cfg`` at a U at least as large, or else of ``cfg`` itself."""
+    return sum(dp_blocked_by_position(chain or cfg)[:cfg.ue_count]) / cfg.ue_count
 
 
 def dp_cases():
-    """Every point of the fig7 AL8 and AL16 sweeps, and the U=5 plan's
-    decisive sizes 20..24 CCEs, at their file seeds and iterations."""
-    for name in ("fig7_al8_ue_sweep", "fig7_al16_ue_sweep"):
+    """Every point of the fig7 AL4, AL8 and AL16 sweeps, each sweep on one
+    chain at its largest U, and the U=5 plan's decisive sizes 20..24 CCEs,
+    at their file seeds and iterations."""
+    for name in ("fig7_al4_ue_sweep", "fig7_al8_ue_sweep", "fig7_al16_ue_sweep"):
         scn = parse_scenario(bundled_scenario_path(name))
+        chain = apply_axis(scn.config, scn.sweep.axis, max(scn.sweep.points))
         for point in scn.sweep.points:
-            yield pytest.param(apply_axis(scn.config, scn.sweep.axis, point),
+            yield pytest.param(apply_axis(scn.config, scn.sweep.axis, point), chain,
                                id=f"{name}-{point}")
     _, req = parse_plan_request(bundled_scenario_path("plan_fig11_u5_target20"))
     for cce_count in range(20, 25):
-        yield pytest.param(apply_axis(req.base, "coreset_size", cce_count),
-                           id=f"plan_fig11_u5_target20-{cce_count}")
+        cfg = apply_axis(req.base, "coreset_size", cce_count)
+        yield pytest.param(cfg, cfg, id=f"plan_fig11_u5_target20-{cce_count}")
 
 
-@pytest.mark.parametrize("cfg", dp_cases())
-def test_unordered_blocking_matches_exact_dp(cfg):
+@pytest.mark.parametrize("cfg,chain", dp_cases())
+def test_unordered_blocking_matches_exact_dp(cfg, chain):
     # the stderr of the per-iteration blocked count, sd / (U * sqrt(N))
-    exact = dp_blocking(cfg)
+    exact = dp_blocking(cfg, chain)
     result = run_scenario(cfg, keep_per_iteration=True)
     blocked = np.array(result.per_iteration_blocked)
     stderr = blocked.std(ddof=1) / (cfg.ue_count * math.sqrt(cfg.iterations))

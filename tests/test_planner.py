@@ -10,7 +10,7 @@ from pdcch_blocking import (STRATEGIES, CoresetConfig, PlanningRequest,
                             ScenarioConfig, apply_axis, bundled_scenario_path,
                             parse_plan_request, plan_min_coreset, planner,
                             run_scenario, run_sweep, simulation)
-from pdcch_blocking.simulation import draw_ranges, worker_pool
+from pdcch_blocking.simulation import draw_ranges
 
 MEDIUM = (0.05, 0.2, 0.5, 0.2, 0.05)
 
@@ -190,14 +190,12 @@ def assert_points_equal_fresh_runs(req, workers):
     """Every planner point equals its own run without shared draws, and so
     do the per-iteration counts of each size run on the plan's draws."""
     result = plan_min_coreset(req, workers=workers)
-    with worker_pool(workers) as pool:
-        draws = draw_ranges(req.base, workers, pool=pool)
+    with draw_ranges(req.base, workers) as draws:
         for sp in result.points:
             cfg = apply_axis(req.base, "coreset_size", sp.point)
-            fresh = run_scenario(cfg, workers, keep_per_iteration=True, pool=pool)
+            fresh = run_scenario(cfg, workers, keep_per_iteration=True)
             assert sp.result == dataclasses.replace(fresh, per_iteration_blocked=None)
-            assert run_scenario(cfg, workers, keep_per_iteration=True, pool=pool,
-                                draws=draws) == fresh
+            assert run_scenario(cfg, workers, keep_per_iteration=True, draws=draws) == fresh
 
 
 @st.composite
@@ -256,3 +254,10 @@ def test_plan_draws_once_and_keeps_one_greedy_per_block(monkeypatch):
     # runs once per block of every evaluation
     assert calls == {"_state_blocks": 1, "_allocation_order": 3,
                      "_simulate_iteration": 3 * len(result.points)}
+
+
+def test_planner_holds_no_private_simulation_name():
+    # the range split and the pool stay behind draw_ranges
+    private = [name for name, value in vars(planner).items() if name.startswith("_")
+               and getattr(value, "__module__", None) == simulation.__name__]
+    assert private == []

@@ -62,7 +62,8 @@ def test_distribution_fixed_point_mass():
 
 
 @pytest.mark.parametrize("probs", [(True, 0, 0, 0, 0), ("1", 0, 0, 0, 0),
-                                   (None, 1, 0, 0, 0), {1: 0.5, 2: "0.5"}, 5, None])
+                                   (None, 1, 0, 0, 0), {1: 0.5, 2: "0.5"}, 5, None,
+                                   {True: 1.0}, {16.0: 1.0}])
 def test_distribution_rejects_non_numbers(probs):
     with pytest.raises(ValueError, match="^probabilities must be numbers"):
         scenario(al_distribution=probs)
@@ -363,12 +364,11 @@ def test_fewer_iterations_than_workers_in_shared_pool(pools):
     # each of the 3 iterations holds MIN_RANGE_UES UEs, one range's worth
     cfg = scenario(ue_count=simulation.MIN_RANGE_UES, iterations=3)
     serial = run_scenario(cfg, keep_per_iteration=True)
-    with simulation.worker_pool(5) as pool:
-        shared = run_scenario(cfg, workers=5, keep_per_iteration=True, pool=pool)
-        again = run_scenario(cfg, workers=5, keep_per_iteration=True, pool=pool)
-        for workers in (None, 1):  # a serial run would ignore the pool
-            with pytest.raises(ValueError, match="pool"):
-                run_scenario(cfg, workers=workers, pool=pool)
+    with simulation.draw_ranges(cfg, workers=5) as draws:
+        shared = run_scenario(cfg, workers=5, keep_per_iteration=True, draws=draws)
+        again = run_scenario(cfg, workers=5, keep_per_iteration=True, draws=draws)
+    with pytest.raises(RuntimeError):  # the draws' pool closed with the block
+        run_scenario(cfg, workers=5, draws=draws)
     own = run_scenario(cfg, workers=5, keep_per_iteration=True)
     assert len(serial.per_iteration_blocked) == 3
     assert shared == again == own == serial
@@ -379,7 +379,7 @@ def test_bounds_make_no_empty_range():
     # no more ranges than iterations, however many workers are asked for
     def bounds(iterations, workers):
         cfg = scenario(ue_count=simulation.MIN_RANGE_UES, iterations=iterations)
-        return simulation._bounds((cfg,), workers, None)
+        return simulation._bounds((cfg,), workers)
     assert bounds(3, 5) == [0, 1, 2, 3]
     assert bounds(1, 2000) == [0, 1]
     assert bounds(10, 4) == [0, 2, 5, 7, 10]
@@ -388,7 +388,7 @@ def test_bounds_make_no_empty_range():
 def test_bounds_split_only_runs_worth_a_range_each():
     def ranges(ue_counts, iterations, workers):
         configs = [scenario(ue_count=u, iterations=iterations) for u in ue_counts]
-        return len(simulation._bounds(configs, workers, None)) - 1
+        return len(simulation._bounds(configs, workers)) - 1
     two = 2 * simulation.MIN_RANGE_UES  # UE-iterations for two ranges
     assert ranges([1], two - 1, 8) == 1
     assert ranges([1], two, 8) == 2
@@ -640,16 +640,16 @@ def test_calling_process_runs_range_zero_of_every_pooled_map(pools, monkeypatch,
                 == run_sweep(cfg, "ue_count", [4, 10]))
         assert starts == [("run", 0)] * 2  # the pooled sweep, then the serial one
         starts.clear()
-        draws = simulation.draw_ranges(cfg, workers=workers)
-        assert starts == [("draw", 0)]
-        assert run_scenario(cfg, workers=workers, draws=draws) == serial
+        with simulation.draw_ranges(cfg, workers=workers) as draws:
+            assert starts == [("draw", 0)]
+            assert run_scenario(cfg, workers=workers, draws=draws) == serial
         starts.clear()
         req = PlanningRequest(base=cfg, target_blocking=0.2, cce_min=6, cce_max=54)
         plan = plan_min_coreset(req, workers=workers)
         assert plan == plan_min_coreset(req)
         # the pooled plan's draws and evaluations, then the serial plan's
         assert starts == 2 * ([("draw", 0)] + [("run", 0)] * len(plan.points))
-    assert len(pools) == 10
+    assert len(pools) == 8  # per worker count: run, sweep, draws and their run, plan
     assert all(pool._max_workers == 1 for pool in pools)
 
 
@@ -674,21 +674,21 @@ def test_failure_in_range_zero_propagates_and_closes_the_pool(pools, monkeypatch
 def test_draws_made_for_another_run_are_rejected(change, workers, pools):
     # at SPLIT iterations, 2 and 3 workers give 2 and 3 ranges
     cfg = scenario(iterations=SPLIT)
-    draws = simulation.draw_ranges(cfg, workers=2)
-    assert len(pools) == 1
-    with pytest.raises(ValueError, match="draws were made for"):
-        run_scenario(dataclasses.replace(cfg, **change), workers=workers, draws=draws)
+    with simulation.draw_ranges(cfg, workers=2) as draws:
+        assert len(pools) == 1
+        with pytest.raises(ValueError, match="draws were made for"):
+            run_scenario(dataclasses.replace(cfg, **change), workers=workers, draws=draws)
     assert len(pools) == 1  # rejected before a pool opens
     assert multiprocessing.active_children() == []
 
 
 def test_draws_are_shared_across_coreset_and_candidate_counts():
     cfg = scenario(iterations=40, strategy=STRATEGY_HIGH_TO_LOW)
-    draws = simulation.draw_ranges(cfg)
-    for other in (apply_axis(cfg, "coreset_size", 100),
-                  apply_axis(cfg, "candidate_counts", {"name": "x", "counts": [1, 2, 0, 1, 1]})):
-        assert run_scenario(other, keep_per_iteration=True, draws=draws) == \
-            run_scenario(other, keep_per_iteration=True)
+    with simulation.draw_ranges(cfg) as draws:
+        for other in (apply_axis(cfg, "coreset_size", 100),
+                      apply_axis(cfg, "candidate_counts", {"name": "x", "counts": [1, 2, 0, 1, 1]})):
+            assert run_scenario(other, keep_per_iteration=True, draws=draws) == \
+                run_scenario(other, keep_per_iteration=True)
 
 
 SWEEP_POINTS = {
