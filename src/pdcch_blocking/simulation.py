@@ -216,7 +216,9 @@ SHUFFLE_SLACK = 16  # even; the shuffle has 2U + 16 halves, and a row short of t
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):
     """Derived seed words for PCG64 to seed itself from in C. It reads their
-    buffer, so a strided view instead of a C-contiguous row seeds wrongly."""
+    buffer, so a strided view instead of a C-contiguous row seeds wrongly.
+    PCG64 reads the words once, when it is made, so one object serves a
+    whole block: set ``words`` to each row's before making its PCG64."""
 
     def __init__(self, words):
         self.words = words
@@ -283,8 +285,10 @@ def _raw_draws(states, u: int):
     ``states``, ``PCG64(_SeedWords(row)).random_raw(_raw_width(u))``. Every
     smaller U's words are a prefix of each row."""
     raw = np.empty((len(states), _raw_width(u)), dtype=np.uint64)
+    seed = _SeedWords(None)
     for row, words in enumerate(states):
-        raw[row] = np.random.PCG64(_SeedWords(words)).random_raw(raw.shape[1])
+        seed.words = words
+        raw[row] = np.random.PCG64(seed).random_raw(raw.shape[1])
     return raw
 
 
@@ -359,6 +363,12 @@ _FIELDS = np.array([[(2**64 - 1) // (2**L - 1) * (2**(L - 1) - 1) for L in AGGRE
                     [2**L - 1 for L in AGGREGATION_LEVELS]], dtype=np.uint64)
 
 
+# How often, in positions, the greedy checks whether every row is full. A
+# check costs about a fifth of a position (300 rows, one word), so a walk
+# that never stops early pays well under 1% for it.
+CHECK_POSITIONS = 64
+
+
 def _greedy_assign(index, table):
     """Run the greedy on a block of iterations at once. Row b of ``index`` is
     iteration b's UEs in processing order, each as a column of ``table``, a
@@ -366,13 +376,21 @@ def _greedy_assign(index, table):
     one bit at the last CCE of each candidate, then its AL's constants lo
     (the low L - 1 bits of every L-bit field), L - 1 and 2**L - 1. Every
     iteration starts with no CCE used. At each position, every row's UE
-    takes its first free candidate, or is blocked and takes none. Returns
-    (scheduled, used): a (B, U) bool array, True where the UE took a
+    takes its first free candidate, or is blocked and takes none. Every
+    ``CHECK_POSITIONS`` positions the walk stops once every row has used
+    every CCE that some column can take, as the rest are then blocked.
+    Returns (scheduled, used): a (B, U) bool array, True where the UE took a
     candidate, and the (W, B) words of each row's used CCEs."""
     b, words = len(index), len(table) - 3
     used = np.zeros((words, b), dtype=np.uint64)
-    scheduled = np.empty((index.shape[1], b), dtype=bool)
+    scheduled = np.zeros((index.shape[1], b), dtype=bool)
+    if index.shape[1] > CHECK_POSITIONS:
+        # the CCEs of every column's candidate blocks, one (W, 1) mask
+        reach = np.bitwise_or.reduce(
+            (table[:words] >> table[words + 1]) * table[words + 2], axis=1, keepdims=True)
     for j, sets in enumerate(np.asfortranarray(index).T):
+        if j and j % CHECK_POSITIONS == 0 and (used == reach).all():
+            break
         column = table.take(sets, axis=1)
         lo, shift, fill = column[words:]
         # the top bit of an L-field of ((used & lo) + lo) | used is set when
@@ -441,12 +459,12 @@ def _draw_blocks(configs, start: int, stop: int):
     ``configs``, which share master_seed, per block: a dict from each
     distinct ``_draw_key`` to its AL indices (int8) and Ys (int32), (B, U)
     arrays with each row in processing order."""
-    keys = {}  # draw key -> cumulative AL distribution
+    keys = {}  # draw key -> the cumulative AL distribution's edges
     for cfg in configs:
-        cumulative = np.cumsum(cfg.al_distribution)
-        # a draw above a rounded-down total is the last AL of nonzero probability
-        cumulative[np.flatnonzero(cfg.al_distribution)[-1]:] = np.inf
-        keys[_draw_key(cfg)] = cumulative
+        # a draw above a rounded-down total is the last AL of nonzero
+        # probability, so the edges stop before that AL's
+        last = np.flatnonzero(cfg.al_distribution)[-1]
+        keys[_draw_key(cfg)] = np.cumsum(cfg.al_distribution)[:last]
     ues = {key[0] for key in keys}
     u_max = max(ues)
     block = max(1, min(STATE_BLOCK, BLOCK_UES // u_max))
@@ -454,13 +472,17 @@ def _draw_blocks(configs, start: int, stop: int):
         raw = _raw_draws(states, u_max)
         decoded = {u: _decode_draws(states, raw, u) for u in ues}
         drawn = {}
-        for key, cumulative in keys.items():
+        for key, edges in keys.items():
             u, _, strategy = key
             rntis, uniforms, perm = decoded[u]
-            al_idx = np.searchsorted(cumulative, uniforms, side="right")
+            # the number of edges at or below each uniform, as searchsorted's
+            # side="right"; int8 keys also take argsort's radix path
+            al_idx = np.zeros(uniforms.shape, dtype=np.int8)
+            for edge in edges:
+                al_idx += uniforms >= edge
             # each row's processing order, as indices into the flat arrays
             flat = _allocation_order(al_idx, perm, strategy) + np.arange(0, perm.size, u)[:, None]
-            drawn[key] = (al_idx.take(flat).astype(np.int8),
+            drawn[key] = (al_idx.take(flat),
                           (rntis * Y_MULTIPLIER % Y_MODULUS).take(flat).astype(np.int32))
         yield drawn
 

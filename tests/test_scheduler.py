@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig, ScenarioConfig,
                             candidate_starts, y_value)
-from pdcch_blocking.simulation import (STRATEGIES, STRATEGY_HIGH_TO_LOW,
+from pdcch_blocking.simulation import (CHECK_POSITIONS, STRATEGIES, STRATEGY_HIGH_TO_LOW,
                                        STRATEGY_LOW_TO_HIGH, Y_MODULUS, Y_MULTIPLIER,
                                        _allocation_order, _greedy_assign, _kernel)
 from test_kernel import (block_greedy, counts_per_al, kernel_tables,
@@ -210,6 +210,10 @@ def greedy_blocks(draw):
 @example((20, [(16, [0, 0]), (1, [3, 17])], [[0, 1, 0, 1], [1, 0, 1, 1]]))
 # a full last word of three: the AL-8 blocks at CCEs 176 and 184
 @example((192, [(8, [176, 184]), (16, [176])], [[0, 1, 0], [1, 0, 0]]))
+# more positions than CHECK_POSITIONS: both rows use every CCE of the sets
+# within three positions, so the walk stops at the first check
+@example((48, [(16, [0]), (16, [16]), (16, [32]), (8, [8, 40])],
+          [[0, 1, 2] + [3] * 67, [2, 0, 1] + [3] * 67]))
 def test_block_greedy_matches_reference_greedy(case):
     cce_count, sets, rows = case
     outcomes = block_greedy([masks(*s) for s in sets], cce_count, rows)
@@ -223,6 +227,26 @@ def test_block_greedy_matches_reference_greedy(case):
         assert used == sum(((1 << ues[j][0]) - 1) << start for j, start in assigned.items())
 
 
+def kernel_walk(cce_count, counts, rows):
+    """``_greedy_assign`` on ``_kernel``'s table over rows of (AL index, Y)
+    pairs, each row checked against ``reference_greedy``. Returns the (B, U)
+    scheduled array, the (W, B) used words, the index and the table."""
+    coreset = CoresetConfig.from_cce_count(cce_count)
+    positions, table = _kernel(ScenarioConfig(1, coreset, counts, {1: 1.0}))
+    offsets = np.cumsum(positions) - positions
+    _, tables = kernel_tables(counts, coreset)
+    rows = [[(a, y % positions[a]) for a, y in row] for row in rows]
+    index = np.array([[offsets[a] + r for a, r in row] for row in rows], dtype=np.int64)
+    scheduled, used = _greedy_assign(index, table)
+    for row, took, words in zip(rows, scheduled.tolist(), word_ints(used).tolist()):
+        ues = [(AGGREGATION_LEVELS[a], [(mask & -mask).bit_length() - 1
+                                         for mask in tables[a][r]]) for a, r in row]
+        assigned, blocked = reference_greedy(ues, range(len(row)))
+        assert [j for j in range(len(row)) if not took[j]] == blocked
+        assert words == sum(((1 << ues[j][0]) - 1) << first for j, first in assigned.items())
+    return scheduled, used, index, table
+
+
 @settings(max_examples=100, deadline=None)
 @given(EDGE_CCE_COUNTS, counts_per_al, st.lists(
     st.lists(st.tuples(st.integers(0, 4), st.integers(0, 199)), min_size=1, max_size=40),
@@ -230,23 +254,48 @@ def test_block_greedy_matches_reference_greedy(case):
 def test_used_words_are_the_blocks_taken(cce_count, counts, draws):
     # one greedy pass over _kernel's own table: each row's used words are
     # the union of the blocks its scheduled UEs took, nothing else
-    coreset = CoresetConfig.from_cce_count(cce_count)
-    positions, table = _kernel(ScenarioConfig(1, coreset, counts, {1: 1.0}))
-    offsets = (np.cumsum(positions) - positions).tolist()
-    _, tables = kernel_tables(counts, coreset)
     u = min(len(row) for row in draws)
-    rows = [[(a, r % positions[a]) for a, r in row[:u]] for row in draws]
-    index = np.array([[offsets[a] + r for a, r in row] for row in rows], dtype=np.int64)
-    scheduled, used = _greedy_assign(index, table)
-    assert used.shape == (-(-cce_count // 64), len(rows))
-    for row, took, words in zip(rows, scheduled.tolist(), word_ints(used).tolist()):
-        ues = [(AGGREGATION_LEVELS[a], [(mask & -mask).bit_length() - 1
-                                         for mask in tables[a][r]]) for a, r in row]
-        assigned, blocked = reference_greedy(ues, range(u))
-        assert [j for j in range(u) if not took[j]] == blocked
-        assert words == sum(((1 << ues[j][0]) - 1) << first for j, first in assigned.items())
-        assert words.bit_count() == sum(ues[j][0] for j in range(u) if took[j])
+    scheduled, used, _, _ = kernel_walk(cce_count, counts, [row[:u] for row in draws])
+    assert used.shape == (-(-cce_count // 64), len(draws))
+    for row, took, words in zip(draws, scheduled.tolist(), word_ints(used).tolist()):
+        assert words.bit_count() == sum(AGGREGATION_LEVELS[a] for (a, _), t in zip(row, took) if t)
         assert words >> cce_count == 0
+
+
+# At C = 48 the three AL-16 residues and the six AL-8 residues (one
+# candidate each) both cover every CCE, so a row is full once it holds the
+# three AL-16 blocks or all six AL-8 ones.
+FULL_AT_48 = (0, 0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("u", [CHECK_POSITIONS - 1, CHECK_POSITIONS, CHECK_POSITIONS + 1,
+                               2 * CHECK_POSITIONS, 200])
+@pytest.mark.parametrize("late", [False, True])
+def test_greedy_early_exit_matches_reference(u, late):
+    rng = np.random.default_rng(u)
+    full_at = min(u, CHECK_POSITIONS)  # the first check, or the last position
+    rows = [[(4, r) for r in range(3)] + [(4, 0)] * (u - 3),
+            [(4, 0)] * (full_at - 2) + [(4, 1), (4, 2)] + [(4, 0)] * (u - full_at),
+            [(int(a), int(rng.integers(6 if a == 3 else 3))) for a in rng.integers(3, 5, u)]]
+    if late:
+        # a row full only at its last position, and one that never fills
+        # but takes a block there: the walk runs to the end
+        rows += [[(4, 0)] * (u - 2) + [(4, 1), (4, 2)], [(4, 0)] * (u - 1) + [(3, 3)]]
+    scheduled, *_ = kernel_walk(48, FULL_AT_48, rows)
+    if late:
+        assert scheduled[3:, -1].all()
+
+
+def test_greedy_stops_when_every_row_is_full():
+    # U = 200 AL-16 UEs on 48 CCEs, each row full well before the first
+    # check: the positions from it on are never read, and stay unscheduled
+    u, rng = 200, np.random.default_rng(3)
+    rows = [[(4, int(r)) for r in np.r_[rng.permutation(3), rng.integers(3, size=u - 3)]]
+            for _ in range(8)]
+    scheduled, _, index, table = kernel_walk(48, FULL_AT_48, rows)
+    assert (scheduled.sum(axis=1) == 3).all()
+    index[:, CHECK_POSITIONS:] = table.shape[1]  # past the table
+    assert (_greedy_assign(index, table)[0] == scheduled).all()
 
 
 def test_leftmost_choice_picks_lowest_start():

@@ -106,6 +106,51 @@ def test_zero_probability_al_is_never_drawn(monkeypatch):
     assert (al_idx == 2).all()
 
 
+def _edge_uniforms(cumulative, rng):
+    """Every cumulative edge, the doubles on either side of it, 0.0 and the
+    largest uniform 1 - 2**-53, then random uniforms, in a shuffled row."""
+    cases = [0.0, 1.0 - 2.0**-53]
+    for edge in cumulative:
+        cases += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+    return rng.permutation(np.concatenate([cases, rng.random(40 - len(cases))]))
+
+
+def _random_mix(seed):
+    """A random AL mix, some of whose ALs have probability 0."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(5) * (rng.random(5) < 0.6)
+    weights[rng.integers(5)] += 0.1
+    return tuple((weights / weights.sum()).tolist())
+
+
+@pytest.mark.parametrize("mix", [
+    *map(_random_mix, range(4)), (0.2, 0.2, 0.2, 0.2, 0.2),
+    (1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 1),
+    (0.3, 0.3, 0.3999999999, 0, 0)])
+def test_al_index_is_searchsorted_on_the_cumulative_mix(monkeypatch, mix):
+    # the AL index of a uniform is the number of cumulative edges at or
+    # below it, with the edges from the last AL of nonzero probability on
+    # taken as infinite, as np.searchsorted(side="right") gives it
+    cfg = scenario(ue_count=40, iterations=6, al_distribution=mix,
+                   strategy=STRATEGY_UNORDERED)
+    cumulative = np.cumsum(cfg.al_distribution)
+    rng = np.random.default_rng(41)
+    uniforms = np.array([_edge_uniforms(cumulative, rng) for _ in range(cfg.iterations)])
+    decode = simulation._decode_draws
+
+    def edge_draws(*args):
+        rntis = decode(*args)[0]
+        # the identity order, so that row b's UE j is uniforms[b, j]
+        return rntis, uniforms, np.tile(np.arange(cfg.ue_count), (cfg.iterations, 1))
+    monkeypatch.setattr(simulation, "_decode_draws", edge_draws)
+    [block] = simulation._draw_range((cfg,), 0, cfg.iterations)
+    al_idx, _ = block[simulation._draw_key(cfg)]
+    cumulative[np.flatnonzero(cfg.al_distribution)[-1]:] = np.inf
+    assert al_idx.dtype == np.int8
+    np.testing.assert_array_equal(
+        al_idx, np.searchsorted(cumulative, uniforms, side="right").astype(np.int8))
+
+
 def test_scenario_config_validation():
     with pytest.raises(ValueError):
         scenario(ue_count=0)
