@@ -18,23 +18,14 @@ def as_integer(name: str, value, minimum: int = None) -> int:
 
 
 def per_al(name: str, values, kind) -> tuple:
-    """One ``kind`` (int or float) per aggregation level, ordered as
-    AGGREGATION_LEVELS, from a sequence of 5 or a mapping {int AL: value} in
-    which an absent AL is 0. Any other input, a bool, a non-integer (int) or
-    non-real (float) value, or an integer past float range raises ValueError."""
+    """One ``kind`` (int or float) per aggregation level, from a list or tuple
+    of 5 values ordered as AGGREGATION_LEVELS. Any other input, a bool, a
+    non-integer (int) or non-real (float) value, or an integer past float
+    range raises ValueError."""
     allowed, plural = (Integral, "integers") if kind is int else (Real, "numbers")
-    if isinstance(values, dict):
-        # a bool or float key would match an AL by hash and be taken as it
-        unknown = [al for al in values if type(al) is not int or al not in AGGREGATION_LEVELS]
-        if unknown:
-            raise ValueError(f"{name} must be {plural} keyed by int ALs {AGGREGATION_LEVELS}, "
-                             f"got unknown aggregation levels {unknown}")
-        values = [values.get(al, 0) for al in AGGREGATION_LEVELS]
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise ValueError(f"{name} must be {plural} per AL, as a sequence or a "
-                         f"mapping, got {values!r}") from None
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be {plural} in a list or tuple, one per AL "
+                         f"{AGGREGATION_LEVELS}, got {values!r}")
     if len(values) != len(AGGREGATION_LEVELS):
         raise ValueError(f"{name} needs {len(AGGREGATION_LEVELS)} entries "
                          f"(ALs {AGGREGATION_LEVELS}), got {len(values)}")

@@ -264,8 +264,9 @@ def emit_results(records, fmt: str, path) -> Path:
 
 def load_results(path) -> list:
     """Read records written by emit_results: JSON for a .json suffix in any
-    case, else CSV. A row that is not a record with every column, or a JSON
-    row with another key or a value not of its column's type, raises ValueError."""
+    case, else CSV. A row that is not a record with every column, a CSV row
+    with more cells than its header, or a JSON row with another key or a
+    value not of its column's type, raises ValueError."""
     path = Path(path)
     is_json = path.suffix.lower() == ".json"
     if is_json:
@@ -276,6 +277,8 @@ def load_results(path) -> list:
     try:
         if is_json:
             rows = [_section(row, _RECORD, set(_RECORD), "record") for row in rows]
+        elif any(None in row for row in rows):  # DictReader files surplus cells under None
+            raise ValueError("a row has more cells than the header")
         return [ResultRecord(**{name: kind(row[name]) for name, kind in _RECORD.items()})
                 for row in rows]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -120,11 +120,10 @@ STRATEGIES = (STRATEGY_LOW_TO_HIGH, STRATEGY_HIGH_TO_LOW, STRATEGY_UNORDERED)
 class ScenarioConfig:
     """Everything one blocking-probability estimate needs.
 
-    ``candidates_per_al`` and ``al_distribution`` are per-AL tuples ordered
-    as AGGREGATION_LEVELS, i.e. the candidate counts and probabilities of
-    ALs (1, 2, 4, 8, 16); a mapping {AL: value}, in which an absent AL is 0,
-    is accepted and normalized, so ``al_distribution={16: 1.0}`` puts every
-    UE on AL 16."""
+    ``candidates_per_al`` and ``al_distribution`` take a list or tuple of
+    5 values ordered as AGGREGATION_LEVELS, i.e. the candidate counts and
+    probabilities of ALs (1, 2, 4, 8, 16), and are stored as tuples, so
+    ``al_distribution=(0, 0, 0, 0, 1.0)`` puts every UE on AL 16."""
 
     ue_count: int
     coreset: CoresetConfig

@@ -195,8 +195,8 @@ def test_criterion_9_analytic_oracle():
     for u in (2, 5, 10):
         cfg = ScenarioConfig(ue_count=u,
                              coreset=CoresetConfig.from_cce_count(16),
-                             candidates_per_al={16: 1},
-                             al_distribution={16: 1.0},
+                             candidates_per_al=(0, 0, 0, 0, 1),
+                             al_distribution=(0, 0, 0, 0, 1.0),
                              iterations=10000,
                              master_seed=1000 + u)
         result = run_scenario(cfg, keep_per_iteration=True)

@@ -40,7 +40,7 @@ def _with_defaults(build, **defaults):
 
 
 _BASE = dict(ue_count=2, coreset=CoresetConfig.from_cce_count(16),
-             candidates_per_al={16: 1}, al_distribution={16: 1.0}, iterations=10)
+             candidates_per_al=(0, 0, 0, 0, 1), al_distribution=(0, 0, 0, 0, 1.0), iterations=10)
 
 # Every integer field checked by coreset.as_integer(name, value, minimum), as
 # (constructor with the other arguments filled in, field, minimum).

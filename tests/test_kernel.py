@@ -114,7 +114,7 @@ def kernel_tables(counts, coreset):
     ``candidate_starts`` of its residue. An empty set, one all-zero
     column, decodes to the single empty mask set ``((),)``."""
     cce_count = coreset.cce_count
-    cfg = ScenarioConfig(1, coreset, counts, {1: 1.0})
+    cfg = ScenarioConfig(1, coreset, counts, (1.0, 0, 0, 0, 0))
     positions, table = _kernel(cfg)
     words = -(-cce_count // 64)
     assert len(table) == words + 3

@@ -61,7 +61,7 @@ def test_request_stores_numpy_integer_bounds_as_int():
 
 def test_single_ue_returns_range_floor():
     req = request(ue_count=1, target_blocking=0.5,
-                  al_distribution={1: 1.0}, cce_min=2, cce_max=24)
+                  al_distribution=(1.0, 0, 0, 0, 0), cce_min=2, cce_max=24)
     result = plan_min_coreset(req)
     assert result.min_cces == 2
     assert result.achieved_blocking == 0.0
@@ -69,7 +69,7 @@ def test_single_ue_returns_range_floor():
 
 def test_unreachable_target_returns_none():
     # AL 16 never fits below 16 CCEs, so every UE is always blocked
-    req = request(al_distribution={16: 1.0}, candidates_per_al={16: 1},
+    req = request(al_distribution=(0, 0, 0, 0, 1.0), candidates_per_al=(0, 0, 0, 0, 1),
                   cce_min=1, cce_max=8, iterations=50)
     result = plan_min_coreset(req)
     assert result.min_cces is None

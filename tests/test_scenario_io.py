@@ -385,6 +385,15 @@ def test_load_rejects_a_csv_with_a_short_row(tmp_path):
         load_results(path)
 
 
+def test_load_rejects_a_csv_with_a_long_row(tmp_path):
+    path = tmp_path / "out.csv"
+    emit_results(records(), "csv", path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1] + [lines[-1] + ",junk,more"]) + "\n")
+    with pytest.raises(ValueError, match="out.csv does not hold result records"):
+        load_results(path)
+
+
 def test_emit_rejects_empty_and_bad_format(tmp_path):
     for empty in ([], iter([])):
         with pytest.raises(ValueError, match="no records to emit"):

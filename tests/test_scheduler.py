@@ -63,7 +63,7 @@ def test_three_ue_blocking_example():
 
 def test_identical_candidates_block_all_but_one():
     # one AL-16 candidate in a 16-CCE CORESET: a single residue, a single mask
-    positions, tables = kernel_tables({16: 1}, CoresetConfig.from_cce_count(16))
+    positions, tables = kernel_tables((0, 0, 0, 0, 1), CoresetConfig.from_cce_count(16))
     assert positions[4] == 1 and tables[4] == [((1 << 16) - 1,)]
     for total in (2, 5, 9):
         order = order_for([4] * total, STRATEGY_LOW_TO_HIGH, np.random.default_rng(3))
@@ -232,7 +232,7 @@ def kernel_walk(cce_count, counts, rows):
     pairs, each row checked against ``reference_greedy``. Returns the (B, U)
     scheduled array, the (W, B) used words, the index and the table."""
     coreset = CoresetConfig.from_cce_count(cce_count)
-    positions, table = _kernel(ScenarioConfig(1, coreset, counts, {1: 1.0}))
+    positions, table = _kernel(ScenarioConfig(1, coreset, counts, (1.0, 0, 0, 0, 0)))
     offsets = np.cumsum(positions) - positions
     _, tables = kernel_tables(counts, coreset)
     rows = [[(a, y % positions[a]) for a, y in row] for row in rows]
@@ -301,7 +301,7 @@ def test_greedy_stops_when_every_row_is_full():
 def test_leftmost_choice_picks_lowest_start():
     # C=12, AL 4, M=2: at residue 2 the hash lists start 8 before start 0
     assert candidate_starts(4, 12, 2, 2) == [8, 0]
-    _, tables = kernel_tables({4: 2}, CoresetConfig.from_cce_count(12))
+    _, tables = kernel_tables((0, 0, 2, 0, 0), CoresetConfig.from_cce_count(12))
     assert block_greedy([tables[2][2]], 12, [[0]]) == [([0b1111], 0b1111)]
     # every table row lists its masks by first CCE
     for cce_count in (1, 8, 12, 54, 97, 200):

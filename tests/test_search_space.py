@@ -125,7 +125,7 @@ def test_ue_candidate_set_hash_collapse():
     # floor(C/L) = 1 collapses every candidate index to the same block
     assert candidate_starts(8, 8, 2, y_value(12345)) == [0, 0]
     # and the table holds the two equal candidates as one bit
-    positions, tables = kernel_tables({8: 2}, CoresetConfig.from_cce_count(8))
+    positions, tables = kernel_tables((0, 0, 0, 2, 0), CoresetConfig.from_cce_count(8))
     assert positions[3] == 1 and tables[3] == [(0xFF,)]
 
 
@@ -133,7 +133,7 @@ def test_ue_candidate_set_rejects_zero_count():
     with pytest.raises(ValueError):
         candidate_starts(2, 54, 0, 0)
     # an AL with no configured candidates gets the single empty mask set
-    positions, tables = kernel_tables({1: 6}, CoresetConfig.from_cce_count(54))
+    positions, tables = kernel_tables((6, 0, 0, 0, 0), CoresetConfig.from_cce_count(54))
     assert positions[1] == 1 and tables[1] == ((),)
 
 
@@ -150,7 +150,7 @@ def test_uss_determinism_across_calls():
 
 def config(counts):
     return ScenarioConfig(ue_count=1, coreset=CoresetConfig(54), candidates_per_al=counts,
-                          al_distribution={1: 1.0})
+                          al_distribution=(1.0, 0, 0, 0, 0))
 
 
 def test_search_space_rejects_disallowed_count():
@@ -170,7 +170,11 @@ def test_search_space_rejects_unknown_al_key():
 
 @pytest.mark.parametrize("counts", [(6.7, 6, 4, 2, 1), (6.0, 6, 4, 2, 1),
                                     (True, 6, 4, 2, 1), ("6", 6, 4, 2, 1),
-                                    {1: 6, 16: 1.0}, None, 6])
+                                    {1: 6, 16: 1.0}, None, 6,
+                                    # one spelling only: a list or tuple of 5
+                                    {16: 1}, {1: 6, 2: 6, 4: 4, 8: 2, 16: 1},
+                                    {6, 4, 2, 1, 0}, "66421",
+                                    (m for m in (6, 6, 4, 2, 1)), np.array([6, 6, 4, 2, 1])])
 def test_search_space_rejects_non_integer_counts(counts):
     with pytest.raises(ValueError, match="^candidates_per_al must be integers"):
         config(counts)
@@ -180,8 +184,3 @@ def test_search_space_accepts_numpy_integers():
     cfg = config(tuple(np.array([6, 6, 4, 2, 1])))
     assert cfg.candidates_per_al == (6, 6, 4, 2, 1)
     assert all(type(m) is int for m in cfg.candidates_per_al)
-
-
-def test_search_space_accepts_mapping_form():
-    cfg = config({1: 6, 2: 6, 4: 4, 8: 2, 16: 1})
-    assert cfg.candidates_per_al == (6, 6, 4, 2, 1)

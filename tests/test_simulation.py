@@ -51,19 +51,21 @@ def test_distribution_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
         scenario(al_distribution=(bad, 0.5, 0, 0, 0.5))
     with pytest.raises(ValueError, match="finite"):
-        scenario(al_distribution={1: 0.5, 16: bad})
+        scenario(al_distribution=(0.5, 0, 0, 0, bad))
 
 
 def test_distribution_fixed_point_mass():
-    cfg = scenario(al_distribution={8: 1.0})
+    cfg = scenario(al_distribution=(0, 0, 0, 1.0, 0))
     assert cfg.al_distribution == (0.0, 0.0, 0.0, 1.0, 0.0)
-    with pytest.raises(ValueError, match="unknown aggregation levels"):
-        scenario(al_distribution={3: 1.0})
 
 
 @pytest.mark.parametrize("probs", [(True, 0, 0, 0, 0), ("1", 0, 0, 0, 0),
                                    (None, 1, 0, 0, 0), {1: 0.5, 2: "0.5"}, 5, None,
-                                   {True: 1.0}, {16.0: 1.0}])
+                                   {True: 1.0}, {16.0: 1.0},
+                                   # one spelling only: a list or tuple of 5
+                                   {16: 1.0}, dict(zip((1, 2, 4, 8, 16), MIXED)),
+                                   {0.1, 0.2, 0.3, 0.15, 0.25}, "10000",
+                                   (p for p in MIXED), np.array(MIXED)])
 def test_distribution_rejects_non_numbers(probs):
     with pytest.raises(ValueError, match="^probabilities must be numbers"):
         scenario(al_distribution=probs)
@@ -83,11 +85,6 @@ def test_distribution_accepts_integer_entries():
     cfg = scenario(al_distribution=(0, 0, 1, 0, 0))
     assert cfg.al_distribution == (0.0, 0.0, 1.0, 0.0, 0.0)
     assert all(type(p) is float for p in cfg.al_distribution)
-
-
-def test_distribution_mapping_form():
-    cfg = scenario(al_distribution={1: 0.5, 2: 0.5})
-    assert cfg.al_distribution == (0.5, 0.5, 0.0, 0.0, 0.0)
 
 
 def test_zero_probability_al_is_never_drawn(monkeypatch):
@@ -214,8 +211,8 @@ def test_analytic_oracle_identical_candidates():
     for u in (2, 6):
         cfg = scenario(ue_count=u,
                        coreset=CoresetConfig.from_cce_count(16),
-                       candidates_per_al={16: 1},
-                       al_distribution={16: 1.0},
+                       candidates_per_al=(0, 0, 0, 0, 1),
+                       al_distribution=(0, 0, 0, 0, 1.0),
                        iterations=400)
         result = run_scenario(cfg, keep_per_iteration=True)
         assert set(result.per_iteration_blocked) == {u - 1}
@@ -311,8 +308,8 @@ def test_greedy_call_shape_counts_offered_and_scheduled_ues(monkeypatch, strateg
 
 @pytest.mark.parametrize("cfg,cce_max", [
     (scenario(iterations=200), 54),  # a size meets the target
-    (scenario(iterations=50, candidates_per_al={16: 1},
-              al_distribution={16: 1.0}), 8)])  # none does
+    (scenario(iterations=50, candidates_per_al=(0, 0, 0, 0, 1),
+              al_distribution=(0, 0, 0, 0, 1.0)), 8)])  # none does
 def test_planning_result_shape_for_the_benchmark(cfg, cce_max):
     # perfbench/run.py unpacks evaluations as (cces, blocking, stderr)
     result = plan_min_coreset(PlanningRequest(base=cfg, target_blocking=0.2,
@@ -358,7 +355,7 @@ def test_unschedulable_al_counts_as_blocked():
     # AL 16 cannot fit into 8 CCEs: those UEs are blocked by definition
     cfg = scenario(ue_count=4,
                    coreset=CoresetConfig.from_cce_count(8),
-                   al_distribution={16: 1.0},
+                   al_distribution=(0, 0, 0, 0, 1.0),
                    iterations=50)
     result = run_scenario(cfg)
     assert result.blocking_probability == 1.0
@@ -367,8 +364,8 @@ def test_unschedulable_al_counts_as_blocked():
 def test_zero_candidate_al_counts_as_blocked():
     # the sampled AL has no configured candidates: nothing to monitor
     cfg = scenario(ue_count=3,
-                   candidates_per_al={1: 6},
-                   al_distribution={2: 1.0},
+                   candidates_per_al=(6, 0, 0, 0, 0),
+                   al_distribution=(0, 1.0, 0, 0, 0),
                    iterations=50)
     result = run_scenario(cfg)
     assert result.blocking_probability == 1.0
@@ -713,7 +710,7 @@ def test_failure_in_range_zero_propagates_and_closes_the_pool(pools, monkeypatch
 
 @pytest.mark.parametrize("change,workers", [
     ({"master_seed": 124}, 2), ({"ue_count": 11}, 2),
-    ({"al_distribution": {4: 1.0}}, 2), ({"strategy": STRATEGY_HIGH_TO_LOW}, 2),
+    ({"al_distribution": (0, 0, 1.0, 0, 0)}, 2), ({"strategy": STRATEGY_HIGH_TO_LOW}, 2),
     ({"al_distribution": (0.3, 0.4, 0.2, 0.05, 0.05)}, 2),  # MIXED's levels
     ({"iterations": SPLIT + 1}, 2), ({}, 3), ({}, None)])
 def test_draws_made_for_another_run_are_rejected(change, workers, pools):
