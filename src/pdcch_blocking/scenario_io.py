@@ -266,19 +266,18 @@ def load_results(path) -> list:
     """Read records written by emit_results: JSON for a .json suffix in any
     case, else CSV. A row that is not a record with every column, a CSV row
     with more cells than its header, or a JSON row with another key or a
-    value not of its column's type, raises ValueError."""
+    value not of its column's type, raises ValueError, as does a .json file
+    that is not JSON or a file that does not decode as text."""
     path = Path(path)
-    is_json = path.suffix.lower() == ".json"
-    if is_json:
-        rows = json.loads(path.read_text())
-    else:
-        with open(path, newline="") as handle:
-            rows = list(csv.DictReader(handle))
     try:
-        if is_json:
-            rows = [_section(row, _RECORD, set(_RECORD), "record") for row in rows]
-        elif any(None in row for row in rows):  # DictReader files surplus cells under None
-            raise ValueError("a row has more cells than the header")
+        if path.suffix.lower() == ".json":
+            rows = [_section(row, _RECORD, set(_RECORD), "record")
+                    for row in json.loads(path.read_text())]
+        else:
+            with open(path, newline="") as handle:
+                rows = list(csv.DictReader(handle))
+            if any(None in row for row in rows):  # DictReader files surplus cells under None
+                raise ValueError("a row has more cells than the header")
         return [ResultRecord(**{name: kind(row[name]) for name, kind in _RECORD.items()})
                 for row in rows]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

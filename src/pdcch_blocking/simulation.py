@@ -15,12 +15,18 @@ The stream of iteration ``it`` is ``iteration_rng(master_seed, it)``, that is
 iterations at a time, in two halves. The C-independent half
 (``_draw_blocks``) depends only on the master seed, the range, U, the AL
 mix and the strategy: ``_state_blocks`` runs NumPy's SeedSequence
-algorithm on uint32 arrays, a PCG64 seeds itself in C from each
-iteration's words and gives them in one ``random_raw`` (``_raw_draws``),
-``_decode_draws`` decodes the C-RNTIs, uniforms and tie-break shuffles by
-NumPy's rules, bit-identical to ``iteration_rng``'s, and array passes give
-each UE's AL index and Y in processing order. The C-dependent half turns
-them into table rows and runs one greedy pass over the whole block.
+algorithm on uint32 arrays, ``_raw_draws`` gives the raw words of a PCG64
+seeded from each iteration's words, ``_decode_draws`` decodes the C-RNTIs,
+uniforms and tie-break shuffles by NumPy's rules, bit-identical to
+``iteration_rng``'s, and array passes give each UE's AL index and Y in
+processing order. The C-dependent half turns them into table rows and runs
+one greedy pass over the whole block.
+
+PCG64 is a 128-bit LCG with an XSL-RR output, so every raw word has a closed
+form in the iteration's seed words. A block of at most ``CLOSED_FORM_WORDS``
+words a row (u <= 16) is computed in that form, as uint64 array passes of one
+128-bit multiply-add per word (``_pcg64_words``); a wider block seeds one
+PCG64 a row in C and takes its words in one ``random_raw``.
 
 A range runs every config of a call together: one for ``run_scenario``, all
 points for ``run_sweep``. A block's seed and raw words are derived once, for
@@ -279,11 +285,139 @@ def _raw_width(u: int) -> int:
     return (u + 1) // 2 + 2 * u + SHUFFLE_SLACK // 2
 
 
+# NumPy's PCG64 (numpy/random/src/pcg64/pcg64.h) is a 128-bit LCG, state <-
+# state * PCG64_MULTIPLIER + inc mod 2**128, that steps before each output
+# word, rotr64(hi ^ lo, hi >> 58) of the new state (O'Neill, "PCG: A Family of
+# Simple Fast Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", HMC-CS-2014-0905, XSL-RR).
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+# Raw words per row up to which _raw_draws computes a block in closed form, as
+# uint64 array passes, and not with one PCG64 per row; 48 is u <= 16. One
+# PCG64 a row costs about 2 us whatever the width, while the closed form
+# costs about the same per word, so it wins on narrow blocks only. On a
+# 2-vCPU host, ms per block, per-row PCG64 -> closed form (medians of 7):
+#
+#   U   rows  words   per-row  closed
+#   5   1000   21     1.94     0.44
+#   8    400   28     0.82     0.35
+#   12   400   38     0.84     0.39
+#   15  1000   46     2.01     0.76
+#   30   300   83     0.64     0.61
+#   40   300  108     0.67     0.70
+#   50   300  133     0.69     0.87
+#
+# The two are even from about 83 to 108 words at 300 rows, so the switch
+# sits below that, where the closed form takes at most half the time.
+CLOSED_FORM_WORDS = 48
+# Words per closed-form pass: the first pass's states double up from one word,
+# every later pass jumps each state this many steps. Of 4, 8, 16 and 32, 8
+# was the fastest at 1000 rows, where a pass's arrays are 64 KB each.
+RAW_CHUNK = 8
+
+
+def _u128(value: int) -> tuple:
+    """A 128-bit constant as np.uint64 (hi, lo, lo's low and high 32 bits)."""
+    lo = value & 2**64 - 1
+    return tuple(np.uint64(v) for v in (value >> 64, lo, lo & _MASK32, lo >> 32))
+
+
+# n LCG steps take a state s to M**n * s + (1 + M + ... + M**(n-1)) * inc
+# mod 2**128, M = PCG64_MULTIPLIER: both factors, per n = 1, 2, 4 .. RAW_CHUNK
+_LCG_JUMPS = {n: (_u128(pow(PCG64_MULTIPLIER, n, 2**128)),
+                  _u128(sum(pow(PCG64_MULTIPLIER, i, 2**128) for i in range(n)) % 2**128))
+              for n in (2**k for k in range(RAW_CHUNK.bit_length()))}
+_LOW32 = np.uint64(_MASK32)
+_U1, _U32, _U58, _U63, _U64 = (np.uint64(v) for v in (1, 32, 58, 63, 64))
+
+
+def _mul128(hi, lo, const):
+    """(hi, lo) * const mod 2**128, as new uint64 arrays of the high and low
+    halves, for a ``_u128`` constant."""
+    c_hi, c_lo, c0, c1 = const
+    # the high word of lo * c_lo from 32-bit halves l0, l1 of lo: t = l1 c0 +
+    # (l0 c0 >> 32) and p = l0 c1 + (t & 2**32 - 1) stay below 2**64. Each
+    # op writes into an array it holds, so that a pass keeps few temporaries.
+    l0, t = lo & _LOW32, lo >> _U32
+    p = l0 * c1
+    out = t * c1
+    l0 *= c0
+    l0 >>= _U32
+    t *= c0
+    t += l0
+    np.bitwise_and(t, _LOW32, out=l0)
+    p += l0
+    t >>= _U32
+    out += t
+    p >>= _U32
+    out += p
+    out += np.multiply(hi, c_lo, out=t)
+    out += np.multiply(lo, c_hi, out=t)
+    return out, np.multiply(lo, c_lo, out=p)
+
+
+def _lcg_jump(hi, lo, n: int, steps):
+    """The states n LCG steps on from (hi, lo), as new arrays. ``steps[n]``
+    holds each row's (1 + M + ... + M**(n-1)) * inc, as (hi, lo) arrays with
+    one entry per row, which broadcast over the words."""
+    hi, lo = _mul128(hi, lo, _LCG_JUMPS[n][0])
+    add_hi, add_lo = steps[n]
+    lo += add_lo
+    hi += add_hi
+    hi += lo < add_lo
+    return hi, lo
+
+
+def _xsl_rr(hi, lo):
+    """PCG64's output word of each state: rotr64(hi ^ lo, hi >> 58), where
+    rotr64(x, r) = x >> r | x << (64 - r) % 64."""
+    x, rot = hi ^ lo, hi >> _U58
+    right = x >> rot
+    x <<= np.subtract(_U64, rot, out=rot) & _U63
+    x |= right
+    return x
+
+
+def _pcg64_words(states, out):
+    """Fill the (len(states), width) uint64 array ``out`` with, per row of
+    seed words (w0, w1, w2, w3) in ``states``,
+    ``PCG64(_SeedWords(row)).random_raw(width)``, in closed form. With word
+    pairs read as 128-bit numbers, high first, PCG64 seeds itself at
+    ((w0 w1) + inc) * M + inc, where inc = 2 (w2 w3) + 1, and steps once
+    before each word. States are held as (words, rows) arrays of their high
+    and low halves, ``RAW_CHUNK`` words a pass, and each pass's words are
+    written into ``out``, so no other array spans the block."""
+    rows, width = out.shape
+    w0, w1, w2, w3 = states.T
+    inc = (w2 << _U1 | w3 >> _U63, w3 << _U1 | _U1)
+    steps = {n: _mul128(*inc, g) for n, (_, g) in _LCG_JUMPS.items()}
+    # the seeded state is 1 step on from initstate + inc, and word 0 one more
+    lo = w1 + inc[1]
+    seeded = _lcg_jump(w0 + inc[0] + (lo < inc[1]), lo, 2, steps)
+    chunk = min(RAW_CHUNK, width)
+    hi, lo = np.empty((chunk, rows), dtype=np.uint64), np.empty((chunk, rows), dtype=np.uint64)
+    hi[0], lo[0] = seeded
+    n = 1
+    while n < chunk:
+        m = min(n, chunk - n)
+        hi[n:n + m], lo[n:n + m] = _lcg_jump(hi[:m], lo[:m], n, steps)
+        n *= 2
+    for col in range(0, width, chunk):
+        m = min(chunk, width - col)
+        if col:
+            hi, lo = _lcg_jump(hi[:m], lo[:m], chunk, steps)
+        out[:, col:col + m] = _xsl_rr(hi, lo).T
+
+
 def _raw_draws(states, u: int):
     """A (len(states), _raw_width(u)) uint64 array: per row of seed words in
     ``states``, ``PCG64(_SeedWords(row)).random_raw(_raw_width(u))``. Every
-    smaller U's words are a prefix of each row."""
+    smaller U's words are a prefix of each row. A block of at most
+    ``CLOSED_FORM_WORDS`` words a row is computed in closed form, as array
+    passes (``_pcg64_words``); a wider one seeds one PCG64 a row."""
     raw = np.empty((len(states), _raw_width(u)), dtype=np.uint64)
+    if raw.shape[1] <= CLOSED_FORM_WORDS:
+        _pcg64_words(states, raw)
+        return raw
     seed = _SeedWords(None)
     for row, words in enumerate(states):
         seed.words = words

@@ -14,9 +14,9 @@ from test_kernel import reference_blocked
 from pdcch_blocking import (STRATEGIES, CoresetConfig, ScenarioConfig,
                             iteration_rng)
 from pdcch_blocking import simulation
-from pdcch_blocking.simulation import (STATE_BLOCK, _decode_draws, _generate_state,
-                                       _raw_draws, _raw_width, _run_range, _SeedWords,
-                                       _state_blocks)
+from pdcch_blocking.simulation import (CLOSED_FORM_WORDS, STATE_BLOCK, _decode_draws,
+                                       _generate_state, _pcg64_words, _raw_draws, _raw_width,
+                                       _run_range, _SeedWords, _state_blocks)
 
 LAST_ITERATION = 2**32 - 1
 # PCG64's 128-bit LCG multiplier (numpy's pcg64.h)
@@ -97,15 +97,19 @@ def pcg64(state, inc):
     return bit_generator
 
 
+def state_before(state, steps, inc):
+    """The PCG64 state ``steps`` LCG steps before ``state``."""
+    inverse = pow(MULT, -1, 2**128)
+    for _ in range(steps):
+        state = (state - inc) * inverse % 2**128
+    return state
+
+
 def state_with_output(word, position, inc):
     """A PCG64 state whose output word number ``position`` (0 = next) is
     ``word``: after that many + 1 LCG steps the state is (hi 0, lo word),
-    whose XSL-RR output is the word itself; undo the steps from there."""
-    inverse = pow(MULT, -1, 2**128)
-    state = word
-    for _ in range(position + 1):
-        state = (state - inc) * inverse % 2**128
-    return state
+    whose XSL-RR output is the word itself."""
+    return state_before(word, position + 1, inc)
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_STATES))
@@ -274,3 +278,72 @@ def test_blocks_shrink_to_hold_at_most_block_ues(monkeypatch):
         assert sizes == [(4, 14), (4, 14), (4, 14), (2, 14)]
         for config, (_, per_iter) in zip(configs, ranges):
             assert per_iter == [reference_blocked(config, it) for it in range(5, 19)]
+
+
+# --- the closed form of a block's raw words ---------------------------------
+# _raw_draws computes blocks of at most CLOSED_FORM_WORDS words a row with
+# _pcg64_words; every width on both sides of that switch is checked here.
+WIDTHS = range(1, 2 * CLOSED_FORM_WORDS + 1)
+
+
+def reference_words(words, width):
+    return np.array([PCG64(_SeedWords(row)).random_raw(width) for row in words])
+
+
+def closed_form(words, width):
+    out = np.empty((len(words), width), dtype=np.uint64)
+    _pcg64_words(words, out)
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, STATE_BLOCK + 3])
+def test_closed_form_words_match_pcg64_at_every_width(rows):
+    words = next(_state_blocks(13, 100, 100 + rows, rows))
+    expected = reference_words(words, WIDTHS[-1])
+    before = words.copy()
+    for width in WIDTHS:
+        assert (closed_form(words, width) == expected[:, :width]).all(), width
+    assert (words == before).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(words=st.lists(st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=4),
+                      min_size=1, max_size=12),
+       width=st.sampled_from(WIDTHS))
+def test_closed_form_words_match_pcg64_at_any_seed_words(words, width):
+    words = np.array(words, dtype=np.uint64)
+    assert (closed_form(words, width) == reference_words(words, width)).all()
+
+
+def test_closed_form_words_at_crafted_states():
+    _, inc = state_of(5, 17)
+    # word 3 is 0; word 0 has rotation 0 (hi 0) and a nonzero output; word 1
+    # has rotation 63 (hi >> 58 == 63), so it is hi ^ lo rotated left by one
+    top = 0x3F << 122 | 0x0123456789ABCDEF
+    states = [(state_with_output(0, 3, inc), inc),
+              (state_with_output(0xFEDCBA9876543210, 0, inc), inc),
+              (state_before(top, 2, inc), inc)]
+    assert pcg64(*states[0]).random_raw(4)[3] == 0
+    assert pcg64(*states[1]).random_raw() == 0xFEDCBA9876543210
+    x = (top >> 64) ^ (top & 2**64 - 1)
+    assert pcg64(*states[2]).random_raw(2)[1] == (x << 1 | x >> 63) & 2**64 - 1
+    words = np.concatenate([crafted_words(states),
+                            np.zeros((1, 4), dtype=np.uint64),
+                            np.full((1, 4), 2**64 - 1, dtype=np.uint64)])
+    expected = reference_words(words, WIDTHS[-1])
+    for width in WIDTHS:
+        assert (closed_form(words, width) == expected[:, :width]).all(), width
+
+
+@pytest.mark.parametrize("u", [1, 5, 16, 17, 40])
+def test_raw_draws_switch_to_the_closed_form_on_narrow_blocks(monkeypatch, u):
+    calls = []
+    kernel = simulation._pcg64_words
+
+    def recorded(states, out):
+        calls.append(out.shape)
+        kernel(states, out)
+    monkeypatch.setattr(simulation, "_pcg64_words", recorded)
+    words = next(_state_blocks(2, 0, 7))
+    assert (_raw_draws(words, u) == reference_words(words, _raw_width(u))).all()
+    assert calls == ([(7, _raw_width(u))] if _raw_width(u) <= CLOSED_FORM_WORDS else [])

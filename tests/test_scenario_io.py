@@ -394,6 +394,16 @@ def test_load_rejects_a_csv_with_a_long_row(tmp_path):
         load_results(path)
 
 
+@pytest.mark.parametrize("name, content", [("p.json", b'[{"scenario": "s",'),
+                                           ("out.csv", b"scenario,point\n\xff\xfe,1\n")],
+                         ids=["json_not_json", "csv_not_utf8"])
+def test_load_rejects_a_file_that_does_not_parse(tmp_path, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=f"{name} does not hold result records: "):
+        load_results(path)
+
+
 def test_emit_rejects_empty_and_bad_format(tmp_path):
     for empty in ([], iter([])):
         with pytest.raises(ValueError, match="no records to emit"):

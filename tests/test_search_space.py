@@ -163,9 +163,10 @@ def test_search_space_rejects_all_zero():
         config((0, 0, 0, 0, 0))
 
 
-def test_search_space_rejects_unknown_al_key():
-    with pytest.raises(ValueError):
-        config({3: 2})
+def test_search_space_needs_one_count_per_al():
+    for counts in ((6, 6, 4, 2), [6, 6, 4, 2, 1, 1]):
+        with pytest.raises(ValueError, match="^candidates_per_al needs 5 entries"):
+            config(counts)
 
 
 @pytest.mark.parametrize("counts", [(6.7, 6, 4, 2, 1), (6.0, 6, 4, 2, 1),
