@@ -5,8 +5,8 @@ from .coreset import AGGREGATION_LEVELS, CoresetConfig
 from .planner import PlanningRequest, PlanningResult, plan_min_coreset
 from .scenario_io import (ResultRecord, Scenario, ScenarioParseError, SweepSpec,
                           bundled_scenario_names, bundled_scenario_path,
-                          emit_results, load_results, parse_plan_request,
-                          parse_scenario, scenario_from_dict, scenario_to_dict)
+                          emit_results, parse_plan_request, parse_scenario,
+                          scenario_from_dict, scenario_to_dict)
 from .simulation import (ALLOWED_CANDIDATE_COUNTS, RNTI_MAX, STRATEGIES,
                          STRATEGY_HIGH_TO_LOW, STRATEGY_LOW_TO_HIGH,
                          STRATEGY_UNORDERED, SWEEP_AXES, ScenarioConfig,
@@ -24,7 +24,7 @@ __all__ = [
     "Scenario", "ScenarioConfig", "ScenarioParseError", "SimulationResult",
     "SweepPoint", "SweepSpec",
     "apply_axis", "bundled_scenario_names", "bundled_scenario_path",
-    "candidate_starts", "emit_results", "iteration_rng", "load_results",
-    "parse_plan_request", "parse_scenario", "plan_min_coreset", "run_scenario",
-    "run_sweep", "scenario_from_dict", "scenario_to_dict", "y_value",
+    "candidate_starts", "emit_results", "iteration_rng", "parse_plan_request",
+    "parse_scenario", "plan_min_coreset", "run_scenario", "run_sweep",
+    "scenario_from_dict", "scenario_to_dict", "y_value",
 ]

@@ -7,7 +7,6 @@ before any runs; 2 runtime error, a worker that dies included, or argparse usage
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -15,7 +14,7 @@ from .planner import plan_min_coreset
 from .scenario_io import (FORMAT_CSV, FORMATS, Scenario, ScenarioParseError,
                           bundled_scenario_names, bundled_scenario_path,
                           emit_results, parse_plan_request, parse_scenario,
-                          records_for_sweep, resolve_output_path)
+                          records_for_sweep)
 from .simulation import SweepPoint, run_scenario, run_sweep
 
 
@@ -121,23 +120,15 @@ def _cmd_plan(args) -> int:
     request = dataclasses.replace(request, base=_with_overrides(
         request.base, master_seed=args.seed, iterations=args.iterations))
     result = plan_min_coreset(request, workers=args.workers)
+    target = request.target_blocking
     if result.min_cces is None:
         print(f"{name}: no CORESET size in [{request.cce_min}, {request.cce_max}] "
-              f"meets target B <= {request.target_blocking}")
+              f"meets target B <= {target}")
     else:
         print(f"{name}: min CORESET size = {result.min_cces} CCEs "
-              f"(B={result.achieved_blocking:.6g}, target {request.target_blocking}, "
+              f"(B={result.achieved_blocking:.6g}, target {target}, "
               f"U={request.base.ue_count}, {len(result.points)} evaluations)")
-    if args.format == FORMAT_CSV:
-        _emit(records_for_sweep(name, result.points), args)
-    elif args.out:
-        path = resolve_output_path(args.out)
-        payload = {"name": name, "min_cces": result.min_cces,
-                   "achieved_blocking": result.achieved_blocking,
-                   "target_blocking": request.target_blocking,
-                   "evaluations": [list(e) for e in result.evaluations]}
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote evaluations to {path}")
+    _emit(records_for_sweep(name, result.points, target, result.decisions(target)), args)
     return 0
 
 

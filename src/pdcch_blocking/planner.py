@@ -67,6 +67,17 @@ class PlanningResult:
         """The blocking at ``min_cces``, or None when no size meets the target."""
         return next((b for cces, b, _ in self.evaluations if cces == self.min_cces), None)
 
+    def decisions(self, target_blocking: float) -> tuple:
+        """What the plan decided of each point, in evaluation order: "answer"
+        at ``min_cces``, else "meets" or "misses" ``target_blocking``."""
+        return tuple("answer" if p.point == self.min_cces
+                     else "meets" if _meets(p.result, target_blocking) else "misses"
+                     for p in self.points)
+
+
+def _meets(result, target_blocking: float) -> bool:
+    return result.blocking_probability <= target_blocking
+
 
 def plan_min_coreset(req: PlanningRequest, workers: int = None) -> PlanningResult:
     """Find the smallest CORESET (in CCEs) with estimated blocking at or
@@ -85,7 +96,7 @@ def plan_min_coreset(req: PlanningRequest, workers: int = None) -> PlanningResul
             if cces not in results:
                 cfg = apply_axis(req.base, "coreset_size", cces)
                 results[cces] = run_scenario(cfg, workers=workers, draws=draws)
-            return results[cces].blocking_probability <= req.target_blocking
+            return _meets(results[cces], req.target_blocking)
 
         if meets(req.cce_max):
             lo, hi = req.cce_min, req.cce_max

@@ -4,9 +4,9 @@ Scenario files are JSON with strict key and type checking: bad JSON, an
 unknown or missing key, a wrong JSON type or a malformed section is a
 ScenarioParseError, so typos cannot fall back to defaults or be coerced; a
 config type's own ValueError passes through. A plan file is a scenario file
-with ``target_blocking`` and ``cce_range`` in place of ``coreset``. Results
-go out as CSV (one header row, fixed column order) or JSON, and round-trip
-losslessly.
+with ``target_blocking`` and ``cce_range`` in place of ``coreset``. Every
+command's results go out as ResultRecords, in CSV (one header row, fixed
+column order) or JSON. Files are read and written as UTF-8.
 """
 
 import csv
@@ -63,7 +63,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One serializable result row; its fields are the CSV columns, in order."""
+    """One serializable result row; its fields are the CSV columns, in order.
+    Only a plan's rows set ``target_blocking`` and ``decision``."""
 
     scenario: str
     point: str
@@ -73,10 +74,11 @@ class ResultRecord:
     scheduled_total: int
     seed: int
     iterations: int
+    target_blocking: float = None
+    decision: str = None
 
 
-_RECORD = {field.name: field.type for field in fields(ResultRecord)}
-CSV_COLUMNS = tuple(_RECORD)
+CSV_COLUMNS = tuple(field.name for field in fields(ResultRecord))
 
 
 def _typed(value, kind, where):
@@ -158,8 +160,8 @@ def scenario_from_dict(data) -> Scenario:
 def _load_json(path):
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -218,14 +220,18 @@ def bundled_scenario_path(name: str) -> Path:
     return Path(str(path))
 
 
-def records_for_sweep(scenario_name: str, points) -> list:
+def records_for_sweep(scenario_name: str, points, target_blocking=None,
+                      decisions=None) -> list:
     """ResultRecords for the points of a sweep, in sweep order, each with its
-    result's own seed and iterations; a single run is a one-point sweep."""
+    result's own seed and iterations; a single run is a one-point sweep. A
+    plan's points also take its target and one decision each."""
     return [ResultRecord(
         scenario=scenario_name, point=sp.label,
         blocking_probability=sp.result.blocking_probability, stderr=sp.result.stderr,
         blocked_total=sp.result.blocked_total, scheduled_total=sp.result.scheduled_total,
-        seed=sp.result.master_seed, iterations=sp.result.iterations) for sp in points]
+        seed=sp.result.master_seed, iterations=sp.result.iterations,
+        target_blocking=target_blocking, decision=decision)
+        for sp, decision in zip(points, decisions or [None] * len(points), strict=True)]
 
 
 def resolve_output_path(path) -> Path:
@@ -243,9 +249,10 @@ def _check_format(fmt: str):
 
 
 def emit_results(records, fmt: str, path) -> Path:
-    """Write records to ``path``. CSV: header plus one row per record, columns
-    in CSV_COLUMNS order; JSON: an array of record objects. Floats keep full
-    precision (shortest round-trip form)."""
+    """Write records to ``path`` as UTF-8. CSV: header plus one row per
+    record, columns in CSV_COLUMNS order, None as an empty cell; JSON: an
+    array of record objects, None as null. Floats keep full precision
+    (shortest round-trip form)."""
     records = list(records)
     if not records:
         raise ValueError("no records to emit")
@@ -253,32 +260,10 @@ def emit_results(records, fmt: str, path) -> Path:
     path = resolve_output_path(path)
     rows = [{col: getattr(r, col) for col in CSV_COLUMNS} for r in records]
     if fmt == FORMAT_CSV:
-        with open(path, "w", newline="") as handle:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
             writer.writeheader()
             writer.writerows(rows)  # str(float) is its shortest round-trip form
     else:
-        path.write_text(json.dumps(rows, indent=2) + "\n")
+        path.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
     return path
-
-
-def load_results(path) -> list:
-    """Read records written by emit_results: JSON for a .json suffix in any
-    case, else CSV. A row that is not a record with every column, a CSV row
-    with more cells than its header, or a JSON row with another key or a
-    value not of its column's type, raises ValueError, as does a .json file
-    that is not JSON or a file that does not decode as text."""
-    path = Path(path)
-    try:
-        if path.suffix.lower() == ".json":
-            rows = [_section(row, _RECORD, set(_RECORD), "record")
-                    for row in json.loads(path.read_text())]
-        else:
-            with open(path, newline="") as handle:
-                rows = list(csv.DictReader(handle))
-            if any(None in row for row in rows):  # DictReader files surplus cells under None
-                raise ValueError("a row has more cells than the header")
-        return [ResultRecord(**{name: kind(row[name]) for name, kind in _RECORD.items()})
-                for row in rows]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path} does not hold result records: {exc!r}") from None

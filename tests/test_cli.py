@@ -1,14 +1,18 @@
 import argparse
+import csv
+import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
 import pdcch_blocking
-from pdcch_blocking import (bundled_scenario_path, load_results, parse_plan_request,
+from pdcch_blocking import (bundled_scenario_path, parse_plan_request,
                             plan_min_coreset, run_sweep, simulation)
 from pdcch_blocking import cli
 from pdcch_blocking.cli import main
@@ -26,6 +30,7 @@ SCENARIO = {
 }
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PLAN = {"name": "small_plan", "ue_count": 5, "target_blocking": 0.1,
         "al_distribution": [0.4, 0.3, 0.2, 0.05, 0.05],
@@ -40,6 +45,27 @@ def scenario_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def plan_file(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(PLAN))
+    return path
+
+
+def cells(record):
+    """A record as the cells of its CSV row: None as an empty cell, every
+    other value as ``str``, which is a float's shortest round-trip form."""
+    return {k: "" if v is None else str(v) for k, v in record.items()}
+
+
+def read_rows(path):
+    """The rows of a result file, each as the cells of its CSV row."""
+    if path.suffix == ".json":
+        return [cells(row) for row in json.loads(path.read_text(encoding="utf-8"))]
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.DictReader(handle))
+
+
 def test_simulate_prints_summary(scenario_file, capsys):
     assert main(["simulate", str(scenario_file)]) == 0
     out = capsys.readouterr().out
@@ -49,28 +75,30 @@ def test_simulate_prints_summary(scenario_file, capsys):
 def test_simulate_writes_csv(scenario_file, tmp_path, capsys):
     out_path = tmp_path / "res.csv"
     assert main(["simulate", str(scenario_file), "--out", str(out_path)]) == 0
-    records = load_results(out_path)
-    assert len(records) == 1
-    assert records[0].scenario == "tiny"
-    assert records[0].iterations == 200
-    assert 0.0 <= records[0].blocking_probability <= 1.0
+    rows = read_rows(out_path)
+    assert len(rows) == 1
+    assert rows[0]["scenario"] == "tiny"
+    assert rows[0]["iterations"] == "200"
+    assert 0.0 <= float(rows[0]["blocking_probability"]) <= 1.0
+    assert rows[0]["target_blocking"] == rows[0]["decision"] == ""
 
 
 def test_flag_overrides_apply(scenario_file, tmp_path):
     out_path = tmp_path / "res.csv"
     assert main(["simulate", str(scenario_file), "--iterations", "50",
                  "--seed", "77", "--out", str(out_path)]) == 0
-    record = load_results(out_path)[0]
-    assert record.iterations == 50
-    assert record.seed == 77
+    row = read_rows(out_path)[0]
+    assert row["iterations"] == "50"
+    assert row["seed"] == "77"
 
 
 def test_sweep_writes_one_row_per_point(scenario_file, tmp_path):
     out_path = tmp_path / "sweep.json"
     assert main(["sweep", str(scenario_file), "--format", "json",
                  "--out", str(out_path)]) == 0
-    records = load_results(out_path)
-    assert [r.point for r in records] == ["2", "4"]
+    rows = json.loads(out_path.read_text(encoding="utf-8"))
+    assert [row["point"] for row in rows] == ["2", "4"]
+    assert all(row["target_blocking"] is None and row["decision"] is None for row in rows)
 
 
 def test_sweep_without_section_fails(tmp_path):
@@ -84,7 +112,7 @@ def test_bundled_scenario_resolves_by_name(tmp_path):
     out_path = tmp_path / "fig8.csv"
     assert main(["simulate", "fig8_coverage", "--iterations", "50",
                  "--out", str(out_path)]) == 0
-    assert load_results(out_path)[0].scenario == "fig8_coverage"
+    assert read_rows(out_path)[0]["scenario"] == "fig8_coverage"
 
 
 def test_unknown_scenario_exits_one(capsys):
@@ -248,11 +276,12 @@ def test_plan_command(tmp_path, capsys):
     path.write_text(json.dumps(request))
     out_path = tmp_path / "plan_out.json"
     assert main(["plan", str(path), "--format", "json", "--out", str(out_path)]) == 0
-    assert "min CORESET size" in capsys.readouterr().out
-    payload = json.loads(out_path.read_text())
-    assert payload["name"] == "tiny_plan"
-    assert payload["min_cces"] == 2  # two AL-1 UEs with 6 candidates each
-    assert payload["evaluations"]
+    assert "min CORESET size = 2 CCEs" in capsys.readouterr().out
+    rows = json.loads(out_path.read_text(encoding="utf-8"))
+    assert {row["scenario"] for row in rows} == {"tiny_plan"}
+    assert {row["target_blocking"] for row in rows} == {0.3}
+    # two AL-1 UEs with 6 candidates each
+    assert [row["point"] for row in rows if row["decision"] == "answer"] == ["2"]
 
 
 def test_plan_too_small_to_split_forks_no_process(tmp_path, monkeypatch, pools):
@@ -279,18 +308,69 @@ def test_plan_without_a_size_that_meets_the_target_exits_zero(tmp_path, capsys):
         capsys.readouterr().out)
 
 
-def test_plan_csv_rows_are_coreset_size_sweep_rows(tmp_path, capsys):
+def test_plan_csv_rows_are_coreset_size_sweep_rows(plan_file, tmp_path, capsys):
     # the rows carry the simulator's own counts, not counts rebuilt from B
-    path = tmp_path / "plan.json"
-    path.write_text(json.dumps(PLAN))
     out_path = tmp_path / "plan_out.csv"
-    assert main(["plan", str(path), "--format", "csv", "--out", str(out_path)]) == 0
-    rows = load_results(out_path)
+    assert main(["plan", str(plan_file), "--format", "csv", "--out", str(out_path)]) == 0
+    rows = read_rows(out_path)
     assert len(rows) > 1
-    name, request = parse_plan_request(path)
-    sizes = [int(row.point) for row in rows]
-    assert sizes == [p.point for p in plan_min_coreset(request).points]  # evaluation order
-    assert rows == records_for_sweep(name, run_sweep(request.base, "coreset_size", sizes))
+    name, request = parse_plan_request(plan_file)
+    plan = plan_min_coreset(request)
+    sizes = [int(row["point"]) for row in rows]
+    assert sizes == [p.point for p in plan.points]  # evaluation order
+    target = request.target_blocking
+    sweep = records_for_sweep(name, run_sweep(request.base, "coreset_size", sizes),
+                              target, plan.decisions(target))
+    assert rows == [cells(dataclasses.asdict(record)) for record in sweep]
+
+
+def test_each_command_writes_once_through_emit_results(scenario_file, plan_file,
+                                                       tmp_path, monkeypatch, capsys):
+    calls = []
+    emit = cli.emit_results
+
+    def recording(records, fmt, path):
+        calls.append((fmt, path))
+        return emit(records, fmt, path)
+
+    monkeypatch.setattr(cli, "emit_results", recording)
+    for fmt in ("csv", "json"):
+        for command, path in (("simulate", scenario_file), ("sweep", scenario_file),
+                              ("plan", plan_file)):
+            out_path = str(tmp_path / f"{command}.{fmt}")
+            assert main([command, str(path), "--format", fmt, "--out", out_path]) == 0
+            assert calls.pop() == (fmt, out_path) and calls == []
+    plan_rows = read_rows(tmp_path / "plan.csv")
+    assert read_rows(tmp_path / "plan.json") == plan_rows
+    answers = [row["point"] for row in plan_rows if row["decision"] == "answer"]
+    assert len(answers) == 1
+    assert f"min CORESET size = {answers[0]} CCEs" in capsys.readouterr().out
+
+
+def test_non_ascii_scenario_name_is_written_as_utf8(tmp_path):
+    path = tmp_path / "named.json"
+    path.write_bytes(json.dumps(dict(SCENARIO, name="tiny_µΩ"), ensure_ascii=False)
+                     .encode("utf-8"))
+    out_path = tmp_path / "res.csv"
+    assert main(["simulate", str(path), "--iterations", "20", "--out", str(out_path)]) == 0
+    assert out_path.read_bytes().decode("utf-8").splitlines()[1].startswith("tiny_µΩ,")
+
+
+def test_file_reads_and_writes_name_their_encoding(scenario_file, plan_file, tmp_path):
+    # EncodingWarning is raised by each open or read_text that leaves the
+    # encoding to the locale
+    argvs = [["simulate", str(scenario_file), "--out", "sim.csv"],
+             ["sweep", str(scenario_file), "--format", "json", "--out", "sweep.json"],
+             ["plan", str(plan_file), "--format", "json", "--out", "plan.json"]]
+    code = ("import sys\nfrom pdcch_blocking.cli import main\n"
+            f"sys.exit(max(main(argv + ['--iterations', '20']) for argv in {argvs!r}))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert all((tmp_path / name).exists() for name in ("sim.csv", "sweep.json", "plan.json"))
 
 
 def test_list_command(capsys):

@@ -75,6 +75,7 @@ def test_unreachable_target_returns_none():
     assert result.min_cces is None
     assert result.achieved_blocking is None
     assert all(blocking == 1.0 for _, blocking, _ in result.evaluations)
+    assert set(result.decisions(req.target_blocking)) == {"misses"}  # no "answer"
 
 
 def test_result_respects_target_and_boundary():
@@ -86,6 +87,11 @@ def test_result_respects_target_and_boundary():
     assert result.achieved_blocking == by_cces[result.min_cces]
     if result.min_cces > req.cce_min:
         assert by_cces[result.min_cces - 1] > req.target_blocking
+    decided = dict(zip(by_cces, result.decisions(req.target_blocking)))
+    assert [c for c, d in decided.items() if d == "answer"] == [result.min_cces]
+    assert all(d == "misses" for c, d in decided.items() if c < result.min_cces)
+    assert all((d == "misses") == (by_cces[c] > req.target_blocking)
+               for c, d in decided.items())
 
 
 def test_evaluations_reuse_one_seed_per_size():

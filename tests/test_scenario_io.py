@@ -1,11 +1,13 @@
+import csv
 import json
+from dataclasses import fields
 
 import pytest
 
 import pdcch_blocking
 from pdcch_blocking import (SWEEP_AXES, ResultRecord, ScenarioParseError,
                             apply_axis, bundled_scenario_names,
-                            bundled_scenario_path, emit_results, load_results,
+                            bundled_scenario_path, emit_results,
                             parse_plan_request, parse_scenario,
                             scenario_from_dict, scenario_to_dict)
 from pdcch_blocking.scenario_io import CSV_COLUMNS
@@ -109,6 +111,14 @@ def test_bad_json_reports_line(tmp_path):
 def test_missing_file_is_parse_error(tmp_path):
     with pytest.raises(ScenarioParseError):
         parse_scenario(tmp_path / "nope.json")
+
+
+@pytest.mark.parametrize("parse", [parse_scenario, parse_plan_request])
+def test_file_that_is_not_utf8_is_parse_error_naming_it(tmp_path, parse):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")  # a UTF-16 byte-order mark
+    with pytest.raises(ScenarioParseError, match=r"cannot read .*utf16\.json: 'utf-8' codec"):
+        parse(path)
 
 
 # each case: (changes to a scenario file, changes to a plan file)
@@ -313,95 +323,45 @@ def records():
     return [
         ResultRecord("fig4_ue_sweep", "15", 0.0821, 0.00071, 12315, 137685, 42, 10000),
         ResultRecord("fig4_ue_sweep", "30", 1 / 3, 0.00081, 100000, 200000, 42, 10000),
+        ResultRecord("plan_fig11", "22", 0.1974, 0.0056290894467933, 987, 4013, 55, 1000,
+                     target_blocking=0.2, decision="answer"),
     ]
+
+
+def read_csv(path):
+    """The records of a CSV file, each cell parsed as its field's type and
+    the empty cell of a field that defaults to None read as None."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        return [ResultRecord(**{
+            f.name: None if f.default is None and row[f.name] == "" else f.type(row[f.name])
+            for f in fields(ResultRecord)}) for row in csv.DictReader(handle)]
 
 
 def test_csv_has_header_and_one_row_per_record(tmp_path):
     path = tmp_path / "out.csv"
     emit_results(records(), "csv", path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 3
-    assert lines[0] == ("scenario,point,blocking_probability,stderr,"
-                        "blocked_total,scheduled_total,seed,iterations")
+    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    assert len(lines) == len(records()) + 1
+    assert lines[0] == ",".join(CSV_COLUMNS) == (
+        "scenario,point,blocking_probability,stderr,blocked_total,scheduled_total,"
+        "seed,iterations,target_blocking,decision")
+    assert lines[1].endswith(",42,10000,,")  # a sweep row leaves the plan columns empty
+    assert lines[3].endswith(",55,1000,0.2,answer")
 
 
 def test_csv_roundtrip_is_lossless(tmp_path):
     path = tmp_path / "out.csv"
     emit_results(records(), "csv", path)
-    assert load_results(path) == records()
+    assert read_csv(path) == records()
 
 
 def test_json_roundtrip_is_lossless(tmp_path):
     path = tmp_path / "out.json"
     emit_results(records(), "json", path)
-    assert load_results(path) == records()
-    payload = json.loads(path.read_text())
+    payload = json.loads(path.read_text(encoding="utf-8"))
     assert isinstance(payload, list) and payload[0]["scenario"] == "fig4_ue_sweep"
-
-
-def test_load_reads_an_upper_case_json_suffix_as_json(tmp_path):
-    path = tmp_path / "r.JSON"
-    emit_results(records(), "json", path)
-    assert load_results(path) == records()
-
-
-@pytest.mark.parametrize("content", [
-    # what `pdcch-sim plan --format json` writes: one object, not records
-    {"name": "p", "min_cces": 54, "achieved_blocking": 0.04, "target_blocking": 0.05,
-     "evaluations": [[54, 0.04, 0.002]]},
-    [{"scenario": "s", "point": "1"}],
-    [["s", "1", 0.1, 0.01, 1, 9, 0, 10]],
-    [{column: None for column in CSV_COLUMNS}],
-])
-def test_load_rejects_json_that_is_not_records(tmp_path, content):
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps(content))
-    with pytest.raises(ValueError, match="p.json does not hold result records"):
-        load_results(path)
-
-
-@pytest.mark.parametrize("changes,reason", [
-    ({"blocked_total": 2.7}, "record.blocked_total must be an integer, got 2.7"),
-    ({"scheduled_total": True}, "record.scheduled_total must be an integer, got true"),
-    ({"seed": "3"}, 'record.seed must be an integer, got "3"'),
-    ({"stderr": "0.1"}, 'record.stderr must be a number, got "0.1"'),
-    ({"blocking_probability": 10**400}, "too large"),
-    ({"extra": 1}, r"unknown key\(s\) in record: \['extra'\]"),
-], ids=["float_int", "bool_int", "string_int", "string_float", "huge_float", "extra_key"])
-def test_load_rejects_json_values_of_another_type(tmp_path, changes, reason):
-    path = tmp_path / "p.json"
-    emit_results(records(), "json", path)
-    rows = json.loads(path.read_text())
-    path.write_text(json.dumps([rows[0] | changes, rows[1]]))
-    with pytest.raises(ValueError, match=f"p.json does not hold result records: .*{reason}"):
-        load_results(path)
-
-
-def test_load_rejects_a_csv_with_a_short_row(tmp_path):
-    path = tmp_path / "out.csv"
-    emit_results(records(), "csv", path)
-    path.write_text(path.read_text() + "fig4_ue_sweep,7\n")
-    with pytest.raises(ValueError, match="out.csv does not hold result records"):
-        load_results(path)
-
-
-def test_load_rejects_a_csv_with_a_long_row(tmp_path):
-    path = tmp_path / "out.csv"
-    emit_results(records(), "csv", path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1] + [lines[-1] + ",junk,more"]) + "\n")
-    with pytest.raises(ValueError, match="out.csv does not hold result records"):
-        load_results(path)
-
-
-@pytest.mark.parametrize("name, content", [("p.json", b'[{"scenario": "s",'),
-                                           ("out.csv", b"scenario,point\n\xff\xfe,1\n")],
-                         ids=["json_not_json", "csv_not_utf8"])
-def test_load_rejects_a_file_that_does_not_parse(tmp_path, name, content):
-    path = tmp_path / name
-    path.write_bytes(content)
-    with pytest.raises(ValueError, match=f"{name} does not hold result records: "):
-        load_results(path)
+    assert payload[0]["target_blocking"] is None and payload[0]["decision"] is None
+    assert [ResultRecord(**row) for row in payload] == records()
 
 
 def test_emit_rejects_empty_and_bad_format(tmp_path):
