@@ -110,6 +110,8 @@ def candidate_starts(aggregation_level: int, cce_count: int, candidate_count: in
     C = as_integer("cce_count", cce_count, 1)
     M = as_integer("candidate_count", candidate_count, 1)
     y = as_integer("y", y)
+    if not 0 <= y < Y_MODULUS:
+        raise ValueError(f"y must be in [0, {Y_MODULUS - 1}], got {y}")
     positions = C // L
     if positions == 0:
         raise ValueError(f"AL {L} does not fit in a CORESET of {C} CCEs")

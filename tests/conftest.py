@@ -26,9 +26,7 @@ def runs(monkeypatch):
     """Record every ``simulation._run_range`` call, the range that both
     ``run_scenario`` and ``run_sweep`` map, without running it."""
     calls = []
-    monkeypatch.setattr(simulation, "_run_range",
-                        lambda configs, start, stop, keep, drawn: calls.append(
-                            (configs, start, stop, keep, drawn)))
+    monkeypatch.setattr(simulation, "_run_range", lambda *args: calls.append(args))
     return calls
 
 

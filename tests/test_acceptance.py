@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from reference import reference_start
 
 from pdcch_blocking import (bundled_scenario_path, candidate_starts,
                             parse_plan_request, parse_scenario,
@@ -158,14 +159,8 @@ def test_criterion_7_planner_large_endpoint():
 
 
 def test_criterion_8_hash_golden_vectors():
-    # independent brute-force transcription of the candidate position rule,
-    # deliberately written over float floor division rather than integer ops
-    def brute_force(level, k, cce_count, count, y):
-        positions = math.floor(cce_count / level)
-        if positions == 0:
-            return None
-        return level * ((y + math.floor(k * cce_count / (level * count))) % positions)
-
+    # against the reference model's transcription of the candidate position
+    # rule, written over float floor division rather than integer ops
     rng = np.random.default_rng(2024)
     y_values = [int(v) for v in rng.integers(0, 65537, size=20)]
     checked = 0
@@ -175,7 +170,7 @@ def test_criterion_8_hash_golden_vectors():
             for count in range(1, 9):
                 for k in range(count):
                     for y in y_values:
-                        expected = brute_force(level, k, cce_count, count, y)
+                        expected = reference_start(level, k, cce_count, count, y)
                         if expected is None:
                             with pytest.raises(ValueError, match="does not fit in a CORESET"):
                                 candidate_starts(level, cce_count, count, y)

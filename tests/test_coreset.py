@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pdcch_blocking import (CoresetConfig, PlanningRequest, ScenarioConfig,
-                            run_scenario)
+from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig, PlanningRequest,
+                            ScenarioConfig, run_scenario)
 
 
 @pytest.mark.parametrize("cce_count", [9.0, 9.5, True, "54"])
@@ -66,3 +66,28 @@ def test_integer_fields_enforce_their_minimum(build, field, minimum):
     build(**{field: minimum})
     with pytest.raises(ValueError, match=rf"^{field} must be >= {minimum}, got {minimum - 1}$"):
         build(**{field: minimum - 1})
+
+
+_COUNTS, _MIX = (6, 6, 4, 2, 1), (0.4, 0.3, 0.2, 0.05, 0.05)
+
+# Per-AL field values that are not a list or tuple of five integers
+# (candidates_per_al) or numbers (al_distribution): bools, strings, None,
+# scalars and the other containers, the {AL: value} mapping form included
+PER_AL_REJECTED = [
+    *(("candidates_per_al", counts) for counts in [
+        (6.7, 6, 4, 2, 1), (6.0, 6, 4, 2, 1), (True, 6, 4, 2, 1), ("6", 6, 4, 2, 1), None, 6,
+        dict(zip(AGGREGATION_LEVELS, _COUNTS)), {6, 4, 2, 1, 0}, "66421",
+        (m for m in _COUNTS), np.array(_COUNTS)]),
+    *(("al_distribution", probs) for probs in [
+        (True, 0, 0, 0, 0), ("1", 0, 0, 0, 0), (None, 1, 0, 0, 0), 5, None,
+        dict(zip(AGGREGATION_LEVELS, _MIX)), {0.1, 0.2, 0.3, 0.15, 0.25}, "10000",
+        (p for p in _MIX), np.array(_MIX)]),
+]
+
+
+@pytest.mark.parametrize("field,value", PER_AL_REJECTED)
+def test_per_al_fields_reject_all_but_five_numbers(field, value):
+    message = {"candidates_per_al": "^candidates_per_al must be integers",
+               "al_distribution": "^probabilities must be numbers"}[field]
+    with pytest.raises(ValueError, match=message):
+        ScenarioConfig(**_BASE | {field: value})

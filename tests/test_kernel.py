@@ -1,4 +1,5 @@
-"""The table-driven iteration kernel against the per-UE hash it replaces,
+"""The kernel at its boundary, ``run_scenario``, against the reference model
+in ``reference.py``; exact blocking oracles for small and unordered configs;
 and the blocked counts of every bundled study pinned bit for bit."""
 
 import functools
@@ -8,172 +9,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from reference import block_table, reference_al_index, reference_blocked
 
 from pdcch_blocking import (ALLOWED_CANDIDATE_COUNTS, AGGREGATION_LEVELS,
                             STRATEGIES, CoresetConfig, ScenarioConfig, apply_axis,
                             bundled_scenario_names, bundled_scenario_path,
-                            candidate_starts, iteration_rng, parse_plan_request,
-                            parse_scenario, run_scenario, run_sweep, y_value)
-from pdcch_blocking.simulation import (RNTI_MAX, STRATEGY_HIGH_TO_LOW, STRATEGY_UNORDERED,
-                                       Y_MODULUS, Y_MULTIPLIER, _greedy_assign, _kernel)
-
-
-def reference_order(levels, strategy, perm):
-    """One iteration's processing order, sorted in Python: the permutation
-    ``perm``, stably sorted by AL unless "unordered"."""
-    order = list(perm)
-    if strategy != STRATEGY_UNORDERED:
-        order.sort(key=levels.__getitem__, reverse=strategy == STRATEGY_HIGH_TO_LOW)
-    return order
-
-
-def reference_greedy(ues, order):
-    """Independent step-by-step simulation of the allocation rule, written
-    against plain CCE sets instead of bitmasks. Returns ({UE: start}, blocked)."""
-    taken = set()
-    assigned = {}
-    blocked = []
-    for i in order:
-        level, starts = ues[i]
-        for start in sorted(starts):
-            cces = set(range(start, start + level))
-            if not taken & cces:
-                assigned[i] = start
-                taken |= cces
-                break
-        else:
-            blocked.append(i)
-    return assigned, sorted(blocked)
-
-
-def word_ints(words):
-    """Each mask of a (W, ...) uint64 array of mask words, low word first, as
-    one Python int."""
-    return sum((words[w].astype(object) << 64 * w for w in range(len(words))),
-               np.zeros(words.shape[1:], dtype=object))
-
-
-def field_constants(level):
-    """The block-test constants of AL ``level`` as Python ints: the low
-    L - 1 bits of every L-bit field of a word, L - 1, and the low L bits."""
-    lo = sum(((1 << level - 1) - 1) << field for field in range(0, 64, level))
-    return lo, level - 1, (1 << level) - 1
-
-
-def block_table(mask_sets, cce_count):
-    """Candidate sets given as tuples of Python-int CCE masks below CCE
-    ``cce_count``, each an aligned block of one AL's 1, 2, 4, 8 or 16 CCEs,
-    laid out as ``_kernel`` lays out its tables: a (W + 3, S) uint64 table
-    of W = ceil(C/64) words per set with one bit at the last CCE of each
-    candidate and then the AL's block-test constants (an empty set has no
-    bit, and AL 1's constants)."""
-    words = -(-cce_count // 64)
-    columns = []
-    for masks in mask_sets:
-        levels = {mask.bit_count() for mask in masks} or {1}
-        assert len(levels) == 1, masks
-        level = levels.pop()
-        bits = 0
-        for mask in masks:
-            first = (mask & -mask).bit_length() - 1
-            assert level in AGGREGATION_LEVELS and first % level == 0, mask
-            assert mask == ((1 << level) - 1) << first and mask.bit_length() <= cce_count, mask
-            bits |= 1 << first + level - 1
-        columns.append([bits >> 64 * w & (2**64 - 1) for w in range(words)]
-                       + list(field_constants(level)))
-    table = np.array(columns, dtype=np.uint64).reshape(len(mask_sets), words + 3)
-    return np.ascontiguousarray(table.T)
-
-
-def block_greedy(mask_sets, cce_count, index):
-    """``_greedy_assign`` over the rows of ``index``, lists of indices into
-    ``mask_sets`` laid out by ``block_table``. Per row: (the mask each UE took
-    in processing order, None where it was blocked; the CCEs used). The
-    mask UE j took is what it added to the CCEs its row had used after the
-    first j positions, so every prefix of the block is run too."""
-    table = block_table(mask_sets, cce_count)
-    index = np.array(index, dtype=np.int64)
-    runs = [_greedy_assign(index[:, :j], table) for j in range(index.shape[1] + 1)]
-    used = [word_ints(words).tolist() for _, words in runs]
-    outcomes = []
-    for b, scheduled in enumerate(runs[-1][0].tolist()):
-        assert used[0][b] == 0
-        taken = [used[j + 1][b] ^ used[j][b] or None for j in range(len(scheduled))]
-        assert [mask is not None for mask in taken] == scheduled
-        outcomes.append((taken, used[-1][b]))
-    return outcomes
-
-
-def kernel_tables(counts, coreset):
-    """The per-CORESET tables of ``_kernel`` for the candidate counts
-    ``counts`` (per AL, as ``ScenarioConfig.candidates_per_al``) on ``coreset``,
-    decoded: (P per AL, per AL the distinct candidate masks of every residue
-    as Python ints, by first CCE). Every set is checked against the
-    ``candidate_starts`` of its residue. An empty set, one all-zero
-    column, decodes to the single empty mask set ``((),)``."""
-    cce_count = coreset.cce_count
-    cfg = ScenarioConfig(1, coreset, counts, (1.0, 0, 0, 0, 0))
-    positions, table = _kernel(cfg)
-    words = -(-cce_count // 64)
-    assert len(table) == words + 3
-    sets = word_ints(table[:words]).tolist()
-    assert len(sets) == positions.sum() and max(sets).bit_length() <= cce_count
-    tables, offset = [], 0
-    for level, m, p in zip(AGGREGATION_LEVELS, cfg.candidates_per_al, positions.tolist()):
-        rows, offset = sets[offset:offset + p], offset + p
-        if m == 0 or level > cce_count:
-            assert rows == [0]
-            tables.append(((),))
-            continue
-        assert table[words:, offset - p:offset].T.tolist() == [list(field_constants(level))] * p
-        masks = [tuple(((1 << level) - 1) << last - level + 1
-                       for last in range(row.bit_length()) if row >> last & 1)
-                 for row in rows]
-        assert masks == [tuple(sorted({((1 << level) - 1) << start
-                                       for start in candidate_starts(level, cce_count, m, r)}))
-                         for r in range(p)]
-        tables.append(masks)
-    return positions, tables
-
-
-def reference_al_index(al_distribution, uniforms):
-    """The AL index of each uniform by inverse CDF. A uniform above a
-    rounded-down probability total goes to the last AL of nonzero
-    probability, as in the simulator."""
-    last = np.flatnonzero(al_distribution)[-1]
-    return np.minimum(np.searchsorted(np.cumsum(al_distribution), uniforms, side="right"),
-                      last)
+                            candidate_starts, parse_plan_request,
+                            parse_scenario, run_scenario, run_sweep)
+from pdcch_blocking.simulation import (CHECK_POSITIONS, RNTI_MAX, STRATEGY_HIGH_TO_LOW,
+                                       STRATEGY_UNORDERED, Y_MODULUS, Y_MULTIPLIER,
+                                       _greedy_assign)
 
 
 def test_reference_al_index_never_draws_a_zero_probability_al():
     # the total is 0.9999999999, within tolerance of 1
     uniforms = [0.0, 0.3, 0.6, np.nextafter(1.0, 0.0)]
     assert reference_al_index((0.3, 0.3, 0.3999999999, 0, 0), uniforms).tolist() == [0, 1, 2, 2]
-
-
-def reference_blocked(cfg: ScenarioConfig, iteration: int) -> int:
-    """One iteration hashed UE by UE: Y by iteration and the starts of every
-    candidate, allocated by ``reference_greedy``."""
-    rng = iteration_rng(cfg.master_seed, iteration)
-    u = cfg.ue_count
-    rntis = rng.integers(1, RNTI_MAX + 1, size=u)
-    al_idx = reference_al_index(cfg.al_distribution, rng.random(u))
-    cce_count = cfg.coreset.cce_count
-    ues = []
-    for i in range(u):
-        level = AGGREGATION_LEVELS[al_idx[i]]
-        m = cfg.candidates_per_al[al_idx[i]]
-        if m == 0 or cce_count < level:
-            ues.append((level, []))
-            continue
-        y = y_value(int(rntis[i]))
-        ues.append((level, candidate_starts(level, cce_count, m, y)))
-    order = reference_order([level for level, _ in ues], cfg.strategy,
-                            rng.permutation(u).tolist())
-    _, blocked = reference_greedy(ues, order)
-    return len(blocked)
 
 
 counts_per_al = st.tuples(*[st.sampled_from(ALLOWED_CANDIDATE_COUNTS)] * 5).filter(any)
@@ -195,6 +48,14 @@ def scenarios(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(scenarios())
+# more UEs than CHECK_POSITIONS: at C = 48 the AL-8 and AL-16 UEs fill every
+# row before the first check, so the walk stops there and the last UE is
+# blocked unread; at C = 54 some rows fill by a check while others take
+# candidates after it
+@example(ScenarioConfig(CHECK_POSITIONS + 1, CoresetConfig(48), (0, 0, 0, 1, 1),
+                        (0, 0, 0, 0.5, 0.5), STRATEGY_UNORDERED, 3, 0))
+@example(ScenarioConfig(2 * CHECK_POSITIONS + 1, CoresetConfig(54), (6, 6, 4, 2, 1),
+                        (0.2,) * 5, STRATEGY_UNORDERED, 20, 0))
 def test_kernel_matches_per_ue_hash(cfg):
     result = run_scenario(cfg, keep_per_iteration=True)
     assert list(result.per_iteration_blocked) == [

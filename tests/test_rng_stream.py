@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import PCG64
-from test_kernel import reference_blocked
+from reference import reference_blocked
 
 from pdcch_blocking import (STRATEGIES, CoresetConfig, ScenarioConfig,
                             iteration_rng)
