@@ -1,14 +1,17 @@
+"""The TS 38.213 search space: the hash ``Y`` and ``candidate_starts``, and
+the candidate counts per AL (``ScenarioConfig.candidates_per_al``)."""
+
 import numpy as np
 import pytest
 
 from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig, ScenarioConfig,
                             candidate_starts, y_value)
-from test_kernel import kernel_tables
 
 
-# --- Y recursion -----------------------------------------------------------
-# Frozen expected values, computed beforehand with a standalone script that
-# transcribes the recursion Y <- (A * Y) mod 65537 literally.
+# --- the TS 38.213 hash --------------------------------------------------------
+# Frozen Y values were computed beforehand with a standalone script that
+# transcribes the recursion Y <- (A * Y) mod 65537 literally. A candidate's
+# CCEs are range(start, start + L) from its hashed start.
 
 def test_y_single_step():
     assert y_value(1) == 39827
@@ -48,9 +51,6 @@ def test_y_range_and_determinism():
         assert y_value(rnti) == 39827 * rnti % 65537
 
 
-# --- candidate hash --------------------------------------------------------
-# A candidate's CCEs are range(start, start + L) from its hashed start.
-
 def test_candidate_starts_full_coreset_candidate():
     # floor(C/L) = 1 forces the modulo to zero regardless of Y
     assert candidate_starts(16, 16, 1, 7) == [0]
@@ -79,6 +79,9 @@ def test_candidate_starts_rejects_oversized_al():
     dict(aggregation_level=2.0, cce_count=54, candidate_count=6, y=0),
     dict(aggregation_level=True, cce_count=54, candidate_count=6, y=0),
     dict(aggregation_level=2, cce_count=54, candidate_count="6", y=0),
+    # Y is a residue mod 65537
+    dict(aggregation_level=2, cce_count=54, candidate_count=6, y=-1),
+    dict(aggregation_level=2, cce_count=54, candidate_count=6, y=10**30),
 ])
 def test_candidate_starts_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError):
@@ -107,46 +110,9 @@ def test_alignment_and_range_properties():
         assert starts[k] + level <= cce_count
 
 
-# --- per-UE candidate sets ------------------------------------------------
-# A UE's candidates at one AL are the ``candidate_starts`` of its Y; the
-# simulator reads them from ``_kernel``'s per-residue tables.
-
-def test_ue_candidate_set_counts_and_order():
-    counts = (6, 6, 4, 2, 1)
-    y = y_value(4242)
-    one = candidate_starts(16, 54, counts[4], y)
-    assert len(one) == 1 and one[0] + 16 <= 54
-    six = candidate_starts(1, 54, counts[0], y)
-    # candidate k of AL 1 starts floor(k * 54 / 6) = 9k CCEs after Y mod 54
-    assert six == [(y + 9 * k) % 54 for k in range(6)]
-
-
-def test_ue_candidate_set_hash_collapse():
-    # floor(C/L) = 1 collapses every candidate index to the same block
-    assert candidate_starts(8, 8, 2, y_value(12345)) == [0, 0]
-    # and the table holds the two equal candidates as one bit
-    positions, tables = kernel_tables((0, 0, 0, 2, 0), CoresetConfig.from_cce_count(8))
-    assert positions[3] == 1 and tables[3] == [(0xFF,)]
-
-
-def test_ue_candidate_set_rejects_zero_count():
-    with pytest.raises(ValueError):
-        candidate_starts(2, 54, 0, 0)
-    # an AL with no configured candidates gets the single empty mask set
-    positions, tables = kernel_tables((6, 0, 0, 0, 0), CoresetConfig.from_cce_count(54))
-    assert positions[1] == 1 and tables[1] == ((),)
-
-
-def test_uss_determinism_across_calls():
-    counts, coreset = (6, 6, 4, 2, 1), CoresetConfig(54)
-    y = y_value(31337)
-    assert candidate_starts(4, 54, 4, y) == candidate_starts(4, 54, 4, y)
-    first, again = kernel_tables(counts, coreset), kernel_tables(counts, coreset)
-    assert first[0].tolist() == again[0].tolist() and first[1] == again[1]
-
-
 # --- config validation -----------------------------------------------------
-# The candidate counts are ScenarioConfig's candidates_per_al field.
+# The candidate counts are ScenarioConfig's candidates_per_al field; the
+# inputs that are not five integers are in test_coreset.py.
 
 def config(counts):
     return ScenarioConfig(ue_count=1, coreset=CoresetConfig(54), candidates_per_al=counts,
@@ -167,18 +133,6 @@ def test_search_space_needs_one_count_per_al():
     for counts in ((6, 6, 4, 2), [6, 6, 4, 2, 1, 1]):
         with pytest.raises(ValueError, match="^candidates_per_al needs 5 entries"):
             config(counts)
-
-
-@pytest.mark.parametrize("counts", [(6.7, 6, 4, 2, 1), (6.0, 6, 4, 2, 1),
-                                    (True, 6, 4, 2, 1), ("6", 6, 4, 2, 1),
-                                    {1: 6, 16: 1.0}, None, 6,
-                                    # one spelling only: a list or tuple of 5
-                                    {16: 1}, {1: 6, 2: 6, 4: 4, 8: 2, 16: 1},
-                                    {6, 4, 2, 1, 0}, "66421",
-                                    (m for m in (6, 6, 4, 2, 1)), np.array([6, 6, 4, 2, 1])])
-def test_search_space_rejects_non_integer_counts(counts):
-    with pytest.raises(ValueError, match="^candidates_per_al must be integers"):
-        config(counts)
 
 
 def test_search_space_accepts_numpy_integers():
