@@ -498,12 +498,6 @@ _FIELDS = np.array([[(2**64 - 1) // (2**L - 1) * (2**(L - 1) - 1) for L in AGGRE
                     [2**L - 1 for L in AGGREGATION_LEVELS]], dtype=np.uint64)
 
 
-# How often, in positions, the greedy checks whether every row is full. A
-# check costs about a fifth of a position (300 rows, one word), so a walk
-# that never stops early pays well under 1% for it.
-CHECK_POSITIONS = 64
-
-
 def _greedy_assign(index, table):
     """Run the greedy on a block of iterations at once. Row b of ``index`` is
     iteration b's UEs in processing order, each as a column of ``table``, a
@@ -511,21 +505,13 @@ def _greedy_assign(index, table):
     one bit at the last CCE of each candidate, then its AL's constants lo
     (the low L - 1 bits of every L-bit field), L - 1 and 2**L - 1. Every
     iteration starts with no CCE used. At each position, every row's UE
-    takes its first free candidate, or is blocked and takes none. Every
-    ``CHECK_POSITIONS`` positions the walk stops once every row has used
-    every CCE that some column can take, as the rest are then blocked.
-    Returns (scheduled, used): a (B, U) bool array, True where the UE took a
+    takes its first free candidate, or is blocked and takes none. Returns
+    (scheduled, used): a (B, U) bool array, True where the UE took a
     candidate, and the (W, B) words of each row's used CCEs."""
     b, words = len(index), len(table) - 3
     used = np.zeros((words, b), dtype=np.uint64)
     scheduled = np.zeros((index.shape[1], b), dtype=bool)
-    if index.shape[1] > CHECK_POSITIONS:
-        # the CCEs of every column's candidate blocks, one (W, 1) mask
-        reach = np.bitwise_or.reduce(
-            (table[:words] >> table[words + 1]) * table[words + 2], axis=1, keepdims=True)
     for j, sets in enumerate(np.asfortranarray(index).T):
-        if j and j % CHECK_POSITIONS == 0 and (used == reach).all():
-            break
         column = table.take(sets, axis=1)
         lo, shift, fill = column[words:]
         # the top bit of an L-field of ((used & lo) + lo) | used is set when

@@ -11,15 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference import block_table, reference_al_index, reference_blocked
+from reference import (block_table, reference_al_index, reference_blocked, reference_start,
+                       reference_y)
 
 from pdcch_blocking import (ALLOWED_CANDIDATE_COUNTS, AGGREGATION_LEVELS,
                             STRATEGIES, CoresetConfig, ScenarioConfig, apply_axis,
                             bundled_scenario_names, bundled_scenario_path,
-                            candidate_starts, parse_plan_request,
-                            parse_scenario, run_scenario, run_sweep)
-from pdcch_blocking.simulation import (CHECK_POSITIONS, RNTI_MAX, STRATEGY_HIGH_TO_LOW,
-                                       STRATEGY_UNORDERED, Y_MODULUS, Y_MULTIPLIER,
+                            parse_plan_request, parse_scenario, run_scenario, run_sweep)
+from pdcch_blocking.simulation import (STRATEGY_HIGH_TO_LOW, STRATEGY_UNORDERED,
                                        _greedy_assign)
 
 
@@ -48,13 +47,12 @@ def scenarios(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(scenarios())
-# more UEs than CHECK_POSITIONS: at C = 48 the AL-8 and AL-16 UEs fill every
-# row before the first check, so the walk stops there and the last UE is
-# blocked unread; at C = 54 some rows fill by a check while others take
-# candidates after it
-@example(ScenarioConfig(CHECK_POSITIONS + 1, CoresetConfig(48), (0, 0, 0, 1, 1),
+# long walks, most of their UEs blocked: U = 65 at C = 48, where the AL-8
+# and AL-16 UEs fill every row early, and U = 129 at C = 54, where rows of
+# mixed ALs fill at different positions
+@example(ScenarioConfig(65, CoresetConfig(48), (0, 0, 0, 1, 1),
                         (0, 0, 0, 0.5, 0.5), STRATEGY_UNORDERED, 3, 0))
-@example(ScenarioConfig(2 * CHECK_POSITIONS + 1, CoresetConfig(54), (6, 6, 4, 2, 1),
+@example(ScenarioConfig(129, CoresetConfig(54), (6, 6, 4, 2, 1),
                         (0.2,) * 5, STRATEGY_UNORDERED, 20, 0))
 def test_kernel_matches_per_ue_hash(cfg):
     result = run_scenario(cfg, keep_per_iteration=True)
@@ -82,9 +80,11 @@ def exact_blocking(cfg: ScenarioConfig) -> float:
     strategy's order: the tuple's own order for "unordered", else stably
     sorted by AL. The UEs are i.i.d., so the tuple's order stands for the
     random permutation, and a stable sort keeps equal ALs in it. All the
-    tuples run as one block."""
+    tuples run as one block. The Ys and candidate starts come from
+    ``reference.py``, so a fault in the package's hash moves only the
+    simulated side."""
     cce_count = cfg.coreset.cce_count
-    ys = np.arange(1, RNTI_MAX + 1, dtype=np.int64) * Y_MULTIPLIER % Y_MODULUS
+    ys = reference_y(np.arange(1, 65536, dtype=np.int64))
     states = []  # (AL, probability, candidate masks sorted by start)
     for level, m, p in zip(AGGREGATION_LEVELS, cfg.candidates_per_al, cfg.al_distribution):
         if p == 0:
@@ -92,9 +92,9 @@ def exact_blocking(cfg: ScenarioConfig) -> float:
         if m == 0 or cce_count < level:
             states.append((level, p, ()))  # no candidate: always blocked
             continue
-        weights = np.bincount(ys % (cce_count // level)) / RNTI_MAX
+        weights = np.bincount(ys % (cce_count // level)) / 65535
         for r in np.flatnonzero(weights).tolist():
-            starts = sorted(candidate_starts(level, cce_count, m, r))
+            starts = sorted(reference_start(level, k, cce_count, m, r) for k in range(m))
             states.append((level, p * weights[r],
                            tuple(((1 << level) - 1) << start for start in starts)))
     u = cfg.ue_count

@@ -10,8 +10,8 @@ from reference import block_table, field_constants, reference_greedy, reference_
 
 from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig, ScenarioConfig,
                             candidate_starts)
-from pdcch_blocking.simulation import (CHECK_POSITIONS, STRATEGIES, Y_MODULUS, Y_MULTIPLIER,
-                                       _allocation_order, _greedy_assign, _kernel)
+from pdcch_blocking.simulation import (STRATEGIES, Y_MODULUS, Y_MULTIPLIER, _allocation_order,
+                                       _greedy_assign, _kernel)
 
 
 # --- the processing order and the greedy ---------------------------------------
@@ -146,10 +146,6 @@ def greedy_blocks(draw):
 @example((20, [(16, [0, 0]), (1, [3, 17])], [[0, 1, 0, 1], [1, 0, 1, 1]]))
 # a full last word of three: the AL-8 blocks at CCEs 176 and 184
 @example((192, [(8, [176, 184]), (16, [176])], [[0, 1, 0], [1, 0, 0]]))
-# more positions than CHECK_POSITIONS: both rows use every CCE of the sets
-# within three positions, so the walk stops at the first check
-@example((48, [(16, [0]), (16, [16]), (16, [32]), (8, [8, 40])],
-          [[0, 1, 2] + [3] * 67, [2, 0, 1] + [3] * 67]))
 def test_block_greedy_matches_reference_greedy(case):
     cce_count, sets, rows = case
     outcomes = block_greedy([masks(*s) for s in sets], cce_count, rows)
@@ -170,19 +166,20 @@ UES_AT_48 = [(16, [start]) for start in range(0, 48, 16)] + [(8, [start])
                                                             for start in range(0, 48, 8)]
 
 
-@pytest.mark.parametrize("u", [CHECK_POSITIONS - 1, CHECK_POSITIONS, CHECK_POSITIONS + 1,
-                               2 * CHECK_POSITIONS, 200])
+# Long rows against the reference greedy: full after position 3, full at
+# position 64 (or their last), or drawn at random
+@pytest.mark.parametrize("u", [63, 64, 65, 128, 200])
 @pytest.mark.parametrize("late", [False, True])
 def test_greedy_early_exit_matches_reference(u, late):
     rng = np.random.default_rng(u)
-    full_at = min(u, CHECK_POSITIONS)  # the first check, or the last position
+    full_at = min(u, 64)
     rows = [[0, 1, 2] + [0] * (u - 3),
             [0] * (full_at - 2) + [1, 2] + [0] * (u - full_at),
             [3 + int(rng.integers(6)) if a == 3 else int(rng.integers(3))
              for a in rng.integers(3, 5, u)]]
     if late:
         # a row full only at its last position, and one that never fills
-        # but takes a block there: the walk runs to the end
+        # but takes a block there
         rows += [[0] * (u - 2) + [1, 2], [0] * (u - 1) + [6]]
     outcomes = block_greedy([masks(*ue) for ue in UES_AT_48], 48, rows)
     for row, (taken, _) in zip(rows, outcomes):
@@ -190,17 +187,6 @@ def test_greedy_early_exit_matches_reference(u, late):
         assert [j for j, mask in enumerate(taken) if mask is None] == blocked
     if late:
         assert all(taken[-1] is not None for taken, _ in outcomes[3:])
-
-
-def test_greedy_stops_when_every_row_is_full():
-    # U = 200 AL-16 UEs on 48 CCEs, each row full well before the first
-    # check: the positions from it on are never read, so they may point past
-    # the table, and stay unscheduled
-    u, rng = 200, np.random.default_rng(3)
-    rows = [np.r_[rng.permutation(3), rng.integers(3, size=CHECK_POSITIONS - 3),
-                  [3] * (u - CHECK_POSITIONS)].tolist() for _ in range(8)]
-    for taken, used in block_greedy([masks(*ue) for ue in UES_AT_48[:3]], 48, rows):
-        assert len(taken) - taken.count(None) == 3 and used == 2**48 - 1
 
 
 COUNTS = (6, 6, 4, 2, 1)
