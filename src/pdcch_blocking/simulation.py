@@ -47,16 +47,15 @@ build small tables once and turn every UE's candidate set into one lookup:
   AL's candidate sets over all P residues come from one ``candidate_starts``
   call.
 
-All ALs' sets are the columns of one (W + 3, S) uint64 table: a set is
-W = ceil(C/64) words with one bit at the last CCE of each candidate, and
-then its AL's three block-test constants. TS 38.213 aligns every AL-L
-candidate to L, so a candidate is one L-bit field of a word. The greedy
-walks a block's U processing positions once, for every iteration of the
-block together: at each, one test per word finds the UE's free candidates
-among the CCEs its iteration has used (Warren's zero-byte test, Hacker's
-Delight section 6-1, for L-bit fields), and the UE takes the one with the
-lowest first CCE. Packing toward low CCEs keeps aligned blocks intact for
-the high ALs, which dominate blocking at light load.
+All ALs' sets are the columns of one (W + 2, S) uint64 table, laid out as
+``_greedy_assign`` reads it. TS 38.213 aligns every AL-L candidate to L, so
+a candidate is one L-bit field of a word. The greedy walks a block's U
+positions once, for all its iterations together: at each, one test per word
+finds the UE's free candidates among its iteration's used CCEs (Warren's
+zero-byte test, Hacker's Delight section 6-1, for L-bit fields), and the UE
+takes the one with the lowest first CCE: for its bit low, the L CCEs
+2 low - (low >> (L - 1)) mod 2**64. Packing toward low CCEs keeps aligned
+blocks intact for the high ALs, which dominate blocking at light load.
 """
 
 import math
@@ -491,40 +490,41 @@ def _allocation_order(al_keys, perm, strategy):
     return np.take_along_axis(perm, np.argsort(keys, axis=1, kind="stable"), axis=1)
 
 
-# Per AL, the constants of _greedy_assign's block test: the low L - 1 bits
-# of every L-bit field of a word, L - 1, and the low L bits
+# Per AL, _greedy_assign's block-test constants lo and L - 1
 _FIELDS = np.array([[(2**64 - 1) // (2**L - 1) * (2**(L - 1) - 1) for L in AGGREGATION_LEVELS],
-                    [L - 1 for L in AGGREGATION_LEVELS],
-                    [2**L - 1 for L in AGGREGATION_LEVELS]], dtype=np.uint64)
+                    [L - 1 for L in AGGREGATION_LEVELS]], dtype=np.uint64)
 
 
 def _greedy_assign(index, table):
     """Run the greedy on a block of iterations at once. Row b of ``index`` is
     iteration b's UEs in processing order, each as a column of ``table``, a
-    (W + 3, S) uint64 array: a candidate set's W words, low word first, with
+    (W + 2, S) uint64 array: a candidate set's W words, low word first, with
     one bit at the last CCE of each candidate, then its AL's constants lo
-    (the low L - 1 bits of every L-bit field), L - 1 and 2**L - 1. Every
-    iteration starts with no CCE used. At each position, every row's UE
-    takes its first free candidate, or is blocked and takes none. Returns
+    (the low L - 1 bits of every L-bit field) and L - 1. Every iteration
+    starts with no CCE used. At each position, every row's UE takes its
+    first free candidate, or is blocked and takes none. Returns
     (scheduled, used): a (B, U) bool array, True where the UE took a
     candidate, and the (W, B) words of each row's used CCEs."""
-    b, words = len(index), len(table) - 3
+    b, words = len(index), len(table) - 2
     used = np.zeros((words, b), dtype=np.uint64)
-    scheduled = np.zeros((index.shape[1], b), dtype=bool)
+    blocked = np.empty((index.shape[1], b), dtype=bool)
     for j, sets in enumerate(np.asfortranarray(index).T):
         column = table.take(sets, axis=1)
-        lo, shift, fill = column[words:]
-        # the top bit of an L-field of ((used & lo) + lo) | used is set when
-        # the field holds a used CCE: a carry out of its low L - 1 bits, or
-        # its own top bit; candidate bits are field tops, so the other bits
-        # of that test need no mask
-        free = column[:words] & ~(((used & lo) + lo) | used)
+        lo, shift = column[words:]
+        # the top bit of an L-field of taken is set when the field holds a
+        # used CCE: a carry out of its low L - 1 bits, or its own top bit;
+        # candidate bits are field tops, so taken's other bits need no mask
+        taken = used & lo
+        taken += lo
+        taken |= used
+        free = np.bitwise_and(column[:words], ~taken, out=taken)
         low = free & -free  # each word's first free candidate
-        for w in range(1, words):  # kept in the lowest word that has one
-            low[w] *= ~free[:w].any(axis=0)
-        used |= (low >> shift) * fill  # the L CCEs of the block ending at low
-        np.logical_or.reduce(free, axis=0, out=scheduled[j])
-    return scheduled.T, used
+        none = np.logical_not(free[0], out=blocked[j])  # rows where no word has one yet
+        for w in range(1, words):  # low is kept in the lowest word that has one
+            low[w] *= none
+            none &= np.logical_not(free[w])
+        used |= (low + low) - (low >> shift)  # the L CCEs ending at low, mod 2**64
+    return ~blocked.T, used
 
 
 _LEVELS = np.array(AGGREGATION_LEVELS, dtype=np.int64)

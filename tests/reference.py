@@ -99,18 +99,18 @@ def reference_blocked(cfg, iteration: int) -> int:
 
 def field_constants(level):
     """The block-test constants of AL ``level`` as Python ints: the low
-    L - 1 bits of every L-bit field of a word, L - 1, and the low L bits."""
+    L - 1 bits of every L-bit field of a word, and L - 1."""
     lo = sum(((1 << level - 1) - 1) << field for field in range(0, 64, level))
-    return lo, level - 1, (1 << level) - 1
+    return lo, level - 1
 
 
 def block_table(mask_sets, cce_count):
     """Candidate sets given as tuples of Python-int CCE masks below CCE
     ``cce_count``, each an aligned block of one AL's 1, 2, 4, 8 or 16 CCEs,
-    laid out as the greedy reads its tables: a (W + 3, S) uint64 table of
+    laid out as the greedy reads its tables: a (W + 2, S) uint64 table of
     W = ceil(C/64) words per set with one bit at the last CCE of each
-    candidate and then the AL's block-test constants (an empty set has no
-    bit, and AL 1's constants)."""
+    candidate and then the AL's two block-test constants (an empty set has
+    no bit, and AL 1's constants)."""
     words = -(-cce_count // 64)
     columns = []
     for masks in mask_sets:
@@ -125,5 +125,5 @@ def block_table(mask_sets, cce_count):
             bits |= 1 << first + level - 1
         columns.append([bits >> 64 * w & (2**64 - 1) for w in range(words)]
                        + list(field_constants(level)))
-    table = np.array(columns, dtype=np.uint64).reshape(len(mask_sets), words + 3)
+    table = np.array(columns, dtype=np.uint64).reshape(len(mask_sets), words + 2)
     return np.ascontiguousarray(table.T)

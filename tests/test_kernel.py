@@ -116,7 +116,12 @@ SCENARIO_FILES = [name for name in bundled_scenario_names() if not name.startswi
 
 @pytest.mark.parametrize("name", SCENARIO_FILES)
 def test_u2_blocking_matches_exact_oracle(name):
-    # the binomial stderr is never narrower than the true spread at U=2
+    # These ids check the AL draw and the greedy at U=2. They cannot see a
+    # wrong hash offset or Y multiplier: at U=2 a bundled file's exact
+    # blocking does not move under the one, and moves by under 0.001 of the
+    # stderr under the other, since Y = K * rnti mod 65537 takes the C-RNTIs
+    # onto all Ys but one for any K; the per-UE tests of the hash see both.
+    # The binomial stderr is never narrower than the true spread at U=2.
     cfg = replace(parse_scenario(bundled_scenario_path(name)).config,
                   ue_count=2, iterations=20000)
     exact = exact_blocking(cfg)

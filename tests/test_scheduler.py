@@ -61,7 +61,7 @@ def kernel_tables(counts, coreset):
     cfg = ScenarioConfig(1, coreset, counts, (1.0, 0, 0, 0, 0))
     positions, table = _kernel(cfg)
     words = -(-cce_count // 64)
-    assert len(table) == words + 3
+    assert len(table) == words + 2
     sets = word_ints(table[:words]).tolist()
     assert len(sets) == positions.sum() and max(sets).bit_length() <= cce_count
     tables, offset = [], 0
@@ -146,6 +146,12 @@ def greedy_blocks(draw):
 @example((20, [(16, [0, 0]), (1, [3, 17])], [[0, 1, 0, 1], [1, 0, 1, 1]]))
 # a full last word of three: the AL-8 blocks at CCEs 176 and 184
 @example((192, [(8, [176, 184]), (16, [176])], [[0, 1, 0], [1, 0, 0]]))
+# AL-1 and AL-2 blocks ending at CCE 63, the top bit of word 0 of two, beside
+# the word-1 blocks at CCE 64
+@example((128, [(1, [63, 64]), (2, [62, 64])], [[0, 0, 1], [1, 1, 0], [1, 0, 0]]))
+# rows whose only free candidate is in word 2, after words 0 and 1 have none
+@example((192, [(16, [0]), (16, [64]), (16, [0, 64, 128])],
+          [[0, 1, 2, 2], [2, 2, 2, 2], [0, 2, 2, 1]]))
 def test_block_greedy_matches_reference_greedy(case):
     cce_count, sets, rows = case
     outcomes = block_greedy([masks(*s) for s in sets], cce_count, rows)

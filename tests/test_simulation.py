@@ -385,8 +385,10 @@ def test_direct_run_opens_and_closes_its_own_pool(pools):
     assert multiprocessing.active_children() == []
 
 
-def test_fewer_iterations_than_workers_in_shared_pool(pools):
-    # each of the 3 iterations holds MIN_RANGE_UES UEs, one range's worth
+def test_fewer_iterations_than_workers_in_shared_pool(pools, monkeypatch):
+    # each of the 3 iterations holds MIN_RANGE_UES UEs, one range's worth;
+    # a small split keeps U, and the greedy's walk, short
+    monkeypatch.setattr(simulation, "MIN_RANGE_UES", 40)
     cfg = scenario(ue_count=simulation.MIN_RANGE_UES, iterations=3)
     serial = run_scenario(cfg, keep_per_iteration=True)
     with simulation.draw_ranges(cfg, workers=5) as draws:
