@@ -10,11 +10,17 @@ AGGREGATION_LEVELS = (1, 2, 4, 8, 16)
 def as_integer(name: str, value, minimum: int = None) -> int:
     """``value`` as an int, at least ``minimum`` when one is given. A bool or
     a non-integral number raises ValueError; numpy integers are accepted."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if type(value) is not int:  # the ABC check below is the slow part of a config
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
+    return value
+
+
+# per kind: the types that pass at once, the ABC that the rest must be, its name
+_KINDS = {int: ({int}, Integral, "integers"), float: ({int, float}, Real, "numbers")}
 
 
 def per_al(name: str, values, kind) -> tuple:
@@ -22,17 +28,18 @@ def per_al(name: str, values, kind) -> tuple:
     of 5 values ordered as AGGREGATION_LEVELS. Any other input, a bool, a
     non-integer (int) or non-real (float) value, or an integer past float
     range raises ValueError."""
-    allowed, plural = (Integral, "integers") if kind is int else (Real, "numbers")
+    exact, allowed, plural = _KINDS[kind]
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{name} must be {plural} in a list or tuple, one per AL "
                          f"{AGGREGATION_LEVELS}, got {values!r}")
     if len(values) != len(AGGREGATION_LEVELS):
         raise ValueError(f"{name} needs {len(AGGREGATION_LEVELS)} entries "
                          f"(ALs {AGGREGATION_LEVELS}), got {len(values)}")
-    if any(isinstance(v, bool) or not isinstance(v, allowed) for v in values):
+    if not set(map(type, values)) <= exact and any(
+            isinstance(v, bool) or not isinstance(v, allowed) for v in values):
         raise ValueError(f"{name} must be {plural}, got {values}")
     try:
-        return tuple(kind(v) for v in values)
+        return tuple(map(kind, values))
     except OverflowError:
         raise ValueError(f"{name} has an integer too large for a float") from None
 

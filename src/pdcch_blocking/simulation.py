@@ -19,7 +19,7 @@ algorithm on uint32 arrays, ``_raw_draws`` gives the raw words of a PCG64
 seeded from each iteration's words, ``_decode_draws`` decodes the C-RNTIs,
 uniforms and tie-break shuffles by NumPy's rules, bit-identical to
 ``iteration_rng``'s, and array passes give each UE's AL index and Y in
-processing order. The C-dependent half turns them into table rows and runs
+processing order. The C-dependent half turns them into table columns and runs
 one greedy pass over the whole block.
 
 PCG64 is a 128-bit LCG with an XSL-RR output, so every raw word has a closed
@@ -491,8 +491,7 @@ def _allocation_order(al_keys, perm, strategy):
 
 
 # Per AL, _greedy_assign's block-test constants lo and L - 1
-_FIELDS = np.array([[(2**64 - 1) // (2**L - 1) * (2**(L - 1) - 1) for L in AGGREGATION_LEVELS],
-                    [L - 1 for L in AGGREGATION_LEVELS]], dtype=np.uint64)
+_FIELDS = tuple(((2**64 - 1) // (2**L - 1) * (2**(L - 1) - 1), L - 1) for L in AGGREGATION_LEVELS)
 
 
 def _greedy_assign(index, table):
@@ -508,7 +507,8 @@ def _greedy_assign(index, table):
     b, words = len(index), len(table) - 2
     used = np.zeros((words, b), dtype=np.uint64)
     blocked = np.empty((index.shape[1], b), dtype=bool)
-    for j, sets in enumerate(np.asfortranarray(index).T):
+    # intp columns, so that no take casts its indices
+    for j, sets in enumerate(np.asfortranarray(index, dtype=np.intp).T):
         column = table.take(sets, axis=1)
         lo, shift = column[words:]
         # the top bit of an L-field of taken is set when the field holds a
@@ -527,9 +527,6 @@ def _greedy_assign(index, table):
     return ~blocked.T, used
 
 
-_LEVELS = np.array(AGGREGATION_LEVELS, dtype=np.int64)
-
-
 def _kernel(cfg: ScenarioConfig) -> tuple:
     """Per-CORESET tables for ``_run_range``: (positions, table).
     ``positions`` is P = floor(C/L) per AL. ``table``, in
@@ -541,32 +538,33 @@ def _kernel(cfg: ScenarioConfig) -> tuple:
     words = -(-cce_count // 64)
     counts = cfg.candidates_per_al
     width = max(counts)
-    # per AL: P, its candidate blocks (start CCE // L) at residue 0, cycled
-    # to the largest count, and the offset of a candidate's last CCE from
-    # its first; an empty set's is the CCE past the last word, whose column
-    # is cut
-    positions, blocks, tail = [], [], []
-    for level, m in zip(AGGREGATION_LEVELS, counts):
+    # one row per AL: its block-test constants, L, the span L P at which its
+    # starts wrap, L - 1 less L times its first column (mod 2**64), then its
+    # starts at residue 0, cycled to the largest count. An empty set is one
+    # start past the last word, with no span, so it never wraps.
+    positions, rows, offset = [], [], 0
+    for level, m, fields in zip(AGGREGATION_LEVELS, counts, _FIELDS):
         if m and level <= cce_count:
-            starts = candidate_starts(level, cce_count, m, 0)
-            positions.append(cce_count // level)
-            blocks.append([starts[k % m] // level for k in range(width)])
-            tail.append(level - 1)
+            p = cce_count // level
+            starts, span, tail = candidate_starts(level, cce_count, m, 0), level * p, level - 1
         else:
-            positions.append(1)
-            blocks.append([0] * width)
-            tail.append(64 * words)
-    positions, blocks, tail = np.array(positions), np.array(blocks).T, np.array(tail)
-    al = np.repeat(np.arange(len(counts)), positions)
-    # the starts at residue r are those at residue 0 moved r blocks on
-    residue = np.arange(len(al)) - (np.cumsum(positions) - positions).take(al)
-    first = _LEVELS.take(al) * ((blocks.take(al, axis=1) + residue) % positions.take(al))
-    # one bit per (set, last CCE) of a (S, 64 W + 1) array, set as flat indices
-    stride = 64 * words + 1
-    bits = np.zeros((len(al), stride), dtype=bool)
-    bits.reshape(-1)[first + (tail.take(al) + np.arange(0, len(al) * stride, stride))] = True
-    sets = np.packbits(bits[:, :-1], axis=1, bitorder="little").view("<u8").T
-    return positions, np.concatenate([sets, _FIELDS.take(al, axis=1)])
+            p, starts, span, tail = 1, [64 * words], 0, 0
+        base = (tail - level * offset) % 2**64
+        rows.append([*fields, level, span, base, *(starts * width)[:width]])
+        positions.append(p)
+        offset += p
+    columns = np.repeat(np.array(rows, dtype=np.uint64).T, positions, axis=1)
+    level, span, base = columns[2:5]
+    # at residue r = column - first column, a candidate's last CCE is its
+    # start moved r blocks on, plus L - 1, less L P once that reaches L P:
+    # the smaller of the two, since the uint64 difference wraps below 0
+    lasts = columns[5:] + (base + level * np.arange(offset, dtype=np.uint64))
+    lasts = np.minimum(lasts, lasts - span, out=lasts)
+    # one bit per candidate at its last CCE, in its word: a last CCE below
+    # word w wraps, and numpy shifts a uint64 by 64 or more to 0
+    bits = lasts[:, None] - np.arange(0, 64 * words, 64, dtype=np.uint64)[:, None]
+    np.left_shift(np.uint64(1), bits, out=bits)
+    return np.array(positions), np.concatenate([np.bitwise_or.reduce(bits, axis=0), columns[:2]])
 
 
 def _draw_key(cfg: ScenarioConfig) -> tuple:
@@ -626,22 +624,25 @@ def _run_range(configs, start: int, stop: int, keep: bool, drawn) -> list:
     share master_seed, a block at a time: the C-independent half from
     ``drawn`` (this range's ``_draw_range``) or, when None, from
     ``_draw_blocks``, then per config the C-dependent half, each UE's table
-    row and one greedy pass over the block. Returns each config's
+    column and one greedy pass over the block. Returns each config's
     (blocked_total, per-iteration counts or None), in order."""
-    tables = {}  # (C, candidate counts) -> P per AL, offsets, table
+    tables = {}  # (C, candidate counts) -> offsets and P per AL, table
     runs = []  # per config: its draw key and its tables
     for cfg in configs:
         key = (cfg.coreset.cce_count, cfg.candidates_per_al)
         if key not in tables:
             positions, table = _kernel(cfg)
-            # (AL index a, residue r) is table row offsets[a] + r
-            tables[key] = (positions, np.cumsum(positions) - positions, table)
+            # (AL index a, residue r) is table column offsets[a] + r
+            offsets = np.cumsum(positions) - positions
+            tables[key] = (np.array([offsets, positions], dtype=np.int32), table)
         runs.append((_draw_key(cfg), tables[key]))
     totals, per_iter = [0] * len(configs), [[] for _ in configs]
     for block in _draw_blocks(configs, start, stop) if drawn is None else drawn:
-        for i, (key, (positions, offsets, table)) in enumerate(runs):
+        for i, (key, (per_al_index, table)) in enumerate(runs):
             al_idx, ys = block[key]
-            index = offsets.take(al_idx) + ys % positions.take(al_idx)
+            offsets, positions = per_al_index.take(al_idx, axis=1)
+            index = np.remainder(ys, positions, out=positions)
+            index += offsets
             blocked = _simulate_iteration(index, table)
             totals[i] += int(blocked.sum())
             if keep:
@@ -702,7 +703,7 @@ def _bounds(configs, workers) -> list:
     iterations = configs[0].iterations
     work = iterations * sum(cfg.ue_count for cfg in configs)
     n = min(workers or 1, iterations, max(1, work // MIN_RANGE_UES))
-    return np.linspace(0, iterations, n + 1, dtype=int).tolist()
+    return [i * iterations // n for i in range(n + 1)]
 
 
 def _map_ranges(fn, configs, bounds, pool, *columns) -> list:

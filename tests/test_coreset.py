@@ -1,3 +1,5 @@
+from enum import IntEnum
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,20 @@ from pdcch_blocking import (AGGREGATION_LEVELS, CoresetConfig, PlanningRequest,
                             ScenarioConfig, run_scenario)
 
 
-@pytest.mark.parametrize("cce_count", [9.0, 9.5, True, "54"])
+class _Size(IntEnum):
+    ONE = 1
+    C54 = 54
+
+
+@pytest.mark.parametrize("cce_count", [9.0, 9.5, True, "54", np.bool_(True), 6.0])
 def test_from_cce_count_rejects_non_integers(cce_count):
     with pytest.raises(ValueError, match="integer"):
         CoresetConfig.from_cce_count(cce_count)
 
 
 def test_numpy_integer_geometry_stored_as_int():
-    for cfg in (CoresetConfig(np.int64(54)), CoresetConfig.from_cce_count(np.int32(54))):
+    for cfg in (CoresetConfig(np.int64(54)), CoresetConfig.from_cce_count(np.int32(54)),
+                CoresetConfig(_Size.C54)):
         assert cfg == CoresetConfig(54)
         assert type(cfg.cce_count) is int
 
@@ -82,6 +90,9 @@ PER_AL_REJECTED = [
         (True, 0, 0, 0, 0), ("1", 0, 0, 0, 0), (None, 1, 0, 0, 0), 5, None,
         dict(zip(AGGREGATION_LEVELS, _MIX)), {0.1, 0.2, 0.3, 0.15, 0.25}, "10000",
         (p for p in _MIX), np.array(_MIX)]),
+    ("candidates_per_al", (np.bool_(True), 6, 4, 2, 1)),
+    ("al_distribution", (np.bool_(True), 0, 0, 0, 0)),
+    ("al_distribution", (0.4, 0.3, 0.2, 0.05, np.bool_(False))),
 ]
 
 
@@ -91,3 +102,21 @@ def test_per_al_fields_reject_all_but_five_numbers(field, value):
                "al_distribution": "^probabilities must be numbers"}[field]
     with pytest.raises(ValueError, match=message):
         ScenarioConfig(**_BASE | {field: value})
+
+
+# Per-AL field values that are accepted, and the tuple each is stored as
+PER_AL_ACCEPTED = [
+    ("candidates_per_al", (np.int64(6), 6, np.int32(4), 2, _Size.ONE), (6, 6, 4, 2, 1)),
+    ("candidates_per_al", [6, 6, 4, 2, 1], (6, 6, 4, 2, 1)),
+    ("al_distribution", tuple(np.float64(p) for p in _MIX), _MIX),
+    ("al_distribution", (0, 0, 0, 0, 1), (0.0, 0.0, 0.0, 0.0, 1.0)),
+    ("al_distribution", (np.int64(1), 0, 0.0, np.float32(0), 0), (1.0, 0.0, 0.0, 0.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("field,value,stored", PER_AL_ACCEPTED)
+def test_per_al_fields_store_plain_tuples(field, value, stored):
+    kind = int if field == "candidates_per_al" else float
+    cfg = ScenarioConfig(**_BASE | {"candidates_per_al": _COUNTS, field: value})
+    assert getattr(cfg, field) == stored
+    assert all(type(v) is kind for v in getattr(cfg, field))

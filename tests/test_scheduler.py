@@ -204,7 +204,7 @@ def test_leftmost_choice_picks_lowest_start():
     _, tables = kernel_tables((0, 0, 2, 0, 0), CoresetConfig.from_cce_count(12))
     assert block_greedy([tables[2][2]], 12, [[0]]) == [([0b1111], 0b1111)]
     # every table row lists its masks by first CCE
-    for cce_count in (1, 8, 12, 54, 97, 200):
+    for cce_count in (1, 8, 12, 54, 97, 200, 300):
         _, tables = kernel_tables(COUNTS, CoresetConfig.from_cce_count(cce_count))
         for rows in tables:
             for row in rows:

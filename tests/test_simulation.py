@@ -412,6 +412,42 @@ def test_bounds_make_no_empty_range():
     assert bounds(10, 4) == [0, 2, 5, 7, 10]
 
 
+def test_bounds_are_exact_shares_of_the_iterations():
+    # with every iteration worth a range of its own, a run splits into
+    # min(workers, iterations) ranges
+    for iterations in [*range(1, 130), 1000, 4097, 10**6 + 3, simulation.MAX_ITERATIONS]:
+        cfg = scenario(ue_count=simulation.MIN_RANGE_UES, iterations=iterations)
+        for workers in range(1, 17):
+            bounds = simulation._bounds((cfg,), workers)
+            n = min(workers, iterations)
+            assert len(bounds) == n + 1
+            assert bounds[0] == 0 and bounds[-1] == iterations
+            assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+            assert bounds == [i * iterations // n for i in range(n + 1)]
+
+
+def test_bounds_split_122_iterations_at_an_exact_quotient():
+    # 7 * 122 / 14 is 61 exactly; np.linspace, which gave the bounds before,
+    # rounded it down to 60
+    bounds = simulation._bounds(
+        (scenario(ue_count=simulation.MIN_RANGE_UES, iterations=122),), 14)
+    assert bounds[7] == 61
+    assert bounds == [0, 8, 17, 26, 34, 43, 52, 61, 69, 78, 87, 95, 104, 113, 122]
+    # the counts do not depend on the split (C10): the 14 ranges, run in
+    # this process, give the serial run's
+    cfg = scenario(iterations=122)
+    parts = [simulation._run_range((cfg,), lo, hi, True, None)[0]
+             for lo, hi in zip(bounds, bounds[1:])]
+    serial = run_scenario(cfg, keep_per_iteration=True)
+    assert sum(total for total, _ in parts) == serial.blocked_total
+    assert tuple(b for _, counts in parts for b in counts) == serial.per_iteration_blocked
+    # at two workers, the bundled plans' and benchmark's split, no bound moved
+    for iterations in range(1, 3000):
+        cfg = scenario(ue_count=simulation.MIN_RANGE_UES, iterations=iterations)
+        assert simulation._bounds((cfg,), 2) == np.linspace(
+            0, iterations, min(2, iterations) + 1, dtype=int).tolist()
+
+
 def test_bounds_split_only_runs_worth_a_range_each():
     def ranges(ue_counts, iterations, workers):
         configs = [scenario(ue_count=u, iterations=iterations) for u in ue_counts]
@@ -789,13 +825,13 @@ def test_sweep_orders_each_block_once_for_all_points(monkeypatch, axis):
 
 
 def test_ue_count_sweep_builds_its_tables_once(monkeypatch):
-    levels = []
-    starts = simulation.candidate_starts
+    built = []
+    kernel = simulation._kernel
 
-    def recorded(level, *args):
-        levels.append(level)
-        return starts(level, *args)
-    monkeypatch.setattr(simulation, "candidate_starts", recorded)
+    def recorded(cfg):
+        built.append(cfg.ue_count)
+        return kernel(cfg)
+    monkeypatch.setattr(simulation, "_kernel", recorded)
     run_sweep(scenario(iterations=2 * simulation.STATE_BLOCK + 5), "ue_count",
               SWEEP_POINTS["ue_count"])
-    assert levels == [1, 2, 4, 8, 16]
+    assert len(built) == 1
