@@ -65,7 +65,8 @@ class PlanningResult:
     @property
     def achieved_blocking(self) -> float:
         """The blocking at ``min_cces``, or None when no size meets the target."""
-        return next((b for cces, b, _ in self.evaluations if cces == self.min_cces), None)
+        return next((p.result.blocking_probability for p in self.points
+                     if p.point == self.min_cces), None)
 
     def decisions(self, target_blocking: float) -> tuple:
         """What the plan decided of each point, in evaluation order: "answer"

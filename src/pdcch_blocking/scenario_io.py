@@ -243,11 +243,6 @@ def resolve_output_path(path) -> Path:
     return path
 
 
-def _check_format(fmt: str):
-    if fmt not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-
-
 def emit_results(records, fmt: str, path) -> Path:
     """Write records to ``path`` as UTF-8. CSV: header plus one row per
     record, columns in CSV_COLUMNS order, None as an empty cell; JSON: an
@@ -256,7 +251,8 @@ def emit_results(records, fmt: str, path) -> Path:
     records = list(records)
     if not records:
         raise ValueError("no records to emit")
-    _check_format(fmt)
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
     path = resolve_output_path(path)
     rows = [{col: getattr(r, col) for col in CSV_COLUMNS} for r in records]
     if fmt == FORMAT_CSV:

@@ -83,16 +83,12 @@ ALLOWED_CANDIDATE_COUNTS = (0, 1, 2, 3, 4, 5, 6, 8)
 RNTI_MAX = 65535
 
 
-def _check_rnti(c_rnti: int) -> int:
+def y_value(c_rnti: int) -> int:
+    """Per-UE hash seed Y at slot 0: c_rnti * ``Y_MULTIPLIER`` mod 65537."""
     c_rnti = as_integer("c_rnti", c_rnti)
     if not 1 <= c_rnti <= RNTI_MAX:
         raise ValueError(f"c_rnti must be in [1, {RNTI_MAX}], got {c_rnti}")
-    return c_rnti
-
-
-def y_value(c_rnti: int) -> int:
-    """Per-UE hash seed Y at slot 0: c_rnti * ``Y_MULTIPLIER`` mod 65537."""
-    return _check_rnti(c_rnti) * Y_MULTIPLIER % Y_MODULUS
+    return c_rnti * Y_MULTIPLIER % Y_MODULUS
 
 
 def candidate_starts(aggregation_level: int, cce_count: int, candidate_count: int,
@@ -650,29 +646,17 @@ def _run_range(configs, start: int, stop: int, keep: bool, drawn) -> list:
     return [(total, counts if keep else None) for total, counts in zip(totals, per_iter)]
 
 
-def _worker_count(workers):
-    """``workers`` as an int > 1, or None for a serial run (None or 1)."""
-    if workers is None or as_integer("workers", workers, 1) == 1:
-        return None
-    return int(workers)
-
-
-@contextmanager
-def _worker_pool(workers: int = None):
-    """Yield a process pool for ``workers`` ranges, or None when serial.
-    ``workers`` counts the calling process, which runs the first range of
-    every map itself. The pool opens one process fewer than ``workers`` or
-    than the CPUs, whichever is fewer, but at least one, since every
-    process is started at the first submit; the ranges queue for them. The
-    pool is shut down, and its workers waited for, when the block exits,
-    also by an exception."""
-    workers = _worker_count(workers)
-    if workers is None:
-        yield None
-        return
-    processes = max(1, min(workers, os.cpu_count() or 1) - 1)
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        yield pool
+def _worker_pool(ranges: int):
+    """A context manager that gives a process pool for ``ranges`` iteration
+    ranges, or None for one range. The calling process runs the first range
+    of every map itself, so the pool opens one process fewer than the
+    ranges or than the CPUs, whichever is fewer, but at least one, since
+    every process is started at the first submit; the ranges queue for
+    them. The pool is shut down, and its workers waited for, when the block
+    exits, also by an exception."""
+    if ranges == 1:
+        return nullcontext()
+    return ProcessPoolExecutor(max_workers=max(1, min(ranges, os.cpu_count() or 1) - 1))
 
 
 # UE-iterations a range must hold before a run is split into another one.
@@ -699,10 +683,10 @@ def _bounds(configs, workers) -> list:
     iterations, so that none is empty, and no more than one per
     ``MIN_RANGE_UES`` UE-iterations of all configs together, so that a
     small run stays in the calling process."""
-    workers = _worker_count(workers)
+    workers = 1 if workers is None else as_integer("workers", workers, 1)
     iterations = configs[0].iterations
     work = iterations * sum(cfg.ue_count for cfg in configs)
-    n = min(workers or 1, iterations, max(1, work // MIN_RANGE_UES))
+    n = min(workers, iterations, max(1, work // MIN_RANGE_UES))
     return [i * iterations // n for i in range(n + 1)]
 
 
@@ -841,11 +825,9 @@ def apply_axis(base: ScenarioConfig, axis: str, point) -> ScenarioConfig:
     """Return ``base`` with the parameter of sweep axis ``axis`` set to
     ``point``: a value on a scalar axis, a named point on a list axis."""
     check_axis(axis)
-    kind, key, apply = SWEEP_AXES[axis]
+    _, key, apply = SWEEP_AXES[axis]
     if key is not None:
         point = _named_point(point, key)
-    elif kind is int:
-        point = as_integer(f"{axis} point", point)
     return apply(base, point)
 
 

@@ -48,12 +48,15 @@ def scenarios(draw):
 @settings(max_examples=300, deadline=None)
 @given(scenarios())
 # long walks, most of their UEs blocked: U = 65 at C = 48, where the AL-8
-# and AL-16 UEs fill every row early, and U = 129 at C = 54, where rows of
-# mixed ALs fill at different positions
+# and AL-16 UEs fill every row early, U = 129 at C = 54, where rows of
+# mixed ALs fill at different positions, and U = 100 at C = 150, rows of
+# three mask words
 @example(ScenarioConfig(65, CoresetConfig(48), (0, 0, 0, 1, 1),
                         (0, 0, 0, 0.5, 0.5), STRATEGY_UNORDERED, 3, 0))
 @example(ScenarioConfig(129, CoresetConfig(54), (6, 6, 4, 2, 1),
                         (0.2,) * 5, STRATEGY_UNORDERED, 20, 0))
+@example(ScenarioConfig(100, CoresetConfig(150), (6, 6, 4, 2, 1),
+                        (0.2,) * 5, STRATEGY_UNORDERED, 5, 0))
 def test_kernel_matches_per_ue_hash(cfg):
     result = run_scenario(cfg, keep_per_iteration=True)
     assert list(result.per_iteration_blocked) == [

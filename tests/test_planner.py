@@ -78,6 +78,15 @@ def test_unreachable_target_returns_none():
     assert set(result.decisions(req.target_blocking)) == {"misses"}  # no "answer"
 
 
+def test_blocking_equal_to_the_target_meets_it():
+    # AL 16 with one candidate: of 2 UEs, exactly 1 is blocked in every
+    # iteration on 16..31 CCEs, so B = 0.5 there, and less from 32 on
+    req = request(ue_count=2, al_distribution=(0, 0, 0, 0, 1.0),
+                  candidates_per_al=(0, 0, 0, 0, 1), target_blocking=0.5, cce_min=8,
+                  cce_max=40, iterations=50)
+    assert plan_min_coreset(req).min_cces == 16
+
+
 def test_result_respects_target_and_boundary():
     req = request()
     result = plan_min_coreset(req)

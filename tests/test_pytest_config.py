@@ -1,10 +1,14 @@
-"""The repository's pytest settings, run on a throwaway test file."""
+"""The repository's test settings: pytest's, run on a throwaway test file,
+and the mutant list of ``mutants.py``, against the source."""
 
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+from mutants import MUTANTS
+
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 PROBE = '''
 from hypothesis import given, strategies as st
@@ -33,3 +37,12 @@ def test_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
     assert "INTERNALERROR" not in out
     assert "Falsifying example" in out
     assert "1 failed, 1 passed" in out
+
+
+def test_every_mutant_text_occurs_once_in_its_file():
+    # a refactor that moves a mutant's code must update the list
+    stale = [m.id for m in MUTANTS
+             if (ROOT / "src" / "pdcch_blocking" / m.file).read_text(encoding="utf-8")
+             .count(m.old) != 1 or m.new == m.old]
+    assert stale == []
+    assert len({m.id for m in MUTANTS}) == len(MUTANTS)
